@@ -2,7 +2,7 @@
 a parameter grid, or run the tiny-scale selftests.
 
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 internal
-invariant violation.
+invariant violation or any other crash of an algorithm run.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 from .config import Config, load_config, parse_override
 from .coloring import is_proper
 from .errors import CliqueError, InputError
-from .graphs import gen_random_graph, load_graph
+from .graphs import check_random_graph_params, gen_random_graph, load_graph
 from .harness import (ALGORITHMS, read_coloring, run_algorithm,
                       write_coloring)
 from .selftest import run_selftests
@@ -60,7 +60,10 @@ def _build_config(config_path, overrides, seed):
             kv[k] = parse_override(k, v)
         except KeyError as exc:
             raise InputError(f"unknown config key {k!r}") from exc
-    cfg = load_config(config_path, kv)
+    try:
+        cfg = load_config(config_path, kv)
+    except KeyError as exc:
+        raise InputError(f"{config_path}: {exc.args[0]}") from exc
     if seed is not None:
         cfg = cfg.with_overrides(rng_seed=seed)
     return cfg
@@ -116,6 +119,9 @@ def run_cmd(algo, graph_path, gen, seed, config_path, overrides, eps, out,
     except (AssertionError, CliqueError) as exc:
         click.echo(f"internal invariant violation: {exc}", err=True)
         sys.exit(3)
+    except Exception as exc:  # any other crash: exit 3, not a traceback
+        click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
+        sys.exit(3)
     if coloring_out:
         write_coloring(coloring, coloring_out)
     _emit(report, out, fmt)
@@ -159,7 +165,11 @@ def verify_cmd(graph_path, coloring_path):
               default="json", show_default=True)
 def sweep_cmd(algos, ns, densities, seeds, config_path, overrides, eps,
               out, fmt):
-    """Run an (algorithm x n x density x seed) grid; one report per cell."""
+    """Run an (algorithm x n x density x seed) grid; one report per cell.
+
+    Every size, density and config is checked before the first cell runs.
+    A cell whose run crashes is reported and skipped, and the sweep then
+    exits 3; otherwise an improper or over-budget cell makes it exit 1."""
     try:
         algo_list = [a.strip() for a in algos.split(",") if a.strip()]
         for a in algo_list:
@@ -168,25 +178,30 @@ def sweep_cmd(algos, ns, densities, seeds, config_path, overrides, eps,
         n_list = [int(x) for x in ns.split(",")]
         d_list = [float(x) for x in densities.split(",")]
         seed_list = [int(x) for x in seeds.split(",")]
-    except (InputError, ValueError) as exc:
+        for n in n_list:
+            for p in d_list:
+                check_random_graph_params(n, p)
+        cfgs = {s: _build_config(config_path, overrides, s)
+                for s in seed_list}
+    except (InputError, OSError, ValueError) as exc:
         click.echo(f"input error: {exc}", err=True)
         sys.exit(2)
     if out:
         os.makedirs(out, exist_ok=True)
     rows = []
-    failed = False
+    failed = crashed = False
     for n in n_list:
         for p in d_list:
             for s in seed_list:
                 graph = gen_random_graph(n, p, s)
-                cfg = _build_config(config_path, overrides, s)
                 for algo in algo_list:
                     try:
-                        _, rep = run_algorithm(algo, graph, cfg, eps=eps)
-                    except (AssertionError, CliqueError) as exc:
-                        click.echo(f"cell ({algo},{n},{p},{s}) failed: "
-                                   f"{exc}", err=True)
-                        failed = True
+                        _, rep = run_algorithm(algo, graph, cfgs[s],
+                                               eps=eps)
+                    except Exception as exc:  # report the cell, go on
+                        click.echo(f"cell ({algo},{n},{p},{s}) crashed: "
+                                   f"{type(exc).__name__}: {exc}", err=True)
+                        crashed = True
                         continue
                     rows.append(rep)
                     if not (rep["proper"] and rep["within_budget"]):
@@ -210,7 +225,7 @@ def sweep_cmd(algos, ns, densities, seeds, config_path, overrides, eps,
             w.writerow(summary_cols)
             for rep in rows:
                 w.writerow([rep.get(c) for c in summary_cols])
-    sys.exit(1 if failed else 0)
+    sys.exit(3 if crashed else 1 if failed else 0)
 
 
 @main.command("selftest")

@@ -176,12 +176,9 @@ class TableObjective:
         """Conditional sums (exact, common denominator) per assignment."""
         return self._sums(self.total, width)
 
-    def node_eval_block(self, width: int):
-        nodes = np.array(sorted(self.node_tables), dtype=np.int64)
-        vals = np.stack([self._sums(self.node_tables[int(v)], width)
-                         for v in nodes]) if len(nodes) else \
-            np.zeros((0, 1 << width), dtype=np.int64)
-        return nodes, vals
+    def contributing_nodes(self) -> np.ndarray:
+        """Sorted ids of the nodes that own a table."""
+        return np.array(sorted(self.node_tables), dtype=np.int64)
 
     def commit(self, assignment: int, width: int) -> None:
         self.committed |= assignment << self.k
@@ -319,70 +316,100 @@ class AffineObjective:
         self._last = None
 
     # -- evaluation -------------------------------------------------- #
+    #
+    # Only a term with a row pivoting inside the chunk [k, k+width) can
+    # fail for some chunk assignment; every other alive term keeps its
+    # (rescaled) weight whatever the chunk is.  A stage therefore works on
+    # those rows alone, and keeps each term's failure set over the 2^width
+    # assignments as a bitset packed into uint64 words: bit b of word
+    # b >> 6, position b & 63, is set when assignment b breaks the term.
 
-    def _stage_rows(self, width: int):
+    def contributing_nodes(self) -> np.ndarray:
+        """Sorted ids of the nodes that own a term or a constant."""
+        return np.unique(np.concatenate([
+            self.term_node, np.array(list(self._node_const),
+                                     dtype=np.int64)]))
+
+    def _weights(self, k1: int) -> np.ndarray:
+        """Each term's conditional value once bits [0, k1) are fixed and
+        its rows below k1 hold: coef * 2^-(rows at or above k1), scaled."""
+        r = self.n_rows_per_term - self.rows_below[k1]
+        return self.term_coef << (self.denom_log2 - r)
+
+    def _stage(self, width: int):
+        """Alive terms with a row pivoting in [k, k+width), sorted, and
+        their packed failure sets, shape (terms, max(1, 2^width / 64))."""
         lo = int(np.searchsorted(self.row_pivot, self.k))
         hi = int(np.searchsorted(self.row_pivot, self.k + width))
-        return lo, hi
+        terms = self.row_term[lo:hi]
+        keep = self.alive[terms]
+        terms = terms[keep]
+        words = max(1, (1 << width) >> 6)
+        if not len(terms):
+            return terms, np.zeros((0, words), dtype=np.uint64)
+        masks = self.row_mask[lo:hi][keep]
+        # a row breaks when parity(mask & seed) != rhs; the committed
+        # prefix contributes a fixed parity, the chunk bits a pattern
+        flip = (np.bitwise_count(masks & np.uint64(self.committed))
+                .astype(np.uint64) & np.uint64(1)) \
+            ^ self.row_rhs[lo:hi][keep].astype(np.uint64)
+        chunk = (masks >> np.uint64(self.k)) \
+            & np.uint64((1 << width) - 1)
+        # chunk bits 6.. select whole words: parity(chunk_hi & word index)
+        high = np.bitwise_count((chunk >> np.uint64(6))[:, None]
+                                & np.arange(words, dtype=np.uint64))
+        fail = (_IN_WORD_PARITY[(chunk & np.uint64(63)).astype(np.intp)]
+                [:, None]
+                ^ (np.uint64(0) - (high.astype(np.uint64) & np.uint64(1)))
+                ^ (np.uint64(0) - flip)[:, None])
+        order = np.argsort(terms, kind="stable")
+        terms = terms[order]
+        starts = np.flatnonzero(np.concatenate(
+            ([True], terms[1:] != terms[:-1])))
+        return terms[starts], np.bitwise_or.reduceat(fail[order], starts,
+                                                     axis=0)
+
+    def _eval(self, width: int):
+        """Conditional sums per chunk assignment, plus the stage kept for
+        commit: vals[b] = all alive weight - weight of terms b breaks."""
+        terms, fail = self._stage(width)
+        w = self._weights(self.k + width)
+        vals = np.full(1 << width, (self.const_total << self.denom_log2)
+                       + int(w[self.alive].sum()), dtype=np.int64)
+        if len(terms):
+            vals -= (w[terms][:, None]
+                     * _unpack_bits(fail, 1 << width)).sum(axis=0)
+        return vals, (width, terms, fail)
 
     def eval_block(self, width: int) -> np.ndarray:
-        vals, fail = self._eval(width)
-        self._last = (width, fail)
+        vals, self._last = self._eval(width)
         return vals
 
     def node_eval_block(self, width: int):
-        vals, fail = self._eval(width)
-        self._last = (width, fail)
-        B = 1 << width
-        nodes = np.unique(np.concatenate([
-            self.term_node, np.array(sorted(self._node_const),
-                                     dtype=np.int64)]))
-        idx = {int(v): i for i, v in enumerate(nodes)}
-        out = np.zeros((len(nodes), B), dtype=np.int64)
-        if self.n_terms:
-            k1 = self.k + width
-            r = self.n_rows_per_term - self.rows_below[k1]
-            w = self.term_coef << (self.denom_log2 - r)
-            contrib = np.where(self.alive[:, None] & (fail == 0),
-                               w[:, None], 0)
-            np.add.at(out, np.array([idx[int(v)] for v in self.term_node]),
-                      contrib)
+        """Per-node split of eval_block(width): row i is the value
+        contributing_nodes()[i] sends to each of the 2^width leaders, and
+        the rows sum to eval_block(width).  The searches route only the
+        counts of these values and never build the matrix."""
+        _, self._last = self._eval(width)
+        _, terms, fail = self._last
+        w = self._weights(self.k + width)
+        nodes = self.contributing_nodes()
+        out = np.zeros((len(nodes), 1 << width), dtype=np.int64)
+        np.add.at(out, np.searchsorted(nodes, self.term_node[self.alive]),
+                  w[self.alive][:, None])
+        np.subtract.at(out, np.searchsorted(nodes, self.term_node[terms]),
+                       w[terms][:, None] * _unpack_bits(fail, 1 << width))
         for v, c in self._node_const.items():
-            out[idx[int(v)]] += c << self.denom_log2
+            out[np.searchsorted(nodes, v)] += c << self.denom_log2
         return nodes, out
-
-    def _eval(self, width: int):
-        B = 1 << width
-        T = self.n_terms
-        lo, hi = self._stage_rows(width)
-        fail = np.zeros((max(T, 1), B), dtype=np.int16)
-        if hi > lo:
-            masks = self.row_mask[lo:hi]
-            base_par = (np.bitwise_count(
-                masks & np.uint64(self.committed))).astype(np.int64) & 1
-            chunk = (masks >> np.uint64(self.k)) & np.uint64(B - 1)
-            bvals = np.arange(B, dtype=np.uint64)
-            par = (base_par[:, None]
-                   + np.bitwise_count(chunk[:, None] & bvals[None, :])) & 1
-            bad = (par != self.row_rhs[lo:hi, None]).astype(np.int16)
-            np.add.at(fail, self.row_term[lo:hi], bad)
-        if T:
-            k1 = self.k + width
-            r = self.n_rows_per_term - self.rows_below[k1]
-            w = self.term_coef << (self.denom_log2 - r)
-            vals = np.where(self.alive[:, None] & (fail[:T] == 0),
-                            w[:, None], 0).sum(axis=0, dtype=np.int64)
-        else:
-            vals = np.zeros(B, dtype=np.int64)
-        vals += self.const_total << self.denom_log2
-        return vals, fail[:T] if T else fail[:0]
 
     def commit(self, assignment: int, width: int) -> None:
         if self._last is None or self._last[0] != width:
             self.eval_block(width)
-        _, fail = self._last
-        if self.n_terms:
-            self.alive &= fail[:, assignment] == 0
+        _, terms, fail = self._last
+        broken = (fail[:, assignment >> 6]
+                  >> np.uint64(assignment & 63)) & np.uint64(1)
+        self.alive[terms[broken.astype(bool)]] = False
         self.committed |= assignment << self.k
         self.k += width
         self._last = None
@@ -391,6 +418,25 @@ class AffineObjective:
         """Current conditional expectation numerator (denom 2^denom_log2)."""
         vals, _ = self._eval(0)
         return int(vals[0])
+
+
+def _in_word_parity() -> np.ndarray:
+    """Entry c has bit i set iff parity(c & i) = 1, for c, i < 64: the
+    assignments within one 64-bit word that chunk bits 0..5 = c flip."""
+    i = np.arange(64, dtype=np.uint64)
+    odd = np.bitwise_count(i[:, None] & i[None, :]).astype(np.uint64) \
+        & np.uint64(1)
+    return np.bitwise_or.reduce(odd << i[None, :], axis=1)
+
+
+_IN_WORD_PARITY = _in_word_parity()
+
+
+def _unpack_bits(words: np.ndarray, count: int) -> np.ndarray:
+    """(rows, count) uint8 0/1 matrix of the first `count` bits of each
+    row of packed uint64 words (bit b in word b >> 6, position b & 63)."""
+    as_bytes = words.astype("<u8", copy=False).view(np.uint8)
+    return np.unpackbits(as_bytes, axis=1, count=count, bitorder="little")
 
 
 # --------------------------------------------------------------------- #
@@ -453,13 +499,13 @@ def distributed_seed_agreement(sim, objective, seed_len: int, z: int,
     if (instance_id + 1) * (1 << min(z, seed_len)) > sim.n:
         raise ChunkTooWide(
             f"2^{z} leaders (instance {instance_id}) exceed n={sim.n}")
+    nodes = objective.contributing_nodes()
     k = 0
     bits = 0
     with sim.stage(stage_name):
         while k < seed_len:
             width = min(z, seed_len - k)
             B = 1 << width
-            nodes, vals = objective.node_eval_block(width)
             leaders = instance_id * B + np.arange(B)
             if leaders[-1] >= sim.n:
                 raise ChunkTooWide(
@@ -473,9 +519,9 @@ def distributed_seed_agreement(sim, objective, seed_len: int, z: int,
             sim._check_route_bounds(np.minimum(out_counts, sim.n),
                                     np.minimum(in_counts, sim.n))
             sim.charge_route_counts(out_counts, in_counts)
-            # leaders aggregate locally, then forward sums to the arbiter
-            totals = vals.sum(axis=0, dtype=np.int64) if len(nodes) else \
-                np.zeros(B, dtype=np.int64)
+            # each leader sums its column (the objective's conditional sum
+            # for its assignment) and forwards it to the arbiter
+            totals = objective.eval_block(width)
             sim.ledger.messages_total += B
             sim.ledger.advance(1)
             b = _pick(totals, minimize)

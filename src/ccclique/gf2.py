@@ -92,16 +92,6 @@ def gf_mul(a: int, b: int, k: int) -> int:
     return _poly_mul_mod(a, b, irreducible_poly(k), k)
 
 
-def gf_pow(a: int, e: int, k: int) -> int:
-    r, base = 1, a
-    while e:
-        if e & 1:
-            r = gf_mul(r, base, k)
-        base = gf_mul(base, base, k)
-        e >>= 1
-    return r
-
-
 def gf_mul_vec(vec: np.ndarray, shift: int, k: int) -> np.ndarray:
     """(vec << shift) reduced in GF(2^k), i.e. vec * x^shift, vectorized.
 

@@ -182,12 +182,17 @@ class Graph:
                 raise InputError("adjacency not symmetric")
 
 
-def gen_random_graph(n: int, edge_probability: float, rng_seed: int) -> Graph:
-    """Erdos-Renyi G(n, p), reproducible from the seed."""
+def check_random_graph_params(n: int, edge_probability: float) -> None:
+    """Raise InputError unless G(n, p) is a valid instance."""
     if n < 1:
         raise InputError("n must be >= 1")
     if not (0.0 <= edge_probability <= 1.0):
         raise InputError("edge probability must lie in [0, 1]")
+
+
+def gen_random_graph(n: int, edge_probability: float, rng_seed: int) -> Graph:
+    """Erdos-Renyi G(n, p), reproducible from the seed."""
+    check_random_graph_params(n, edge_probability)
     rng = np.random.default_rng(rng_seed)
     nw = (n + 63) // 64
     rows = np.zeros((n, nw), dtype=np.uint64)

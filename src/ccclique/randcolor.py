@@ -113,11 +113,10 @@ class EpsHierarchy:
     strata: list[list[int]]           # stratum -> layer indices (1-based)
     blocks: list[HierBlock]
     clique_of: list[dict[int, int]]   # per level: vertex -> clique label
-    friend_level: dict[tuple[int, int], int]
 
     def superblocks(self, stratum: int) -> list[np.ndarray]:
         """Stratum members grouped by their top-layer clique."""
-        layers = self.strata[stratum]
+        layers = self.strata[stratum - 1]
         top = max(layers)
         groups: dict[int, list[int]] = {}
         for li in layers:
@@ -206,7 +205,6 @@ def compute_hierarchy(sim: Simulator, graph: Graph, cfg: Config,
     dense_prev = np.zeros(len(unc), dtype=bool)
     layers: list[np.ndarray] = []
     clique_of: list[dict[int, int]] = []
-    edge_level = np.full(len(edges), len(eps_seq) + 1, dtype=np.int64)
     for li, eps in enumerate(eps_seq, start=1):
         # degenerate degrees make the threshold vacuous; one real friend
         # is the least a dense vertex can have
@@ -217,7 +215,6 @@ def compute_hierarchy(sim: Simulator, graph: Graph, cfg: Config,
             np.add.at(fcount, e_lo[fmask], 1)
             np.add.at(fcount, e_hi[fmask], 1)
         dense = fcount >= thr
-        edge_level[fmask & (edge_level > li)] = li
         layers.append(unc[dense & ~dense_prev])
         # cliques: components of dense vertices under friend edges
         dset = unc[dense]
@@ -234,9 +231,6 @@ def compute_hierarchy(sim: Simulator, graph: Graph, cfg: Config,
         clique_of.append({int(v): int(c) for v, c in zip(dset, labels)})
         dense_prev |= dense
     v_sp = unc[~dense_prev]
-    friend_level = {(int(edges[i, 0]), int(edges[i, 1])): int(edge_level[i])
-                    for i in range(len(edges))
-                    if edge_level[i] <= len(eps_seq)}
     strata = strata_of(eps_seq)
     stratum_of_layer = {}
     for k, ls in enumerate(strata, start=1):
@@ -282,7 +276,7 @@ def compute_hierarchy(sim: Simulator, graph: Graph, cfg: Config,
                 anc = blocks[anc].parent
             b.large = not has_large_anc
     hier = EpsHierarchy(eps_seq, q, delta, layers, v_sp, strata, blocks,
-                        clique_of, friend_level)
+                        clique_of)
     if eps_seq[0] <= 0.1:
         for lab, members in _cliques_as_sets(hier, 0).items():
             ok = _weak_diameter_le2(graph, members)

@@ -57,7 +57,6 @@ class RoundLedger:
     max_bits_pair_round: int = 0
     stage_rounds: dict = field(default_factory=dict)
     stage_stack: list = field(default_factory=list)
-    events: list = field(default_factory=list)
 
     def advance(self, rounds: int) -> None:
         if rounds < 0:
@@ -65,9 +64,6 @@ class RoundLedger:
         self.rounds_total += rounds
         for name in self.stage_stack:
             self.stage_rounds[name] = self.stage_rounds.get(name, 0) + rounds
-
-    def note(self, message: str) -> None:
-        self.events.append(message)
 
     def snapshot(self) -> dict:
         return {

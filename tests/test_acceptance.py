@@ -70,6 +70,7 @@ def _verdict(num, name, ok, detail=""):
     assert ok, f"criterion {num} failed: {detail}"
 
 
+@pytest.mark.slow
 def test_criterion_1_properness_suite(suite_reports):
     reports, elapsed = suite_reports
     assert len(reports) == len(GRID_NS) * len(GRID_DENSITIES) * \
@@ -82,6 +83,7 @@ def test_criterion_1_properness_suite(suite_reports):
              f"{len(bad)} {bad[:3]}; runtime {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_2_derandomization_dominance(suite_reports):
     reports, _ = suite_reports
     watched = ("seed-round-dominance", "sqrt-quarter-progress",
@@ -132,6 +134,7 @@ def test_criterion_3_exhaustive_tiny_oracles():
              f"{len(agree)} agreement cases, all exact")
 
 
+@pytest.mark.slow
 def test_criterion_4_palette_budget_ledger(suite_reports):
     reports, _ = suite_reports
     hard = ("partition-ranges-disjoint", "partition-palette",
@@ -148,6 +151,7 @@ def test_criterion_4_palette_budget_ledger(suite_reports):
              f"{len(failures)} violations")
 
 
+@pytest.mark.slow
 def test_criterion_5_bandwidth_safety(suite_reports):
     reports, _ = suite_reports
     bad = [r["_cell"] for r in reports if not r["bandwidth_ok"]]
@@ -207,6 +211,7 @@ def test_criterion_6_partition_concentration():
              f"{elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_7_round_reporting(suite_reports):
     reports, _ = suite_reports
     problems = []
@@ -228,6 +233,7 @@ def test_criterion_7_round_reporting(suite_reports):
              f"det phases capped; problems: {problems[:3]}")
 
 
+@pytest.mark.slow
 def test_criterion_8_determinism(suite_reports):
     reports, _ = suite_reports
     by_cell = {r["_cell"]: r for r in reports}

@@ -8,7 +8,7 @@ from click.testing import CliRunner
 
 from ccclique.cli import main
 from ccclique.graphs import gen_random_graph, save_graph
-from ccclique.harness import write_coloring
+from ccclique.harness import run_algorithm, write_coloring
 
 
 @pytest.fixture()
@@ -102,6 +102,58 @@ def test_input_errors_exit_2(runner, tmp_path):
     assert res3.exit_code == 2
     res4 = runner.invoke(main, ["run", "--algo", "det", "--gen", "oops"])
     assert res4.exit_code == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"nonsense": 4}')
+    res5 = runner.invoke(main, ["run", "--algo", "det", "--gen", "16,0.5",
+                                "--config", str(cfg)])
+    assert res5.exit_code == 2
+
+
+def test_unexpected_crash_exits_3(runner, monkeypatch):
+    def crash(*args, **kwargs):
+        raise RuntimeError("boom")
+    monkeypatch.setattr("ccclique.cli.run_algorithm", crash)
+    res = runner.invoke(main, ["run", "--algo", "det", "--gen", "16,0.5"])
+    assert res.exit_code == 3
+    assert "internal error: RuntimeError: boom" in res.output
+    assert "Traceback" not in res.output
+
+
+def test_sweep_bad_input_exits_2(runner, tmp_path):
+    res = runner.invoke(main, ["sweep", "--algos", "det", "--n", "16",
+                               "--density", "0.5", "--set", "nonsense=4"])
+    assert res.exit_code == 2
+    assert "input error" in res.output
+    res2 = runner.invoke(main, ["sweep", "--algos", "det", "--n", "16",
+                                "--density", "0.5", "--set", "c_word"])
+    assert res2.exit_code == 2
+    res3 = runner.invoke(main, ["sweep", "--algos", "det", "--n", "0",
+                                "--density", "0.5"])
+    assert res3.exit_code == 2
+    assert "input error" in res3.output
+    # a bad size later in the grid stops the sweep before any cell runs
+    out = tmp_path / "reports"
+    res4 = runner.invoke(main, ["sweep", "--algos", "det", "--n", "16,0",
+                                "--density", "0.5", "--out", str(out)])
+    assert res4.exit_code == 2
+    assert not out.exists()
+
+
+def test_sweep_crash_exits_3(runner, tmp_path, monkeypatch):
+    real = run_algorithm
+
+    def crash_det(algo, *args, **kwargs):
+        if algo == "det":
+            raise RuntimeError("boom")
+        return real(algo, *args, **kwargs)
+    monkeypatch.setattr("ccclique.cli.run_algorithm", crash_det)
+    res = runner.invoke(main, ["sweep", "--algos", "det,fast", "--n", "16",
+                               "--density", "0.5", "--out", str(tmp_path)])
+    assert res.exit_code == 3
+    assert "cell (det,16,0.5,0) crashed: RuntimeError: boom" in res.output
+    assert "Traceback" not in res.output
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        ["fast_n16_p0.5_s0.json", "summary.csv"]
 
 
 def test_config_overrides_take_effect(tmp_path, runner):

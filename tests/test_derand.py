@@ -286,6 +286,103 @@ class TestAffineObjective:
                 Fraction(sum(vals), len(vals))
 
 
+class TestPackedEvaluation:
+    """eval_block, commit and the searches against brute-force enumeration
+    over all 2^12 seeds; chunks of 1..10 bits cover one-word bitsets
+    (under 64 assignments) and multi-word ones."""
+
+    fam = HashFamily(4, 4, 3)
+
+    def _objective(self, rng_seed, n_terms=40):
+        rng = np.random.default_rng(rng_seed)
+        bm = self.fam.bit_masks_vec(np.arange(16))
+        obj = AffineObjective(self.fam.seed_len)
+        terms = []
+        for _ in range(n_terms):
+            node = int(rng.integers(0, 16))
+            coef = int(rng.integers(-3, 4))
+            rows = []
+            for v in rng.choice(16, size=int(rng.integers(1, 3)),
+                                replace=False):
+                nb = int(rng.integers(1, 5))
+                rows += value_rows(bm[v], list(range(nb)),
+                                   int(rng.integers(0, 1 << nb)))
+            obj.add_term(node, coef, rows)
+            terms.append((node, coef, rows))
+        obj.freeze()
+        return obj, terms
+
+    def _values(self, terms, node=None):
+        """Objective value of every seed, from the raw parity rows."""
+        seeds = np.arange(1 << self.fam.seed_len, dtype=np.uint64)
+        f = np.zeros(len(seeds), dtype=np.int64)
+        for v, coef, rows in terms:
+            if node is not None and v != node:
+                continue
+            holds = np.ones(len(seeds), dtype=bool)
+            for mask, rhs in rows:
+                holds &= (np.bitwise_count(seeds & np.uint64(mask))
+                          & 1) == rhs
+            f += coef * holds
+        return f
+
+    def _scaled(self, obj, f, k1):
+        """Brute-force conditional sums over seeds sharing their low k1
+        bits, at the objective's scale: (sum over 2^(L-k1) seeds) *
+        2^denom_log2, to compare with numerator * 2^(L-k1)."""
+        sums = f.reshape(-1, 1 << k1).sum(axis=0)
+        return [int(x) << obj.denom_log2 for x in sums]
+
+    def _conditioned(self, obj, prefix, k):
+        obj.reset()
+        if k:
+            obj.eval_block(k)
+            obj.commit(prefix, k)
+
+    def test_eval_block_and_commit_match_enumeration(self):
+        L = self.fam.seed_len
+        rng = np.random.default_rng(3)
+        for trial in range(4):
+            obj, terms = self._objective(100 + trial)
+            f = self._values(terms)
+            for width in range(1, 11):
+                k = int(rng.integers(0, L - width + 1))
+                prefix = int(rng.integers(0, 1 << k)) if k else 0
+                k1 = k + width
+                want = self._scaled(obj, f, k1)
+                scale = 1 << (L - k1)
+                self._conditioned(obj, prefix, k)
+                vals = obj.eval_block(width)
+                assert [int(x) * scale for x in vals] == \
+                    [want[prefix | (b << k)] for b in range(1 << width)]
+                nodes, per_node = obj.node_eval_block(width)
+                assert np.array_equal(per_node.sum(axis=0), vals)
+                for i, v in enumerate(nodes):
+                    mine = self._scaled(obj, self._values(terms, v), k1)
+                    assert [int(x) * scale for x in per_node[i]] == \
+                        [mine[prefix | (b << k)] for b in range(1 << width)]
+                b = int(rng.integers(0, 1 << width))
+                obj.commit(b, width)
+                assert obj.expectation_num() * scale == \
+                    want[prefix | (b << k)]
+
+    def test_distributed_equals_offline_affine(self):
+        L = self.fam.seed_len
+        for z in (1, 3, 5, 6, 7, 10):
+            for minimize in (False, True):
+                off_obj, terms = self._objective(z)
+                dist_obj, _ = self._objective(z)
+                off = cond_exp_search(off_obj, L, z, minimize=minimize)
+                dist = distributed_seed_agreement(
+                    Simulator(1024, Config()), dist_obj, L, z,
+                    minimize=minimize)
+                assert off.bits == dist.bits
+                f = self._values(terms)
+                mean = Fraction(int(f.sum()), len(f))
+                got = Fraction(int(f[off.bits]))
+                assert got <= mean if minimize else got >= mean
+
+
 def test_solve_parity_rows_consistency():
     rows, sat = solve_parity_rows([(0b11, 1), (0b01, 0), (0b10, 1)])
     assert sat and len(rows) == 2

@@ -428,3 +428,15 @@ def test_free_color_floor_invariant_during_pipeline():
         nbr = g.neighbors(int(v))
         unc_deg = int((coloring[nbr] == UNCOLORED).sum())
         assert len(free_colors(int(v), pal, coloring, g)) >= unc_deg + 1
+
+
+def test_clp_runs_hierarchy_and_bidding_in_regime():
+    # delta_min=16 and c_fit=64 put Delta (246) inside the clp window
+    # at n=1024, so the run reaches the hierarchy's super-blocks and the
+    # bidding step instead of falling back
+    g = gen_random_graph(1024, 0.2, 0)
+    _, rep = run_algorithm("clp", g, Config(rng_seed=0, delta_min=16,
+                                            c_fit=64))
+    assert rep["proper"] and rep["within_budget"]
+    assert rep["rounds_by_stage"]["clp:hierarchy"] > 0
+    assert rep["rounds_by_stage"]["clp:bidding"] > 0
