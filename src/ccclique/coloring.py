@@ -76,6 +76,22 @@ class Palettes:
             return self._lists.get(v, np.zeros(0, dtype=np.int64))
         return np.arange(self._lo[v], self._hi[v] + 1, dtype=np.int64)
 
+    def flat(self, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Palettes of `vertices` in CSR form (ptr, colors): vertices[i]
+        owns colors[ptr[i]:ptr[i+1]], in ascending order."""
+        vertices = np.asarray(vertices, dtype=np.int64)
+        if self._lists is not None:
+            lists = [self.colors(int(v)) for v in vertices]
+            sizes = np.array([len(a) for a in lists], dtype=np.int64)
+            colors = np.concatenate(lists) if lists else \
+                np.zeros(0, dtype=np.int64)
+        else:
+            sizes = self.sizes(vertices)
+            starts = np.cumsum(sizes) - sizes
+            colors = np.arange(int(sizes.sum()), dtype=np.int64) + \
+                np.repeat(self._lo[vertices] - starts, sizes)
+        return np.concatenate(([0], np.cumsum(sizes))), colors
+
     def contains(self, v: int, color: int) -> bool:
         if self._lists is not None:
             arr = self._lists.get(v)

@@ -35,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChunkTooWide, SeedLengthMismatch
-from .gf2 import (EchelonTemplate, column_masks_vec, gf_mul,
-                  irreducible_poly, solve_parity_rows)
+from .gf2 import (EchelonTemplate, column_masks_vec, gf_mul, gf_mul_vec,
+                  irreducible_poly)
 
 
 @dataclass(frozen=True)
@@ -81,20 +81,11 @@ class HashFamily:
         if 2 * self.k > 63:
             return np.array([self.eval(seed_bits, int(x)) for x in xs],
                             dtype=np.uint64)
-        k = self.k
-        f = np.uint64(self.poly)
         xs = np.asarray(xs, dtype=np.uint64)
         coeffs = self.coefficients(seed_bits)
         acc = np.full(len(xs), np.uint64(coeffs[-1]), dtype=np.uint64)
         for c in range(self.d - 2, -1, -1):
-            prod = np.zeros_like(acc)
-            for j in range(k):
-                bit = (xs >> np.uint64(j)) & np.uint64(1)
-                prod ^= bit * (acc << np.uint64(j))
-            for t in range(2 * k - 2, k - 1, -1):
-                hit = (prod >> np.uint64(t)) & np.uint64(1)
-                prod ^= hit * (f << np.uint64(t - k))
-            acc = prod ^ np.uint64(coeffs[c])
+            acc = gf_mul_vec(acc, xs, self.k) ^ np.uint64(coeffs[c])
         return acc & np.uint64((1 << self.beta) - 1)
 
     def bit_masks_vec(self, xs: np.ndarray) -> np.ndarray:
@@ -113,20 +104,7 @@ class HashFamily:
             cols = column_masks_vec(power, self.k)  # (n, k)
             out ^= cols[:, : self.beta] << np.uint64(c * self.k)
             if c + 1 < self.d:
-                if 2 * self.k > 63:
-                    power = np.array(
-                        [gf_mul(int(p), int(x), self.k)
-                         for p, x in zip(power, xs)], dtype=np.uint64)
-                else:
-                    nxt = np.zeros_like(power)
-                    f = np.uint64(self.poly)
-                    for j in range(self.k):
-                        bit = (xs >> np.uint64(j)) & np.uint64(1)
-                        nxt ^= bit * (power << np.uint64(j))
-                    for t in range(2 * self.k - 2, self.k - 1, -1):
-                        hit = (nxt >> np.uint64(t)) & np.uint64(1)
-                        nxt ^= hit * (f << np.uint64(t - self.k))
-                    power = nxt
+                power = gf_mul_vec(power, xs, self.k)
         return out
 
 
@@ -194,6 +172,14 @@ class TableObjective:
 class AffineObjective:
     """Sum of coef * [conjunction of seed-bit parities] terms.
 
+    Terms arrive in bulk (`add_terms`): each names a node, a coefficient,
+    one mask system of an EchelonTemplate and the rhs bits of that
+    system's rows.  The template's batched echelonization gives every term
+    its echelon rows (distinct highest-bit pivots), exactly the rows
+    `solve_parity_rows` would return; contradictory terms have probability
+    zero and are dropped, and rank-0 terms are constants.  `freeze`
+    concatenates the blocks into flat row arrays sorted by pivot.
+
     Conditional expectations are exact dyadic rationals returned as int64
     numerators at a fixed power-of-two scale (`denom_log2`).
     """
@@ -202,112 +188,65 @@ class AffineObjective:
         if seed_len > 64:
             raise ValueError("affine objectives support seed_len <= 64")
         self.seed_len = seed_len
-        self._staging = []          # (node, coef, echelon_rows)
-        self._blocks = []           # bulk template batches
-        self.const_total = 0
-        self._node_const: dict[int, int] = {}
-        self._frozen = False
+        self._blocks = []   # (nodes, coefs, nrows, masks, pivots, rhs)
+        self._consts = []   # (nodes, coefs) of rank-0 terms
 
     def add_term(self, node: int, coef: int, rows) -> None:
         """Add coef * [all rows hold]; rows are (mask, rhs) parities."""
-        ech, sat = solve_parity_rows(rows)
-        if not sat:
-            return  # probability-zero event contributes nothing
-        self.add_term_prereduced(node, coef, ech)
+        masks = np.array([[int(m) for m, _ in rows]], dtype=np.uint64)
+        rhs = sum((int(r) & 1) << i for i, (_, r) in enumerate(rows))
+        self.add_terms(EchelonTemplate(masks), [0], [node], [coef],
+                       np.array([rhs], dtype=np.uint64))
 
-    def add_term_prereduced(self, node: int, coef: int, ech) -> None:
-        """Add a term whose rows are already in echelon form (distinct
-        pivots, non-zero masks)."""
-        if not ech:
-            self.const_total += coef
-            self._node_const[node] = self._node_const.get(node, 0) + coef
-            return
-        self._staging.append((node, coef, ech))
-
-    def add_template_terms(self, template, nodes, coefs,
-                           rhs_bits: np.ndarray) -> None:
-        """Bulk-add terms sharing one EchelonTemplate mask set.
-
-        rhs_bits packs each term's input-row rhs values as an int; rows
-        reduce through the template (terms contradicting a zero-mask row
-        are dropped as probability-zero events).
-        """
-        out_rhs, ok = template.reduce_rhs(rhs_bits)
+    def add_terms(self, template: EchelonTemplate, systems, nodes, coefs,
+                  rhs_bits) -> None:
+        """Add coefs[b] * [system systems[b] holds with rhs rhs_bits[b]]
+        for every b; rhs_bits packs the input-row rhs values (bit i = row
+        i of the system)."""
+        systems = np.asarray(systems, dtype=np.int64)
         nodes = np.asarray(nodes, dtype=np.int64)
         coefs = np.asarray(coefs, dtype=np.int64)
-        if len(template.out_masks) == 0:
-            for node, coef, good in zip(nodes, coefs, ok):
-                if good:
-                    self.const_total += int(coef)
-                    self._node_const[int(node)] = \
-                        self._node_const.get(int(node), 0) + int(coef)
-            return
-        self._blocks.append((template.out_masks, template.out_pivots,
-                             nodes[ok], coefs[ok], out_rhs[ok]))
+        ok, row_of, out_rhs = template.reduce_rhs(systems, rhs_bits)
+        nrows = template.rank[systems]
+        const = ok & (nrows == 0)
+        self._consts.append((nodes[const], coefs[const]))
+        live = ok & (nrows > 0)
+        rows = np.repeat(live, nrows)
+        row_of = row_of[rows]
+        self._blocks.append((nodes[live], coefs[live], nrows[live],
+                             template.out_masks[row_of],
+                             template.out_pivots[row_of], out_rhs[rows]))
 
     def freeze(self) -> None:
-        t_stage = len(self._staging)
-        t_bulk = sum(len(b[2]) for b in self._blocks)
-        T = t_stage + t_bulk
+        empty = (np.zeros(0, dtype=np.int64),) * 3 + (
+            np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.int64),
+            np.zeros(0, dtype=np.uint8))
+        nodes, coefs, nrows, masks, pivots, rhs = (
+            np.concatenate(col) for col in zip(empty, *self._blocks))
+        T = len(nodes)
         self.n_terms = T
-        self.term_coef = np.zeros(T, dtype=np.int64)
-        self.term_node = np.zeros(T, dtype=np.int64)
-        masks, rhss, terms, pivots = [], [], [], []
-        nrows = np.zeros(T, dtype=np.int64)
-        for t, (node, coef, ech) in enumerate(self._staging):
-            self.term_coef[t] = coef
-            self.term_node[t] = node
-            nrows[t] = len(ech)
-            for mask, rhs in ech:
-                masks.append(mask)
-                rhss.append(rhs)
-                terms.append(t)
-                pivots.append(mask.bit_length() - 1)
-        mask_arrs = [np.array(masks, dtype=np.uint64)]
-        rhs_arrs = [np.array(rhss, dtype=np.uint8)]
-        term_arrs = [np.array(terms, dtype=np.int64)]
-        pivot_arrs = [np.array(pivots, dtype=np.int64)]
-        at = t_stage
-        for bmasks, bpivots, bnodes, bcoefs, brhs in self._blocks:
-            B, R = brhs.shape
-            ids = np.arange(at, at + B, dtype=np.int64)
-            self.term_coef[at:at + B] = bcoefs
-            self.term_node[at:at + B] = bnodes
-            nrows[at:at + B] = R
-            mask_arrs.append(np.tile(bmasks, B))
-            rhs_arrs.append(brhs.reshape(-1))
-            term_arrs.append(np.repeat(ids, R))
-            pivot_arrs.append(np.tile(bpivots, B))
-            at += B
-        self.row_mask = np.concatenate(mask_arrs)
-        self.row_rhs = np.concatenate(rhs_arrs)
-        self.row_term = np.concatenate(term_arrs)
-        self.row_pivot = np.concatenate(pivot_arrs)
-        order = np.argsort(self.row_pivot, kind="stable")
-        self.row_mask = self.row_mask[order]
-        self.row_rhs = self.row_rhs[order]
-        self.row_term = self.row_term[order]
-        self.row_pivot = self.row_pivot[order]
+        self.term_node, self.term_coef = nodes, coefs
+        self.n_rows_per_term = nrows
+        order = np.argsort(pivots.astype(np.uint8), kind="stable")
+        self.row_mask = masks[order]
+        self.row_rhs = rhs[order]
+        self.row_term = np.repeat(np.arange(T, dtype=np.int64), nrows)[order]
+        self.row_pivot = pivots[order]
+        self.const_node, self.const_coef = (np.concatenate(col) for col in zip(
+            (np.zeros(0, dtype=np.int64),) * 2, *self._consts))
+        self.const_total = int(self.const_coef.sum())
         self.max_rank = int(nrows.max()) if T else 0
-        coef_bits = int(np.abs(self.term_coef).max()) if T else 1
+        coef_bits = int(np.abs(coefs).max()) if T else 1
         total_bits = (self.max_rank + max(1, coef_bits).bit_length()
                       + max(1, T).bit_length())
         if total_bits > 62:
             raise ValueError("objective magnitude overflows exact int64")
-        # rows_below[k, t] = #rows of t with pivot < k
-        L = self.seed_len
-        hist = np.zeros((L + 1, max(T, 1)), dtype=np.int16)
-        if len(self.row_pivot):
-            np.add.at(hist, (self.row_pivot + 1, self.row_term), 1)
-        self.rows_below = np.cumsum(hist, axis=0, dtype=np.int16)
-        self.n_rows_per_term = nrows
         self.denom_log2 = self.max_rank
         self.committed = 0
         self.k = 0
         self.alive = np.ones(T, dtype=bool)
-        self._frozen = True
-        self._staging = None
         self._blocks = None
+        self._consts = None
         self._last = None
 
     def reset(self):
@@ -326,14 +265,15 @@ class AffineObjective:
 
     def contributing_nodes(self) -> np.ndarray:
         """Sorted ids of the nodes that own a term or a constant."""
-        return np.unique(np.concatenate([
-            self.term_node, np.array(list(self._node_const),
-                                     dtype=np.int64)]))
+        return np.unique(np.concatenate([self.term_node, self.const_node]))
 
     def _weights(self, k1: int) -> np.ndarray:
         """Each term's conditional value once bits [0, k1) are fixed and
         its rows below k1 hold: coef * 2^-(rows at or above k1), scaled."""
-        r = self.n_rows_per_term - self.rows_below[k1]
+        below = np.bincount(
+            self.row_term[: np.searchsorted(self.row_pivot, k1)],
+            minlength=self.n_terms)
+        r = self.n_rows_per_term - below
         return self.term_coef << (self.denom_log2 - r)
 
     def _stage(self, width: int):
@@ -399,8 +339,8 @@ class AffineObjective:
                   w[self.alive][:, None])
         np.subtract.at(out, np.searchsorted(nodes, self.term_node[terms]),
                        w[terms][:, None] * _unpack_bits(fail, 1 << width))
-        for v, c in self._node_const.items():
-            out[np.searchsorted(nodes, v)] += c << self.denom_log2
+        np.add.at(out, np.searchsorted(nodes, self.const_node),
+                  (self.const_coef << self.denom_log2)[:, None])
         return nodes, out
 
     def commit(self, assignment: int, width: int) -> None:

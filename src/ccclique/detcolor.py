@@ -32,9 +32,9 @@ from .config import Config
 from .coloring import (Palettes, UNCOLORED, free_colors, greedy_list_color,
                        log2n)
 from .derand import (AffineObjective, HashFamily, auto_chunk_bits,
-                     distributed_seed_agreement, dyadic_blocks, value_rows)
+                     distributed_seed_agreement)
 from .errors import DegreeTooLarge, NoZeroViolationSeed, ParameterViolation
-from .gf2 import EchelonTemplate, column_masks_vec, solve_parity_rows
+from .gf2 import EchelonTemplate, column_masks_vec
 from .graphs import Graph
 from .runlog import RunLog
 from .sim import Simulator
@@ -49,10 +49,90 @@ def _ceil_div_pow2(num: int, shift: int) -> int:
     return -((-num) >> shift)
 
 
+@dataclass
+class FreeSets:
+    """Sorted color lists of `vertices` (ascending ids) in CSR form:
+    vertices[i] owns colors[ptr[i]:ptr[i+1]], in ascending order."""
+
+    vertices: np.ndarray
+    ptr: np.ndarray
+    colors: np.ndarray
+
+    @property
+    def sizes(self) -> np.ndarray:
+        return np.diff(self.ptr)
+
+    @property
+    def owner(self) -> np.ndarray:
+        """Row index of every entry of `colors`."""
+        return np.repeat(np.arange(len(self.vertices)), self.sizes)
+
+    def select(self, keep_colors: np.ndarray | None = None,
+               keep_rows: np.ndarray | None = None) -> "FreeSets":
+        """The colors flagged in keep_colors on the rows flagged in
+        keep_rows; None keeps all."""
+        owner = self.owner
+        keep = np.ones(len(owner), dtype=bool) if keep_colors is None \
+            else keep_colors
+        rows = slice(None) if keep_rows is None else keep_rows
+        if keep_rows is not None:
+            keep = keep & keep_rows[owner]
+        counts = np.bincount(owner[keep], minlength=len(self.vertices))
+        return FreeSets(self.vertices[rows],
+                        np.concatenate(([0], np.cumsum(counts[rows]))),
+                        self.colors[keep])
+
+
 def _free_sets(graph: Graph, palettes: Palettes, coloring: np.ndarray,
-               active: np.ndarray) -> dict[int, np.ndarray]:
-    return {int(v): free_colors(int(v), palettes, coloring, graph)
-            for v in active}
+               active: np.ndarray) -> FreeSets:
+    """free_colors of every active vertex in one pass: palette entries
+    minus the colors on edges into the colored set."""
+    active = np.asarray(active, dtype=np.int64)
+    ptr, colors = palettes.flat(active)
+    free = FreeSets(active, ptr, colors)
+    colored = np.flatnonzero(coloring != UNCOLORED)
+    if len(colored) == 0 or len(colors) == 0:
+        return free
+    i, w = graph.edges_into(active, graph.pack_vertex_mask(colored))
+    span = int(max(colors.max(), coloring.max())) + 1
+    return free.select(~np.isin(free.owner * span + colors,
+                                i * span + coloring[w]))
+
+
+def _common_colors(free: FreeSets, iu: np.ndarray, iv: np.ndarray):
+    """Colors shared by rows iu[e] and iv[e] of `free`, for every e.
+
+    Returns (e, ku, kv): one entry per shared color in ascending color
+    order per e, with the color's index ku in row iu[e] and kv in row
+    iv[e]."""
+    sizes = free.sizes
+    n_u = sizes[iu]
+    e = np.repeat(np.arange(len(iu)), n_u)
+    ku = np.arange(int(n_u.sum())) - np.repeat(np.cumsum(n_u) - n_u, n_u)
+    color = free.colors[free.ptr[iu][e] + ku]
+    span = int(free.colors.max(initial=0)) + 1
+    keys = free.owner * span + free.colors  # ascending
+    want = iv[e] * span + color
+    # want is empty whenever keys is, so the clamp never indexes keys[-1]
+    # of an empty array
+    at = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+    hit = keys[at] == want
+    return e[hit], ku[hit], at[hit] - free.ptr[iv[e[hit]]]
+
+
+def _bit_length(x: np.ndarray) -> np.ndarray:
+    """int.bit_length of each non-negative int64 below 2^53."""
+    return np.frexp(np.asarray(x, dtype=np.float64))[1].astype(np.int64)
+
+
+def _rows_block(masks: np.ndarray, li: np.ndarray, lo: np.ndarray,
+                hi: np.ndarray, head: int = 0) -> np.ndarray:
+    """One mask system per entry: row b is masks[li, b] when b < head or
+    lo <= b < hi, and zero (a row that constrains nothing) otherwise, so
+    the kept rows stay in ascending-b order."""
+    b = np.arange(masks.shape[1])
+    keep = (b < head) | ((b >= lo[:, None]) & (b < hi[:, None]))
+    return np.where(keep, masks[li], np.uint64(0))
 
 
 def _active_edges(graph: Graph, active: np.ndarray) -> np.ndarray:
@@ -102,11 +182,10 @@ def _estimate_pair_terms(sizes: np.ndarray, edges: np.ndarray) -> int:
 
 
 def derand_color_round(sim: Simulator, graph: Graph, coloring: np.ndarray,
-                       active: np.ndarray, free: dict[int, np.ndarray],
-                       edges: np.ndarray, cfg: Config, log: RunLog,
-                       part_bits: int = 1, instance_id: int = 0,
+                       free: FreeSets, edges: np.ndarray, cfg: Config,
+                       log: RunLog, part_bits: int = 1, instance_id: int = 0,
                        stage: str = "seed-round") -> RoundOutcome:
-    """One derandomized abstain-or-pick round on `active` vertices.
+    """One derandomized abstain-or-pick round on the vertices of `free`.
 
     Choice map: hash output bits [0, part_bits) must all be zero to
     participate (probability 2^-part_bits); the next ceil(log2 F_v) bits
@@ -115,54 +194,46 @@ def derand_color_round(sim: Simulator, graph: Graph, coloring: np.ndarray,
         - sum_{(u,v) edge} sum_{c common} [c_u = c] * [c_v = c] * 2
     lower-bounds the colored count pointwise; every term is affine.
     """
-    n_active = len(active)
-    fs = np.array([len(free[int(v)]) for v in active], dtype=np.int64)
+    active = free.vertices
+    fs = free.sizes
     if (fs == 0).any():
         raise ParameterViolation("active vertex with empty free palette")
-    bvs = np.array([max(0, int(f - 1).bit_length()) for f in fs],
-                   dtype=np.int64)
+    bvs = _bit_length(fs - 1)
     beta = part_bits + int(bvs.max(initial=0))
     gamma = max(1, (max(2, graph.n) - 1).bit_length())
     family = HashFamily(gamma, beta, 2)
     masks = family.bit_masks_vec(active.astype(np.uint64))
-    local = {int(v): i for i, v in enumerate(active)}
 
     obj = AffineObjective(family.seed_len)
-    part_rows = {}
-    for i, v in enumerate(active):
-        v = int(v)
-        rows0 = [(int(masks[i, t]), 0) for t in range(part_bits)]
-        part_rows[v] = rows0
-        for t, hv in dyadic_blocks(int(fs[i]), int(bvs[i])):
-            rows = list(rows0)
-            for b in range(t, int(bvs[i])):
-                rows.append((int(masks[i, part_bits + b]),
-                             (hv >> (b - t)) & 1))
-            obj.add_term(v, 1, rows)
-    n_pair_terms = 0
-    for u, v in edges:
-        u, v = int(u), int(v)
-        iu, iv = local[u], local[v]
-        cu, cv = free[u], free[v]
-        common = np.intersect1d(cu, cv, assume_unique=True)
-        if len(common) == 0:
-            continue
-        ku = np.searchsorted(cu, common).astype(np.uint64)
-        kv = np.searchsorted(cv, common).astype(np.uint64)
-        ru, rv = part_bits + int(bvs[iu]), part_bits + int(bvs[iv])
-        pair_masks = [int(masks[iu, t]) for t in range(ru)] + \
-                     [int(masks[iv, t]) for t in range(rv)]
-        template = EchelonTemplate(pair_masks)
-        # input-row rhs layout: u's participation zeros, u's index bits,
-        # then the same for v
-        rhs = (ku << np.uint64(part_bits)) \
-            | ((kv << np.uint64(part_bits)) << np.uint64(ru))
-        nodes = np.concatenate([np.full(len(common), u),
-                                np.full(len(common), v)])
-        coefs = np.full(2 * len(common), -1, dtype=np.int64)
-        obj.add_template_terms(template, nodes, coefs,
-                               np.concatenate([rhs, rhs]))
-        n_pair_terms += 2 * len(common)
+    # single terms: one dyadic block [prefix, prefix + 2^t) of the index
+    # range [0, F_v) per set bit t of F_v; the system is v's participation
+    # rows plus its index rows t..bv-1, pinned to the prefix's bits
+    li, t = np.nonzero((fs[:, None] >> np.arange(beta - part_bits + 1)) & 1)
+    prefix = (fs[li] >> (t + 1)) << (t + 1)
+    obj.add_terms(EchelonTemplate(_rows_block(masks, li, part_bits + t,
+                                              part_bits + bvs[li],
+                                              head=part_bits)),
+                  np.arange(len(li)), active[li],
+                  np.ones(len(li), dtype=np.int64),
+                  (prefix << part_bits).astype(np.uint64))
+    # pair terms: one system per edge (u's rows, then v's at bit beta),
+    # one term per common color and endpoint
+    iu = np.searchsorted(active, edges[:, 0])
+    iv = np.searchsorted(active, edges[:, 1])
+    e, ku, kv = _common_colors(free, iu, iv)
+    n_pair_terms = 2 * len(e)
+    if len(e):
+        sys_e, system = np.unique(e, return_inverse=True)
+        su, sv = iu[sys_e], iv[sys_e]
+        zero = np.zeros(len(sys_e), dtype=np.int64)
+        template = EchelonTemplate(np.concatenate(
+            [_rows_block(masks, su, zero, part_bits + bvs[su]),
+             _rows_block(masks, sv, zero, part_bits + bvs[sv])], axis=1))
+        rhs = ((ku << part_bits) | (kv << (part_bits + beta))) \
+            .astype(np.uint64)
+        obj.add_terms(template, np.concatenate([system, system]),
+                      np.concatenate([active[iu[e]], active[iv[e]]]),
+                      np.full(n_pair_terms, -1), np.concatenate([rhs, rhs]))
     obj.freeze()
     exp0 = obj.expectation_num()
     bound = _ceil_div_pow2(exp0, obj.denom_log2)
@@ -176,19 +247,14 @@ def derand_color_round(sim: Simulator, graph: Graph, coloring: np.ndarray,
                                       stage_name=stage)
     # apply the agreed seed
     ys = family.eval_vec(seed.bits, active.astype(np.uint64))
-    part = np.ones(n_active, dtype=bool)
-    for t in range(part_bits):
-        part &= ((ys >> np.uint64(t)) & np.uint64(1)) == 0
+    part = (ys & np.uint64((1 << part_bits) - 1)) == 0
     idx = (ys >> np.uint64(part_bits)).astype(np.int64) & ((1 << bvs) - 1)
     valid = part & (idx < fs)
-    chosen = np.zeros(n_active, dtype=np.int64)
-    for i in np.nonzero(valid)[0]:
-        chosen[i] = int(free[int(active[i])][idx[i]])
+    chosen = np.zeros(len(active), dtype=np.int64)
+    chosen[valid] = free.colors[free.ptr[:-1][valid] + idx[valid]]
     # mutual drop on same-round conflicts
     keep = valid.copy()
     if len(edges):
-        iu = np.searchsorted(active, edges[:, 0])
-        iv = np.searchsorted(active, edges[:, 1])
         clash = valid[iu] & valid[iv] & (chosen[iu] == chosen[iv])
         keep[iu[clash]] = False
         keep[iv[clash]] = False
@@ -274,8 +340,7 @@ def det_list_color_sqrt(sim: Simulator, graph: Graph, palettes: Palettes,
         # palette exchange: every active vertex ships its free list to its
         # active neighbors
         sizes = np.zeros(n, dtype=np.int64)
-        for v in active:
-            sizes[v] = len(free[int(v)])
+        sizes[active] = free.sizes
         if len(edges):
             out = np.zeros(n, dtype=np.int64)
             np.add.at(out, edges[:, 0], sizes[edges[:, 0]])
@@ -285,8 +350,8 @@ def det_list_color_sqrt(sim: Simulator, graph: Graph, palettes: Palettes,
             np.add.at(inc, edges[:, 1], sizes[edges[:, 0]])
             with sim.stage("sqrt:palettes"):
                 sim.charge_route_counts(out, inc)
-        outcome = derand_color_round(sim, graph, coloring, active, free,
-                                     edges, cfg, log, part_bits=1,
+        outcome = derand_color_round(sim, graph, coloring, free, edges,
+                                     cfg, log, part_bits=1,
                                      instance_id=instance_id,
                                      stage="sqrt:seed")
         if outcome.colored < need:
@@ -398,20 +463,27 @@ def det_delta_sq(sim: Simulator, graph: Graph, cfg: Config,
         edges = _active_edges(graph, active)
         obj = AffineObjective(family.seed_len)
         if len(edges):
+            # h(u) xor h(v) = c1 * (u xor v): an edge conflicts iff the low
+            # beta bits of that product are zero, a parity system on c1
             xors = (edges[:, 0] ^ edges[:, 1]).astype(np.uint64)
             ws, counts = np.unique(xors, return_counts=True)
-            wmasks = column_masks_vec(ws, k)
-            for i, w in enumerate(ws):
-                rows = [(int(wmasks[i, t]) << k, 0) for t in range(beta)]
-                obj.add_term(int(ws[i]) % n, 2 * int(counts[i]), rows)
+            wmasks = column_masks_vec(ws, k)[:, :beta] << np.uint64(k)
+            obj.add_terms(EchelonTemplate(wmasks), np.arange(len(ws)),
+                          (ws % np.uint64(n)).astype(np.int64), 2 * counts,
+                          np.zeros(len(ws), dtype=np.uint64))
         if rounds > 1:
-            amask = family.bit_masks_vec(active.astype(np.uint64))
-            for i, v in enumerate(active):
-                nbr = graph.neighbors(int(v))
-                taken = np.unique(coloring[nbr][coloring[nbr] != UNCOLORED])
-                for c in taken:
-                    obj.add_term(int(v), 1, value_rows(
-                        amask[i], list(range(beta)), int(c) - 1))
+            # taken colors: one term per (active vertex, neighbor color)
+            at, nbr = graph.edges_into(active, graph.pack_vertex_mask(
+                np.flatnonzero(coloring != UNCOLORED)))
+            span = int(coloring.max()) + 1
+            pairs = np.unique(at * span + coloring[nbr])
+            owner, taken = pairs // span, pairs % span
+            rows, system = np.unique(owner, return_inverse=True)
+            amask = family.bit_masks_vec(active[rows].astype(np.uint64))
+            obj.add_terms(EchelonTemplate(amask), system, active[owner],
+                          np.ones(len(pairs), dtype=np.int64),
+                          ((taken - 1) & ((1 << beta) - 1))
+                          .astype(np.uint64))
         obj.freeze()
         exp0 = obj.expectation_num()
         z = auto_chunk_bits(sim.n, family.seed_len, obj.n_terms,
@@ -428,13 +500,7 @@ def det_delta_sq(sim: Simulator, graph: Graph, cfg: Config,
             bad[iu[clash]] = True
             bad[iv[clash]] = True
         if rounds > 1:
-            for i, v in enumerate(active):
-                if bad[i]:
-                    continue
-                nbr = graph.neighbors(int(v))
-                cols = coloring[nbr]
-                if ((cols != UNCOLORED) & (cols == int(ys[i]) + 1)).any():
-                    bad[i] = True
+            bad[at[coloring[nbr] == ys[at].astype(np.int64) + 1]] = True
         coloring[active[~bad]] = ys[~bad].astype(np.int64) + 1
         if len(edges):
             src = np.concatenate([edges[:, 0], edges[:, 1]])
@@ -509,20 +575,16 @@ class PhaseState:
     a1: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
     chosen: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
     aprime: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
-    s_sets: dict = field(default_factory=dict)
+    s_sets: FreeSets | None = None   # candidate sets S(u) of aprime
     happy_bound: int = 0
 
 
-def _bin_sizes(free_list: np.ndarray, layout: BinLayout) -> np.ndarray:
-    return np.bincount(layout.bin_of(free_list), minlength=layout.n_bins)
-
-
 def classify_and_bin(sim: Simulator, graph: Graph, coloring: np.ndarray,
-                     active: np.ndarray, free: dict[int, np.ndarray],
-                     layout: BinLayout, cfg: Config, log: RunLog,
-                     edges: np.ndarray, instance_id: int = 0
+                     free: FreeSets, layout: BinLayout, cfg: Config,
+                     log: RunLog, edges: np.ndarray, instance_id: int = 0
                      ) -> PhaseState | None:
-    """Phase step 1: pick candidate color sets S(u).
+    """Phase step 1: pick candidate color sets S(u) for the vertices of
+    `free`.
 
     Nodes with a tenth of their free mass in small bins take the union of
     their small bins deterministically; otherwise a bin choice is
@@ -530,79 +592,52 @@ def classify_and_bin(sim: Simulator, graph: Graph, coloring: np.ndarray,
     competitors).  Returns None when the estimator would exceed the term
     budget (caller completes the phase centrally).
     """
-    sizes = {int(v): _bin_sizes(free[int(v)], layout) for v in active}
-    fs = {int(v): len(free[int(v)]) for v in active}
-    in_a0 = {}
-    for v in active:
-        v = int(v)
-        s = sizes[v]
-        small_mass = int(s[s <= layout.small_cap].sum())
-        in_a0[v] = 10 * small_mass >= fs[v]
-    a0 = np.array([v for v in active if in_a0[int(v)]], dtype=np.int64)
-    a1 = np.array([v for v in active if not in_a0[int(v)]], dtype=np.int64)
+    active = free.vertices
+    owner = free.owner
+    color_bin = layout.bin_of(free.colors)
+    sizes = np.bincount(owner * layout.n_bins + color_bin,
+                        minlength=len(active) * layout.n_bins) \
+        .reshape(len(active), layout.n_bins)
+    fs = free.sizes
+    small = sizes <= layout.small_cap
+    in_a0 = 10 * (sizes * small).sum(axis=1) >= fs
+    a0, a1 = active[in_a0], active[~in_a0]
 
     if len(a0) >= len(a1):
-        s_sets = {}
-        for v in a0:
-            v = int(v)
-            s = sizes[v]
-            keep = np.nonzero(s <= layout.small_cap)[0]
-            bins = layout.bin_of(free[v])
-            s_sets[v] = free[v][np.isin(bins, keep)]
-        return PhaseState("A0", a0=a0, a1=a1, aprime=a0, s_sets=s_sets)
+        return PhaseState("A0", a0=a0, a1=a1, aprime=a0,
+                          s_sets=free.select(small[owner, color_bin],
+                                             keep_rows=in_a0))
 
     # A1 branch: derandomized bin choice.  Each bin gets one power-of-two
     # cell of the hash value's low bits (roughly half its ideal mass), so
     # every bin-choice event is a single aligned block and pair events
     # stay one term per (edge, bin).
+    sizes, fs = sizes[~in_a0], fs[~in_a0]
     in_a1 = np.zeros(graph.n, dtype=bool)
     in_a1[a1] = True
-    e_a1 = edges[in_a1[edges[:, 0]] & in_a1[edges[:, 1]]] \
-        if len(edges) else edges
-    iu = np.searchsorted(a1, e_a1[:, 0]) if len(e_a1) else \
-        np.zeros(0, dtype=np.int64)
-    iv = np.searchsorted(a1, e_a1[:, 1]) if len(e_a1) else iu
-    bb = {int(v): max(1, int(fs[int(v)] - 1).bit_length()) for v in a1}
-    maxbb = max(bb.values()) if bb else 1
+    e_a1 = edges[in_a1[edges[:, 0]] & in_a1[edges[:, 1]]]
+    iu = np.searchsorted(a1, e_a1[:, 0])
+    iv = np.searchsorted(a1, e_a1[:, 1])
+    bb = np.maximum(1, _bit_length(fs - 1))
+    maxbb = int(bb.max(initial=1))
     scale = 12
-    cell_t = {}      # v -> per-bin log2 cell width (-1 for no cell)
-    cell_off = {}    # v -> per-bin cell offset (aligned)
-    cum = {}         # v -> (order, boundaries) for decoding
-    wmat = np.zeros((len(a1), layout.n_bins), dtype=np.int64)
-    for li, v in enumerate(a1):
-        v = int(v)
-        res = 1 << bb[v]
-        ideal = (sizes[v] * res) // fs[v]
-        ts = np.full(layout.n_bins, -1, dtype=np.int64)
-        for i in range(layout.n_bins):
-            if ideal[i] >= 1:  # largest power of two <= ideal mass
-                ts[i] = int(ideal[i]).bit_length() - 1
-        order = np.argsort(-ts, kind="stable")
-        offs = np.full(layout.n_bins, -1, dtype=np.int64)
-        cursor = 0
-        bounds = [0]
-        used_order = []
-        for i in order:
-            if ts[i] < 0:
-                continue
-            offs[i] = cursor
-            cursor += 1 << ts[i]
-            bounds.append(cursor)
-            used_order.append(int(i))
-        cell_t[v] = ts
-        cell_off[v] = offs
-        cum[v] = (np.array(used_order, dtype=np.int64),
-                  np.array(bounds, dtype=np.int64))
-        widths = np.where(ts >= 0, 1 << np.maximum(ts, 0), 0)
-        wmat[li] = widths << (maxbb - bb[v])
+    # cell_t: per-bin log2 cell width (-1 for no cell, which implies an
+    # empty bin); cells are laid out widest first (stable), so each
+    # offset is aligned to its width
+    ideal = (sizes << bb[:, None]) // fs[:, None]
+    cell_t = np.where(ideal >= 1, _bit_length(ideal) - 1, -1)
+    widths = np.where(cell_t >= 0, 1 << np.maximum(cell_t, 0), 0)
+    order = np.argsort(-cell_t, axis=1, kind="stable")
+    placed = np.take_along_axis(widths, order, axis=1)
+    cell_off = np.empty_like(widths)
+    np.put_along_axis(cell_off, order, np.cumsum(placed, axis=1) - placed,
+                      axis=1)
+    wmat = widths << (maxbb - bb)[:, None]
     mu_mat = np.zeros_like(wmat)
-    if len(e_a1):
-        np.add.at(mu_mat, iu, wmat[iv])
-        np.add.at(mu_mat, iv, wmat[iu])
+    np.add.at(mu_mat, iu, wmat[iv])
+    np.add.at(mu_mat, iv, wmat[iu])
     nzb = wmat > 0
-    est_terms = int(nzb.sum())
-    if len(e_a1):
-        est_terms += 2 * int((nzb[iu] & nzb[iv]).sum())
+    est_terms = int(nzb.sum()) + 2 * int((nzb[iu] & nzb[iv]).sum())
     if est_terms > cfg.term_budget:
         return None
 
@@ -611,39 +646,39 @@ def classify_and_bin(sim: Simulator, graph: Graph, coloring: np.ndarray,
     if family.seed_len > 64:
         return None
     masks = family.bit_masks_vec(a1.astype(np.uint64))
-    local = {int(v): i for i, v in enumerate(a1)}
     obj = AffineObjective(family.seed_len)
 
-    def cell_rows(v, i):
-        t = int(cell_t[v][i])
-        off = int(cell_off[v][i])
-        return [(int(masks[local[v], b]), (off >> b) & 1)
-                for b in range(t, bb[v])]
+    def cells(li, bins):
+        """Mask systems and packed rhs of the cell events [y in the
+        cell of bin bins[j]] of vertex li[j]: hash bits t..bb-1 equal the
+        cell offset's."""
+        t = cell_t[li, bins]
+        return (_rows_block(masks, li, t, bb[li]),
+                cell_off[li, bins] & ((1 << bb[li]) - (1 << t)))
 
-    for li, v in enumerate(a1):
-        v = int(v)
-        s = sizes[v]
-        for i in range(layout.n_bins):
-            if s[i] == 0 or cell_t[v][i] < 0:
-                continue
-            large = s[i] > layout.small_cap
-            good = 10 * int(s[i]) * (1 << maxbb) > int(mu_mat[li, i])
-            if large and good:
-                obj.add_term(v, 1 << scale, cell_rows(v, i))
-    for u, v in e_a1:
-        u, v = int(u), int(v)
-        for i in range(layout.n_bins):
-            if cell_t[u][i] < 0 or cell_t[v][i] < 0:
-                continue
-            if sizes[u][i] == 0 or sizes[v][i] == 0:
-                continue
-            cu = -(-(1 << scale) // (10 * int(sizes[u][i])))
-            cv = -(-(1 << scale) // (10 * int(sizes[v][i])))
-            ech, sat = solve_parity_rows(cell_rows(u, i) + cell_rows(v, i))
-            if not sat:
-                continue
-            obj.add_term_prereduced(u, -cu, ech)
-            obj.add_term_prereduced(v, -cv, ech)
+    # single terms: large bins with few expected competitors
+    li, bins = np.nonzero((cell_t >= 0) & (sizes > layout.small_cap)
+                          & (10 * sizes * (1 << maxbb) > mu_mat))
+    system_masks, rhs = cells(li, bins)
+    obj.add_terms(EchelonTemplate(system_masks), np.arange(len(li)),
+                  a1[li], np.full(len(li), 1 << scale),
+                  rhs.astype(np.uint64))
+    # pair terms: both endpoints of an edge pick the same bin; one system
+    # per (edge, cell widths), u's rows then v's at bit maxbb
+    pe, bins = np.nonzero((cell_t[iu] >= 0) & (cell_t[iv] >= 0))
+    mu, rhs_u = cells(iu[pe], bins)
+    mv, rhs_v = cells(iv[pe], bins)
+    key = (pe * (maxbb + 1) + cell_t[iu[pe], bins]) * (maxbb + 1) \
+        + cell_t[iv[pe], bins]
+    _, first, system = np.unique(key, return_index=True,
+                                 return_inverse=True)
+    rhs = (rhs_u | (rhs_v << maxbb)).astype(np.uint64)
+    cu = -(-(1 << scale) // (10 * sizes[iu[pe], bins]))
+    cv = -(-(1 << scale) // (10 * sizes[iv[pe], bins]))
+    obj.add_terms(EchelonTemplate(np.concatenate([mu, mv], axis=1)[first]),
+                  np.concatenate([system, system]),
+                  np.concatenate([a1[iu[pe]], a1[iv[pe]]]),
+                  np.concatenate([-cu, -cv]), np.concatenate([rhs, rhs]))
     obj.freeze()
     exp0 = obj.expectation_num()
     happy_bound = _ceil_div_pow2(exp0, obj.denom_log2 + scale)
@@ -654,40 +689,29 @@ def classify_and_bin(sim: Simulator, graph: Graph, coloring: np.ndarray,
     seed = distributed_seed_agreement(sim, obj, family.seed_len, z,
                                       instance_id=instance_id,
                                       stage_name="n34:bins")
-    ys = family.eval_vec(seed.bits, a1.astype(np.uint64))
-    chosen = np.full(len(a1), -1, dtype=np.int64)
-    for i, v in enumerate(a1):
-        v = int(v)
-        y = int(ys[i]) & ((1 << bb[v]) - 1)
-        order, bounds = cum[v]
-        if len(order) and y < bounds[-1]:
-            slot = int(np.searchsorted(bounds, y, side="right")) - 1
-            chosen[i] = int(order[slot])
+    ys = family.eval_vec(seed.bits, a1.astype(np.uint64)).astype(np.int64)
+    y = (ys & ((1 << bb) - 1))[:, None]
+    hit = (cell_t >= 0) & (cell_off <= y) & (y < cell_off + widths)
+    chosen = np.where(hit.any(axis=1), hit.argmax(axis=1), -1)
     # competitor counts per chosen bin
-    r = np.zeros(len(a1), dtype=np.int64)
-    if len(e_a1):
-        same = (chosen[iu] >= 0) & (chosen[iu] == chosen[iv])
-        np.add.at(r, iu[same], 1)
-        np.add.at(r, iv[same], 1)
-    happy = np.zeros(len(a1), dtype=bool)
-    for i, v in enumerate(a1):
-        b = int(chosen[i])
-        happy[i] = (b >= 0 and sizes[int(v)][b] > 0
-                    and r[i] <= 11 * int(sizes[int(v)][b]))
-    aprime = a1[happy]
-    log.require("bin-happy-dominance", int(happy.sum()) >= happy_bound,
-                happy=int(happy.sum()), bound=happy_bound)
-    log.record("bin-happy-half", 2 * int(happy.sum()) >= len(a1),
-               happy=int(happy.sum()), a1=len(a1))
-    s_sets = {}
-    for i, v in enumerate(a1):
-        if happy[i]:
-            v = int(v)
-            lo, hi = layout.color_range(int(chosen[i]))
-            f = free[v]
-            s_sets[v] = f[(f >= lo) & (f <= hi)]
-    return PhaseState("A1", a0=a0, a1=a1, chosen=chosen, aprime=aprime,
-                      s_sets=s_sets, happy_bound=happy_bound)
+    same = (chosen[iu] >= 0) & (chosen[iu] == chosen[iv])
+    r = np.bincount(np.concatenate([iu[same], iv[same]]),
+                    minlength=len(a1))
+    size_chosen = np.where(chosen >= 0,
+                           sizes[np.arange(len(a1)), chosen], 0)
+    happy = (chosen >= 0) & (size_chosen > 0) & (r <= 11 * size_chosen)
+    n_happy = int(happy.sum())
+    log.require("bin-happy-dominance", n_happy >= happy_bound,
+                happy=n_happy, bound=happy_bound)
+    log.record("bin-happy-half", 2 * n_happy >= len(a1),
+               happy=n_happy, a1=len(a1))
+    # S(u) of a happy vertex: its free colors in the chosen bin
+    pick = np.full(len(active), -1)
+    pick[~in_a0] = np.where(happy, chosen, -1)
+    return PhaseState("A1", a0=a0, a1=a1, chosen=chosen, aprime=a1[happy],
+                      s_sets=free.select(color_bin == pick[owner],
+                                         keep_rows=pick >= 0),
+                      happy_bound=happy_bound)
 
 
 def det_list_color_n34(sim: Simulator, graph: Graph, palettes: Palettes,
@@ -752,44 +776,40 @@ def det_list_color_n34(sim: Simulator, graph: Graph, palettes: Palettes,
             np.add.at(out, edges[:, 1], layout.n_bins)
             with sim.stage("n34:stats"):
                 sim.charge_route_counts(out, out)
-        state = classify_and_bin(sim, graph, coloring, active, free,
-                                 layout, cfg, log, edges,
-                                 instance_id=instance_id)
+        state = classify_and_bin(sim, graph, coloring, free, layout, cfg,
+                                 log, edges, instance_id=instance_id)
         if state is None:
             _central_phase(sim, graph, palettes, coloring, active,
                            "n34:central")
             log.note("central-phase", where="n34", phase=phases,
                      active=len(active))
             continue
+        s_len = state.s_sets.sizes
         if state.branch == "A0":
-            for v in state.aprime:
-                v = int(v)
-                g_a0 = int(np.isin(graph.neighbors(v), state.a0).sum())
-                log.require("a0-small-bin-mass",
-                            10 * len(state.s_sets[v]) >= g_a0,
-                            vertex=v, s=len(state.s_sets[v]), nbrs=g_a0)
-        aset = {int(v) for v in state.aprime
-                if len(state.s_sets[int(v)]) > 0}
-        sel = np.array(sorted(aset), dtype=np.int64)
+            g_a0 = graph.degrees_within(graph.pack_vertex_mask(state.a0),
+                                        rows=state.aprime)[state.aprime]
+            for v, s, g in zip(state.aprime.tolist(), s_len.tolist(),
+                               g_a0.tolist()):
+                log.require("a0-small-bin-mass", 10 * s >= g,
+                            vertex=v, s=s, nbrs=g)
+        sfree = state.s_sets.select(keep_rows=s_len > 0)
+        sel = sfree.vertices
         if len(sel) == 0:
             _central_phase(sim, graph, palettes, coloring, active,
                            "n34:central")
             log.note("central-phase", where="n34-empty", phase=phases,
                      active=len(active))
             continue
-        sfree = {int(v): state.s_sets[int(v)] for v in sel}
         in_sel = np.zeros(n, dtype=bool)
         in_sel[sel] = True
-        both = edges[in_sel[edges[:, 0]] & in_sel[edges[:, 1]]] \
-            if len(edges) else edges
-        rel = [len(np.intersect1d(sfree[int(u)], sfree[int(v)],
-                                  assume_unique=True)) > 0
-               for u, v in both]
-        rel_edges = both[np.array(rel, dtype=bool)] if len(both) else both
+        both = edges[in_sel[edges[:, 0]] & in_sel[edges[:, 1]]]
+        # relevant edges: endpoints share a candidate color
+        shared, _, _ = _common_colors(sfree, np.searchsorted(sel, both[:, 0]),
+                                      np.searchsorted(sel, both[:, 1]))
+        rel_edges = both[np.unique(shared)]
         # ship S(u) to relevant neighbors
         s_sizes = np.zeros(n, dtype=np.int64)
-        for v in sel:
-            s_sizes[v] = len(sfree[int(v)])
+        s_sizes[sel] = sfree.sizes
         if len(rel_edges):
             out = np.zeros(n, dtype=np.int64)
             np.add.at(out, rel_edges[:, 0], s_sizes[rel_edges[:, 0]])
@@ -803,7 +823,7 @@ def det_list_color_n34(sim: Simulator, graph: Graph, palettes: Palettes,
             log.note("central-phase", where="n34-step2", phase=phases,
                      active=len(active))
             continue
-        outcome = derand_color_round(sim, graph, coloring, sel, sfree,
+        outcome = derand_color_round(sim, graph, coloring, sfree,
                                      rel_edges, cfg, log, part_bits=5,
                                      instance_id=instance_id,
                                      stage="n34:seed")

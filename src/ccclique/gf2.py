@@ -92,18 +92,29 @@ def gf_mul(a: int, b: int, k: int) -> int:
     return _poly_mul_mod(a, b, irreducible_poly(k), k)
 
 
-def gf_mul_vec(vec: np.ndarray, shift: int, k: int) -> np.ndarray:
-    """(vec << shift) reduced in GF(2^k), i.e. vec * x^shift, vectorized.
+def _mul_x(vec: np.ndarray, f: np.uint64, k: int) -> np.ndarray:
+    """vec * x in GF(2^k) for reduced uint64 elements: one shift and one
+    conditional reduction by the modulus f."""
+    r = vec << np.uint64(1)
+    return r ^ (((r >> np.uint64(k)) & np.uint64(1)) * f)
 
-    Requires 2k <= 63 so intermediate degrees fit in uint64.
+
+def gf_mul_vec(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
+    """Elementwise product a * b in GF(2^k) of two equal-shape arrays.
+
+    Carryless shift-and-add, then reduction of degrees 2k-2 .. k; requires
+    2k <= 63 so the unreduced product fits in uint64.
     """
     if 2 * k > 63:
         raise ValueError("vectorized field ops support k <= 31")
     f = np.uint64(irreducible_poly(k))
-    r = vec.astype(np.uint64) << np.uint64(shift)
-    for t in range(k - 1 + shift, k - 1, -1):
-        hit = (r >> np.uint64(t)) & np.uint64(1)
-        r ^= hit * (f << np.uint64(t - k))
+    a = np.asarray(a, dtype=np.uint64)
+    b = np.asarray(b, dtype=np.uint64)
+    r = np.zeros_like(a)
+    for j in range(k):
+        r ^= ((b >> np.uint64(j)) & np.uint64(1)) * (a << np.uint64(j))
+    for t in range(2 * k - 2, k - 1, -1):
+        r ^= ((r >> np.uint64(t)) & np.uint64(1)) * (f << np.uint64(t - k))
     return r
 
 
@@ -111,71 +122,118 @@ def column_masks_vec(m_vec: np.ndarray, k: int) -> np.ndarray:
     """Linear forms of multiplication by each m in m_vec.
 
     Returns masks of shape (len(m_vec), k): masks[v, t] has bit j set iff
-    output bit t of (a * m_vec[v]) depends on bit j of a.
+    output bit t of (a * m_vec[v]) depends on bit j of a.  Column j is
+    m * x^j, built from column j-1 with one multiply-by-x step.
     """
-    n = len(m_vec)
-    masks = np.zeros((n, k), dtype=np.uint64)
+    if 2 * k > 63:
+        raise ValueError("vectorized field ops support k <= 31")
+    f = np.uint64(irreducible_poly(k))
+    col = np.asarray(m_vec, dtype=np.uint64)
+    bits = np.arange(k, dtype=np.uint64)
+    masks = np.zeros((len(col), k), dtype=np.uint64)
     for j in range(k):
-        col = gf_mul_vec(np.asarray(m_vec, dtype=np.uint64), j, k)
-        bit_j = np.uint64(1) << np.uint64(j)
-        for t in range(k):
-            hit = (col >> np.uint64(t)) & np.uint64(1)
-            masks[:, t] |= hit * bit_j
+        masks |= ((col[:, None] >> bits) & np.uint64(1)) << np.uint64(j)
+        col = _mul_x(col, f, k)
     return masks
 
 
-class EchelonTemplate:
-    """Echelonization of a fixed mask list, replayable over many rhs
-    vectors.
+_REVERSED_BYTE = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)],
+                          dtype=np.uint8)
 
-    The reduction sequence depends only on the masks, so it is computed
-    once; each output row records which input rows XOR into it (a combo
-    bitmask), letting batched rhs vectors be reduced with one mod-2
-    matrix product.  Zero-mask output rows are consistency checks: a term
-    whose reduced rhs there is 1 has probability zero.
+
+def _reverse_bits(x: np.ndarray) -> np.ndarray:
+    """Each uint64 with bit i moved to bit 63 - i, whatever the host byte
+    order: swap the bytes, then reverse the bits within each byte."""
+    x = np.ascontiguousarray(x, dtype=np.uint64)
+    return _REVERSED_BYTE[x.byteswap().view(np.uint8)].view(np.uint64)
+
+
+class EchelonTemplate:
+    """Batched echelonization of S mask systems of R rows each, replayable
+    over any number of rhs vectors per system.
+
+    masks[s] is system s's row list; zero masks are allowed (a zero row
+    with rhs 0 constrains nothing, so shorter systems pad with zeros).  All
+    S systems are reduced at once, row by row in insertion order, exactly
+    as `solve_parity_rows` reduces one list: a row XORs the pivot row of
+    its highest bit until that bit is new, and is placed there.  So each
+    system's echelon rows, pivots and satisfiability equal that function's
+    bit for bit.
+
+    The reduction depends only on the masks.  Every output row records
+    which input rows XOR into it (a combo bitmask), so a term's rhs,
+    packed as an int over input rows, reduces with one popcount per row.
+    Rows reduced to zero leave consistency checks: a term whose rhs has
+    odd parity on one of their combos has probability zero.
+
+    Output rows are flat, grouped by system (`row_start`) in descending
+    pivot order, as `solve_parity_rows` returns them.
     """
 
-    def __init__(self, masks: list[int]):
-        if len(masks) > 63:
-            raise ValueError("template supports at most 63 input rows")
-        self.n_in = len(masks)
-        pivots: dict[int, tuple[int, int]] = {}
-        zero_combos: list[int] = []
-        for i, mask in enumerate(masks):
-            mask = int(mask)
-            combo = 1 << i
-            while mask:
-                p = mask.bit_length() - 1
-                if p not in pivots:
-                    pivots[p] = (mask, combo)
-                    break
-                pm, pc = pivots[p]
-                mask ^= pm
-                combo ^= pc
-            else:
-                zero_combos.append(combo)
-        order = sorted(pivots, reverse=True)
-        self.out_masks = np.array([pivots[p][0] for p in order],
-                                  dtype=np.uint64)
-        self.out_pivots = np.array(order, dtype=np.int64)
-        self._combos = np.array([pivots[p][1] for p in order],
-                                dtype=np.uint64)
-        self._zero_combos = np.array(zero_combos, dtype=np.uint64)
+    def __init__(self, masks: np.ndarray):
+        masks = np.asarray(masks, dtype=np.uint64)
+        if masks.ndim != 2:
+            raise ValueError("masks must have shape (systems, rows)")
+        n_sys, n_in = masks.shape
+        if n_in > 64:
+            raise ValueError("template supports at most 64 input rows")
+        # Work on bit-reversed masks, so a row's pivot (its highest bit) is
+        # the lowest set bit r & -r, a power of two that float64 holds
+        # exactly: frexp's exponent is 64 - pivot.  System s owns slots
+        # 65s + e: slot 65s (e = 0) collects a row reduced to zero, and
+        # slot 65s + 64 - p holds the (mask, combo) of pivot p; a slot is
+        # taken iff its mask is non-zero.
+        rev = _reverse_bits(masks)
+        piv = np.zeros((n_sys * 65, 2), dtype=np.uint64)
+        zslot = np.arange(n_sys, dtype=np.int64) * 65
+        zero = np.zeros((n_sys, n_in), dtype=np.uint64)
+        for i in range(n_in):
+            base = zslot
+            mc = np.stack([rev[:, i], np.full(n_sys, 1 << i,
+                                              dtype=np.uint64)], axis=1)
+            while len(base):
+                m = mc[:, 0]
+                slot = base + np.frexp((m & -m).astype(np.float64))[1]
+                held = piv[slot]
+                new = held[:, 0] == 0
+                piv[slot[new]] = mc[new]
+                old = ~new
+                base, mc = base[old], mc[old] ^ held[old]
+            zero[:, i] = piv[zslot, 1]
+            piv[zslot, 1] = 0
+        # descending pivots within each system
+        s_idx, e = np.nonzero(piv[:, 0].reshape(n_sys, 65)[:, 1:] != 0)
+        flat = s_idx * 65 + 1 + e
+        self.rank = np.bincount(s_idx, minlength=n_sys).astype(np.int64)
+        self.row_start = np.concatenate(([0], np.cumsum(self.rank)))
+        self.out_masks = _reverse_bits(piv[flat, 0])
+        self.out_pivots = (63 - e).astype(np.int64)
+        self._combos = piv[flat, 1]
+        self._zero_combos = zero
 
-    def reduce_rhs(self, rhs_bits: np.ndarray):
-        """Reduce a batch of rhs bit-vectors (given as ints over input-row
-        bits).  Returns (out_rhs (B, n_out) uint8, ok (B,) bool), where ok
-        is False when a zero-mask row contradicts."""
+    def reduce_rhs(self, systems: np.ndarray, rhs_bits: np.ndarray):
+        """Reduce one rhs per term; term b uses system systems[b], with
+        rhs_bits[b] packing its input-row rhs values (bit i = row i).
+
+        Returns (ok, row_of, out_rhs): ok[b] is False when a zero row
+        contradicts; the terms' echelon rows are out_masks[row_of] (term b
+        owns rank[systems[b]] consecutive entries), with rhs out_rhs.
+        """
+        systems = np.asarray(systems, dtype=np.int64)
         rhs = np.asarray(rhs_bits, dtype=np.uint64)
-        out = (np.bitwise_count(self._combos[None, :] & rhs[:, None])
-               & np.uint64(1)).astype(np.uint8)
-        if len(self._zero_combos):
-            bad = (np.bitwise_count(self._zero_combos[None, :]
-                                    & rhs[:, None]) & np.uint64(1))
-            ok = ~(bad.astype(bool).any(axis=1))
-        else:
-            ok = np.ones(len(rhs), dtype=bool)
-        return out, ok
+        bad = np.zeros(len(systems), dtype=bool)
+        for col in self._zero_combos.T:  # one column at a time: O(terms)
+            if col.any():
+                bad |= (np.bitwise_count(col[systems] & rhs)
+                        & np.uint8(1)).astype(bool)
+        nrows = self.rank[systems]
+        first = np.repeat(self.row_start[systems] - np.cumsum(nrows)
+                          + nrows, nrows)
+        row_of = first + np.arange(int(nrows.sum()), dtype=np.int64)
+        out = (np.bitwise_count(self._combos[row_of]
+                                & np.repeat(rhs, nrows))
+               & np.uint8(1))
+        return ~bad, row_of, out
 
 
 def solve_parity_rows(rows: list[tuple[int, int]]):

@@ -127,6 +127,22 @@ class Graph:
             self.rows[rows] & packed_mask[None, :]).sum(axis=1)
         return out
 
+    def edges_into(self, vertices: np.ndarray, packed_mask: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+        """Every edge from vertices[i] to a vertex w in the mask, as index
+        arrays (i, w).  Rows unpack in chunks, so memory stays O(pairs)
+        plus a few MB, whatever len(vertices) * n is."""
+        vertices = np.asarray(vertices, dtype=np.int64)
+        step = max(1, (1 << 22) // max(1, self.n))
+        out_i, out_w = [np.zeros(0, dtype=np.int64)], \
+            [np.zeros(0, dtype=np.int64)]
+        for s in range(0, len(vertices), step):
+            rows = self.rows[vertices[s:s + step]] & packed_mask[None, :]
+            i, w = np.nonzero(_unpack_rows(rows, self.n))
+            out_i.append(i + s)
+            out_w.append(w)
+        return np.concatenate(out_i), np.concatenate(out_w)
+
     def induced(self, vertices: np.ndarray) -> tuple["Graph", np.ndarray]:
         """Induced subgraph; returns (graph, original-id array).
 

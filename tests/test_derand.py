@@ -13,8 +13,8 @@ from ccclique.derand import (AffineObjective, HashFamily, Seed,
                              default_chunk_bits, distributed_seed_agreement,
                              dyadic_blocks, hash_eval, value_rows)
 from ccclique.errors import ChunkTooWide, SeedLengthMismatch
-from ccclique.gf2 import (EchelonTemplate, gf_mul, irreducible_poly,
-                          solve_parity_rows)
+from ccclique.gf2 import (EchelonTemplate, column_masks_vec, gf_mul,
+                          gf_mul_vec, irreducible_poly, solve_parity_rows)
 from ccclique.selftest import make_corpus
 from ccclique.sim import Simulator
 
@@ -31,6 +31,21 @@ def test_field_axioms_small():
         assert gf_mul(a, 1, k) == a
         for b in range(16):
             assert gf_mul(a, b, k) == gf_mul(b, a, k)
+
+
+def test_vector_field_ops_match_scalar():
+    rng = np.random.default_rng(5)
+    for k in range(1, 32):
+        a = rng.integers(0, 1 << k, size=12, dtype=np.uint64)
+        b = rng.integers(0, 1 << k, size=12, dtype=np.uint64)
+        assert gf_mul_vec(a, b, k).tolist() == \
+            [gf_mul(int(x), int(y), k) for x, y in zip(a, b)]
+        masks = column_masks_vec(a, k)
+        for v, m in enumerate(a):
+            for j in range(k):
+                col = gf_mul(int(m), 1 << j, k)  # image of input bit j
+                assert [int(masks[v, t]) >> j & 1 for t in range(k)] == \
+                    [col >> t & 1 for t in range(k)]
 
 
 def test_hash_zero_seed_is_zero():
@@ -232,7 +247,7 @@ class TestAffineObjective:
         u, v, nbits = 2, 5, 2
         masks = [int(bm[u, t]) for t in range(nbits)] + \
                 [int(bm[v, t]) for t in range(nbits)]
-        template = EchelonTemplate(masks)
+        template = EchelonTemplate(np.array([masks], dtype=np.uint64))
         pairs = [(0, 1), (3, 2), (1, 1)]
         obj_a = AffineObjective(fam.seed_len)
         obj_b = AffineObjective(fam.seed_len)
@@ -242,9 +257,8 @@ class TestAffineObjective:
                 value_rows(bm[v], list(range(nbits)), kv)
             obj_a.add_term(u, -1, rows)
             rhs.append(ku | (kv << nbits))
-        obj_b.add_template_terms(template, [u] * len(pairs),
-                                 [-1] * len(pairs),
-                                 np.array(rhs, dtype=np.uint64))
+        obj_b.add_terms(template, [0] * len(pairs), [u] * len(pairs),
+                        [-1] * len(pairs), np.array(rhs, dtype=np.uint64))
         obj_a.freeze()
         obj_b.freeze()
         for k in range(fam.seed_len + 1):
@@ -381,6 +395,55 @@ class TestPackedEvaluation:
                 mean = Fraction(int(f.sum()), len(f))
                 got = Fraction(int(f[off.bits]))
                 assert got <= mean if minimize else got >= mean
+
+
+_MASKS = st.one_of(st.just(0), st.integers(0, 63).map(lambda b: 1 << b),
+                  st.integers(1 << 53, (1 << 64) - 1),
+                  st.integers(0, (1 << 64) - 1))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_template_matches_solve_parity_rows(data):
+    """The batched kernel against the scalar reduction, system by system:
+    echelon rows, pivots, reduced rhs and satisfiability.  Rows come from a
+    small pool (zero rows, duplicates, masks above 2^53 and at bit 63) or
+    XOR earlier rows, so dependent rows with odd rhs contradict."""
+    n_rows = data.draw(st.integers(0, 12))
+    pool = data.draw(st.lists(_MASKS, min_size=1, max_size=5)) + \
+        [data.draw(st.integers(1 << 53, (1 << 64) - 1))]
+    systems = []
+    for _ in range(data.draw(st.integers(1, 5))):
+        rows = []
+        for _ in range(n_rows):
+            if rows and data.draw(st.booleans()):
+                rows.append(data.draw(st.sampled_from(rows))
+                            ^ data.draw(st.sampled_from(rows)))
+            else:
+                rows.append(data.draw(st.sampled_from(pool)))
+        systems.append(rows)
+    template = EchelonTemplate(
+        np.array(systems, dtype=np.uint64).reshape(len(systems), n_rows))
+    which = data.draw(st.lists(st.integers(0, len(systems) - 1),
+                               min_size=1, max_size=8))
+    rhs = [data.draw(st.integers(0, (1 << n_rows) - 1)) for _ in which]
+    ok, row_of, out_rhs = template.reduce_rhs(
+        np.array(which), np.array(rhs, dtype=np.uint64))
+    at = 0
+    for b, s in enumerate(which):
+        rows = [(m, rhs[b] >> i & 1) for i, m in enumerate(systems[s])]
+        want, sat = solve_parity_rows(rows)
+        plain, _ = solve_parity_rows([(m, 0) for m in systems[s]])
+        mine = slice(at, at + int(template.rank[s]))
+        at = mine.stop
+        assert [int(m) for m in template.out_masks[row_of[mine]]] == \
+            [m for m, _ in plain]
+        assert template.out_pivots[row_of[mine]].tolist() == \
+            [m.bit_length() - 1 for m, _ in plain]
+        assert bool(ok[b]) == sat
+        if sat:
+            assert [(int(template.out_masks[r]), int(v)) for r, v in
+                    zip(row_of[mine], out_rhs[mine])] == want
 
 
 def test_solve_parity_rows_consistency():

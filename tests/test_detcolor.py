@@ -7,8 +7,8 @@ import pytest
 from ccclique.config import Config
 from ccclique.coloring import Palettes, is_proper
 from ccclique.detcolor import (GeneralPartitionPlan, _capacity_split,
-                               bin_layout, classify_and_bin, det_coloring,
-                               det_delta_sq, det_list_color_n34,
+                               _free_sets, bin_layout, classify_and_bin,
+                               det_coloring, det_delta_sq, det_list_color_n34,
                                det_list_color_sqrt, det_partition_general,
                                phase_bound, required_independence,
                                simple_rand_color_round)
@@ -194,13 +194,15 @@ def test_all_small_bins_goes_a0():
     pal = Palettes.from_lists(n, lists)
     sim, cfg, log = setup_ctx(delta * delta + 1)
     active = np.arange(n)
-    free = {int(v): pal.colors(int(v)) for v in active}
-    state = classify_and_bin(sim, g, np.zeros(n, dtype=np.int64), active,
-                             free, layout, cfg, log, g.edge_array())
+    coloring = np.zeros(n, dtype=np.int64)
+    free = _free_sets(g, pal, coloring, active)
+    state = classify_and_bin(sim, g, coloring, free, layout, cfg, log,
+                             g.edge_array())
     assert state.branch == "A0"
     assert set(state.a0.tolist()) == set(range(n))
     # every bin is small, so S(u) is the whole free list
-    assert all(len(state.s_sets[int(v)]) == len(colors) for v in active)
+    assert state.s_sets.vertices.tolist() == active.tolist()
+    assert (state.s_sets.sizes == len(colors)).all()
 
 
 def test_n34_moderate_instance_properness_and_logs():
@@ -218,6 +220,24 @@ def test_n34_moderate_instance_properness_and_logs():
         if e.get("check") in ("seed-round-dominance", "a0-small-bin-mass",
                               "bin-happy-dominance"):
             assert e["ok"]
+
+
+@pytest.mark.parametrize("seed, bins, seed_rounds, total, colors",
+                         [(1, 200, 120, 404, 18), (2, 180, 108, 355, 19)])
+def test_det_n34_a1_branch_in_regime(seed, bins, seed_rounds, total, colors):
+    # G(96, 0.12) sits in the n^(3/4) regime, and its phases take the A1
+    # branch: derandomized bin choice, then seed rounds on S(u)
+    g = gen_random_graph(96, 0.12, seed)
+    coloring, report = run_algorithm("det", g, Config())
+    assert report["proper"] and is_proper(g, coloring, None) is True
+    checks = [e for e in report["assertion_log"] if e.get("check") in
+              ("bin-happy-dominance", "seed-round-dominance")]
+    assert {e["check"] for e in checks} == {"bin-happy-dominance",
+                                            "seed-round-dominance"}
+    assert all(e["ok"] for e in checks)
+    stages = report["rounds_by_stage"]
+    assert (stages["n34:bins"], stages["n34:seed"]) == (bins, seed_rounds)
+    assert (report["rounds_total"], report["colors_used"]) == (total, colors)
 
 
 def test_n34_single_vertex():
