@@ -141,6 +141,13 @@ class Palettes:
         return Palettes(self.n, lo, hi)
 
 
+def palette_ranges(lo: int, sizes) -> list[tuple[int, int]]:
+    """Disjoint contiguous color ranges [lo_j, hi_j] of the given sizes,
+    packed upward from `lo` (one per part of a split)."""
+    ends = lo - 1 + np.cumsum(np.asarray(sizes, dtype=np.int64))
+    return [(int(e) - int(k) + 1, int(e)) for k, e in zip(sizes, ends)]
+
+
 # --------------------------------------------------------------------- #
 # free colors and properness
 # --------------------------------------------------------------------- #

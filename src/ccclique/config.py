@@ -44,6 +44,14 @@ class Config:
     def with_overrides(self, **kw) -> "Config":
         return replace(self, **kw)
 
+    def split_budgets(self, instances: int) -> "Config":
+        """The config of one of `instances` simultaneous instances: the
+        term and eval budgets are shared out, down to fixed floors."""
+        k = max(1, instances)
+        return self.with_overrides(
+            term_budget=max(2000, self.term_budget // k),
+            eval_budget=max(1_000_000, self.eval_budget // k))
+
     def snapshot(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 

@@ -456,8 +456,6 @@ def distributed_seed_agreement(sim, objective, seed_len: int, z: int,
             if len(nodes):
                 out_counts[nodes] = B
                 in_counts[leaders] = len(nodes)
-            sim._check_route_bounds(np.minimum(out_counts, sim.n),
-                                    np.minimum(in_counts, sim.n))
             sim.charge_route_counts(out_counts, in_counts)
             # each leader sums its column (the objective's conditional sum
             # for its assignment) and forwards it to the arbiter
@@ -486,36 +484,3 @@ def value_rows(bit_masks: np.ndarray, bits: list[int], value: int):
     """
     return [(int(bit_masks[t]), (value >> i) & 1)
             for i, t in enumerate(bits)]
-
-
-def aligned_blocks(lo: int, hi: int, width: int):
-    """Decompose [lo, hi) over `width`-bit values into aligned blocks.
-
-    Yields (t, high_value): bits t..width-1 fixed to high_value, low t
-    bits free.  At most 2*width blocks.
-    """
-    if not (0 <= lo <= hi <= 1 << width):
-        raise ValueError("interval out of range")
-    while lo < hi:
-        t = 0
-        while (t < width and lo % (1 << (t + 1)) == 0
-               and lo + (1 << (t + 1)) <= hi):
-            t += 1
-        yield t, lo >> t
-        lo += 1 << t
-
-
-def dyadic_blocks(limit: int, width: int):
-    """Decompose [0, limit) over `width`-bit values into aligned blocks.
-
-    Yields (t, high_value) pairs: each block fixes bits t..width-1 to
-    high_value and leaves bits 0..t-1 free; blocks are disjoint and cover
-    exactly [0, limit).
-    """
-    if limit > 1 << width:
-        raise ValueError("limit exceeds width")
-    prefix = 0
-    for t in range(width, -1, -1):
-        if (limit >> t) & 1:
-            yield t, prefix >> t
-            prefix |= 1 << t

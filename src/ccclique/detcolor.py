@@ -30,7 +30,7 @@ import numpy as np
 
 from .config import Config
 from .coloring import (Palettes, UNCOLORED, free_colors, greedy_list_color,
-                       log2n)
+                       log2n, palette_ranges)
 from .derand import (AffineObjective, HashFamily, auto_chunk_bits,
                      distributed_seed_agreement)
 from .errors import DegreeTooLarge, NoZeroViolationSeed, ParameterViolation
@@ -919,8 +919,8 @@ def det_partition_general(sim: Simulator, graph: Graph, cfg: Config,
     the hash family to be below one (then some seed is violation-free and
     a bounded deterministic scan finds it).  At desk scale that premise
     fails, raising NoZeroViolationSeed; the caller falls back to the
-    capacity split.  Returns (part array with ell = G*, plan, palettes
-    lo/hi arrays per part index).
+    capacity split.  Returns (part array with ell = G*, plan, palette size
+    per part index).
     """
     n = graph.n
     delta = graph.max_degree
@@ -955,47 +955,24 @@ def det_partition_general(sim: Simulator, graph: Graph, cfg: Config,
                                    side="right") - 1
             part = np.minimum(part, plan.ell)  # tail cells -> G*
             part[part < 0] = plan.ell
-            ok = True
-            for i in range(plan.ell):
-                members = np.nonzero(part == i)[0]
-                mask = graph.pack_vertex_mask(members)
-                if int(graph.degrees_within(mask, rows=members)[members]
-                       .max(initial=0)) > plan.cap_parts:
-                    ok = False
-                    break
+            degs = [graph.max_degree_within(np.nonzero(part == i)[0])
+                    for i in range(plan.ell)]
+            ok = max(degs) <= plan.cap_parts
             star = np.nonzero(part == plan.ell)[0]
             if ok and len(star):
-                mask = graph.pack_vertex_mask(star)
-                dstar = int(graph.degrees_within(mask, rows=star)[star]
-                            .max(initial=0))
-                ok = dstar <= plan.cap_star
+                ok = graph.max_degree_within(star) <= plan.cap_star
             with sim.stage("partition:probe"):
                 sim.charge_route_counts(np.ones(n, dtype=np.int64),
                                         np.ones(n, dtype=np.int64))
             if ok:
                 log.note("partition-seeded", trial=trial)
-                return part, plan, _allocate_measured(graph, part, plan,
-                                                      delta, log)
+                sizes = [d + 1 for d in degs]
+                log.require("partition-budget", sum(sizes) <= delta + 1,
+                            total=sum(sizes), parent=delta + 1)
+                return part, plan, sizes
         raise NoZeroViolationSeed("no violation-free seed in scan budget")
     raise NoZeroViolationSeed(
         f"expected violations {expected_bad:.1f} >= 1 at this scale")
-
-
-def _allocate_measured(graph: Graph, part: np.ndarray,
-                       plan: GeneralPartitionPlan, delta: int,
-                       log: RunLog):
-    """Disjoint palette ranges sized by measured part degrees."""
-    sizes = []
-    for i in range(plan.ell):
-        members = np.nonzero(part == i)[0]
-        mask = graph.pack_vertex_mask(members)
-        dmax = int(graph.degrees_within(mask, rows=members)[members]
-                   .max(initial=0))
-        sizes.append(dmax + 1)
-    log.require("partition-budget", sum(sizes) <= delta + 1,
-                total=sum(sizes), parent=delta + 1)
-    bounds = np.concatenate([[0], np.cumsum(sizes)])
-    return bounds
 
 
 def det_coloring(sim: Simulator, graph: Graph, cfg: Config,
@@ -1030,7 +1007,7 @@ def det_coloring(sim: Simulator, graph: Graph, cfg: Config,
         return coloring, info
     info["regime"] = "partition"
     try:
-        part, plan, bounds = det_partition_general(sim, graph, cfg, log)
+        part, plan, sizes = det_partition_general(sim, graph, cfg, log)
     except NoZeroViolationSeed as exc:
         log.note("partition-fallback", reason=str(exc))
         plan = GeneralPartitionPlan.from_delta(delta)
@@ -1039,27 +1016,20 @@ def det_coloring(sim: Simulator, graph: Graph, cfg: Config,
         with sim.stage("partition:split"):
             part = _capacity_split(graph, plan.ell, sizes, log)
             sim.charge_route_counts(graph.degrees, graph.degrees)
-        bounds = np.concatenate([[0], np.cumsum(sizes)])
     # verify caps and color parts simultaneously
     branches = []
-    for i in range(plan.ell):
+    for i, (lo, hi) in enumerate(palette_ranges(1, sizes)):
         members = np.nonzero(part == i)[0]
         if len(members) == 0:
             continue
-        mask = graph.pack_vertex_mask(members)
-        dmax = int(graph.degrees_within(mask, rows=members)[members]
-                   .max(initial=0))
+        dmax = graph.max_degree_within(members)
         log.require("partition-cap", dmax ** 4 <= delta ** 3,
                     part=i, deg=dmax)
-        lo, hi = int(bounds[i]) + 1, int(bounds[i + 1])
         log.require("partition-palette", hi - lo + 1 >= dmax + 1, part=i)
         pal_i = Palettes.uniform_range(n, lo, hi).restrict(members)
         branches.append((members, pal_i))
 
-    branch_cfg = cfg.with_overrides(
-        term_budget=max(2000, cfg.term_budget // max(1, len(branches))),
-        eval_budget=max(1_000_000,
-                        cfg.eval_budget // max(1, len(branches))))
+    branch_cfg = cfg.split_budgets(len(branches))
     jobs = []
     for idx, (members, pal_i) in enumerate(branches):
         jobs.append(lambda m=members, p=pal_i, j=idx: det_list_color_n34(
@@ -1070,9 +1040,7 @@ def det_coloring(sim: Simulator, graph: Graph, cfg: Config,
     # left-over part (empty under the capacity split)
     star = np.nonzero(part == plan.ell)[0]
     if len(star):
-        mask = graph.pack_vertex_mask(star)
-        dstar = int(graph.degrees_within(mask, rows=star)[star]
-                    .max(initial=0))
+        dstar = graph.max_degree_within(star)
         log.record("partition-star-cap", dstar <= plan.cap_star + 1,
                    deg=dstar, cap=plan.cap_star)
         star_free = {int(v): free_colors(int(v), palettes, coloring, graph)

@@ -19,14 +19,6 @@ class BandwidthViolation(CliqueError):
         super().__init__(f"pair ({src}->{dst}) sent {bits} bits in one round")
 
 
-class RoutingOverload(CliqueError):
-    """A routing call exceeded the per-node send/receive bound."""
-
-    def __init__(self, node, count):
-        self.node, self.count = node, count
-        super().__init__(f"node {node} is endpoint of {count} routed messages")
-
-
 class SeedLengthMismatch(CliqueError):
     """Seed bit-string does not match the hash family's required length."""
 
@@ -37,10 +29,6 @@ class ChunkTooWide(CliqueError):
 
 class DegreeTooLarge(CliqueError):
     """Graph degree violates an operation's admissibility precondition."""
-
-
-class CliqueTooLarge(CliqueError):
-    """A leader gather would exceed the per-node message bound."""
 
 
 class ParameterViolation(CliqueError):

@@ -127,6 +127,15 @@ class Graph:
             self.rows[rows] & packed_mask[None, :]).sum(axis=1)
         return out
 
+    def max_degree_within(self, vertices: np.ndarray) -> int:
+        """Maximum degree of the subgraph induced by `vertices` (0 if
+        empty)."""
+        vertices = np.asarray(vertices, dtype=np.int64)
+        if len(vertices) == 0:
+            return 0
+        return int(self.degrees_within(self.pack_vertex_mask(vertices),
+                                       rows=vertices)[vertices].max())
+
     def edges_into(self, vertices: np.ndarray, packed_mask: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray]:
         """Every edge from vertices[i] to a vertex w in the mask, as index

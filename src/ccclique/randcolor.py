@@ -19,11 +19,11 @@ import numpy as np
 
 from .config import Config
 from .coloring import (Palettes, UNCOLORED, free_colors,
-                       concentration_bound, log2n)
+                       concentration_bound, log2n, palette_ranges)
 from .detcolor import (det_list_color_n34, det_list_color_sqrt,
                        _central_phase)
-from .errors import (AllocationOverflow, CliqueTooLarge, DegreeTooLarge,
-                     ParameterViolation, PlanRejected)
+from .errors import (AllocationOverflow, DegreeTooLarge, ParameterViolation,
+                     PlanRejected)
 from .graphs import Graph
 from .runlog import RunLog
 from .sim import Simulator
@@ -316,7 +316,9 @@ def dense_coloring_step(sim: Simulator, graph: Graph, palettes: Palettes,
     Per block, members are ordered by increasing external degree (ties by
     id); each takes a uniform free color excluding lower-rank picks inside
     the block; a vertex keeps its color only if no vertex outside its
-    block tentatively picked the same color on a shared edge.
+    block tentatively picked the same color on a shared edge.  A block
+    whose leader gather would exceed n words makes the step color nothing
+    (a failed `dense-gather` entry); bidding and the cleanup color it.
     """
     blocks = [np.asarray(b, dtype=np.int64) for b in super_blocks if len(b)]
     if not blocks:
@@ -329,7 +331,8 @@ def dense_coloring_step(sim: Simulator, graph: Graph, palettes: Palettes,
                 continue
             words += palettes.size(int(v)) + graph.degree(int(v)) + 2
         if words > sim.n:
-            raise CliqueTooLarge(f"gather of {words} words exceeds n")
+            log.record("dense-gather", False, words=words, n=sim.n)
+            return 0
     with sim.stage("dense:gather"):
         sim.ledger.advance(2 * sim.config.lenzen_cost + 1)
     tentative: dict[int, int] = {}
@@ -634,6 +637,57 @@ class PartitionPlan:
                              x, delta_i, q, dsm, p_j, p_star)
 
 
+def _split_labels(rng: np.random.Generator, size: int, p: float,
+                  q: int) -> np.ndarray:
+    """Part label per vertex: each part j < q with probability p, the
+    left-over label q otherwise."""
+    u = rng.random(size)
+    return np.minimum(np.where(u < p * q, (u / p).astype(np.int64), q), q)
+
+
+def _measured_split(sim: Simulator, graph: Graph, scope: np.ndarray,
+                    labels, n_parts: int, lo: int, hi: int, cfg: Config,
+                    stage: str, on_overflow):
+    """Sample, measure, retry: split `scope` until the parts fit [lo, hi].
+
+    Each attempt broadcasts a fresh seed (charged to `stage`), labels
+    `scope` with `labels()` (label n_parts marks the left-over set) and
+    measures each part's maximum degree; part j needs that degree + 1
+    colors.  Returns (parts with the left-over last, contiguous ranges
+    packed from lo) for the first draw that fits.  Each draw that does not
+    fit calls on_overflow(attempt, need); after retry_budget + 1 of them
+    AllocationOverflow is raised.
+    """
+    for attempt in range(cfg.retry_budget + 1):
+        with sim.stage(stage):
+            sim.broadcast_seed(sim.word_size)
+        part = labels()
+        parts = [scope[part == j] for j in range(n_parts + 1)]
+        sizes = [graph.max_degree_within(m) + 1 for m in parts[:-1]]
+        need = sum(sizes)
+        if need <= hi - lo + 1:
+            return parts, palette_ranges(lo, sizes)
+        on_overflow(attempt, need)
+    raise AllocationOverflow(
+        f"sum of child palettes {need} exceeds {hi - lo + 1}")
+
+
+def _color_parts(sim: Simulator, graph: Graph, parts: list[np.ndarray],
+                 ranges: list[tuple[int, int]], cfg: Config,
+                 rng: np.random.Generator, log: RunLog,
+                 coloring: np.ndarray, depth: int) -> None:
+    """Color vertex-disjoint parts as simultaneous recursive instances:
+    part j from ranges[j], with its own seed from `rng` and an equal share
+    of the budgets."""
+    seeds = rng.integers(0, 2 ** 63 - 1, size=len(parts))
+    child_cfg = cfg.split_budgets(sum(1 for m in parts if len(m)))
+    sim.run_parallel([
+        lambda m=m, lo=lo, hi=hi, s=int(s): recursive_coloring(
+            sim, graph, m, lo, hi, child_cfg, np.random.default_rng(s), log,
+            coloring=coloring, depth=depth)
+        for m, (lo, hi), s in zip(parts, ranges, seeds) if len(m)])
+
+
 def partition_step(sim: Simulator, graph: Graph, scope: np.ndarray,
                    palette_lo: int, palette_hi: int, x: int,
                    rng: np.random.Generator, cfg: Config, log: RunLog,
@@ -645,47 +699,30 @@ def partition_step(sim: Simulator, graph: Graph, scope: np.ndarray,
     child ranges aligned with the q parts).  Raises PlanRejected or
     AllocationOverflow (after retry_budget fresh draws).
     """
-    sub_deg = graph.degrees_within(graph.pack_vertex_mask(scope),
-                                   rows=scope)
-    delta_i = int(sub_deg[scope].max(initial=0))
+    delta_i = graph.max_degree_within(scope)
     plan = PartitionPlan.make(delta_i, x, graph.n, level=level)
-    pal_size = palette_hi - palette_lo + 1
-    for attempt in range(cfg.retry_budget + 1):
-        with sim.stage("partition:sample"):
-            sim.broadcast_seed(sim.word_size)
-        u = rng.random(len(scope))
-        cut = plan.p_j * plan.q
-        part = np.where(u < cut, (u / plan.p_j).astype(np.int64), plan.q)
-        part = np.minimum(part, plan.q)
-        parts = [scope[part == j] for j in range(plan.q)]
-        star = scope[part == plan.q]
+    ones = np.ones(graph.n, dtype=np.int64)
+
+    def labels():
+        # measuring the parts' degrees costs one routing call per draw
+        part = _split_labels(rng, len(scope), plan.p_j, plan.q)
         with sim.stage("partition:measure"):
-            sim.charge_route_counts(np.ones(graph.n, dtype=np.int64),
-                                    np.ones(graph.n, dtype=np.int64))
-        tilde = []
-        for pj in parts:
-            if len(pj) == 0:
-                tilde.append(0)
-                continue
-            mask = graph.pack_vertex_mask(pj)
-            tilde.append(int(graph.degrees_within(mask, rows=pj)[pj]
-                             .max(initial=0)))
-        need = sum(t + 1 for t in tilde)
-        if need <= pal_size:
-            log.record("partition-lemma-budget", need <= delta_i,
-                       total=need, delta_i=delta_i)
-            ranges = []
-            at = palette_lo
-            for t in tilde:
-                ranges.append((at, at + t))
-                at += t + 1
-            log.require("partition-ranges-disjoint",
-                        at - 1 <= palette_hi, last=at - 1, hi=palette_hi)
-            return plan, parts + [star], ranges
-        log.record("partition-allocation", False, attempt=attempt,
-                   need=need, available=pal_size)
-    raise AllocationOverflow(
-        f"sum of child palettes {need} exceeds {pal_size}")
+            sim.charge_route_counts(ones, ones)
+        return part
+
+    parts, ranges = _measured_split(
+        sim, graph, scope, labels, plan.q, palette_lo, palette_hi, cfg,
+        "partition:sample",
+        lambda attempt, need: log.record(
+            "partition-allocation", False, attempt=attempt, need=need,
+            available=palette_hi - palette_lo + 1))
+    last = ranges[-1][1]
+    need = last - palette_lo + 1
+    log.record("partition-lemma-budget", need <= delta_i, total=need,
+               delta_i=delta_i)
+    log.require("partition-ranges-disjoint", last <= palette_hi,
+                last=last, hi=palette_hi)
+    return plan, parts, ranges
 
 
 def recursive_coloring(sim: Simulator, graph: Graph, scope: np.ndarray,
@@ -704,20 +741,16 @@ def recursive_coloring(sim: Simulator, graph: Graph, scope: np.ndarray,
     scope = scope[coloring[scope] == UNCOLORED]
     if len(scope) == 0:
         return coloring
-    sub_deg = graph.degrees_within(graph.pack_vertex_mask(scope),
-                                   rows=scope)
-    delta = int(sub_deg[scope].max(initial=0))
+    delta = graph.max_degree_within(scope)
     if palette_hi - palette_lo + 1 < delta + 1:
         raise ParameterViolation("palette smaller than Delta+1")
+    pal = Palettes.uniform_range(n, palette_lo,
+                                 palette_lo + delta).restrict(scope)
     if delta * delta <= cfg.c_fit * sim.n and delta >= cfg.delta_min:
-        pal = Palettes.uniform_range(n, palette_lo,
-                                     palette_lo + delta).restrict(scope)
         clp_list_coloring(sim, graph, pal, cfg, rng, log, vertices=scope,
                           coloring=coloring)
         return coloring
     if delta < cfg.delta_min:
-        pal = Palettes.uniform_range(n, palette_lo,
-                                     palette_lo + delta).restrict(scope)
         _fallback_list_color(sim, graph, pal, coloring, scope, cfg, log,
                              f"Delta={delta} below delta_min")
         return coloring
@@ -735,28 +768,13 @@ def recursive_coloring(sim: Simulator, graph: Graph, scope: np.ndarray,
             sim, graph, scope, palette_lo, palette_hi, x, rng, cfg, log,
             level=depth)
     except (PlanRejected, AllocationOverflow) as exc:
-        pal = Palettes.uniform_range(n, palette_lo,
-                                     palette_lo + delta).restrict(scope)
         _fallback_list_color(sim, graph, pal, coloring, scope, cfg, log,
                              f"partition rejected: {exc}")
         return coloring
-    star = parts[-1]
-    children = parts[:-1]
-    seeds = rng.integers(0, 2 ** 63 - 1, size=len(children))
-    live = sum(1 for c in children if len(c))
-    child_cfg = cfg.with_overrides(
-        term_budget=max(2000, cfg.term_budget // max(1, live)),
-        eval_budget=max(1_000_000, cfg.eval_budget // max(1, live)))
-    jobs = []
-    for j, (child, (lo, hi)) in enumerate(zip(children, ranges)):
-        if len(child) == 0:
-            continue
-        jobs.append(lambda c=child, lo=lo, hi=hi, s=int(seeds[j]):
-                    recursive_coloring(sim, graph, c, lo, hi, child_cfg,
-                                       np.random.default_rng(s), log,
-                                       coloring=coloring, depth=depth + 1))
-    sim.run_parallel(jobs)
+    _color_parts(sim, graph, parts[:-1], ranges, cfg, rng, log, coloring,
+                 depth + 1)
     # left-over set: free colors within the parent palette
+    star = parts[-1]
     star = star[coloring[star] == UNCOLORED]
     if len(star) == 0:
         return coloring
@@ -803,6 +821,47 @@ def recursive_coloring(sim: Simulator, graph: Graph, scope: np.ndarray,
 # top-level drivers
 # ===================================================================== #
 
+def _recurse_whole(sim: Simulator, graph: Graph, cfg: Config,
+                   rng: np.random.Generator, log: RunLog,
+                   coloring: np.ndarray, stage: str) -> None:
+    """One recursive instance on the whole graph with colors 1..Delta+1."""
+    with sim.stage(stage):
+        recursive_coloring(sim, graph, np.arange(graph.n), 1,
+                           graph.max_degree + 1, cfg, rng, log,
+                           coloring=coloring)
+
+
+def _split_and_recurse(sim: Simulator, graph: Graph, cfg: Config,
+                       rng: np.random.Generator, log: RunLog,
+                       coloring: np.ndarray, name: str, labels,
+                       n_parts: int, budget: int) -> np.ndarray | None:
+    """Split the whole graph by `labels` into n_parts parts plus a
+    left-over set, then color the parts recursively from disjoint ranges
+    of [1, budget].
+
+    Seeds are charged to stage `name:sample`, overflowing draws are logged
+    as `name-allocation` and the parts run under `name:parts`.  Returns
+    the left-over set, or None when every draw overflowed: then the note
+    `name-split-overflow` precedes one recursive instance on the whole
+    graph under `name:recursive`.
+    """
+    try:
+        parts, ranges = _measured_split(
+            sim, graph, np.arange(graph.n), labels, n_parts, 1, budget, cfg,
+            f"{name}:sample",
+            lambda attempt, need: log.record(f"{name}-allocation", False,
+                                             attempt=attempt))
+    except AllocationOverflow:
+        log.note(f"{name}-split-overflow")
+        _recurse_whole(sim, graph, cfg, rng, log, coloring,
+                       f"{name}:recursive")
+        return None
+    with sim.stage(f"{name}:parts"):
+        _color_parts(sim, graph, parts[:-1], ranges, cfg, rng, log,
+                     coloring, 0)
+    return parts[-1]
+
+
 def fast_coloring(sim: Simulator, graph: Graph, cfg: Config,
                   rng: np.random.Generator, log: RunLog) -> np.ndarray:
     """General (Delta+1) entry point: recursion below n/(10 log n), else a
@@ -814,65 +873,21 @@ def fast_coloring(sim: Simulator, graph: Graph, cfg: Config,
     if delta == 0:
         coloring[:] = 1
         return coloring
-    everyone = np.arange(n)
-    if delta <= n / (10.0 * log2n(n)):
-        with sim.stage("fast:recursive"):
-            recursive_coloring(sim, graph, everyone, 1, delta + 1, cfg,
-                               rng, log, coloring=coloring)
-        return coloring
     ell = math.ceil(5.0 * log2n(n))
     p = 1.0 / ell - 2.0 * math.sqrt(5.0 * log2n(n) / (delta * ell))
     p_star = 1.0 - ell * p
-    if p <= 0.0 or not (0.0 < p_star < 1.0):
+    split = delta > n / (10.0 * log2n(n))
+    if split and (p <= 0.0 or not (0.0 < p_star < 1.0)):
         log.note("fast-split-degenerate", p=p, ell=ell)
-        with sim.stage("fast:recursive"):
-            recursive_coloring(sim, graph, everyone, 1, delta + 1, cfg,
-                               rng, log, coloring=coloring)
+        split = False
+    if not split:
+        _recurse_whole(sim, graph, cfg, rng, log, coloring, "fast:recursive")
         return coloring
-    for attempt in range(cfg.retry_budget + 1):
-        with sim.stage("fast:sample"):
-            sim.broadcast_seed(sim.word_size)
-        u = rng.random(n)
-        part = np.where(u < ell * p, (u / p).astype(np.int64), ell)
-        part = np.minimum(part, ell)
-        tilde = []
-        for j in range(ell):
-            members = np.nonzero(part == j)[0]
-            if len(members) == 0:
-                tilde.append(0)
-                continue
-            mask = graph.pack_vertex_mask(members)
-            tilde.append(int(graph.degrees_within(mask, rows=members)
-                             [members].max(initial=0)))
-        if sum(t + 1 for t in tilde) <= delta + 1:
-            break
-        log.record("fast-allocation", False, attempt=attempt)
-    else:
-        log.note("fast-split-overflow")
-        with sim.stage("fast:recursive"):
-            recursive_coloring(sim, graph, everyone, 1, delta + 1, cfg,
-                               rng, log, coloring=coloring)
+    star = _split_and_recurse(sim, graph, cfg, rng, log, coloring, "fast",
+                              lambda: _split_labels(rng, n, p, ell), ell,
+                              delta + 1)
+    if star is None:
         return coloring
-    seeds = rng.integers(0, 2 ** 63 - 1, size=ell)
-    live = int((np.bincount(part, minlength=ell + 1)[:ell] > 0).sum())
-    child_cfg = cfg.with_overrides(
-        term_budget=max(2000, cfg.term_budget // max(1, live)),
-        eval_budget=max(1_000_000, cfg.eval_budget // max(1, live)))
-    jobs = []
-    at = 1
-    for j in range(ell):
-        members = np.nonzero(part == j)[0]
-        lo, hi = at, at + tilde[j]
-        at += tilde[j] + 1
-        if len(members) == 0:
-            continue
-        jobs.append(lambda m=members, lo=lo, hi=hi, s=int(seeds[j]):
-                    recursive_coloring(sim, graph, m, lo, hi, child_cfg,
-                                       np.random.default_rng(s), log,
-                                       coloring=coloring))
-    with sim.stage("fast:parts"):
-        sim.run_parallel(jobs)
-    star = np.nonzero(part == ell)[0]
     star = star[coloring[star] == UNCOLORED]
     if len(star):
         parent = Palettes.uniform_range(n, 1, delta + 1)
@@ -904,51 +919,12 @@ def many_colors_coloring(sim: Simulator, graph: Graph, cfg: Config,
     budget = delta + int(math.floor(delta ** (0.5 + eps)))
     k = max(1, int(math.floor(delta ** eps)))
     if k == 1:
-        with sim.stage("many:recursive"):
-            recursive_coloring(sim, graph, np.arange(n), 1, delta + 1, cfg,
-                               rng, log, coloring=coloring)
+        _recurse_whole(sim, graph, cfg, rng, log, coloring, "many:recursive")
         return coloring
-    for attempt in range(cfg.retry_budget + 1):
-        with sim.stage("many:sample"):
-            sim.broadcast_seed(sim.word_size)
-        part = rng.integers(0, k, size=n)
-        tilde = []
-        for j in range(k):
-            members = np.nonzero(part == j)[0]
-            if len(members) == 0:
-                tilde.append(0)
-                continue
-            mask = graph.pack_vertex_mask(members)
-            tilde.append(int(graph.degrees_within(mask, rows=members)
-                             [members].max(initial=0)))
-        if sum(t + 1 for t in tilde) <= budget:
-            break
-        log.record("many-allocation", False, attempt=attempt)
-    else:
-        log.note("many-split-overflow")
-        with sim.stage("many:recursive"):
-            recursive_coloring(sim, graph, np.arange(n), 1, delta + 1, cfg,
-                               rng, log, coloring=coloring)
+    if _split_and_recurse(sim, graph, cfg, rng, log, coloring, "many",
+                          lambda: rng.integers(0, k, size=n), k,
+                          budget) is None:
         return coloring
-    seeds = rng.integers(0, 2 ** 63 - 1, size=k)
-    live = int((np.bincount(part, minlength=k)[:k] > 0).sum())
-    child_cfg = cfg.with_overrides(
-        term_budget=max(2000, cfg.term_budget // max(1, live)),
-        eval_budget=max(1_000_000, cfg.eval_budget // max(1, live)))
-    jobs = []
-    at = 1
-    for j in range(k):
-        members = np.nonzero(part == j)[0]
-        lo, hi = at, at + tilde[j]
-        at += tilde[j] + 1
-        if len(members) == 0:
-            continue
-        jobs.append(lambda m=members, lo=lo, hi=hi, s=int(seeds[j]):
-                    recursive_coloring(sim, graph, m, lo, hi, child_cfg,
-                                       np.random.default_rng(s), log,
-                                       coloring=coloring))
-    with sim.stage("many:parts"):
-        sim.run_parallel(jobs)
     used = int(coloring.max())
     log.require("many-colors-budget", used <= budget, used=used,
                 budget=budget)

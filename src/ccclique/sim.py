@@ -8,44 +8,21 @@ message.  A RoundLedger records rounds, message counts, and the maximum
 bits any ordered pair carried in a single round; exceeding the word size
 or reusing a pair within a round raises immediately.
 
-Simulation state is owned by a single driver.  Node programs within one
-round read only round-r inboxes and write only round-r outboxes, so their
-evaluation order is unobservable; the engine may be handed between threads
-across round boundaries, but the ledger must not be mutated concurrently.
+Algorithm steps describe a round by per-message (src, dst) index arrays or
+by per-node word counts; no payloads are materialized.  Simulation state
+is owned by a single driver, and the ledger must not be mutated
+concurrently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
 from .config import Config
-from .errors import BandwidthViolation, CliqueError, RoutingOverload
-
-# A node program maps (round, state, inbox) -> (state, outbox, halted) where
-# inbox is a list of (src, Word) and outbox a list of (dst, Word).
-NodeProgram = Callable[[int, object, list], tuple[object, list, bool]]
-
-
-@dataclass(frozen=True)
-class Word:
-    """A single message payload with its declared bit size."""
-
-    payload: object
-    bits: int
-
-    @staticmethod
-    def of_int(value: int, bits: int | None = None) -> "Word":
-        if value < 0:
-            raise ValueError("words encode non-negative integers")
-        need = max(1, int(value).bit_length())
-        if bits is None:
-            bits = need
-        elif bits < need:
-            raise ValueError(f"{value} does not fit in {bits} bits")
-        return Word(value, bits)
+from .errors import BandwidthViolation, CliqueError
 
 
 @dataclass
@@ -88,15 +65,6 @@ class _Stage:
         return False
 
 
-@dataclass
-class RoundRecord:
-    """Summary of one delivery round (returned by exchanges)."""
-
-    round_index: int
-    pair_count: int
-    max_bits: int
-
-
 class Simulator:
     """Congested-clique engine for a fixed node count n."""
 
@@ -115,44 +83,13 @@ class Simulator:
     def stage(self, name: str) -> _Stage:
         return _Stage(self.ledger, name)
 
-    def exchange(self, messages: Iterable[tuple[int, int, Word]]):
-        """Deliver one round of point-to-point messages.
-
-        `messages` holds (src, dst, Word) triples.  Each ordered pair may
-        appear at most once and every word must fit in the word size.
-        Returns (inboxes, RoundRecord) where inboxes maps dst -> list of
-        (src, Word) sorted by src.
-        """
-        msgs = list(messages)
-        seen = set()
-        max_bits = 0
-        inboxes: dict[int, list] = {}
-        for src, dst, word in msgs:
-            if not (0 <= src < self.n and 0 <= dst < self.n):
-                raise CliqueError(f"node id out of range: ({src},{dst})")
-            if word.bits > self.word_size:
-                raise BandwidthViolation(src, dst, word.bits)
-            if (src, dst) in seen:
-                raise BandwidthViolation(src, dst, 2 * word.bits)
-            seen.add((src, dst))
-            max_bits = max(max_bits, word.bits)
-            inboxes.setdefault(dst, []).append((src, word))
-        for dst in inboxes:
-            inboxes[dst].sort(key=lambda t: t[0])
-        self.ledger.messages_total += len(msgs)
-        self.ledger.max_bits_pair_round = max(
-            self.ledger.max_bits_pair_round, max_bits
-        )
-        self.ledger.advance(1)
-        return inboxes, RoundRecord(self.ledger.rounds_total, len(msgs), max_bits)
-
     def exchange_counts(self, src: np.ndarray, dst: np.ndarray,
-                        bits: int | None = None) -> RoundRecord:
-        """Bulk one-round exchange given parallel (src, dst) index arrays.
+                        bits: int | None = None) -> None:
+        """One round in which message i goes from src[i] to dst[i].
 
-        Used by vectorized algorithm steps that do not materialize message
-        payloads; every message is charged `bits` (default one full word).
-        Pair uniqueness is validated.
+        Every message is charged `bits` (default one full word); a word
+        above the word size or an ordered pair used twice raises
+        BandwidthViolation.
         """
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
@@ -176,65 +113,10 @@ class Simulator:
             self.ledger.max_bits_pair_round = max(
                 self.ledger.max_bits_pair_round, bits)
         self.ledger.advance(1)
-        return RoundRecord(self.ledger.rounds_total, m, bits if m else 0)
-
-    def run_round(self, programs: list[NodeProgram], states: list,
-                  inboxes: dict[int, list] | None = None):
-        """Advance every node program by one synchronized round.
-
-        Returns (new_states, next_inboxes, halted_flags).  Inboxes of round
-        r+1 contain exactly the round-r outbox messages.
-        """
-        inboxes = inboxes or {}
-        new_states = list(states)
-        halted = [False] * self.n
-        out_messages = []
-        rnd = self.ledger.rounds_total
-        for v in range(self.n):
-            state, outbox, halt = programs[v](rnd, states[v], inboxes.get(v, []))
-            new_states[v] = state
-            halted[v] = halt
-            for dst, word in outbox:
-                out_messages.append((v, dst, word))
-        next_inboxes, _ = self.exchange(out_messages)
-        return new_states, next_inboxes, halted
-
-    def run_programs(self, programs: list[NodeProgram], states: list,
-                     max_rounds: int = 10_000):
-        """Drive node programs until all halt; returns final states."""
-        inboxes: dict[int, list] = {}
-        for _ in range(max_rounds):
-            states, inboxes, halted = self.run_round(programs, states, inboxes)
-            if all(halted):
-                return states
-        raise CliqueError("programs did not halt within max_rounds")
 
     # ------------------------------------------------------------------ #
     # charged primitives
     # ------------------------------------------------------------------ #
-
-    def lenzen_route(self, requests: list[tuple[int, int, Word]]):
-        """Deliver an arbitrary message set with per-node in/out <= n.
-
-        Charged `lenzen_cost` rounds per call; the ledger records the
-        primitive invocation, not per-pair bits.
-        """
-        out_counts = np.zeros(self.n, dtype=np.int64)
-        in_counts = np.zeros(self.n, dtype=np.int64)
-        for src, dst, word in requests:
-            if word.bits > self.word_size:
-                raise BandwidthViolation(src, dst, word.bits)
-            out_counts[src] += 1
-            in_counts[dst] += 1
-        self._check_route_bounds(out_counts, in_counts)
-        delivery: dict[int, list] = {}
-        for src, dst, word in requests:
-            delivery.setdefault(dst, []).append((src, word))
-        for dst in delivery:
-            delivery[dst].sort(key=lambda t: t[0])
-        self.ledger.messages_total += len(requests)
-        self.ledger.advance(self.config.lenzen_cost)
-        return delivery
 
     def charge_route_counts(self, out_counts: np.ndarray,
                             in_counts: np.ndarray) -> int:
@@ -256,45 +138,12 @@ class Simulator:
         self.ledger.advance(rounds)
         return rounds
 
-    def _check_route_bounds(self, out_counts, in_counts) -> None:
-        for counts in (out_counts, in_counts):
-            bad = np.nonzero(counts > self.n)[0]
-            if len(bad):
-                v = int(bad[0])
-                raise RoutingOverload(v, int(counts[v]))
-
-    def central_solve(self, edges, payload_words: dict[int, int] | None,
-                      solver: Callable[[], object]):
-        """Gather a subgraph (plus per-vertex payloads) to a leader, run the
-        callback there, and scatter results back.
-
-        Each payload must fit in deg+1 words of its vertex within the
-        gathered subgraph.  Rounds charged: 2 * ceil(total_words / n) *
-        lenzen_cost; an empty gather is free.
-        """
-        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        deg = np.zeros(self.n, dtype=np.int64)
-        if len(edges):
-            deg += np.bincount(edges[:, 0], minlength=self.n)
-            deg += np.bincount(edges[:, 1], minlength=self.n)
-        payload_total = 0
-        if payload_words:
-            for v, words in payload_words.items():
-                if words > deg[v] + 1:
-                    raise CliqueError(
-                        f"payload of node {v} exceeds deg+1 words")
-                payload_total += words
-        total_words = 2 * len(edges) + payload_total
-        if total_words:
-            rounds = 2 * (-(-total_words // self.n)) * self.config.lenzen_cost
-            self.ledger.messages_total += total_words
-            self.ledger.advance(rounds)
-        return solver()
-
     def central_solve_counts(self, n_edges: int, payload_words: int,
                              solver: Callable[[], object]):
-        """central_solve cost rule driven by precomputed word counts (used
-        by bulk callers that avoid materializing edge arrays)."""
+        """Gather a subgraph of `n_edges` edges plus `payload_words` words
+        of per-vertex payload to a leader, run `solver` there and scatter
+        the results back.  Rounds charged: 2 * ceil(total_words / n) *
+        lenzen_cost; an empty gather is free."""
         total_words = 2 * n_edges + payload_words
         if total_words:
             rounds = 2 * (-(-total_words // self.n)) * self.config.lenzen_cost

@@ -157,7 +157,8 @@ def test_criterion_5_bandwidth_safety(suite_reports):
     bad = [r["_cell"] for r in reports if not r["bandwidth_ok"]]
     _verdict(5, "bandwidth safety", not bad,
              f"max bits per pair per round within word size on "
-             f"{len(reports)} runs; routing bounds enforced at call time")
+             f"{len(reports)} runs; routing charged per call, "
+             "ceil(peak/n) calls per transfer")
 
 
 def test_criterion_6_partition_concentration():

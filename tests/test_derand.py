@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from ccclique.config import Config
 from ccclique.derand import (AffineObjective, HashFamily, Seed,
-                             TableObjective, aligned_blocks,
-                             auto_chunk_bits, cond_exp_search,
-                             default_chunk_bits, distributed_seed_agreement,
-                             dyadic_blocks, hash_eval, value_rows)
+                             TableObjective, auto_chunk_bits,
+                             cond_exp_search, default_chunk_bits,
+                             distributed_seed_agreement, hash_eval,
+                             value_rows)
 from ccclique.errors import ChunkTooWide, SeedLengthMismatch
 from ccclique.gf2 import (EchelonTemplate, column_masks_vec, gf_mul,
                           gf_mul_vec, irreducible_poly, solve_parity_rows)
@@ -100,33 +100,6 @@ def test_bit_masks_reproduce_output_bits():
             for t in range(fam.beta):
                 par = bin(int(bm[x, t]) & s).count("1") & 1
                 assert par == (y >> t) & 1
-
-
-@given(st.integers(1, 8), st.data())
-@settings(max_examples=40, deadline=None)
-def test_dyadic_blocks_cover(width, data):
-    limit = data.draw(st.integers(1, 1 << width))
-    cover = set()
-    for t, hv in dyadic_blocks(limit, width):
-        for low in range(1 << t):
-            v = (hv << t) | low
-            assert v not in cover
-            cover.add(v)
-    assert cover == set(range(limit))
-
-
-@given(st.integers(1, 8), st.data())
-@settings(max_examples=40, deadline=None)
-def test_aligned_blocks_cover(width, data):
-    lo = data.draw(st.integers(0, (1 << width) - 1))
-    hi = data.draw(st.integers(lo, 1 << width))
-    cover = set()
-    for t, hv in aligned_blocks(lo, hi, width):
-        for low in range(1 << t):
-            v = (hv << t) | low
-            assert v not in cover
-            cover.add(v)
-    assert cover == set(range(lo, hi))
 
 
 def test_cond_exp_constant_objective():

@@ -69,6 +69,8 @@ def test_degrees_within_rows_variant():
     full = g.degrees_within(mask)
     part = g.degrees_within(mask, rows=members)
     assert np.array_equal(full[members], part[members])
+    assert g.max_degree_within(members) == g.induced(members)[0].max_degree
+    assert g.max_degree_within(np.zeros(0, dtype=np.int64)) == 0
 
 
 def test_edge_list_roundtrip():

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from ccclique.config import Config
-from ccclique.errors import BandwidthViolation, CliqueError, RoutingOverload
-from ccclique.sim import Simulator, Word
+from ccclique.errors import BandwidthViolation, CliqueError
+from ccclique.sim import Simulator
 
 
 def make(n, **kw):
@@ -14,96 +14,88 @@ def make(n, **kw):
 
 def test_single_message_delivery():
     sim = make(4)
-    inboxes, rec = sim.exchange([(0, 3, Word.of_int(2, sim.word_size))])
-    assert inboxes[3] == [(0, Word.of_int(2, sim.word_size))]
+    sim.exchange_counts(np.array([0]), np.array([3]))
     assert sim.ledger.rounds_total == 1
-    assert rec.pair_count == 1
+    assert sim.ledger.messages_total == 1
+    assert sim.ledger.max_bits_pair_round == sim.word_size
 
 
 def test_duplicate_pair_rejected():
     sim = make(4)
-    w = Word.of_int(1)
-    with pytest.raises(BandwidthViolation):
-        sim.exchange([(0, 3, w), (0, 3, w)])
-
-
-def test_oversized_word_rejected():
-    sim = make(4)  # word size = 2 bits
-    assert sim.word_size == 2
-    with pytest.raises(BandwidthViolation):
-        sim.exchange([(0, 1, Word.of_int(9))])  # needs 4 bits
+    with pytest.raises(BandwidthViolation) as exc:
+        sim.exchange_counts(np.array([0, 1, 0]), np.array([3, 2, 3]))
+    assert (exc.value.src, exc.value.dst) == (0, 3)
+    assert sim.ledger.rounds_total == sim.ledger.messages_total == 0
 
 
 def test_all_ordered_pairs_full_word():
     n = 8
     sim = make(n)
-    msgs = [(u, v, Word.of_int(1, sim.word_size))
-            for u in range(n) for v in range(n) if u != v]
-    inboxes, rec = sim.exchange(msgs)
-    assert rec.pair_count == n * (n - 1)
+    u, v = np.nonzero(~np.eye(n, dtype=bool))
+    sim.exchange_counts(u, v)
+    assert sim.ledger.rounds_total == 1
     assert sim.ledger.messages_total == n * (n - 1)
-    assert rec.max_bits == sim.word_size
-    assert sim.ledger.max_bits_pair_round <= sim.word_size
-    assert all(len(inboxes[v]) == n - 1 for v in range(n))
+    assert sim.ledger.max_bits_pair_round == sim.word_size
 
 
 def test_exchange_counts_duplicate_detection():
     sim = make(8)
     with pytest.raises(BandwidthViolation):
         sim.exchange_counts(np.array([1, 1]), np.array([2, 2]))
-
-
-def test_lenzen_receiver_overload():
-    n = 16
-    sim = make(n)
-    reqs = [(u, 0, Word.of_int(1)) for u in range(n) for _ in range(n)]
-    with pytest.raises(RoutingOverload):
-        sim.lenzen_route(reqs)
+    # a word above the word size (3 bits at n = 8) is refused outright
+    with pytest.raises(BandwidthViolation) as exc:
+        sim.exchange_counts(np.array([0]), np.array([1]),
+                            bits=sim.word_size + 1)
+    assert exc.value.bits == sim.word_size + 1
+    assert sim.ledger.rounds_total == 0
 
 
 def test_lenzen_all_to_all_ok():
     n = 16
     sim = make(n)
-    reqs = [(u, v, Word.of_int(1)) for u in range(n) for v in range(n)]
-    before = sim.ledger.rounds_total
-    delivery = sim.lenzen_route(reqs)
-    assert sim.ledger.rounds_total == before + 2  # default lenzen_cost
-    assert sum(len(v) for v in delivery.values()) == n * n
+    rounds = sim.charge_route_counts(np.full(n, n), np.full(n, n))
+    assert rounds == sim.ledger.rounds_total == 2  # one call, lenzen_cost 2
+    assert sim.ledger.messages_total == n * n
+
+
+def test_lenzen_receiver_overload():
+    # n^2 words into one node: charged as ceil(n^2 / n) = n routing calls
+    n = 16
+    sim = make(n)
+    inbound = np.zeros(n, dtype=np.int64)
+    inbound[0] = n * n
+    sim.charge_route_counts(np.full(n, n), inbound)
+    assert sim.ledger.rounds_total == 2 * n
 
 
 def test_lenzen_source_overload_off_by_one():
     n = 8
     sim = make(n)
-    reqs = [(3, v % n, Word.of_int(1)) for v in range(n + 1)]
-    # 9 requests from node 3; some pairs repeat but bounds checked first
-    with pytest.raises(RoutingOverload) as exc:
-        sim.lenzen_route(reqs)
-    assert exc.value.node == 3
-    assert exc.value.count == 9
+    out = np.zeros(n, dtype=np.int64)
+    out[3] = n
+    sim.charge_route_counts(out, np.ones(n))
+    assert sim.ledger.rounds_total == 2
+    out[3] = n + 1  # one word over the per-node bound: a second call
+    sim.charge_route_counts(out, np.ones(n))
+    assert sim.ledger.rounds_total == 2 + 4
 
 
 def test_central_solve_round_accounting():
     n = 1024
     sim = make(n)
-    edges = [(i, (i + 1) % n) for i in range(n)]  # n edges
-    sim.central_solve(edges, None, lambda: None)
+    sim.central_solve_counts(n, 0, lambda: None)  # n edges
     assert sim.ledger.rounds_total == 8  # 2 * ceil(2n/n) * 2
 
     sim2 = make(n)
-    sim2.central_solve([], None, lambda: "x")
+    assert sim2.central_solve_counts(0, 0, lambda: "x") == "x"
     assert sim2.ledger.rounds_total == 0
 
     sim3 = make(n)
-    edges3 = [(i % n, (i + 7 * (i // n) + 1) % n) for i in range(3 * n)]
-    sim3.central_solve(edges3, None, lambda: None)
+    sim3.central_solve_counts(3 * n, 0, lambda: None)
     assert sim3.ledger.rounds_total == 24  # 3x the single-n gather
-    assert sim3.ledger.rounds_total >= 3 * 8
-
-
-def test_central_solve_payload_cap():
-    sim = make(16)
-    with pytest.raises(CliqueError):
-        sim.central_solve([(0, 1)], {0: 5}, lambda: None)  # deg+1 = 2
+    sim4 = make(n)
+    sim4.central_solve_counts(n, 1, lambda: None)  # one payload word over
+    assert sim4.ledger.rounds_total == 12
 
 
 def test_broadcast_seed_costs():
@@ -115,38 +107,6 @@ def test_broadcast_seed_costs():
     assert sim.ledger.rounds_total == 1 + 3
     with pytest.raises(CliqueError):
         sim.broadcast_seed(0)
-
-
-def test_node_programs_run_and_halt():
-    n = 4
-
-    def program_for(v):
-        def prog(rnd, state, inbox):
-            if state == 0:  # send id to neighbor v+1 mod n, then wait
-                return 1, [((v + 1) % n, Word.of_int(v, 2))], False
-            got = [w.payload for _, w in inbox]
-            return ("done", got), [], True
-        return prog
-
-    sim = make(n)
-    states = sim.run_programs([program_for(v) for v in range(n)],
-                              [0] * n)
-    for v in range(n):
-        assert states[v][0] == "done"
-        assert states[v][1] == [(v - 1) % n]
-
-
-def test_order_independence_of_round():
-    # messages collected from all nodes before delivery: evaluating the
-    # same outboxes in any order produces identical round-r+1 inboxes
-    n = 6
-    rng = np.random.default_rng(0)
-    msgs = [(int(u), int(v), Word.of_int(int(rng.integers(0, 4)), 3))
-            for u in range(n) for v in rng.permutation(n)[:3] if u != v]
-    sim1, sim2 = make(8), make(8)
-    in1, _ = sim1.exchange(msgs)
-    in2, _ = sim2.exchange(list(reversed(msgs)))
-    assert in1 == in2
 
 
 def test_parallel_branches_charge_max():
@@ -177,10 +137,12 @@ def test_component_labels_charged():
 def test_monotone_round_counter():
     sim = make(16)
     seen = [sim.ledger.rounds_total]
-    sim.exchange([(0, 1, Word.of_int(1))])
+    sim.exchange_counts(np.array([0]), np.array([1]))
     seen.append(sim.ledger.rounds_total)
-    sim.lenzen_route([(0, 1, Word.of_int(1))])
+    sim.charge_route_counts(np.ones(16), np.ones(16))
     seen.append(sim.ledger.rounds_total)
     sim.broadcast_seed(8)
     seen.append(sim.ledger.rounds_total)
     assert seen == sorted(seen) and len(set(seen)) == len(seen)
+    with pytest.raises(CliqueError):
+        sim.ledger.advance(-1)
