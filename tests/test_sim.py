@@ -38,16 +38,19 @@ def test_all_ordered_pairs_full_word():
     assert sim.ledger.max_bits_pair_round == sim.word_size
 
 
+def test_oversized_word_rejected():
+    sim = make(4)  # word size = 2 bits
+    assert sim.word_size == 2
+    with pytest.raises(BandwidthViolation) as exc:
+        sim.exchange_counts(np.array([0]), np.array([1]), bits=4)
+    assert exc.value.bits == 4
+    assert sim.ledger.rounds_total == sim.ledger.messages_total == 0
+
+
 def test_exchange_counts_duplicate_detection():
     sim = make(8)
     with pytest.raises(BandwidthViolation):
         sim.exchange_counts(np.array([1, 1]), np.array([2, 2]))
-    # a word above the word size (3 bits at n = 8) is refused outright
-    with pytest.raises(BandwidthViolation) as exc:
-        sim.exchange_counts(np.array([0]), np.array([1]),
-                            bits=sim.word_size + 1)
-    assert exc.value.bits == sim.word_size + 1
-    assert sim.ledger.rounds_total == 0
 
 
 def test_lenzen_all_to_all_ok():
