@@ -5,6 +5,12 @@ means "uncolored".  Palettes support the two shapes the algorithms need:
 contiguous per-vertex ranges (cheap at scale, used for budget allocation)
 and explicit per-vertex lists (left-over windows, tests).  Violations are
 values, not exceptions: verification is a reporting tool.
+
+The central greedy (range palettes) and the properness check compute on
+the graph's packed rows, with no per-vertex neighbour lists.  The greedy
+keeps a forbidden-color table of n_words x W words, W = max(min(hi, lo +
+deg)) - min(lo) + 1 over the vertices it colors; `find_conflict` keeps one
+packed vertex set per color, at most colors x n_words words.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, _unpack_rows
+from .graphs import Graph
 
 UNCOLORED = 0
 
@@ -205,19 +211,31 @@ def is_proper(graph: Graph, coloring: np.ndarray, palettes: Palettes | None):
 
 def find_conflict(graph: Graph, coloring: np.ndarray):
     """First monochromatic edge (u, v) with u < v among colored vertices,
-    or None.  Vectorized row-chunk scan."""
+    or None.
+
+    Each color's vertices form one packed set; a colored row ANDed with
+    its own color's set holds exactly its monochromatic neighbours.  The
+    first row with a hit is u, and all its hits lie above it (a lower
+    partner's row would have hit first), so v is its lowest hit.  Row
+    chunks keep the gathers at O(chunk * n_words) words.
+    """
     coloring = np.asarray(coloring)
-    cols = np.arange(graph.n)
-    for s in range(0, graph.n, 1024):
-        e = min(graph.n, s + 1024)
-        bits = _unpack_rows(graph.rows[s:e], graph.n).astype(bool)
-        colored = (coloring[s:e] != UNCOLORED)[:, None]
-        eq = coloring[None, :] == coloring[s:e, None]
-        eq &= coloring[None, :] != UNCOLORED
-        hit = bits & eq & colored & (cols[None, :] > (cols[s:e])[:, None])
-        if hit.any():
-            i, j = np.argwhere(hit)[0]
-            return int(s + i), int(j)
+    colored = np.flatnonzero(coloring != UNCOLORED)
+    if len(colored) == 0:
+        return None
+    _, cid = np.unique(coloring[colored], return_inverse=True)
+    cls = np.zeros((int(cid.max()) + 1, graph.n_words), dtype=np.uint64)
+    np.bitwise_or.at(cls, (cid, colored >> 6),
+                     np.uint64(1) << (colored & 63).astype(np.uint64))
+    step = max(1, (1 << 18) // graph.n_words)
+    for s in range(0, len(colored), step):
+        hit = graph.rows[colored[s:s + step]] & cls[cid[s:s + step]]
+        rows = np.flatnonzero(hit.any(axis=1))
+        if len(rows):
+            k = int(rows[0])
+            w = int(np.flatnonzero(hit[k])[0])
+            x = int(hit[k, w])
+            return int(colored[s + k]), 64 * w + (x & -x).bit_length() - 1
     return None
 
 
@@ -271,27 +289,11 @@ def greedy_list_color(graph: Graph, palettes: Palettes,
 
     Returns the number of vertices colored.  Mutates `coloring`.
     """
+    if palettes.is_range:
+        return _greedy_range(graph, palettes._lo, palettes._hi, coloring,
+                             vertices)
     count = 0
     order = np.sort(np.asarray(vertices, dtype=np.int64))
-    if palettes.is_range:
-        lo, hi = palettes._lo, palettes._hi
-        scratch = np.zeros(int((hi - lo).max(initial=0)) + 2, dtype=bool)
-        for v in order:
-            v = int(v)
-            if coloring[v] != UNCOLORED:
-                continue
-            size = int(hi[v] - lo[v] + 1)
-            cols = coloring[graph.neighbors(v)] - lo[v]
-            cols = cols[(cols >= 0) & (cols < size)]
-            scratch[: size] = False
-            scratch[cols] = True
-            c = int(np.argmin(scratch[: size]))
-            if scratch[c]:
-                raise AssertionError(
-                    f"greedy stuck at {v}: palette slack invariant violated")
-            coloring[v] = int(lo[v]) + c
-            count += 1
-        return count
     for v in order:
         v = int(v)
         if coloring[v] != UNCOLORED:
@@ -303,3 +305,52 @@ def greedy_list_color(graph: Graph, palettes: Palettes,
         coloring[v] = int(options[0])
         count += 1
     return count
+
+
+def _greedy_range(graph: Graph, lo: np.ndarray, hi: np.ndarray,
+                  coloring: np.ndarray, vertices) -> int:
+    """Range-palette branch of `greedy_list_color` on the packed rows.
+
+    Bit v of ft[v >> 6, c] says "v has a neighbour colored base + c".  A
+    vertex takes its first clear column in [lo, hi]; columns at or above
+    `used` are clear everywhere, so only [lo, max(used, lo)) is read.  No
+    vertex picks past lo + deg, which caps the table's width.
+    """
+    pending = np.unique(np.asarray(vertices, dtype=np.int64))
+    pending = pending[coloring[pending] == UNCOLORED]
+    if len(pending) == 0:
+        return 0
+    lo_p, hi_p = lo[pending], hi[pending]
+    base = int(lo_p.min())
+    top = np.minimum(hi_p, lo_p + graph.degrees[pending]).max()
+    width = max(0, int(top) - base + 1)
+    rows = graph.rows
+    ft = np.zeros((graph.n_words, width), dtype=np.uint64)
+    col = coloring - base
+    src = np.flatnonzero((coloring != UNCOLORED) & (col >= 0) &
+                         (col < width))
+    src = src[np.argsort(col[src], kind="stable")]
+    step = max(1, (1 << 20) // graph.n_words)
+    for s in range(0, len(src), step):
+        c = col[src[s:s + step]]
+        starts = np.flatnonzero(np.r_[True, c[1:] != c[:-1]])
+        ft[:, c[starts]] |= np.bitwise_or.reduceat(
+            rows[src[s:s + step]], starts, axis=0).T
+    used = int(col[src].max()) + 1 if len(src) else 0
+    one = np.uint64(1)
+    for v, l, h in zip(pending.tolist(), (lo_p - base).tolist(),
+                       (hi_p - base).tolist()):
+        u = min(h + 1, max(used, l))
+        c = u
+        if u > l:
+            taken = (ft[v >> 6, l:u] >> np.uint64(v & 63)) & one
+            i = int(taken.argmin())
+            if not taken[i]:
+                c = l + i
+        if c > h:
+            raise AssertionError(
+                f"greedy stuck at {v}: palette slack invariant violated")
+        coloring[v] = base + c
+        ft[:, c] |= rows[v]
+        used = max(used, c + 1)
+    return len(pending)

@@ -302,9 +302,9 @@ def det_list_color_sqrt(sim: Simulator, graph: Graph, palettes: Palettes,
     dmax = int(sub_deg[scope].max(initial=0))
     if dmax * dmax > cfg.c_fit * sim.n:
         raise DegreeTooLarge(f"Delta={dmax} too large for sqrt regime")
-    for v in scope:
-        if palettes.size(int(v)) < sub_deg[v] + 1:
-            raise ParameterViolation(f"palette of {int(v)} below deg+1")
+    short = scope[palettes.sizes(scope) < sub_deg[scope] + 1]
+    if len(short):
+        raise ParameterViolation(f"palette of {int(short[0])} below deg+1")
     cap = phase_bound(len(scope))
     phases = 0
     while True:
@@ -738,9 +738,9 @@ def det_list_color_n34(sim: Simulator, graph: Graph, palettes: Palettes,
     dmax = int(sub_deg[scope].max(initial=0))
     if dmax ** 4 > (cfg.c_fit * sim.n) ** 3:
         raise DegreeTooLarge(f"Delta={dmax} too large for n^(3/4) regime")
-    for v in scope:
-        if palettes.size(int(v)) < sub_deg[v] + 1:
-            raise ParameterViolation(f"palette of {int(v)} below deg+1")
+    short = scope[palettes.sizes(scope) < sub_deg[scope] + 1]
+    if len(short):
+        raise ParameterViolation(f"palette of {int(short[0])} below deg+1")
     layout = bin_layout(dmax, *palettes.span(scope))
     need_c = required_independence(dmax / max(1, layout.n_bins),
                                    max(layout.small_cap, 1.0), n)
@@ -882,27 +882,29 @@ def _capacity_split(graph: Graph, ell: int, cap_sizes: np.ndarray,
     n = graph.n
     caps = cap_sizes - 1
     part = np.arange(n, dtype=np.int64) % ell
-    d = np.zeros((n, ell), dtype=np.int64)
+    d = np.zeros((ell, n), dtype=np.int64)
     for i in range(ell):
-        mask = graph.pack_vertex_mask(np.nonzero(part == i)[0])
-        d[:, i] = graph.degrees_within(mask)
+        d[i] = graph.degrees_within(
+            graph.pack_vertex_mask(np.nonzero(part == i)[0]))
+    slack = caps[part] - d[part, np.arange(n)]
     weights = 1.0 / cap_sizes.astype(np.float64)
     moves = 0
     while True:
-        mine = d[np.arange(n), part]
-        viol = np.nonzero(mine > caps[part])[0]
-        if len(viol) == 0:
+        v = int(np.argmax(slack < 0))
+        if slack[v] >= 0:
             break
-        v = int(viol[0])
-        scores = d[v] * weights
+        scores = d[:, v] * weights
         j = int(np.argmin(scores))
         i = int(part[v])
-        if scores[j] >= d[v, i] * weights[i]:
+        if scores[j] >= d[i, v] * weights[i]:
             raise AssertionError("capacity split: no improving move")
-        nbr = graph.neighbors(v)
-        d[nbr, i] -= 1
-        d[nbr, j] += 1
+        row = graph.row_bool(v)
+        d[i] -= row
+        d[j] += row
+        slack += row & (part == i)
+        slack -= row & (part == j)
         part[v] = j
+        slack[v] = caps[j] - d[j, v]
         moves += 1
         if moves > 50 * graph.n_edges + 10 * n + 100:
             raise AssertionError("capacity split did not converge")

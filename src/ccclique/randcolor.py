@@ -479,7 +479,7 @@ def _fallback_list_color(sim: Simulator, graph: Graph, palettes: Palettes,
     sub_deg = graph.degrees_within(graph.pack_vertex_mask(active),
                                    rows=active)
     dmax = int(sub_deg[active].max(initial=0))
-    sizes_ok = all(palettes.size(int(v)) >= sub_deg[v] + 1 for v in active)
+    sizes_ok = bool((palettes.sizes(active) >= sub_deg[active] + 1).all())
     if sizes_ok and dmax * dmax <= cfg.c_fit * sim.n:
         det_list_color_sqrt(sim, graph, palettes, cfg, log,
                             vertices=active, coloring=coloring)

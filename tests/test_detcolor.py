@@ -163,6 +163,20 @@ def test_sqrt_degree_precondition():
         det_list_color_sqrt(sim, g, pal, cfg, log)
 
 
+@pytest.mark.parametrize("colorer", [det_list_color_sqrt, det_list_color_n34])
+def test_palette_guard_names_first_short_vertex(colorer):
+    g = gen_random_graph(40, 0.2, 3)
+    sim, cfg, log = setup_ctx(1024)
+    lo = np.ones(g.n, dtype=np.int64)
+    hi = g.degrees + 1
+    hi[[7, 12, 30]] = 0
+    scope = np.array([30, 12, 7, 2], dtype=np.int64)
+    with pytest.raises(ParameterViolation, match="^palette of 7 below"):
+        colorer(sim, g, Palettes(g.n, lo, hi), cfg, log)
+    with pytest.raises(ParameterViolation, match="^palette of 30 below"):
+        colorer(sim, g, Palettes(g.n, lo, hi), cfg, log, vertices=scope)
+
+
 # ------------------------------- bins --------------------------------- #
 
 def test_bin_layout_partitions_palette():
@@ -290,6 +304,47 @@ def test_capacity_split_respects_caps_and_budget():
         dmax = int(g.degrees_within(mask, rows=members)[members]
                    .max(initial=0))
         assert dmax <= sizes[i] - 1
+
+
+def reference_capacity_split(graph, ell, cap_sizes):
+    """The per-vertex repair loop: (n, ell) part degrees, the first
+    violating vertex moved each time.  Returns (part, moves)."""
+    n = graph.n
+    caps = cap_sizes - 1
+    part = np.arange(n, dtype=np.int64) % ell
+    d = np.zeros((n, ell), dtype=np.int64)
+    for i in range(ell):
+        d[:, i] = graph.degrees_within(
+            graph.pack_vertex_mask(np.nonzero(part == i)[0]))
+    weights = 1.0 / cap_sizes.astype(np.float64)
+    moves = 0
+    while True:
+        viol = np.nonzero(d[np.arange(n), part] > caps[part])[0]
+        if len(viol) == 0:
+            return part, moves
+        v = int(viol[0])
+        j = int(np.argmin(d[v] * weights))
+        i = int(part[v])
+        nbr = graph.neighbors(v)
+        d[nbr, i] -= 1
+        d[nbr, j] += 1
+        part[v] = j
+        moves += 1
+
+
+@pytest.mark.parametrize("n,p,seed,ell", [(300, 0.5, 6, 5), (200, 0.9, 1, 3),
+                                          (130, 0.3, 2, 4), (500, 0.7, 3, 5)])
+def test_capacity_split_matches_reference(n, p, seed, ell):
+    g = gen_random_graph(n, p, seed)
+    delta = g.max_degree
+    sizes = np.full(ell, (delta + 1) // ell, dtype=np.int64)
+    sizes[: (delta + 1) % ell] += 1
+    log = RunLog()
+    part = _capacity_split(g, ell, sizes, log)
+    want, moves = reference_capacity_split(g, ell, sizes)
+    assert moves > 0
+    assert np.array_equal(part, want)
+    assert log.entries == [{"note": "capacity-split", "moves": moves}]
 
 
 # ------------------------------ dispatch ------------------------------ #

@@ -2,14 +2,15 @@
 
 import io
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ccclique.coloring import (Palettes, concentration_bound,
-                               free_colors, greedy_list_color, is_proper,
-                               Violation)
+from ccclique.coloring import (UNCOLORED, Palettes, concentration_bound,
+                               find_conflict, free_colors, greedy_list_color,
+                               is_proper, palette_ranges, Violation)
 from ccclique.errors import InputError
 from ccclique.graphs import (Graph, gen_random_graph, graph_from_text,
                              read_edge_list, write_edge_list)
@@ -177,6 +178,132 @@ def test_greedy_list_color_paths_agree():
         greedy_list_color(g, listed, c2, np.arange(n))
         assert np.array_equal(c1, c2)
         assert is_proper(g, c1, ranged) is True
+
+
+def test_greedy_all_taken_raises_stuck():
+    k3 = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
+    pal = Palettes.uniform_range(3, 1, 2)
+    coloring = np.array([1, 2, 0], dtype=np.int64)
+    with pytest.raises(AssertionError, match="greedy stuck at 2"):
+        greedy_list_color(k3, pal, coloring, np.arange(3))
+
+
+@pytest.mark.parametrize("lo,hi", [([1, 1, 1], [2, 0, 2]),
+                                   ([1, 3, 1], [4, 1, 4])])
+def test_greedy_empty_range_raises_stuck(lo, hi):
+    path = Graph.from_edges(3, [(0, 1), (1, 2)])
+    pal = Palettes(3, np.array(lo), np.array(hi))
+    coloring = np.zeros(3, dtype=np.int64)
+    with pytest.raises(AssertionError, match="greedy stuck at 1"):
+        greedy_list_color(path, pal, coloring, np.arange(3))
+    assert list(coloring) == [1, 0, 0]
+
+
+# ------------- packed kernels against per-vertex references ------------ #
+
+def reference_range_greedy(graph, palettes, coloring, vertices):
+    """Per-vertex range greedy: unpack each row, gather the neighbours'
+    colors, take the smallest free one."""
+    count = 0
+    lo, hi = palettes._lo, palettes._hi
+    for v in np.sort(np.asarray(vertices, dtype=np.int64)):
+        v = int(v)
+        if coloring[v] != UNCOLORED:
+            continue
+        size = int(hi[v] - lo[v] + 1)
+        cols = coloring[graph.neighbors(v)] - lo[v]
+        taken = np.zeros(size, dtype=bool)
+        taken[cols[(cols >= 0) & (cols < size)]] = True
+        c = int(np.argmin(taken))
+        if taken[c]:
+            raise AssertionError(
+                f"greedy stuck at {v}: palette slack invariant violated")
+        coloring[v] = int(lo[v]) + c
+        count += 1
+    return count
+
+
+def reference_find_conflict(graph, coloring):
+    """First monochromatic edge in lexicographic order, by brute force."""
+    e = graph.edge_array()
+    mono = e[(coloring[e[:, 0]] == coloring[e[:, 1]]) &
+             (coloring[e[:, 0]] != UNCOLORED)]
+    if len(mono) == 0:
+        return None
+    u, v = mono[np.lexsort((mono[:, 1], mono[:, 0]))[0]]
+    return int(u), int(v)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 200), st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1),
+       st.integers(1, 4), st.integers(-1, 2), st.floats(0.0, 0.6))
+def test_range_greedy_matches_reference(n, p, seed, parts, slack, frac):
+    """Disjoint per-part ranges, pre-colored vertices inside, below and
+    above the table's columns (and above n), duplicate and pre-colored
+    entries in `vertices`, and tight palettes that get stuck."""
+    g = gen_random_graph(n, p, seed)
+    rng = np.random.default_rng(seed)
+    label = rng.integers(0, parts, n)
+    sizes = [g.max_degree_within(np.flatnonzero(label == j)) + 1 +
+             max(0, slack) for j in range(parts)]
+    lo, hi = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    for j, (a, b) in enumerate(palette_ranges(1 + int(rng.integers(0, 4)),
+                                              sizes)):
+        lo[label == j], hi[label == j] = a, b
+    if slack < 0:
+        hi = lo + (hi - lo) // 3
+    pal = Palettes(n, lo, hi)
+    coloring = np.zeros(n, dtype=np.int64)
+    pre = rng.random(n) < frac
+    coloring[pre] = rng.choice([1, 2, int(hi.max()), int(hi.max()) + 1,
+                                n + 5, 3 * n + 7], size=int(pre.sum()))
+    coloring[pre] += rng.integers(0, 3, int(pre.sum()))
+    vertices = rng.integers(0, n, int(rng.integers(0, 2 * n + 1)))
+    want, got = coloring.copy(), coloring.copy()
+    try:
+        expected = reference_range_greedy(g, pal, want, vertices)
+    except AssertionError as exc:
+        with pytest.raises(AssertionError, match=re.escape(str(exc))):
+            greedy_list_color(g, pal, got, vertices)
+        assert np.array_equal(want, got)
+        return
+    assert greedy_list_color(g, pal, got, vertices) == expected
+    assert np.array_equal(want, got)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 200), st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1),
+       st.integers(1, 300), st.floats(0.0, 1.0))
+def test_find_conflict_matches_reference(n, p, seed, colors, frac):
+    """Uncolored vertices, several conflicts, colors above n, and rows
+    that conflict only with lower ids."""
+    g = gen_random_graph(n, p, seed)
+    rng = np.random.default_rng(seed)
+    coloring = rng.integers(1, colors + 1, n) * \
+        (rng.random(n) < frac)
+    coloring[rng.random(n) < 0.1] += 10 * n
+    assert find_conflict(g, coloring) == reference_find_conflict(g, coloring)
+    proper = np.zeros(n, dtype=np.int64)
+    greedy_list_color(g, Palettes.uniform_range(n, 1, g.max_degree + 1),
+                      proper, np.arange(n))
+    assert find_conflict(g, proper) is None
+    assert reference_find_conflict(g, proper) is None
+
+
+def test_find_conflict_lower_ids_only():
+    # 70 > 64 vertices: hits span two words; vertex 69 conflicts only with
+    # lower ids, and the first conflict is the lowest-id row's lowest hit.
+    g = Graph.from_edges(70, [(3, 69), (3, 66), (10, 69), (65, 69)])
+    coloring = np.arange(1, 71, dtype=np.int64)
+    assert find_conflict(g, coloring) is None
+    coloring[[3, 66, 69]] = 7
+    assert find_conflict(g, coloring) == (3, 66)
+    coloring[3] = 8
+    assert find_conflict(g, coloring) is None
+    coloring[65] = 7
+    assert find_conflict(g, coloring) == (65, 69)
+    coloring[[65, 69]] = 0
+    assert find_conflict(g, coloring) is None
 
 
 @settings(max_examples=25, deadline=None)
