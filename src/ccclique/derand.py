@@ -470,17 +470,3 @@ def distributed_seed_agreement(sim, objective, seed_len: int, z: int,
             bits |= b << k
             k += width
     return Seed(bits, seed_len, seed_len)
-
-
-# --------------------------------------------------------------------- #
-# affine-event helpers shared by the deterministic colorers
-# --------------------------------------------------------------------- #
-
-def value_rows(bit_masks: np.ndarray, bits: list[int], value: int):
-    """Parity rows pinning the listed output bits of one node to `value`.
-
-    `bit_masks` is that node's (beta,) mask row; bit t of `value`
-    corresponds to bits[t].
-    """
-    return [(int(bit_masks[t]), (value >> i) & 1)
-            for i, t in enumerate(bits)]

@@ -135,6 +135,25 @@ def _rows_block(masks: np.ndarray, li: np.ndarray, lo: np.ndarray,
     return np.where(keep, masks[li], np.uint64(0))
 
 
+def _add_term_groups(obj: AffineObjective, *groups) -> None:
+    """Add every group's terms to `obj` through one EchelonTemplate, in
+    group order.  A group is (masks, systems, nodes, coefs, rhs_bits) with
+    its own system ids; narrower systems pad with zero columns, rows that
+    constrain nothing."""
+    masks, systems, nodes, coefs, rhs = zip(*groups)
+    width = max(m.shape[1] for m in masks)
+    offsets = np.cumsum([0] + [len(m) for m in masks])
+
+    def cat(col, dtype):
+        return np.concatenate([np.asarray(x, dtype=dtype) for x in col])
+
+    obj.add_terms(
+        EchelonTemplate(np.concatenate(
+            [np.pad(m, ((0, 0), (0, width - m.shape[1]))) for m in masks])),
+        cat([s + off for s, off in zip(systems, offsets)], np.int64),
+        cat(nodes, np.int64), cat(coefs, np.int64), cat(rhs, np.uint64))
+
+
 def _active_edges(graph: Graph, active: np.ndarray) -> np.ndarray:
     """Edges of the induced subgraph on `active`, as global-id pairs."""
     sub, ids = graph.induced(active)
@@ -210,30 +229,27 @@ def derand_color_round(sim: Simulator, graph: Graph, coloring: np.ndarray,
     # rows plus its index rows t..bv-1, pinned to the prefix's bits
     li, t = np.nonzero((fs[:, None] >> np.arange(beta - part_bits + 1)) & 1)
     prefix = (fs[li] >> (t + 1)) << (t + 1)
-    obj.add_terms(EchelonTemplate(_rows_block(masks, li, part_bits + t,
-                                              part_bits + bvs[li],
-                                              head=part_bits)),
-                  np.arange(len(li)), active[li],
-                  np.ones(len(li), dtype=np.int64),
-                  (prefix << part_bits).astype(np.uint64))
+    singles = (_rows_block(masks, li, part_bits + t, part_bits + bvs[li],
+                           head=part_bits),
+               np.arange(len(li)), active[li],
+               np.ones(len(li), dtype=np.int64), prefix << part_bits)
     # pair terms: one system per edge (u's rows, then v's at bit beta),
     # one term per common color and endpoint
     iu = np.searchsorted(active, edges[:, 0])
     iv = np.searchsorted(active, edges[:, 1])
     e, ku, kv = _common_colors(free, iu, iv)
     n_pair_terms = 2 * len(e)
-    if len(e):
-        sys_e, system = np.unique(e, return_inverse=True)
-        su, sv = iu[sys_e], iv[sys_e]
-        zero = np.zeros(len(sys_e), dtype=np.int64)
-        template = EchelonTemplate(np.concatenate(
-            [_rows_block(masks, su, zero, part_bits + bvs[su]),
-             _rows_block(masks, sv, zero, part_bits + bvs[sv])], axis=1))
-        rhs = ((ku << part_bits) | (kv << (part_bits + beta))) \
-            .astype(np.uint64)
-        obj.add_terms(template, np.concatenate([system, system]),
-                      np.concatenate([active[iu[e]], active[iv[e]]]),
-                      np.full(n_pair_terms, -1), np.concatenate([rhs, rhs]))
+    sys_e, system = np.unique(e, return_inverse=True)
+    su, sv = iu[sys_e], iv[sys_e]
+    zero = np.zeros(len(sys_e), dtype=np.int64)
+    rhs = (ku << part_bits) | (kv << (part_bits + beta))
+    _add_term_groups(obj, singles, (
+        np.concatenate([_rows_block(masks, su, zero, part_bits + bvs[su]),
+                        _rows_block(masks, sv, zero, part_bits + bvs[sv])],
+                       axis=1),
+        np.concatenate([system, system]),
+        np.concatenate([active[iu[e]], active[iv[e]]]),
+        np.full(n_pair_terms, -1), np.concatenate([rhs, rhs])))
     obj.freeze()
     exp0 = obj.expectation_num()
     bound = _ceil_div_pow2(exp0, obj.denom_log2)
@@ -462,15 +478,16 @@ def det_delta_sq(sim: Simulator, graph: Graph, cfg: Config,
         rounds += 1
         edges = _active_edges(graph, active)
         obj = AffineObjective(family.seed_len)
+        groups = []
         if len(edges):
             # h(u) xor h(v) = c1 * (u xor v): an edge conflicts iff the low
             # beta bits of that product are zero, a parity system on c1
             xors = (edges[:, 0] ^ edges[:, 1]).astype(np.uint64)
             ws, counts = np.unique(xors, return_counts=True)
             wmasks = column_masks_vec(ws, k)[:, :beta] << np.uint64(k)
-            obj.add_terms(EchelonTemplate(wmasks), np.arange(len(ws)),
-                          (ws % np.uint64(n)).astype(np.int64), 2 * counts,
-                          np.zeros(len(ws), dtype=np.uint64))
+            groups.append((wmasks, np.arange(len(ws)),
+                           (ws % np.uint64(n)).astype(np.int64), 2 * counts,
+                           np.zeros(len(ws), dtype=np.uint64)))
         if rounds > 1:
             # taken colors: one term per (active vertex, neighbor color)
             at, nbr = graph.edges_into(active, graph.pack_vertex_mask(
@@ -480,10 +497,11 @@ def det_delta_sq(sim: Simulator, graph: Graph, cfg: Config,
             owner, taken = pairs // span, pairs % span
             rows, system = np.unique(owner, return_inverse=True)
             amask = family.bit_masks_vec(active[rows].astype(np.uint64))
-            obj.add_terms(EchelonTemplate(amask), system, active[owner],
-                          np.ones(len(pairs), dtype=np.int64),
-                          ((taken - 1) & ((1 << beta) - 1))
-                          .astype(np.uint64))
+            groups.append((amask, system, active[owner],
+                           np.ones(len(pairs), dtype=np.int64),
+                           (taken - 1) & ((1 << beta) - 1)))
+        if groups:
+            _add_term_groups(obj, *groups)
         obj.freeze()
         exp0 = obj.expectation_num()
         z = auto_chunk_bits(sim.n, family.seed_len, obj.n_terms,
@@ -660,9 +678,8 @@ def classify_and_bin(sim: Simulator, graph: Graph, coloring: np.ndarray,
     li, bins = np.nonzero((cell_t >= 0) & (sizes > layout.small_cap)
                           & (10 * sizes * (1 << maxbb) > mu_mat))
     system_masks, rhs = cells(li, bins)
-    obj.add_terms(EchelonTemplate(system_masks), np.arange(len(li)),
-                  a1[li], np.full(len(li), 1 << scale),
-                  rhs.astype(np.uint64))
+    singles = (system_masks, np.arange(len(li)), a1[li],
+               np.full(len(li), 1 << scale), rhs)
     # pair terms: both endpoints of an edge pick the same bin; one system
     # per (edge, cell widths), u's rows then v's at bit maxbb
     pe, bins = np.nonzero((cell_t[iu] >= 0) & (cell_t[iv] >= 0))
@@ -672,13 +689,14 @@ def classify_and_bin(sim: Simulator, graph: Graph, coloring: np.ndarray,
         + cell_t[iv[pe], bins]
     _, first, system = np.unique(key, return_index=True,
                                  return_inverse=True)
-    rhs = (rhs_u | (rhs_v << maxbb)).astype(np.uint64)
+    rhs = rhs_u | (rhs_v << maxbb)
     cu = -(-(1 << scale) // (10 * sizes[iu[pe], bins]))
     cv = -(-(1 << scale) // (10 * sizes[iv[pe], bins]))
-    obj.add_terms(EchelonTemplate(np.concatenate([mu, mv], axis=1)[first]),
-                  np.concatenate([system, system]),
-                  np.concatenate([a1[iu[pe]], a1[iv[pe]]]),
-                  np.concatenate([-cu, -cv]), np.concatenate([rhs, rhs]))
+    _add_term_groups(obj, singles, (
+        np.concatenate([mu, mv], axis=1)[first],
+        np.concatenate([system, system]),
+        np.concatenate([a1[iu[pe]], a1[iv[pe]]]),
+        np.concatenate([-cu, -cv]), np.concatenate([rhs, rhs])))
     obj.freeze()
     exp0 = obj.expectation_num()
     happy_bound = _ceil_div_pow2(exp0, obj.denom_log2 + scale)

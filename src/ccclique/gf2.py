@@ -137,28 +137,19 @@ def column_masks_vec(m_vec: np.ndarray, k: int) -> np.ndarray:
     return masks
 
 
-_REVERSED_BYTE = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)],
-                          dtype=np.uint8)
-
-
-def _reverse_bits(x: np.ndarray) -> np.ndarray:
-    """Each uint64 with bit i moved to bit 63 - i, whatever the host byte
-    order: swap the bytes, then reverse the bits within each byte."""
-    x = np.ascontiguousarray(x, dtype=np.uint64)
-    return _REVERSED_BYTE[x.byteswap().view(np.uint8)].view(np.uint64)
-
-
 class EchelonTemplate:
     """Batched echelonization of S mask systems of R rows each, replayable
     over any number of rhs vectors per system.
 
     masks[s] is system s's row list; zero masks are allowed (a zero row
-    with rhs 0 constrains nothing, so shorter systems pad with zeros).  All
-    S systems are reduced at once, row by row in insertion order, exactly
-    as `solve_parity_rows` reduces one list: a row XORs the pivot row of
-    its highest bit until that bit is new, and is placed there.  So each
-    system's echelon rows, pivots and satisfiability equal that function's
-    bit for bit.
+    with rhs 0 constrains nothing, so narrower systems pad with zero
+    columns and share one template).  The elimination runs by pivot
+    column: for each bit p set in any mask, high to low, the first row of
+    each system (in insertion order) that still has bit p becomes pivot p
+    and is XORed into every other row that has it.  A row only ever XORs
+    pivots of earlier rows, and pivot p is the first row whose reduction
+    lands on p, so each system's echelon rows, pivots and satisfiability
+    equal `solve_parity_rows` on its row list, bit for bit.
 
     The reduction depends only on the masks.  Every output row records
     which input rows XOR into it (a combo bitmask), so a term's rhs,
@@ -177,39 +168,34 @@ class EchelonTemplate:
         n_sys, n_in = masks.shape
         if n_in > 64:
             raise ValueError("template supports at most 64 input rows")
-        # Work on bit-reversed masks, so a row's pivot (its highest bit) is
-        # the lowest set bit r & -r, a power of two that float64 holds
-        # exactly: frexp's exponent is 64 - pivot.  System s owns slots
-        # 65s + e: slot 65s (e = 0) collects a row reduced to zero, and
-        # slot 65s + 64 - p holds the (mask, combo) of pivot p; a slot is
-        # taken iff its mask is non-zero.
-        rev = _reverse_bits(masks)
-        piv = np.zeros((n_sys * 65, 2), dtype=np.uint64)
-        zslot = np.arange(n_sys, dtype=np.int64) * 65
-        zero = np.zeros((n_sys, n_in), dtype=np.uint64)
-        for i in range(n_in):
-            base = zslot
-            mc = np.stack([rev[:, i], np.full(n_sys, 1 << i,
-                                              dtype=np.uint64)], axis=1)
-            while len(base):
-                m = mc[:, 0]
-                slot = base + np.frexp((m & -m).astype(np.float64))[1]
-                held = piv[slot]
-                new = held[:, 0] == 0
-                piv[slot[new]] = mc[new]
-                old = ~new
-                base, mc = base[old], mc[old] ^ held[old]
-            zero[:, i] = piv[zslot, 1]
-            piv[zslot, 1] = 0
-        # descending pivots within each system
-        s_idx, e = np.nonzero(piv[:, 0].reshape(n_sys, 65)[:, 1:] != 0)
-        flat = s_idx * 65 + 1 + e
+        union = int(np.bitwise_or.reduce(masks, axis=None))
+        bits = np.array([p for p in range(63, -1, -1) if union >> p & 1],
+                        dtype=np.uint64)
+        m = masks.copy()
+        c = np.tile(np.uint64(1) << np.arange(n_in, dtype=np.uint64),
+                    (n_sys, 1))
+        row0 = np.arange(n_sys) * n_in
+        out_m = np.empty((n_sys, len(bits)), dtype=np.uint64)
+        out_c = np.empty_like(out_m)
+        one = np.uint64(1)
+        for j, p in enumerate(bits):
+            # the first row with bit p is pivot p; XOR it into every row
+            # with bit p, itself included, so it drops out with a zero mask
+            # and combo.  A system with no such row records a row without
+            # bit p and XORs nothing
+            has = (m >> p) & one
+            first = row0 + has.argmax(axis=1)
+            out_m[:, j] = pm = m.take(first)
+            out_c[:, j] = pc = c.take(first)
+            m ^= has * pm[:, None]
+            c ^= has * pc[:, None]
+        s_idx, col = np.nonzero((out_m >> bits) & one)
         self.rank = np.bincount(s_idx, minlength=n_sys).astype(np.int64)
         self.row_start = np.concatenate(([0], np.cumsum(self.rank)))
-        self.out_masks = _reverse_bits(piv[flat, 0])
-        self.out_pivots = (63 - e).astype(np.int64)
-        self._combos = piv[flat, 1]
-        self._zero_combos = zero
+        self.out_masks = out_m[s_idx, col]
+        self.out_pivots = bits[col].astype(np.int64)
+        self._combos = out_c[s_idx, col]
+        self._zero_combos = c
 
     def reduce_rhs(self, systems: np.ndarray, rhs_bits: np.ndarray):
         """Reduce one rhs per term; term b uses system systems[b], with

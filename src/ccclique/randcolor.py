@@ -171,7 +171,7 @@ def friend_threshold(delta: int, q: float, eps: float) -> float:
 
 
 def compute_hierarchy(sim: Simulator, graph: Graph, cfg: Config,
-                      log: RunLog, uncolored: np.ndarray,
+                      uncolored: np.ndarray,
                       delta: int | None = None) -> EpsHierarchy:
     """Classify uncolored vertices by density and build layers, strata,
     blocks and the block tree.
@@ -275,33 +275,8 @@ def compute_hierarchy(sim: Simulator, graph: Graph, cfg: Config,
                     break
                 anc = blocks[anc].parent
             b.large = not has_large_anc
-    hier = EpsHierarchy(eps_seq, q, delta, layers, v_sp, strata, blocks,
+    return EpsHierarchy(eps_seq, q, delta, layers, v_sp, strata, blocks,
                         clique_of)
-    if eps_seq[0] <= 0.1:
-        for lab, members in _cliques_as_sets(hier, 0).items():
-            ok = _weak_diameter_le2(graph, members)
-            log.record("clique-weak-diameter", ok, level=1, clique=lab)
-    return hier
-
-
-def _cliques_as_sets(hier: EpsHierarchy, level_idx: int):
-    out: dict[int, list[int]] = {}
-    for v, lab in hier.clique_of[level_idx].items():
-        out.setdefault(lab, []).append(v)
-    return out
-
-
-def _weak_diameter_le2(graph: Graph, members: list[int]) -> bool:
-    mem = np.array(sorted(members), dtype=np.int64)
-    for i, u in enumerate(mem):
-        ru = graph.rows[int(u)]
-        for v in mem[i + 1:]:
-            v = int(v)
-            if graph.has_edge(int(u), v):
-                continue
-            if not int(np.bitwise_count(ru & graph.rows[v]).sum()):
-                return False
-    return True
 
 
 # ===================================================================== #
@@ -535,7 +510,7 @@ def clp_list_coloring(sim: Simulator, graph: Graph, palettes: Palettes,
     if len(unc) == 0:
         return coloring
     with sim.stage("clp:hierarchy"):
-        hier = compute_hierarchy(sim, graph, cfg, log, unc, delta=delta)
+        hier = compute_hierarchy(sim, graph, cfg, unc, delta=delta)
     # small blocks, stratum by stratum from the top; the working units are
     # super-blocks (stratum members grouped by their top-layer clique)
     with sim.stage("clp:dense-small"):

@@ -10,13 +10,20 @@ from ccclique.config import Config
 from ccclique.derand import (AffineObjective, HashFamily, Seed,
                              TableObjective, auto_chunk_bits,
                              cond_exp_search, default_chunk_bits,
-                             distributed_seed_agreement, hash_eval,
-                             value_rows)
+                             distributed_seed_agreement, hash_eval)
 from ccclique.errors import ChunkTooWide, SeedLengthMismatch
 from ccclique.gf2 import (EchelonTemplate, column_masks_vec, gf_mul,
                           gf_mul_vec, irreducible_poly, solve_parity_rows)
 from ccclique.selftest import make_corpus
 from ccclique.sim import Simulator
+
+
+def value_rows(bit_masks: np.ndarray, bits: list[int], value: int):
+    """Parity rows pinning the listed output bits of one node to `value`:
+    `bit_masks` is that node's (beta,) mask row, and bit t of `value`
+    corresponds to bits[t]."""
+    return [(int(bit_masks[t]), (value >> i) & 1)
+            for i, t in enumerate(bits)]
 
 
 def test_irreducible_polys_have_degree_bit():
@@ -379,14 +386,15 @@ _MASKS = st.one_of(st.just(0), st.integers(0, 63).map(lambda b: 1 << b),
 @settings(max_examples=150, deadline=None)
 def test_template_matches_solve_parity_rows(data):
     """The batched kernel against the scalar reduction, system by system:
-    echelon rows, pivots, reduced rhs and satisfiability.  Rows come from a
-    small pool (zero rows, duplicates, masks above 2^53 and at bit 63) or
-    XOR earlier rows, so dependent rows with odd rhs contradict."""
-    n_rows = data.draw(st.integers(0, 12))
+    echelon rows, pivots, reduced rhs and satisfiability, from no systems
+    up to 64 rows each.  Rows come from a small pool (zero rows,
+    duplicates, masks above 2^53 and at bit 63) or XOR earlier rows, so
+    dependent rows with odd rhs contradict."""
+    n_rows = data.draw(st.one_of(st.integers(0, 12), st.integers(13, 64)))
     pool = data.draw(st.lists(_MASKS, min_size=1, max_size=5)) + \
         [data.draw(st.integers(1 << 53, (1 << 64) - 1))]
     systems = []
-    for _ in range(data.draw(st.integers(1, 5))):
+    for _ in range(data.draw(st.integers(0, 5))):
         rows = []
         for _ in range(n_rows):
             if rows and data.draw(st.booleans()):
@@ -397,8 +405,9 @@ def test_template_matches_solve_parity_rows(data):
         systems.append(rows)
     template = EchelonTemplate(
         np.array(systems, dtype=np.uint64).reshape(len(systems), n_rows))
+    assert len(template.rank) == len(systems)
     which = data.draw(st.lists(st.integers(0, len(systems) - 1),
-                               min_size=1, max_size=8))
+                               min_size=1, max_size=8)) if systems else []
     rhs = [data.draw(st.integers(0, (1 << n_rows) - 1)) for _ in which]
     ok, row_of, out_rhs = template.reduce_rhs(
         np.array(which), np.array(rhs, dtype=np.uint64))
@@ -417,6 +426,36 @@ def test_template_matches_solve_parity_rows(data):
         if sat:
             assert [(int(template.out_masks[r]), int(v)) for r, v in
                     zip(row_of[mine], out_rhs[mine])] == want
+
+
+def test_template_rejects_65_rows():
+    with pytest.raises(ValueError):
+        EchelonTemplate(np.ones((2, 65), dtype=np.uint64))
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_template_zero_padding_invariant(data):
+    """Zero columns on the right change no echelon row, pivot, verdict or
+    reduced rhs: the property that lets systems of different widths
+    share one template."""
+    n_rows = data.draw(st.integers(0, 20))
+    pad = data.draw(st.integers(0, 64 - n_rows))
+    n_sys = data.draw(st.integers(0, 5))
+    masks = np.array([[data.draw(_MASKS) for _ in range(n_rows)]
+                      for _ in range(n_sys)],
+                     dtype=np.uint64).reshape(n_sys, n_rows)
+    rhs = np.array([data.draw(st.integers(0, (1 << n_rows) - 1))
+                    for _ in range(n_sys)], dtype=np.uint64)
+    systems = np.arange(n_sys)
+    base = EchelonTemplate(masks)
+    padded = EchelonTemplate(np.pad(masks, ((0, 0), (0, pad))))
+    assert np.array_equal(base.rank, padded.rank)
+    assert np.array_equal(base.out_masks, padded.out_masks)
+    assert np.array_equal(base.out_pivots, padded.out_pivots)
+    for a, b in zip(base.reduce_rhs(systems, rhs),
+                    padded.reduce_rhs(systems, rhs)):
+        assert np.array_equal(a, b)
 
 
 def test_solve_parity_rows_consistency():

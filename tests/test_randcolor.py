@@ -131,7 +131,7 @@ def test_hierarchy_complete_graph_single_clique():
     # embed K in a larger clique-model simulator via its own graph
     sim = Simulator(2048, cfg)  # Delta^2 = 1024 <= 2048
     g2, _ = Graph.complete(delta + 1).induced(np.arange(delta + 1))
-    hier = compute_hierarchy(sim, g2, cfg, log, np.arange(g2.n))
+    hier = compute_hierarchy(sim, g2, cfg, np.arange(g2.n))
     assert len(hier.layers[0]) == g2.n  # everyone dense at level 1
     labels = set(hier.clique_of[0].values())
     assert len(labels) == 1
@@ -141,7 +141,7 @@ def test_hierarchy_complete_graph_single_clique():
 def test_hierarchy_empty_graph_all_sparse():
     g = Graph.from_edges(6, [])
     sim, cfg, log = setup_ctx(64)
-    hier = compute_hierarchy(sim, g, cfg, log, np.arange(6))
+    hier = compute_hierarchy(sim, g, cfg, np.arange(6))
     assert all(len(layer) == 0 for layer in hier.layers)
     assert len(hier.v_sp) == 6
 
