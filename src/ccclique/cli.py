@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import json
-import logging
 import os
 import sys
 
@@ -23,15 +22,6 @@ from .graphs import check_random_graph_params, gen_random_graph, load_graph
 from .harness import (ALGORITHMS, read_coloring, run_algorithm,
                       write_coloring)
 from .selftest import run_selftests
-
-log = logging.getLogger("ccclique")
-
-
-def _setup_logging():
-    level = os.environ.get("CCCLIQUE_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        format="%(levelname)s %(name)s: %(message)s")
-
 
 def _parse_gen(spec: str):
     try:
@@ -87,7 +77,6 @@ def _emit(report: dict, out, fmt: str):
 @click.group()
 def main():
     """Congested-clique coloring simulator."""
-    _setup_logging()
 
 
 @main.command("run")

@@ -3,14 +3,17 @@
 A coloring is an int64 array indexed by vertex; colors are 1-based and 0
 means "uncolored".  Palettes support the two shapes the algorithms need:
 contiguous per-vertex ranges (cheap at scale, used for budget allocation)
-and explicit per-vertex lists (left-over windows, tests).  Violations are
-values, not exceptions: verification is a reporting tool.
+and explicit per-vertex lists in CSR form (`FreeSets`: left-over windows,
+tests).  Free colors of a vertex set come from one pass over its edges into
+the colored set (`free_sets`).  Violations are values, not exceptions:
+verification is a reporting tool.
 
-The central greedy (range palettes) and the properness check compute on
-the graph's packed rows, with no per-vertex neighbour lists.  The greedy
-keeps a forbidden-color table of n_words x W words, W = max(min(hi, lo +
-deg)) - min(lo) + 1 over the vertices it colors; `find_conflict` keeps one
-packed vertex set per color, at most colors x n_words words.
+The central greedy and the properness check compute on the graph's packed
+rows, with no per-vertex neighbour lists.  The greedy keeps a
+forbidden-color table of n_words x W words, W = the largest (deg+1)-th
+palette color - the smallest palette color + 1 over the vertices it
+colors; `find_conflict` keeps one packed vertex set per color, at most
+colors x n_words words.
 """
 
 from __future__ import annotations
@@ -33,21 +36,66 @@ def log2n(n: int) -> float:
 # palettes
 # --------------------------------------------------------------------- #
 
+@dataclass
+class FreeSets:
+    """Sorted color lists of `vertices` in CSR form: vertices[i] owns
+    colors[ptr[i]:ptr[i+1]], in ascending order."""
+
+    vertices: np.ndarray
+    ptr: np.ndarray
+    colors: np.ndarray
+
+    @property
+    def sizes(self) -> np.ndarray:
+        return np.diff(self.ptr)
+
+    @property
+    def owner(self) -> np.ndarray:
+        """Row index of every entry of `colors`."""
+        return np.repeat(np.arange(len(self.vertices)), self.sizes)
+
+    def expand(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(j, k) for every entry of the rows rows[j], in order: the entry
+        is colors[ptr[rows[j]] + k]."""
+        n_r = self.sizes[rows]
+        j = np.repeat(np.arange(len(rows)), n_r)
+        return j, np.arange(len(j)) - np.repeat(np.cumsum(n_r) - n_r, n_r)
+
+    def select(self, keep_colors: np.ndarray | None = None,
+               keep_rows: np.ndarray | None = None) -> "FreeSets":
+        """The colors flagged in keep_colors on the rows flagged in
+        keep_rows; None keeps all."""
+        owner = self.owner
+        keep = np.ones(len(owner), dtype=bool) if keep_colors is None \
+            else keep_colors
+        rows = slice(None) if keep_rows is None else keep_rows
+        if keep_rows is not None:
+            keep = keep & keep_rows[owner]
+        counts = np.bincount(owner[keep], minlength=len(self.vertices))
+        return FreeSets(self.vertices[rows],
+                        np.concatenate(([0], np.cumsum(counts[rows]))),
+                        self.colors[keep])
+
+
 class Palettes:
     """Per-vertex allowed colors (1-based, positive integers).
 
     Backed either by inclusive ranges [lo[v], hi[v]] or by explicit sorted
-    lists.  Vertices outside an algorithm's scope may carry empty ranges.
+    lists held as one FreeSets; in list form [lo[v], hi[v]] indexes the
+    lists' `colors` instead, and a vertex without a list has an empty
+    palette.  Vertices outside an algorithm's scope may carry empty ranges.
     """
 
-    def __init__(self, n: int, lo=None, hi=None, lists=None):
+    def __init__(self, n: int, lo=None, hi=None,
+                 sets: FreeSets | None = None):
         self.n = n
-        if lists is not None:
-            self._lists = {int(v): np.asarray(c, dtype=np.int64)
-                           for v, c in lists.items()}
-            self._lo = self._hi = None
+        self._sets = sets
+        if sets is not None:
+            self._lo = np.zeros(n, dtype=np.int64)
+            self._hi = np.full(n, -1, dtype=np.int64)
+            self._lo[sets.vertices] = sets.ptr[:-1]
+            self._hi[sets.vertices] = sets.ptr[1:] - 1
         else:
-            self._lists = None
             self._lo = np.asarray(lo, dtype=np.int64)
             self._hi = np.asarray(hi, dtype=np.int64)
 
@@ -58,88 +106,71 @@ class Palettes:
 
     @staticmethod
     def from_lists(n: int, lists: dict) -> "Palettes":
-        return Palettes(n, lists={v: np.unique(np.asarray(c, dtype=np.int64))
-                                  for v, c in lists.items()})
+        vertices = np.array(sorted(int(v) for v in lists), dtype=np.int64)
+        rows = [np.unique(np.asarray(lists[v], dtype=np.int64))
+                for v in vertices.tolist()]
+        sizes = [len(r) for r in rows]
+        return Palettes(n, sets=FreeSets(
+            vertices, np.concatenate(([0], np.cumsum(sizes, dtype=np.int64))),
+            np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)))
 
     @property
     def is_range(self) -> bool:
-        return self._lists is None
+        return self._sets is None
+
+    def _values(self, at: np.ndarray) -> np.ndarray:
+        """Colors at positions `at` of the [lo, hi] ranges."""
+        return at if self._sets is None else self._sets.colors[at]
 
     def size(self, v: int) -> int:
-        if self._lists is not None:
-            return len(self._lists.get(v, ()))
         return max(0, int(self._hi[v] - self._lo[v] + 1))
 
     def sizes(self, vertices: np.ndarray) -> np.ndarray:
-        if self._lists is not None:
-            return np.array([self.size(int(v)) for v in vertices],
-                            dtype=np.int64)
         lo, hi = self._lo[vertices], self._hi[vertices]
         return np.maximum(0, hi - lo + 1)
 
     def colors(self, v: int) -> np.ndarray:
-        if self._lists is not None:
-            return self._lists.get(v, np.zeros(0, dtype=np.int64))
-        return np.arange(self._lo[v], self._hi[v] + 1, dtype=np.int64)
+        return self.flat([v])[1]
 
     def flat(self, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Palettes of `vertices` in CSR form (ptr, colors): vertices[i]
         owns colors[ptr[i]:ptr[i+1]], in ascending order."""
         vertices = np.asarray(vertices, dtype=np.int64)
-        if self._lists is not None:
-            lists = [self.colors(int(v)) for v in vertices]
-            sizes = np.array([len(a) for a in lists], dtype=np.int64)
-            colors = np.concatenate(lists) if lists else \
-                np.zeros(0, dtype=np.int64)
-        else:
-            sizes = self.sizes(vertices)
-            starts = np.cumsum(sizes) - sizes
-            colors = np.arange(int(sizes.sum()), dtype=np.int64) + \
-                np.repeat(self._lo[vertices] - starts, sizes)
-        return np.concatenate(([0], np.cumsum(sizes))), colors
+        sizes = self.sizes(vertices)
+        starts = np.cumsum(sizes) - sizes
+        at = np.arange(int(sizes.sum()), dtype=np.int64) + \
+            np.repeat(self._lo[vertices] - starts, sizes)
+        return np.concatenate(([0], np.cumsum(sizes))), self._values(at)
 
-    def contains(self, v: int, color: int) -> bool:
-        if self._lists is not None:
-            arr = self._lists.get(v)
-            if arr is None or len(arr) == 0:
-                return False
-            i = int(np.searchsorted(arr, color))
-            return i < len(arr) and arr[i] == color
-        return bool(self._lo[v] <= color <= self._hi[v])
-
-    def max_color(self) -> int:
-        if self._lists is not None:
-            return max((int(a[-1]) for a in self._lists.values() if len(a)),
-                       default=0)
-        sized = self._hi >= self._lo
-        return int(self._hi[sized].max()) if sized.any() else 0
+    def contains(self, vertices, colors):
+        """Whether colors[i] lies in the palette of vertices[i],
+        elementwise (scalars give a scalar)."""
+        v = np.asarray(vertices, dtype=np.int64)
+        c = np.asarray(colors, dtype=np.int64)
+        if self._sets is None:
+            return (self._lo[v] <= c) & (c <= self._hi[v])
+        sets = self._sets
+        span = int(max(sets.colors.max(initial=0), c.max(initial=0))) + 1
+        return np.isin(v * span + c,
+                       sets.vertices[sets.owner] * span + sets.colors)
 
     def span(self, vertices: np.ndarray) -> tuple[int, int]:
         """Smallest and largest color available to any of `vertices`."""
-        lo, hi = None, None
-        if self._lists is not None:
-            for v in vertices:
-                arr = self._lists.get(int(v))
-                if arr is None or len(arr) == 0:
-                    continue
-                lo = int(arr[0]) if lo is None else min(lo, int(arr[0]))
-                hi = int(arr[-1]) if hi is None else max(hi, int(arr[-1]))
-        else:
-            vs = np.asarray(vertices, dtype=np.int64)
-            sized = self._hi[vs] >= self._lo[vs]
-            if sized.any():
-                lo = int(self._lo[vs][sized].min())
-                hi = int(self._hi[vs][sized].max())
-        if lo is None:
+        vs = np.asarray(vertices, dtype=np.int64)
+        lo, hi = self._lo[vs], self._hi[vs]
+        sized = hi >= lo
+        if not sized.any():
             return 1, 1
-        return lo, hi
+        return (int(self._values(lo[sized]).min()),
+                int(self._values(hi[sized]).max()))
 
     def restrict(self, vertices: np.ndarray) -> "Palettes":
         """Palettes valid only on `vertices` (others empty)."""
-        if self._lists is not None:
-            keep = set(int(v) for v in vertices)
-            return Palettes(self.n, lists={v: a for v, a in
-                                           self._lists.items() if v in keep})
+        if self._sets is not None:
+            keep = np.zeros(self.n, dtype=bool)
+            keep[vertices] = True
+            return Palettes(self.n, sets=self._sets.select(
+                keep_rows=keep[self._sets.vertices]))
         lo = np.full(self.n, 1, dtype=np.int64)
         hi = np.zeros(self.n, dtype=np.int64)
         lo[vertices] = self._lo[vertices]
@@ -158,15 +189,26 @@ def palette_ranges(lo: int, sizes) -> list[tuple[int, int]]:
 # free colors and properness
 # --------------------------------------------------------------------- #
 
+def free_sets(graph: Graph, palettes: Palettes, coloring: np.ndarray,
+              vertices: np.ndarray) -> FreeSets:
+    """Free colors of every vertex in `vertices` in one pass: palette
+    entries minus the colors on edges into the colored set."""
+    vertices = np.asarray(vertices, dtype=np.int64)
+    ptr, colors = palettes.flat(vertices)
+    free = FreeSets(vertices, ptr, colors)
+    colored = np.flatnonzero(coloring != UNCOLORED)
+    if len(colored) == 0 or len(colors) == 0:
+        return free
+    i, w = graph.edges_into(vertices, graph.pack_vertex_mask(colored))
+    span = int(max(colors.max(), coloring.max())) + 1
+    return free.select(~np.isin(free.owner * span + colors,
+                                i * span + coloring[w]))
+
+
 def free_colors(v: int, palettes: Palettes, coloring: np.ndarray,
                 graph: Graph) -> np.ndarray:
     """Colors of v's palette not taken by any colored neighbor (sorted)."""
-    nbr_colors = coloring[graph.neighbors(v)]
-    taken = np.unique(nbr_colors[nbr_colors != UNCOLORED])
-    mine = palettes.colors(v)
-    if len(taken) == 0:
-        return mine
-    return np.setdiff1d(mine, taken, assume_unique=False)
+    return free_sets(graph, palettes, coloring, [v]).colors
 
 
 @dataclass(frozen=True)
@@ -191,17 +233,10 @@ def is_proper(graph: Graph, coloring: np.ndarray, palettes: Palettes | None):
     if len(unc):
         return Violation("uncolored", vertex=int(unc[0]))
     if palettes is not None:
-        if palettes.is_range:
-            bad = np.nonzero((coloring < palettes._lo) |
-                             (coloring > palettes._hi))[0]
-            if len(bad):
-                v = int(bad[0])
-                return Violation("palette", vertex=v, color=int(coloring[v]))
-        else:
-            for v in range(graph.n):
-                if not palettes.contains(v, int(coloring[v])):
-                    return Violation("palette", vertex=v,
-                                     color=int(coloring[v]))
+        bad = np.flatnonzero(~palettes.contains(np.arange(graph.n), coloring))
+        if len(bad):
+            v = int(bad[0])
+            return Violation("palette", vertex=v, color=int(coloring[v]))
     conflict = find_conflict(graph, coloring)
     if conflict is not None:
         u, v = conflict
@@ -287,43 +322,34 @@ def greedy_list_color(graph: Graph, palettes: Palettes,
     free color.  Succeeds whenever each palette has more colors than the
     vertex's colored-or-pending neighbors (the deg+1 slack invariant).
 
-    Returns the number of vertices colored.  Mutates `coloring`.
-    """
-    if palettes.is_range:
-        return _greedy_range(graph, palettes._lo, palettes._hi, coloring,
-                             vertices)
-    count = 0
-    order = np.sort(np.asarray(vertices, dtype=np.int64))
-    for v in order:
-        v = int(v)
-        if coloring[v] != UNCOLORED:
-            continue
-        options = free_colors(v, palettes, coloring, graph)
-        if len(options) == 0:
-            raise AssertionError(
-                f"greedy stuck at {v}: palette slack invariant violated")
-        coloring[v] = int(options[0])
-        count += 1
-    return count
-
-
-def _greedy_range(graph: Graph, lo: np.ndarray, hi: np.ndarray,
-                  coloring: np.ndarray, vertices) -> int:
-    """Range-palette branch of `greedy_list_color` on the packed rows.
-
-    Bit v of ft[v >> 6, c] says "v has a neighbour colored base + c".  A
+    Both palette forms run on the packed rows.  Bit v of ft[v >> 6, c]
+    says "v has a neighbour colored base + c".  No vertex picks past its
+    (deg+1)-th palette color, which caps the table's width.  A range
     vertex takes its first clear column in [lo, hi]; columns at or above
-    `used` are clear everywhere, so only [lo, max(used, lo)) is read.  No
-    vertex picks past lo + deg, which caps the table's width.
+    `used` are clear everywhere, so only [lo, max(used, lo)) is read.  A
+    list vertex reads the columns of its first deg+1 colors.
+
+    Returns the number of vertices colored.  Mutates `coloring`.
     """
     pending = np.unique(np.asarray(vertices, dtype=np.int64))
     pending = pending[coloring[pending] == UNCOLORED]
     if len(pending) == 0:
         return 0
-    lo_p, hi_p = lo[pending], hi[pending]
-    base = int(lo_p.min())
-    top = np.minimum(hi_p, lo_p + graph.degrees[pending]).max()
-    width = max(0, int(top) - base + 1)
+    deg = graph.degrees[pending]
+    lo_p, hi_p = palettes._lo[pending], palettes._hi[pending]
+    is_range = palettes.is_range
+    if is_range:
+        base = int(lo_p.min())
+        top = int(np.minimum(hi_p, lo_p + deg).max())
+        lo_p, hi_p = lo_p - base, hi_p - base
+    else:
+        # list form: [lo, hi] index the colors; keep the first deg+1
+        hi_p = np.minimum(hi_p, lo_p + deg)
+        colors = palettes._sets.colors
+        sized = hi_p >= lo_p
+        base = int(colors[lo_p[sized]].min()) if sized.any() else 0
+        top = int(colors[hi_p[sized]].max()) if sized.any() else -1
+    width = max(0, top - base + 1)
     rows = graph.rows
     ft = np.zeros((graph.n_words, width), dtype=np.uint64)
     col = coloring - base
@@ -338,19 +364,29 @@ def _greedy_range(graph: Graph, lo: np.ndarray, hi: np.ndarray,
             rows[src[s:s + step]], starts, axis=0).T
     used = int(col[src].max()) + 1 if len(src) else 0
     one = np.uint64(1)
-    for v, l, h in zip(pending.tolist(), (lo_p - base).tolist(),
-                       (hi_p - base).tolist()):
-        u = min(h + 1, max(used, l))
-        c = u
-        if u > l:
-            taken = (ft[v >> 6, l:u] >> np.uint64(v & 63)) & one
-            i = int(taken.argmin())
-            if not taken[i]:
-                c = l + i
-        if c > h:
-            raise AssertionError(
-                f"greedy stuck at {v}: palette slack invariant violated")
+    for v, l, h in zip(pending.tolist(), lo_p.tolist(), hi_p.tolist()):
+        if is_range:
+            c = u = min(h + 1, max(used, l))
+            if u > l:
+                taken = (ft[v >> 6, l:u] >> np.uint64(v & 63)) & one
+                i = int(taken.argmin())
+                if not taken[i]:
+                    c = l + i
+            if c > h:
+                raise _stuck(v)
+        else:
+            cols = colors[l:h + 1] - base
+            clear = np.flatnonzero(
+                ((ft[v >> 6, cols] >> np.uint64(v & 63)) & one) == 0)
+            if len(clear) == 0:
+                raise _stuck(v)
+            c = int(cols[clear[0]])
         coloring[v] = base + c
         ft[:, c] |= rows[v]
         used = max(used, c + 1)
     return len(pending)
+
+
+def _stuck(v: int) -> AssertionError:
+    return AssertionError(
+        f"greedy stuck at {v}: palette slack invariant violated")

@@ -28,12 +28,9 @@ class Config:
     dense_iters: int = 6       # dense-step applications per stratum
     bidding_iters: int = 6     # color-bidding iterations before cleanup
     retry_budget: int = 3      # fresh-randomness retries on overflow
-    const_deg_cap: int = 8     # "constant degree" cutoff for cleanup gather
 
     # --- derandomization knobs ---
     d_independence: int = 4    # independence order for "O(1)-wise" sites
-    c_phase: int = 4           # deterministic phase cap: <= c_phase*log2 n
-    chunk_bits: int = 0        # seed-reveal chunk z; 0 = floor(log2 n)
     term_budget: int = 120_000  # max estimator terms for in-budget search
     eval_budget: int = 300_000_000  # rough op budget for one seed search
     debug_checks: bool = False  # per-commit properness assertions

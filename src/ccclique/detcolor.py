@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import Config
-from .coloring import (Palettes, UNCOLORED, free_colors, greedy_list_color,
-                       log2n, palette_ranges)
+from .coloring import (FreeSets, Palettes, UNCOLORED, free_sets,
+                       greedy_list_color, log2n, palette_ranges)
 from .derand import (AffineObjective, HashFamily, auto_chunk_bits,
                      distributed_seed_agreement)
 from .errors import DegreeTooLarge, NoZeroViolationSeed, ParameterViolation
@@ -49,66 +49,13 @@ def _ceil_div_pow2(num: int, shift: int) -> int:
     return -((-num) >> shift)
 
 
-@dataclass
-class FreeSets:
-    """Sorted color lists of `vertices` (ascending ids) in CSR form:
-    vertices[i] owns colors[ptr[i]:ptr[i+1]], in ascending order."""
-
-    vertices: np.ndarray
-    ptr: np.ndarray
-    colors: np.ndarray
-
-    @property
-    def sizes(self) -> np.ndarray:
-        return np.diff(self.ptr)
-
-    @property
-    def owner(self) -> np.ndarray:
-        """Row index of every entry of `colors`."""
-        return np.repeat(np.arange(len(self.vertices)), self.sizes)
-
-    def select(self, keep_colors: np.ndarray | None = None,
-               keep_rows: np.ndarray | None = None) -> "FreeSets":
-        """The colors flagged in keep_colors on the rows flagged in
-        keep_rows; None keeps all."""
-        owner = self.owner
-        keep = np.ones(len(owner), dtype=bool) if keep_colors is None \
-            else keep_colors
-        rows = slice(None) if keep_rows is None else keep_rows
-        if keep_rows is not None:
-            keep = keep & keep_rows[owner]
-        counts = np.bincount(owner[keep], minlength=len(self.vertices))
-        return FreeSets(self.vertices[rows],
-                        np.concatenate(([0], np.cumsum(counts[rows]))),
-                        self.colors[keep])
-
-
-def _free_sets(graph: Graph, palettes: Palettes, coloring: np.ndarray,
-               active: np.ndarray) -> FreeSets:
-    """free_colors of every active vertex in one pass: palette entries
-    minus the colors on edges into the colored set."""
-    active = np.asarray(active, dtype=np.int64)
-    ptr, colors = palettes.flat(active)
-    free = FreeSets(active, ptr, colors)
-    colored = np.flatnonzero(coloring != UNCOLORED)
-    if len(colored) == 0 or len(colors) == 0:
-        return free
-    i, w = graph.edges_into(active, graph.pack_vertex_mask(colored))
-    span = int(max(colors.max(), coloring.max())) + 1
-    return free.select(~np.isin(free.owner * span + colors,
-                                i * span + coloring[w]))
-
-
 def _common_colors(free: FreeSets, iu: np.ndarray, iv: np.ndarray):
     """Colors shared by rows iu[e] and iv[e] of `free`, for every e.
 
     Returns (e, ku, kv): one entry per shared color in ascending color
     order per e, with the color's index ku in row iu[e] and kv in row
     iv[e]."""
-    sizes = free.sizes
-    n_u = sizes[iu]
-    e = np.repeat(np.arange(len(iu)), n_u)
-    ku = np.arange(int(n_u.sum())) - np.repeat(np.cumsum(n_u) - n_u, n_u)
+    e, ku = free.expand(iu)
     color = free.colors[free.ptr[iu][e] + ku]
     span = int(free.colors.max(initial=0)) + 1
     keys = free.owner * span + free.colors  # ascending
@@ -123,6 +70,21 @@ def _common_colors(free: FreeSets, iu: np.ndarray, iv: np.ndarray):
 def _bit_length(x: np.ndarray) -> np.ndarray:
     """int.bit_length of each non-negative int64 below 2^53."""
     return np.frexp(np.asarray(x, dtype=np.float64))[1].astype(np.int64)
+
+
+def _commit_picks(coloring: np.ndarray, free: FreeSets, valid: np.ndarray,
+                  idx: np.ndarray, iu: np.ndarray, iv: np.ndarray) -> int:
+    """Row i picks entry idx[i] of its free list where valid[i]; both ends
+    of an edge (iu[e], iv[e]) that picked the same color drop their pick,
+    and the other picks are colored.  Returns how many were."""
+    chosen = np.zeros(len(valid), dtype=np.int64)
+    chosen[valid] = free.colors[free.ptr[:-1][valid] + idx[valid]]
+    clash = valid[iu] & valid[iv] & (chosen[iu] == chosen[iv])
+    keep = valid.copy()
+    keep[iu[clash]] = False
+    keep[iv[clash]] = False
+    coloring[free.vertices[keep]] = chosen[keep]
+    return int(keep.sum())
 
 
 def _rows_block(masks: np.ndarray, li: np.ndarray, lo: np.ndarray,
@@ -154,13 +116,6 @@ def _add_term_groups(obj: AffineObjective, *groups) -> None:
         cat(nodes, np.int64), cat(coefs, np.int64), cat(rhs, np.uint64))
 
 
-def _active_edges(graph: Graph, active: np.ndarray) -> np.ndarray:
-    """Edges of the induced subgraph on `active`, as global-id pairs."""
-    sub, ids = graph.induced(active)
-    e = sub.edge_array()
-    return ids[e] if len(e) else e
-
-
 def _central_phase(sim: Simulator, graph: Graph, palettes: Palettes,
                    coloring: np.ndarray, vertices: np.ndarray,
                    stage: str) -> int:
@@ -189,8 +144,6 @@ def _central_phase(sim: Simulator, graph: Graph, palettes: Palettes,
 class RoundOutcome:
     colored: int
     expectation_floor: int     # exact floor/ceil bound the seed must beat
-    used_seed: bool
-    terms: int = 0
 
 
 def _estimate_pair_terms(sizes: np.ndarray, edges: np.ndarray) -> int:
@@ -238,7 +191,6 @@ def derand_color_round(sim: Simulator, graph: Graph, coloring: np.ndarray,
     iu = np.searchsorted(active, edges[:, 0])
     iv = np.searchsorted(active, edges[:, 1])
     e, ku, kv = _common_colors(free, iu, iv)
-    n_pair_terms = 2 * len(e)
     sys_e, system = np.unique(e, return_inverse=True)
     su, sv = iu[sys_e], iv[sys_e]
     zero = np.zeros(len(sys_e), dtype=np.int64)
@@ -249,7 +201,7 @@ def derand_color_round(sim: Simulator, graph: Graph, coloring: np.ndarray,
                        axis=1),
         np.concatenate([system, system]),
         np.concatenate([active[iu[e]], active[iv[e]]]),
-        np.full(n_pair_terms, -1), np.concatenate([rhs, rhs])))
+        np.full(2 * len(e), -1), np.concatenate([rhs, rhs])))
     obj.freeze()
     exp0 = obj.expectation_num()
     bound = _ceil_div_pow2(exp0, obj.denom_log2)
@@ -266,16 +218,7 @@ def derand_color_round(sim: Simulator, graph: Graph, coloring: np.ndarray,
     part = (ys & np.uint64((1 << part_bits) - 1)) == 0
     idx = (ys >> np.uint64(part_bits)).astype(np.int64) & ((1 << bvs) - 1)
     valid = part & (idx < fs)
-    chosen = np.zeros(len(active), dtype=np.int64)
-    chosen[valid] = free.colors[free.ptr[:-1][valid] + idx[valid]]
-    # mutual drop on same-round conflicts
-    keep = valid.copy()
-    if len(edges):
-        clash = valid[iu] & valid[iv] & (chosen[iu] == chosen[iv])
-        keep[iu[clash]] = False
-        keep[iv[clash]] = False
-    newly = active[keep]
-    coloring[newly] = chosen[keep]
+    colored = _commit_picks(coloring, free, valid, idx, iu, iv)
     # one exchange round: winners announce their color along graph edges
     if len(edges):
         src = np.concatenate([edges[:, 0], edges[:, 1]])
@@ -283,11 +226,9 @@ def derand_color_round(sim: Simulator, graph: Graph, coloring: np.ndarray,
         sim.exchange_counts(src, dst)
     else:
         sim.ledger.advance(1)
-    colored = int(keep.sum())
     log.require("seed-round-dominance", colored >= bound,
                 colored=colored, bound=bound, terms=obj.n_terms)
-    return RoundOutcome(colored, bound, True,
-                        terms=obj.n_terms + n_pair_terms)
+    return RoundOutcome(colored, bound)
 
 
 # ===================================================================== #
@@ -321,6 +262,7 @@ def det_list_color_sqrt(sim: Simulator, graph: Graph, palettes: Palettes,
     short = scope[palettes.sizes(scope) < sub_deg[scope] + 1]
     if len(short):
         raise ParameterViolation(f"palette of {int(short[0])} below deg+1")
+    scope = np.unique(scope)
     cap = phase_bound(len(scope))
     phases = 0
     while True:
@@ -342,7 +284,7 @@ def det_list_color_sqrt(sim: Simulator, graph: Graph, palettes: Palettes,
             log.note("central-phase", where="sqrt", phase=phases,
                      active=len(active))
             continue
-        edges = _active_edges(graph, active)
+        edges = graph.edges_within(active)
         pal_sizes = np.zeros(n, dtype=np.int64)
         pal_sizes[active] = palettes.sizes(active)
         if (_estimate_pair_terms(pal_sizes, edges) + 2 * len(active)
@@ -352,7 +294,7 @@ def det_list_color_sqrt(sim: Simulator, graph: Graph, palettes: Palettes,
             log.note("central-phase", where="sqrt", phase=phases,
                      active=len(active))
             continue
-        free = _free_sets(graph, palettes, coloring, active)
+        free = free_sets(graph, palettes, coloring, active)
         # palette exchange: every active vertex ships its free list to its
         # active neighbors
         sizes = np.zeros(n, dtype=np.int64)
@@ -397,41 +339,30 @@ def simple_rand_color_round(graph: Graph, palettes: Palettes,
     number of vertices colored; mutates `coloring`.
     """
     scope = np.arange(graph.n) if vertices is None else \
-        np.asarray(vertices, dtype=np.int64)
+        np.unique(np.asarray(vertices, dtype=np.int64))
     active = scope[coloring[scope] == UNCOLORED]
     if len(active) == 0:
         return 0
-    free = {int(v): free_colors(int(v), palettes, coloring, graph)
-            for v in active}
-    fs = np.array([len(free[int(v)]) for v in active], dtype=np.int64)
+    free = free_sets(graph, palettes, coloring, active)
+    fs = free.sizes
     if (fs == 0).any():
         raise ParameterViolation("active vertex with empty free palette")
-    chosen = np.zeros(len(active), dtype=np.int64)
     if isinstance(source, tuple):
         family, bits = source
         ys = family.eval_vec(bits, active.astype(np.uint64))
         part = (ys & np.uint64(1)) == 0
-        bvs = np.array([max(0, int(f - 1).bit_length()) for f in fs])
-        idx = (ys >> np.uint64(1)).astype(np.int64) & ((1 << bvs) - 1)
+        idx = (ys >> np.uint64(1)).astype(np.int64) & \
+            ((1 << _bit_length(fs - 1)) - 1)
         valid = part & (idx < fs)
-        for i in np.nonzero(valid)[0]:
-            chosen[i] = int(free[int(active[i])][idx[i]])
     else:
-        part = source.random(len(active)) < 0.5
-        for i in np.nonzero(part)[0]:
-            opts = free[int(active[i])]
-            chosen[i] = int(opts[source.integers(0, len(opts))])
-        valid = part
-    keep = valid.copy()
-    edges = _active_edges(graph, active)
-    if len(edges):
-        iu = np.searchsorted(active, edges[:, 0])
-        iv = np.searchsorted(active, edges[:, 1])
-        clash = valid[iu] & valid[iv] & (chosen[iu] == chosen[iv])
-        keep[iu[clash]] = False
-        keep[iv[clash]] = False
-    coloring[active[keep]] = chosen[keep]
-    return int(keep.sum())
+        valid = source.random(len(active)) < 0.5
+        idx = np.zeros(len(active), dtype=np.int64)
+        for i in np.flatnonzero(valid):
+            idx[i] = source.integers(0, int(fs[i]))
+    edges = graph.edges_within(active)
+    return _commit_picks(coloring, free, valid, idx,
+                         np.searchsorted(active, edges[:, 0]),
+                         np.searchsorted(active, edges[:, 1]))
 
 
 # ===================================================================== #
@@ -476,7 +407,7 @@ def det_delta_sq(sim: Simulator, graph: Graph, cfg: Config,
     rounds = 0
     while len(active):
         rounds += 1
-        edges = _active_edges(graph, active)
+        edges = graph.edges_within(active)
         obj = AffineObjective(family.seed_len)
         groups = []
         if len(edges):
@@ -759,6 +690,7 @@ def det_list_color_n34(sim: Simulator, graph: Graph, palettes: Palettes,
     short = scope[palettes.sizes(scope) < sub_deg[scope] + 1]
     if len(short):
         raise ParameterViolation(f"palette of {int(short[0])} below deg+1")
+    scope = np.unique(scope)
     layout = bin_layout(dmax, *palettes.span(scope))
     need_c = required_independence(dmax / max(1, layout.n_bins),
                                    max(layout.small_cap, 1.0), n)
@@ -785,8 +717,8 @@ def det_list_color_n34(sim: Simulator, graph: Graph, palettes: Palettes,
             log.note("central-phase", where="n34-scale", phase=phases,
                      active=len(active))
             continue
-        edges = _active_edges(graph, active)
-        free = _free_sets(graph, palettes, coloring, active)
+        edges = graph.edges_within(active)
+        free = free_sets(graph, palettes, coloring, active)
         # bin statistics exchange: n_bins words per neighbor
         if len(edges):
             out = np.zeros(n, dtype=np.int64)
@@ -1063,9 +995,8 @@ def det_coloring(sim: Simulator, graph: Graph, cfg: Config,
         dstar = graph.max_degree_within(star)
         log.record("partition-star-cap", dstar <= plan.cap_star + 1,
                    deg=dstar, cap=plan.cap_star)
-        star_free = {int(v): free_colors(int(v), palettes, coloring, graph)
-                     for v in star}
-        star_pals = Palettes.from_lists(n, star_free)
+        star_pals = Palettes(n, sets=free_sets(graph, palettes, coloring,
+                                               star))
         with sim.stage("det:star"):
             _, p2 = det_list_color_n34(sim, graph, star_pals, cfg, log,
                                        vertices=star, coloring=coloring)

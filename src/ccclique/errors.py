@@ -47,10 +47,6 @@ class AllocationOverflow(CliqueError):
     """Measured subgraph degrees do not fit into the parent palette."""
 
 
-class PaletteWindowUnsatisfiable(CliqueError):
-    """A left-over vertex has too few free colors for the palette window."""
-
-
 class NoZeroViolationSeed(CliqueError):
     """Derandomized partition cannot certify zero degree-cap violations."""
 

@@ -139,18 +139,32 @@ class Graph:
     def edges_into(self, vertices: np.ndarray, packed_mask: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray]:
         """Every edge from vertices[i] to a vertex w in the mask, as index
-        arrays (i, w).  Rows unpack in chunks, so memory stays O(pairs)
-        plus a few MB, whatever len(vertices) * n is."""
+        arrays (i, w) in lexicographic order.  Only the nonzero words of
+        the masked rows are unpacked, in row chunks, so memory stays
+        O(pairs) plus a few MB, whatever len(vertices) * n is."""
         vertices = np.asarray(vertices, dtype=np.int64)
         step = max(1, (1 << 22) // max(1, self.n))
         out_i, out_w = [np.zeros(0, dtype=np.int64)], \
             [np.zeros(0, dtype=np.int64)]
         for s in range(0, len(vertices), step):
             rows = self.rows[vertices[s:s + step]] & packed_mask[None, :]
-            i, w = np.nonzero(_unpack_rows(rows, self.n))
-            out_i.append(i + s)
-            out_w.append(w)
+            at = np.flatnonzero(rows)
+            bit = np.flatnonzero(np.unpackbits(
+                rows.ravel()[at].view(np.uint8), bitorder="little"))
+            at = at[bit >> 6]
+            out_i.append(at // self.n_words + s)
+            out_w.append(64 * (at % self.n_words) + (bit & 63))
         return np.concatenate(out_i), np.concatenate(out_w)
+
+    def edges_within(self, vertices: np.ndarray) -> np.ndarray:
+        """Edges among `vertices` as an (m, 2) array of global ids with
+        u < v, in lexicographic order.  The input may be unsorted or hold
+        duplicates."""
+        verts = np.unique(np.asarray(vertices, dtype=np.int64))
+        i, w = self.edges_into(verts, self.pack_vertex_mask(verts))
+        u = verts[i]
+        keep = w > u
+        return np.stack([u[keep], w[keep]], axis=1)
 
     def induced(self, vertices: np.ndarray) -> tuple["Graph", np.ndarray]:
         """Induced subgraph; returns (graph, original-id array).
@@ -178,18 +192,7 @@ class Graph:
 
     def edge_array(self) -> np.ndarray:
         """All edges as an (m, 2) array with u < v (small/medium graphs)."""
-        us, vs = [], []
-        for s in range(0, self.n, 2048):
-            e = min(self.n, s + 2048)
-            bits = _unpack_rows(self.rows[s:e], self.n).astype(bool)
-            tri = np.nonzero(bits)
-            keep = tri[1] > (tri[0] + s)
-            us.append(tri[0][keep] + s)
-            vs.append(tri[1][keep])
-        if not us:
-            return np.zeros((0, 2), dtype=np.int64)
-        return np.stack([np.concatenate(us), np.concatenate(vs)],
-                        axis=1).astype(np.int64)
+        return self.edges_within(np.arange(self.n))
 
     # ------------------------------- checks ---------------------------- #
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import Config
-from .coloring import (Palettes, UNCOLORED, free_colors,
-                       concentration_bound, log2n, palette_ranges)
+from .coloring import (Palettes, UNCOLORED, concentration_bound,
+                       free_sets, log2n, palette_ranges)
 from .detcolor import (det_list_color_n34, det_list_color_sqrt,
                        _central_phase)
 from .errors import (AllocationOverflow, DegreeTooLarge, ParameterViolation,
@@ -44,46 +44,34 @@ def one_shot_coloring(sim: Simulator, graph: Graph, palettes: Palettes,
     if p < 0 or p > 0.125:
         raise ParameterViolation("participation probability outside (0,1/8]")
     scope = np.arange(graph.n) if vertices is None else \
-        np.asarray(vertices, dtype=np.int64)
+        np.unique(np.asarray(vertices, dtype=np.int64))
+    everyone = graph.pack_vertex_mask(np.arange(graph.n))
     total = 0
     for _ in range(iterations):
         active = scope[coloring[scope] == UNCOLORED]
         if len(active) == 0 or p == 0:
             sim.ledger.advance(1)
             continue
-        mask = rng.random(len(active)) < p
-        parts = active[mask]
+        parts = active[rng.random(len(active)) < p]
+        free = free_sets(graph, palettes, coloring, parts)
+        fs = free.sizes
         chosen = np.zeros(len(parts), dtype=np.int64)
-        ok = np.ones(len(parts), dtype=bool)
-        for i, v in enumerate(parts):
-            opts = free_colors(int(v), palettes, coloring, graph)
-            if len(opts) == 0:
-                ok[i] = False
-                continue
-            chosen[i] = int(opts[rng.integers(0, len(opts))])
-        parts, chosen = parts[ok], chosen[ok]
+        for i in np.flatnonzero(fs):
+            chosen[i] = free.colors[free.ptr[i] + rng.integers(0, int(fs[i]))]
+        parts, chosen = parts[fs > 0], chosen[fs > 0]
         # keep unless a lower-id participant neighbor chose the same color
+        e = np.searchsorted(parts, graph.edges_within(parts))
         keep = np.ones(len(parts), dtype=bool)
-        if len(parts) > 1:
-            sub, ids = graph.induced(parts)
-            e = sub.edge_array()
-            if len(e):
-                lo, hi = e[:, 0], e[:, 1]  # ids[lo] < ids[hi]
-                clash = chosen[lo] == chosen[hi]
-                keep[hi[clash]] = False
+        keep[e[chosen[e[:, 0]] == chosen[e[:, 1]], 1]] = False
         coloring[parts[keep]] = chosen[keep]
         total += int(keep.sum())
         if sim.config.debug_checks:
             from .coloring import assert_no_conflict
             assert_no_conflict(graph, coloring, "after one-shot round")
         # participants announce their pick to all graph neighbors
-        srcs, dsts = [], []
-        for v in parts:
-            nbr = graph.neighbors(int(v))
-            srcs.append(np.full(len(nbr), v))
-            dsts.append(nbr)
-        if srcs:
-            sim.exchange_counts(np.concatenate(srcs), np.concatenate(dsts))
+        if len(parts):
+            i, w = graph.edges_into(parts, everyone)
+            sim.exchange_counts(parts[i], w)
         else:
             sim.ledger.advance(1)
     return total
@@ -190,9 +178,7 @@ def compute_hierarchy(sim: Simulator, graph: Graph, cfg: Config,
     eps_seq = eps_ladder(delta, cfg.big_k)
     ell = len(eps_seq)
     unc = np.sort(np.asarray(uncolored, dtype=np.int64))
-    sub, ids = graph.induced(unc)
-    e_local = sub.edge_array()
-    edges = ids[e_local] if len(e_local) else np.zeros((0, 2), np.int64)
+    edges = graph.edges_within(unc)
     with sim.stage("hierarchy:collect"):
         # 2-neighborhood collection: O(Delta) out, O(Delta^2) in per node
         sim.charge_route_counts(graph.degrees,
@@ -298,70 +284,51 @@ def dense_coloring_step(sim: Simulator, graph: Graph, palettes: Palettes,
     blocks = [np.asarray(b, dtype=np.int64) for b in super_blocks if len(b)]
     if not blocks:
         return 0
+    blocks = [b[coloring[b] == UNCOLORED] for b in blocks]
     # gather feasibility: palettes + neighbor lists to each leader
     for b in blocks:
-        words = 0
-        for v in b:
-            if coloring[int(v)] != UNCOLORED:
-                continue
-            words += palettes.size(int(v)) + graph.degree(int(v)) + 2
+        words = int((palettes.sizes(b) + graph.degrees[b] + 2).sum())
         if words > sim.n:
             log.record("dense-gather", False, words=words, n=sim.n)
             return 0
     with sim.stage("dense:gather"):
         sim.ledger.advance(2 * sim.config.lenzen_cost + 1)
-    tentative: dict[int, int] = {}
-    block_of: dict[int, int] = {}
-    order_all: list[tuple] = []
-    for bi, b in enumerate(blocks):
-        members = [int(v) for v in b if coloring[int(v)] == UNCOLORED]
-        if not members:
-            continue
-        bset = set(members)
-        z_ex = None
-        dvals = {}
-        for v in members:
-            nbr = graph.neighbors(v)
-            unc_nbr = nbr[coloring[nbr] == UNCOLORED]
-            ext = int(sum(1 for u in unc_nbr if int(u) not in bset))
-            dvals[v] = ext
-            excess = len(free_colors(v, palettes, coloring, graph)) \
-                - len(unc_nbr)
-            z_ex = excess if z_ex is None else min(z_ex, excess)
-        z_ex = max(1, z_ex if z_ex is not None else 1)
-        for v in members:
-            block_of[v] = bi
-            order_all.append((bi, dvals[v], v, dvals[v] / z_ex))
-    # leader simulation: per block, by increasing (D_v, id)
-    order_all.sort(key=lambda t: (t[0], t[1], t[2]))
+    members = np.concatenate(blocks)
+    block_of = np.full(graph.n, -1, dtype=np.int64)
+    block_of[members] = np.repeat(np.arange(len(blocks)),
+                                  [len(b) for b in blocks])
+    # D_v: uncolored neighbours outside v's block
+    i, w = graph.edges_into(members, graph.pack_vertex_mask(
+        np.flatnonzero(coloring == UNCOLORED)))
+    d_ext = np.bincount(i[block_of[w] != block_of[members[i]]],
+                        minlength=len(members))
+    # leader simulation: per block, by increasing (D_v, id), each takes a
+    # uniform free color no earlier member of its block took
+    free = free_sets(graph, palettes, coloring, members)
+    tentative = np.zeros(graph.n, dtype=np.int64)
     taken_in_block: dict[int, set] = {}
-    for bi, _dv, v, _delta_v in order_all:
-        opts = free_colors(v, palettes, coloring, graph)
-        used = taken_in_block.setdefault(bi, set())
-        avail = [c for c in opts.tolist() if c not in used]
+    for r in np.lexsort((members, d_ext, block_of[members])).tolist():
+        v = int(members[r])
+        used = taken_in_block.setdefault(int(block_of[v]), set())
+        avail = [c for c in free.colors[free.ptr[r]:free.ptr[r + 1]].tolist()
+                 if c not in used]
         if not avail:
             continue
         c = avail[int(rng.integers(0, len(avail)))]
         tentative[v] = c
         used.add(c)
     # external conflicts: drop both endpoints
-    committed = 0
-    drop: set[int] = set()
-    for v, c in tentative.items():
-        for u in graph.neighbors(v):
-            u = int(u)
-            cu = tentative.get(u)
-            if cu == c and block_of.get(u) != block_of.get(v):
-                drop.add(v)
-                drop.add(u)
-    for v, c in tentative.items():
-        if v not in drop:
-            coloring[v] = c
-            committed += 1
+    picked = np.flatnonzero(tentative)
+    e = graph.edges_within(picked)
+    clash = (tentative[e[:, 0]] == tentative[e[:, 1]]) & \
+        (block_of[e[:, 0]] != block_of[e[:, 1]])
+    tentative[e[clash].ravel()] = UNCOLORED
+    keep = np.flatnonzero(tentative)
+    coloring[keep] = tentative[keep]
     if sim.config.debug_checks:
         from .coloring import assert_no_conflict
         assert_no_conflict(graph, coloring, "after dense step")
-    return committed
+    return len(keep)
 
 
 # ===================================================================== #
@@ -383,55 +350,60 @@ def color_bidding(sim: Simulator, graph: Graph, palettes: Palettes,
     """
     scope = np.asarray(vertices, dtype=np.int64)
     iterations = cfg.bidding_iters if iterations is None else iterations
+    # the orientation as one integer per vertex (equal ranks, equal keys)
+    key = {r: k for k, r in enumerate(sorted({rank[v] for v in
+                                               scope.tolist()}))}
+    rk = np.zeros(graph.n, dtype=np.int64)
+    rk[scope] = [key[rank[v]] for v in scope.tolist()]
+    pos = np.zeros(graph.n, dtype=np.int64)
     colored = 0
     for _ in range(iterations):
         active = scope[coloring[scope] == UNCOLORED]
         if len(active) == 0:
             break
-        aset = {int(v) for v in active}
-        free = {int(v): free_colors(int(v), palettes, coloring, graph)
-                for v in active}
-        out_nbrs = {}
-        for v in active:
-            v = int(v)
-            nbr = [int(u) for u in graph.neighbors(v)
-                   if int(u) in aset and rank[int(u)] < rank[v]]
-            out_nbrs[v] = nbr
-        p = {v: max(1, len(free[v]) - len(out_nbrs[v])) for v in
-             (int(x) for x in active)}
+        free = free_sets(graph, palettes, coloring, active)
+        # out-edges (v, u): u is a lower-rank active neighbour of v, listed
+        # by v and then by id, so the float sums below add in id order
+        pos[active] = np.arange(len(active))
+        e = graph.edges_within(active)
+        down = rk[e[:, 1]] < rk[e[:, 0]]
+        up = rk[e[:, 0]] < rk[e[:, 1]]
+        v_out = pos[np.concatenate([e[down, 0], e[up, 1]])]
+        u_out = pos[np.concatenate([e[down, 1], e[up, 0]])]
+        by_v = np.lexsort((active[u_out], v_out))
+        v_out, u_out = v_out[by_v], u_out[by_v]
+        p = np.maximum(1, free.sizes - np.bincount(v_out,
+                                                   minlength=len(active)))
+        load = np.bincount(v_out, weights=1.0 / p[u_out],
+                           minlength=len(active))
         if C is None:
-            worst = max((sum(1.0 / p[u] for u in out_nbrs[v])
-                         for v in p), default=0.0)
+            worst = float(load.max())
             c_val = 1.0 if worst == 0 else min(1.0, 1.0 / worst)
         else:
             c_val = C
-            for v in p:
-                s = sum(1.0 / p[u] for u in out_nbrs[v])
-                if s > 1.0 / c_val + 1e-12:
-                    raise ParameterViolation(
-                        f"bid constant: sum 1/p over out-nbrs of {v} > 1/C")
-        samples: dict[int, np.ndarray] = {}
-        words = np.zeros(graph.n, dtype=np.int64)
-        for v in p:
-            prob = min(1.0, c_val / (2.0 * p[v]))
-            pick = free[v][rng.random(len(free[v])) < prob]
-            samples[v] = pick
-            words[v] = len(pick)
+            over = np.flatnonzero(load > 1.0 / c_val + 1e-12)
+            if len(over):
+                raise ParameterViolation(
+                    f"bid constant: sum 1/p over out-nbrs of "
+                    f"{int(active[over[0]])} > 1/C")
+        prob = np.minimum(1.0, c_val / (2.0 * p))
+        samples = free.select(rng.random(len(free.colors)) < prob[free.owner])
         # every vertex ships its sample set to in-neighbors
         out_counts = np.zeros(graph.n, dtype=np.int64)
-        for v in p:
-            indeg = sum(1 for u in graph.neighbors(v)
-                        if int(u) in aset and rank[int(u)] > rank[v])
-            out_counts[v] = words[v] * indeg
+        out_counts[active] = samples.sizes * np.bincount(
+            u_out, minlength=len(active))
         with sim.stage("bidding"):
             sim.charge_route_counts(out_counts, out_counts)
-        for v in p:
-            forbidden = np.concatenate([samples[u] for u in out_nbrs[v]]) \
-                if out_nbrs[v] else np.zeros(0, dtype=np.int64)
-            mine = np.setdiff1d(samples[v], forbidden, assume_unique=False)
-            if len(mine):
-                coloring[v] = int(mine[0])
-                colored += 1
+        # each vertex takes its smallest sampled color no out-neighbour
+        # sampled
+        j, k = samples.expand(u_out)
+        span = int(samples.colors.max(initial=0)) + 1
+        forbidden = v_out[j] * span + samples.colors[samples.ptr[u_out][j] + k]
+        mine = samples.select(~np.isin(samples.owner * span + samples.colors,
+                                       forbidden))
+        won = np.flatnonzero(mine.sizes)
+        coloring[active[won]] = mine.colors[mine.ptr[won]]
+        colored += len(won)
         if sim.config.debug_checks:
             from .coloring import assert_no_conflict
             assert_no_conflict(graph, coloring, "after bidding round")
@@ -481,21 +453,23 @@ def clp_list_coloring(sim: Simulator, graph: Graph, palettes: Palettes,
     if coloring is None:
         coloring = np.zeros(n, dtype=np.int64)
     scope = np.arange(n) if vertices is None else \
-        np.asarray(vertices, dtype=np.int64)
+        np.unique(np.asarray(vertices, dtype=np.int64))
     scope = scope[coloring[scope] == UNCOLORED]
     if len(scope) == 0:
         return coloring
     sub_deg = graph.degrees_within(graph.pack_vertex_mask(scope),
-                                   rows=scope)
-    delta = int(sub_deg[scope].max(initial=0))
+                                   rows=scope)[scope]
+    delta = int(sub_deg.max(initial=0))
     window_lo = delta - max(1, delta) ** 0.6
-    for v in scope:
-        r = palettes.size(int(v))
-        if r < sub_deg[v] + 1:
-            raise ParameterViolation(f"palette of {int(v)} below deg+1")
-        if r < window_lo or r > delta + 1:
-            raise ParameterViolation(
-                f"palette size {r} outside window [{window_lo},{delta + 1}]")
+    sizes = palettes.sizes(scope)
+    bad = np.flatnonzero((sizes < sub_deg + 1) | (sizes < window_lo) |
+                         (sizes > delta + 1))
+    if len(bad):
+        i = bad[0]
+        if sizes[i] < sub_deg[i] + 1:
+            raise ParameterViolation(f"palette of {int(scope[i])} below deg+1")
+        raise ParameterViolation(f"palette size {int(sizes[i])} outside "
+                                 f"window [{window_lo},{delta + 1}]")
     if delta < cfg.delta_min:
         _fallback_list_color(sim, graph, palettes, coloring, scope, cfg,
                              log, f"Delta={delta} below delta_min")
@@ -770,23 +744,19 @@ def recursive_coloring(sim: Simulator, graph: Graph, scope: np.ndarray,
                              f"left-over Delta*={dstar} above sqrt bound")
         return coloring
     window_lo = dstar - max(1, dstar) ** 0.6
-    lists = {}
-    window_ok = True
-    for v in star:
-        v = int(v)
-        opts = free_colors(v, parent, coloring, graph)
-        log.require("star-free-floor", len(opts) >= sdeg[v] + 1,
-                    vertex=v, free=len(opts), need=int(sdeg[v]) + 1)
-        if len(opts) < window_lo:
-            window_ok = False
-        lists[v] = opts[: dstar + 1]  # truncate to the window's upper end
-    if not window_ok:
+    free = free_sets(graph, parent, coloring, star)
+    for v, f, need in zip(star.tolist(), free.sizes.tolist(),
+                          (sdeg[star] + 1).tolist()):
+        log.require("star-free-floor", f >= need, vertex=v, free=f,
+                    need=need)
+    # truncate each list to the window's upper end
+    spal = Palettes(n, sets=free.select(
+        np.arange(len(free.colors)) - free.ptr[free.owner] <= dstar))
+    if (free.sizes < window_lo).any():
         log.record("palette-window", False, dstar=dstar)
-        _fallback_list_color(sim, graph, Palettes.from_lists(n, lists),
-                             coloring, star, cfg, log,
+        _fallback_list_color(sim, graph, spal, coloring, star, cfg, log,
                              "left-over palette window unsatisfiable")
         return coloring
-    spal = Palettes.from_lists(n, lists)
     clp_list_coloring(sim, graph, spal, cfg, rng, log, vertices=star,
                       coloring=coloring)
     return coloring

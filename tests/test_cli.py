@@ -109,6 +109,15 @@ def test_input_errors_exit_2(runner, tmp_path):
     assert res5.exit_code == 2
 
 
+@pytest.mark.parametrize("key", ["c_phase", "chunk_bits", "const_deg_cap"])
+def test_removed_config_keys_exit_2(runner, key):
+    # no code read these knobs, so they are no longer config keys
+    res = runner.invoke(main, ["run", "--algo", "det", "--gen", "16,0.5",
+                               "--set", f"{key}=4"])
+    assert res.exit_code == 2
+    assert f"unknown config key {key!r}" in res.output
+
+
 def test_unexpected_crash_exits_3(runner, monkeypatch):
     def crash(*args, **kwargs):
         raise RuntimeError("boom")

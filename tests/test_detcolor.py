@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from ccclique.config import Config
-from ccclique.coloring import Palettes, is_proper
+from ccclique.coloring import Palettes, free_sets, is_proper
 from ccclique.detcolor import (GeneralPartitionPlan, _capacity_split,
-                               _free_sets, bin_layout, classify_and_bin,
+                               bin_layout, classify_and_bin,
                                det_coloring, det_delta_sq, det_list_color_n34,
                                det_list_color_sqrt, det_partition_general,
                                phase_bound, required_independence,
@@ -209,7 +209,7 @@ def test_all_small_bins_goes_a0():
     sim, cfg, log = setup_ctx(delta * delta + 1)
     active = np.arange(n)
     coloring = np.zeros(n, dtype=np.int64)
-    free = _free_sets(g, pal, coloring, active)
+    free = free_sets(g, pal, coloring, active)
     state = classify_and_bin(sim, g, coloring, free, layout, cfg, log,
                              g.edge_array())
     assert state.branch == "A0"

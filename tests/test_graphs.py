@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ccclique.coloring import (UNCOLORED, Palettes, concentration_bound,
-                               find_conflict, free_colors, greedy_list_color,
-                               is_proper, palette_ranges, Violation)
+                               find_conflict, free_colors, free_sets,
+                               greedy_list_color, is_proper, palette_ranges,
+                               Violation)
 from ccclique.errors import InputError
 from ccclique.graphs import (Graph, gen_random_graph, graph_from_text,
                              read_edge_list, write_edge_list)
@@ -312,3 +313,177 @@ def test_gen_graph_is_simple_symmetric(n, seed):
     g = gen_random_graph(n, 0.5, seed)
     g.validate()
     assert g.max_degree <= n - 1
+
+
+# ------------- one neighbour substrate: edges, free sets, lists ------------ #
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 150), st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1),
+       st.integers(0, 300))
+def test_edges_within_matches_bruteforce(n, p, seed, size):
+    """Random, unsorted, duplicated and empty vertex sets."""
+    g = gen_random_graph(n, p, seed)
+    vertices = np.random.default_rng(seed).integers(0, n, size)
+    ids = sorted(set(vertices.tolist()))
+    want = [(u, v) for u in ids for v in ids if u < v and g.has_edge(u, v)]
+    got = g.edges_within(vertices)
+    assert got.shape == (len(want), 2) and got.dtype == np.int64
+    assert [tuple(e) for e in got.tolist()] == want
+    assert np.array_equal(g.edges_within(vertices[::-1]), got)
+
+
+def test_edges_within_empty_and_whole():
+    g = gen_random_graph(130, 0.3, 4)
+    assert g.edges_within(np.zeros(0, dtype=np.int64)).shape == (0, 2)
+    assert g.edges_within([5]).shape == (0, 2)
+    whole = g.edge_array()
+    assert len(whole) == g.n_edges
+    assert np.array_equal(whole, g.edges_within(np.arange(g.n)))
+    assert np.array_equal(whole, np.array(list(g.edges_iter())))
+
+
+def reference_free_colors(v, palette, coloring, graph):
+    """Per-vertex free colors: v's palette minus its colored neighbours'
+    colors, by `setdiff1d`."""
+    nbr_colors = coloring[graph.neighbors(v)]
+    taken = np.unique(nbr_colors[nbr_colors != UNCOLORED])
+    if len(taken) == 0:
+        return palette
+    return np.setdiff1d(palette, taken, assume_unique=False)
+
+
+def random_lists(rng, n, top):
+    """Dict palettes on a random subset of [0, n), some of them empty."""
+    return {int(v): rng.choice(np.arange(1, top + 1),
+                               int(rng.integers(0, top + 1)))
+            for v in np.flatnonzero(rng.random(n) < 0.7)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 120), st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1),
+       st.booleans())
+def test_free_sets_match_per_vertex_reference(n, p, seed, listed):
+    g = gen_random_graph(n, p, seed)
+    rng = np.random.default_rng(seed)
+    top = g.max_degree + 3
+    if listed:
+        lists = random_lists(rng, n, top)
+        pal = Palettes.from_lists(n, lists)
+        palette = {v: np.unique(lists.get(v, [])).astype(np.int64)
+                   for v in range(n)}
+    else:
+        lo = rng.integers(1, 4, n)
+        hi = lo + rng.integers(-1, top, n)
+        pal = Palettes(n, lo, hi)
+        palette = {v: np.arange(lo[v], hi[v] + 1) for v in range(n)}
+    coloring = rng.integers(1, top + 2, n) * (rng.random(n) < 0.5)
+    vertices = rng.permutation(n)[: int(rng.integers(0, n + 1))]
+    free = free_sets(g, pal, coloring, vertices)
+    assert np.array_equal(free.vertices, vertices)
+    assert len(free.ptr) == len(vertices) + 1
+    for i, v in enumerate(vertices.tolist()):
+        want = reference_free_colors(v, palette[v], coloring, g)
+        assert free.colors[free.ptr[i]:free.ptr[i + 1]].tolist() == \
+            want.tolist()
+        assert free_colors(v, pal, coloring, g).tolist() == want.tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 80), st.integers(0, 2 ** 32 - 1))
+def test_list_palettes_match_dict_semantics(n, seed):
+    """Every list-palette query against the same query on the dict, with
+    vertices that have no list or an empty one."""
+    rng = np.random.default_rng(seed)
+    lists = random_lists(rng, n, 12)
+    ref = {v: np.unique(np.asarray(lists.get(v, []), dtype=np.int64))
+           for v in range(n)}
+    pal = Palettes.from_lists(n, lists)
+    assert not pal.is_range
+    vertices = rng.integers(0, n, int(rng.integers(0, 2 * n)))
+    assert pal.sizes(vertices).tolist() == [len(ref[v]) for v in
+                                            vertices.tolist()]
+    ptr, colors = pal.flat(vertices)
+    for i, v in enumerate(vertices.tolist()):
+        assert pal.size(v) == len(ref[v])
+        assert pal.colors(v).tolist() == ref[v].tolist()
+        assert colors[ptr[i]:ptr[i + 1]].tolist() == ref[v].tolist()
+    held = [c for v in vertices.tolist() for c in ref[v].tolist()]
+    assert pal.span(vertices) == ((min(held), max(held)) if held else (1, 1))
+    probe = rng.integers(0, 14, len(vertices))
+    assert pal.contains(vertices, probe).tolist() == \
+        [c in ref[v] for v, c in zip(vertices.tolist(), probe.tolist())]
+    keep = set(vertices.tolist())
+    sub = pal.restrict(vertices)
+    for v in range(n):
+        want = ref[v] if v in keep else []
+        assert sub.colors(v).tolist() == list(want)
+    # a palette violation is the first vertex whose color is not listed
+    coloring = np.array([int(ref[v][0]) if len(ref[v]) else 1
+                         for v in range(n)], dtype=np.int64)
+    bad = [v for v in range(n) if coloring[v] not in ref[v]]
+    verdict = is_proper(Graph.from_edges(n, []), coloring, pal)
+    if bad:
+        assert (verdict.kind, verdict.vertex) == ("palette", bad[0])
+        assert verdict.color == coloring[bad[0]]
+    else:
+        assert verdict is True
+
+
+def test_list_palettes_hold_free_sets():
+    # a list palette built from free sets is those sets, row for row
+    g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3)])
+    coloring = np.array([2, 0, 0, 4, 0])
+    free = free_sets(g, Palettes.uniform_range(5, 1, 5), coloring,
+                     np.array([1, 2, 4]))
+    pal = Palettes(5, sets=free)
+    assert [pal.colors(v).tolist() for v in range(5)] == \
+        [[], [1, 3, 4, 5], [1, 2, 3, 5], [], [1, 2, 3, 4, 5]]
+    assert pal.contains(1, 3) and not pal.contains(1, 2)
+    assert not pal.contains(0, 2)
+
+
+def reference_list_greedy(graph, lists, coloring, vertices):
+    """Per-vertex list greedy: each vertex in ascending order takes the
+    first color of its free list (`reference_free_colors`)."""
+    count = 0
+    for v in np.sort(np.asarray(vertices, dtype=np.int64)).tolist():
+        if coloring[v] != UNCOLORED:
+            continue
+        palette = np.unique(np.asarray(lists.get(v, []), dtype=np.int64))
+        options = reference_free_colors(v, palette, coloring, graph)
+        if len(options) == 0:
+            raise AssertionError(
+                f"greedy stuck at {v}: palette slack invariant violated")
+        coloring[v] = int(options[0])
+        count += 1
+    return count
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 150), st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1),
+       st.integers(-2, 3), st.floats(0.0, 0.6))
+def test_list_greedy_matches_reference(n, p, seed, slack, frac):
+    """Scattered lists of deg+1+slack colors; short lists and vertices
+    with no list get stuck.  Pre-colored vertices and duplicate entries."""
+    g = gen_random_graph(n, p, seed)
+    rng = np.random.default_rng(seed)
+    top = 2 * g.max_degree + 8
+    lists = {v: rng.choice(np.arange(1, top + 1),
+                           max(0, min(top, int(g.degrees[v]) + 1 + slack)),
+                           replace=False)
+             for v in range(n) if slack >= 0 or rng.random() < 0.95}
+    pal = Palettes.from_lists(n, lists)
+    coloring = np.zeros(n, dtype=np.int64)
+    pre = rng.random(n) < frac
+    coloring[pre] = rng.integers(1, top + 5, int(pre.sum()))
+    vertices = rng.integers(0, n, int(rng.integers(0, 2 * n + 1)))
+    want, got = coloring.copy(), coloring.copy()
+    try:
+        expected = reference_list_greedy(g, lists, want, vertices)
+    except AssertionError as exc:
+        with pytest.raises(AssertionError, match=re.escape(str(exc))):
+            greedy_list_color(g, pal, got, vertices)
+        assert np.array_equal(want, got)
+        return
+    assert greedy_list_color(g, pal, got, vertices) == expected
+    assert np.array_equal(want, got)

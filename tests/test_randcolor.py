@@ -440,3 +440,27 @@ def test_clp_runs_hierarchy_and_bidding_in_regime():
     assert rep["proper"] and rep["within_budget"]
     assert rep["rounds_by_stage"]["clp:hierarchy"] > 0
     assert rep["rounds_by_stage"]["clp:bidding"] > 0
+
+
+def test_clp_dense_step_colors_disjoint_cliques(monkeypatch):
+    # 51 disjoint K_20 (ids 20b..20b+19) plus 4 isolated vertices: every
+    # clique is one dense block, so the dense step gathers each block at a
+    # leader and colors it; no bidding round charges anything
+    edges = [(20 * b + i, 20 * b + j) for b in range(51)
+             for i in range(20) for j in range(i + 1, 20)]
+    g = Graph.from_edges(1024, edges)
+    from ccclique import randcolor
+    dense = randcolor.dense_coloring_step
+    colored = []
+    monkeypatch.setattr(randcolor, "dense_coloring_step",
+                        lambda *a, **k: colored.append(dense(*a, **k))
+                        or colored[-1])
+    _, rep = run_algorithm("clp", g, Config(delta_min=16, rng_seed=1))
+    assert rep["proper"] and rep["within_budget"]
+    assert colored == [697]
+    assert rep["rounds_total"] == 11
+    assert rep["rounds_by_stage"] == {
+        "bidding": 0, "clp": 11, "clp:bidding": 0, "clp:dense-large": 0,
+        "clp:dense-small": 5, "clp:hierarchy": 3, "clp:oneshot": 3,
+        "dense:gather": 5, "hierarchy:collect": 2,
+        "hierarchy:components": 1}
