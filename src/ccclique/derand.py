@@ -31,12 +31,12 @@ search because both use the same integer arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import ChunkTooWide, SeedLengthMismatch
-from .gf2 import (EchelonTemplate, column_masks_vec, gf_mul, gf_mul_vec,
-                  irreducible_poly)
+from .gf2 import EchelonTemplate, column_masks_vec, gf_mul, gf_mul_vec
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,9 @@ class Seed:
 
 
 class HashFamily:
-    """d-wise independent functions {0,1}^gamma -> {0,1}^beta."""
+    """d-wise independent functions {0,1}^gamma -> {0,1}^beta.  With
+    seed_len <= 64 the vector forms gather rows of the family's cached,
+    read-only `_mask_table`: output bit t is parity(mask[x, t] & seed)."""
 
     def __init__(self, gamma: int, beta: int, d: int):
         if gamma < 1 or beta < 1 or d < 1:
@@ -60,7 +62,6 @@ class HashFamily:
         self.gamma, self.beta, self.d = gamma, beta, d
         self.k = max(gamma, beta)
         self.seed_len = d * self.k
-        self.poly = irreducible_poly(self.k)
 
     def coefficients(self, seed_bits: int) -> list[int]:
         mask = (1 << self.k) - 1
@@ -76,12 +77,24 @@ class HashFamily:
             acc = gf_mul(acc, x, self.k) ^ coeffs[c]
         return acc & ((1 << self.beta) - 1)
 
+    def _ids(self, xs) -> np.ndarray:
+        xs = np.asarray(xs)
+        if xs.size and (int(xs.min()) < 0 or int(xs.max()) >> self.gamma):
+            raise ValueError("input outside gamma bits")
+        return xs.astype(np.uint64)
+
     def eval_vec(self, seed_bits: int, xs: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation for many inputs (requires k <= 31)."""
+        """Vectorized evaluation for many inputs."""
+        xs = self._ids(xs)
         if 2 * self.k > 63:
             return np.array([self.eval(seed_bits, int(x)) for x in xs],
                             dtype=np.uint64)
-        xs = np.asarray(xs, dtype=np.uint64)
+        if self.seed_len <= 64:
+            masks = _mask_table(self.gamma, self.beta, self.d)[xs]
+            seed = np.uint64(seed_bits & ((1 << self.seed_len) - 1))
+            odd = np.bitwise_count(masks & seed) & np.uint64(1)
+            return odd @ (np.uint64(1) << np.arange(self.beta,
+                                                    dtype=np.uint64))
         coeffs = self.coefficients(seed_bits)
         acc = np.full(len(xs), np.uint64(coeffs[-1]), dtype=np.uint64)
         for c in range(self.d - 2, -1, -1):
@@ -89,23 +102,29 @@ class HashFamily:
         return acc & np.uint64((1 << self.beta) - 1)
 
     def bit_masks_vec(self, xs: np.ndarray) -> np.ndarray:
-        """Seed-bit parity masks of every output bit, per input.
-
-        Returns (len(xs), beta) uint64; masks[v, t] has seed-bit j set iff
-        output bit t of h(xs[v]) depends on seed bit j.  Needs seed_len
-        <= 64.
-        """
+        """(len(xs), beta) uint64 seed-bit parity masks: masks[v, t] has
+        seed bit j set iff output bit t of h(xs[v]) depends on seed bit j.
+        Needs seed_len <= 64."""
         if self.seed_len > 64:
             raise ValueError("affine masks require seed_len <= 64")
-        xs = np.asarray(xs, dtype=np.uint64)
-        out = np.zeros((len(xs), self.beta), dtype=np.uint64)
-        power = np.ones(len(xs), dtype=np.uint64)
-        for c in range(self.d):
-            cols = column_masks_vec(power, self.k)  # (n, k)
-            out ^= cols[:, : self.beta] << np.uint64(c * self.k)
-            if c + 1 < self.d:
-                power = gf_mul_vec(power, xs, self.k)
-        return out
+        return _mask_table(self.gamma, self.beta, self.d)[self._ids(xs)]
+
+
+@lru_cache(maxsize=16)
+def _mask_table(gamma: int, beta: int, d: int) -> np.ndarray:
+    """bit_masks_vec of HashFamily(gamma, beta, d) over all 2^gamma
+    inputs, read-only: seed chunk c enters through multiplication by x^c."""
+    k = max(gamma, beta)
+    xs = np.arange(1 << gamma, dtype=np.uint64)
+    out = np.zeros((len(xs), beta), dtype=np.uint64)
+    power = np.ones(len(xs), dtype=np.uint64)
+    for c in range(d):
+        cols = column_masks_vec(power, k)  # (2^gamma, k)
+        out ^= cols[:, :beta] << np.uint64(c * k)
+        if c + 1 < d:
+            power = gf_mul_vec(power, xs, k)
+    out.flags.writeable = False
+    return out
 
 
 def hash_eval(family: HashFamily, seed: Seed, x: int) -> int:
@@ -190,13 +209,6 @@ class AffineObjective:
         self.seed_len = seed_len
         self._blocks = []   # (nodes, coefs, nrows, masks, pivots, rhs)
         self._consts = []   # (nodes, coefs) of rank-0 terms
-
-    def add_term(self, node: int, coef: int, rows) -> None:
-        """Add coef * [all rows hold]; rows are (mask, rhs) parities."""
-        masks = np.array([[int(m) for m, _ in rows]], dtype=np.uint64)
-        rhs = sum((int(r) & 1) << i for i, (_, r) in enumerate(rows))
-        self.add_terms(EchelonTemplate(masks), [0], [node], [coef],
-                       np.array([rhs], dtype=np.uint64))
 
     def add_terms(self, template: EchelonTemplate, systems, nodes, coefs,
                   rhs_bits) -> None:

@@ -103,15 +103,17 @@ def _add_term_groups(obj: AffineObjective, *groups) -> None:
     its own system ids; narrower systems pad with zero columns, rows that
     constrain nothing."""
     masks, systems, nodes, coefs, rhs = zip(*groups)
-    width = max(m.shape[1] for m in masks)
     offsets = np.cumsum([0] + [len(m) for m in masks])
+    rows = np.zeros((offsets[-1], max(m.shape[1] for m in masks)),
+                    dtype=np.uint64)
+    for m, off in zip(masks, offsets):
+        rows[off: off + len(m), : m.shape[1]] = m
 
     def cat(col, dtype):
         return np.concatenate([np.asarray(x, dtype=dtype) for x in col])
 
     obj.add_terms(
-        EchelonTemplate(np.concatenate(
-            [np.pad(m, ((0, 0), (0, width - m.shape[1]))) for m in masks])),
+        EchelonTemplate(rows),
         cat([s + off for s, off in zip(systems, offsets)], np.int64),
         cat(nodes, np.int64), cat(coefs, np.int64), cat(rhs, np.uint64))
 

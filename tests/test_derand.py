@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ccclique.config import Config
 from ccclique.derand import (AffineObjective, HashFamily, Seed,
-                             TableObjective, auto_chunk_bits,
+                             TableObjective, _mask_table, auto_chunk_bits,
                              cond_exp_search, default_chunk_bits,
                              distributed_seed_agreement, hash_eval)
 from ccclique.errors import ChunkTooWide, SeedLengthMismatch
@@ -24,6 +24,15 @@ def value_rows(bit_masks: np.ndarray, bits: list[int], value: int):
     corresponds to bits[t]."""
     return [(int(bit_masks[t]), (value >> i) & 1)
             for i, t in enumerate(bits)]
+
+
+def add_term(obj: AffineObjective, node: int, coef: int, rows) -> None:
+    """Add coef * [all rows hold] to `obj`, one term through its own
+    template; rows are (mask, rhs) parities."""
+    masks = np.array([[int(m) for m, _ in rows]], dtype=np.uint64)
+    rhs = sum((int(r) & 1) << i for i, (_, r) in enumerate(rows))
+    obj.add_terms(EchelonTemplate(masks), [0], [node], [coef],
+                  np.array([rhs], dtype=np.uint64))
 
 
 def test_irreducible_polys_have_degree_bit():
@@ -107,6 +116,52 @@ def test_bit_masks_reproduce_output_bits():
             for t in range(fam.beta):
                 par = bin(int(bm[x, t]) & s).count("1") & 1
                 assert par == (y >> t) & 1
+
+
+@given(st.integers(1, 8), st.integers(1, 16), st.integers(1, 6),
+       st.integers(0, 2 ** 96 - 1))
+@example(4, 16, 4, 2 ** 64 - 1)  # seed_len = 64
+@example(3, 9, 2, 0x2ABCD)       # beta > gamma, so k = beta
+@example(5, 2, 1, 0b10111)       # d = 1: a constant function
+@example(4, 16, 5, 2 ** 80 - 3)  # seed_len 80: Horner, no masks
+@settings(max_examples=60, deadline=None)
+def test_vector_forms_match_scalar_eval(gamma, beta, d, seed):
+    fam = HashFamily(gamma, beta, d)
+    xs = np.arange(1 << gamma)
+    want = [fam.eval(seed, x) for x in range(1 << gamma)]
+    assert fam.eval_vec(seed, xs).tolist() == want
+    if fam.seed_len > 64:
+        with pytest.raises(ValueError):
+            fam.bit_masks_vec(xs)
+        return
+    odd = np.bitwise_count(fam.bit_masks_vec(xs)
+                           & np.uint64(seed & ((1 << fam.seed_len) - 1))) & 1
+    assert (odd.astype(np.int64) << np.arange(beta)).sum(axis=1).tolist() \
+        == want
+
+
+@pytest.mark.parametrize("fam", [HashFamily(3, 3, 2), HashFamily(3, 17, 4)],
+                         ids=["table", "horner"])
+@pytest.mark.parametrize("xs", [[9, 12], [8], [-1], [3, -2]])
+def test_vector_forms_reject_ids_outside_gamma_bits(fam, xs):
+    with pytest.raises(ValueError, match="outside gamma bits"):
+        fam.eval_vec(0b101011, xs)
+    if fam.seed_len <= 64:
+        with pytest.raises(ValueError, match="outside gamma bits"):
+            fam.bit_masks_vec(xs)
+
+
+def test_mask_table_is_read_only():
+    fam = HashFamily(3, 3, 2)
+    table = _mask_table(3, 3, 2)
+    assert table.shape == (8, 3) and not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 1
+    # gathered rows are copies: writing them leaves later reads intact
+    masks = fam.bit_masks_vec(np.arange(8))
+    want = masks.copy()
+    masks[:] = 0
+    assert np.array_equal(fam.bit_masks_vec(np.arange(8)), want)
 
 
 def test_cond_exp_constant_objective():
@@ -205,8 +260,8 @@ class TestAffineObjective:
                 coef = int(rng.integers(-3, 4))
                 nb = int(rng.integers(1, 4))
                 want = int(rng.integers(0, 1 << nb))
-                obj.add_term(node, coef,
-                             value_rows(bm[node], list(range(nb)), want))
+                add_term(obj, node, coef,
+                         value_rows(bm[node], list(range(nb)), want))
                 events.append((node, coef, want, nb))
             obj.freeze()
             for _ in range(4):
@@ -235,7 +290,7 @@ class TestAffineObjective:
         for ku, kv in pairs:
             rows = value_rows(bm[u], list(range(nbits)), ku) + \
                 value_rows(bm[v], list(range(nbits)), kv)
-            obj_a.add_term(u, -1, rows)
+            add_term(obj_a, u, -1, rows)
             rhs.append(ku | (kv << nbits))
         obj_b.add_terms(template, [0] * len(pairs), [u] * len(pairs),
                         [-1] * len(pairs), np.array(rhs, dtype=np.uint64))
@@ -266,8 +321,8 @@ class TestAffineObjective:
                 coef = int(rng.integers(-2, 5))
                 nb = int(rng.integers(1, 4))
                 want = int(rng.integers(0, 1 << nb))
-                obj.add_term(node, coef,
-                             value_rows(bm[node], list(range(nb)), want))
+                add_term(obj, node, coef,
+                         value_rows(bm[node], list(range(nb)), want))
                 events.append((node, coef, want, nb))
             obj.freeze()
             seed = cond_exp_search(obj, fam.seed_len, 2)
@@ -301,7 +356,7 @@ class TestPackedEvaluation:
                 nb = int(rng.integers(1, 5))
                 rows += value_rows(bm[v], list(range(nb)),
                                    int(rng.integers(0, 1 << nb)))
-            obj.add_term(node, coef, rows)
+            add_term(obj, node, coef, rows)
             terms.append((node, coef, rows))
         obj.freeze()
         return obj, terms

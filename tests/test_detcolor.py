@@ -6,15 +6,16 @@ import pytest
 
 from ccclique.config import Config
 from ccclique.coloring import Palettes, free_sets, is_proper
-from ccclique.detcolor import (GeneralPartitionPlan, _capacity_split,
-                               bin_layout, classify_and_bin,
+from ccclique.detcolor import (GeneralPartitionPlan, _add_term_groups,
+                               _capacity_split, bin_layout, classify_and_bin,
                                det_coloring, det_delta_sq, det_list_color_n34,
                                det_list_color_sqrt, det_partition_general,
                                phase_bound, required_independence,
                                simple_rand_color_round)
-from ccclique.derand import HashFamily
+from ccclique.derand import AffineObjective, HashFamily
 from ccclique.errors import (DegreeTooLarge, NoZeroViolationSeed,
                              ParameterViolation)
+from ccclique.gf2 import EchelonTemplate
 from ccclique.graphs import Graph, gen_random_graph
 from ccclique.harness import run_algorithm
 from ccclique.runlog import RunLog
@@ -71,6 +72,38 @@ def _run_seeded(g, pal, fam, s):
     coloring = np.zeros(g.n, dtype=np.int64)
     simple_rand_color_round(g, pal, coloring, (fam, s))
     return coloring
+
+
+def test_add_term_groups_matches_pad_and_concatenate():
+    # groups of widths 3, 6 and 2 written into one preallocated array
+    # freeze to the same rows as padding each group with zero columns to
+    # the widest and concatenating
+    rng = np.random.default_rng(4)
+    groups = []
+    for width, n_sys, n_terms in ((3, 5, 9), (6, 4, 7), (2, 3, 6)):
+        groups.append((
+            rng.integers(0, 1 << 10, size=(n_sys, width), dtype=np.uint64),
+            rng.integers(0, n_sys, size=n_terms),
+            rng.integers(0, 16, size=n_terms),
+            rng.integers(-3, 4, size=n_terms),
+            rng.integers(0, 1 << width, size=n_terms, dtype=np.uint64)))
+    got = AffineObjective(10)
+    _add_term_groups(got, *groups)
+    masks, systems, nodes, coefs, rhs = zip(*groups)
+    offsets = np.cumsum([0] + [len(m) for m in masks])
+    ref = AffineObjective(10)
+    ref.add_terms(
+        EchelonTemplate(np.concatenate(
+            [np.pad(m, ((0, 0), (0, 6 - m.shape[1]))) for m in masks])),
+        np.concatenate([s + off for s, off in zip(systems, offsets)]),
+        np.concatenate(nodes), np.concatenate(coefs), np.concatenate(rhs))
+    got.freeze()
+    ref.freeze()
+    for name in ("term_node", "term_coef", "n_rows_per_term", "row_mask",
+                 "row_rhs", "row_term", "row_pivot", "const_node",
+                 "const_coef"):
+        assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+    assert got.n_terms == ref.n_terms > 0
 
 
 # ----------------------------- delta^2 -------------------------------- #

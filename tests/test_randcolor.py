@@ -329,6 +329,31 @@ def test_recursive_base_case_no_partition_rounds():
                    sim.ledger.stage_rounds)
 
 
+def test_recursive_left_over_runs_on_list_palettes(monkeypatch):
+    # a plan with q = 4 parts of p_j = 0.15 leaves 40% of the vertices in
+    # the left-over set; at c_fit = 16 its degree fits the sqrt bound, so
+    # it is list-colored from its free colors in the parent palette
+    from ccclique import randcolor
+    monkeypatch.setattr(PartitionPlan, "make", staticmethod(
+        lambda delta_i, x, n, level=0, y=None: PartitionPlan(
+            level, x.bit_length(), x, delta_i, 4, 1.6, 0.15, 0.4)))
+    lists = []
+    for name in ("clp_list_coloring", "_fallback_list_color"):
+        def spy(sim, graph, palettes, *a, _f=getattr(randcolor, name), **k):
+            lists.append(not palettes.is_range)
+            return _f(sim, graph, palettes, *a, **k)
+        monkeypatch.setattr(randcolor, name, spy)
+    g = gen_random_graph(1024, 0.15, 3)
+    sim, cfg, log = setup_ctx(g.n, c_fit=16)
+    assert g.max_degree ** 2 > cfg.c_fit * g.n
+    coloring = recursive_coloring(sim, g, np.arange(g.n), 1,
+                                  g.max_degree + 1, cfg,
+                                  np.random.default_rng(1), log)
+    assert is_proper(g, coloring, Palettes.uniform_range(
+        g.n, 1, g.max_degree + 1)) is True
+    assert any(lists)
+
+
 def test_parallel_instance_isolation():
     # coloring two disjoint blocks via run_parallel equals sequential runs
     # with the same per-instance seeds
