@@ -49,6 +49,14 @@ class Config:
             term_budget=max(2000, self.term_budget // k),
             eval_budget=max(1_000_000, self.eval_budget // k))
 
+    def fits_sqrt(self, delta: int, n: int) -> bool:
+        """Delta^2 <= c_fit * n: the degree regime of the sqrt colorers."""
+        return delta * delta <= self.c_fit * n
+
+    def fits_n34(self, delta: int, n: int) -> bool:
+        """Delta^4 <= (c_fit * n)^3: the n^(3/4) bin colorer's regime."""
+        return delta ** 4 <= (self.c_fit * n) ** 3
+
     def snapshot(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 

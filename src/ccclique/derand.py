@@ -47,9 +47,6 @@ class Seed:
     length: int
     fixed_prefix_len: int = 0
 
-    def bit(self, i: int) -> int:
-        return (self.bits >> i) & 1
-
 
 class HashFamily:
     """d-wise independent functions {0,1}^gamma -> {0,1}^beta.  With

@@ -5,11 +5,14 @@ the general-case capacity partition.
 Derandomized steps share one pattern: a per-phase experiment whose random
 choices are hash outputs of node ids, and a pessimistic success estimator
 whose terms are affine events over seed bits, so conditional expectations
-are exact (see derand.AffineObjective).  The seed is agreed through the
-leader protocol and applied; realized progress is asserted against the
-estimator's initial expectation (the dominance the method guarantees).
+are exact (see derand.AffineObjective).  `_seed_round` builds the
+estimator, agrees the seed through the leader protocol and evaluates the
+hash; realized progress is asserted against the estimator's initial
+expectation (the dominance the method guarantees).
 
-Two desk-scale escape hatches, both charged honestly in the ledger:
+Both list colorers (the sqrt regime and the n^(3/4) bin regime) run the
+same phase loop, `_list_color_phases`; each supplies only its phase body.
+Three desk-scale escape hatches, all charged honestly in the ledger:
 
 * When the estimator would exceed the configured term budget, the phase is
   completed by a central greedy list-coloring instead (gather charged via
@@ -17,8 +20,11 @@ Two desk-scale escape hatches, both charged honestly in the ledger:
   palette or an edge because every palette keeps deg+1 slack.
 * When a phase's seed colors fewer than a quarter of its vertices (the
   power-of-two index map concedes up to half the participation mass), a
-  charged central top-up colors the difference, keeping the documented
-  per-phase progress exact.
+  charged central top-up colors the difference, so every seeded phase of
+  either colorer colors at least a quarter of its vertices (the asserted
+  `sqrt-quarter-progress` / `n34-quarter-progress`).
+* After phase_bound(|scope|) full phases, whatever is left is colored
+  centrally (the termination guard).
 """
 
 from __future__ import annotations
@@ -138,6 +144,138 @@ def _central_phase(sim: Simulator, graph: Graph, palettes: Palettes,
             lambda: greedy_list_color(graph, palettes, coloring, vertices))
 
 
+def _announce(sim: Simulator, edges: np.ndarray) -> None:
+    """One round in which both ends of every edge message each other; an
+    empty edge set still costs the round."""
+    sim.exchange_counts(edges.ravel(), edges[:, ::-1].ravel())
+
+
+def _charge_edge_words(sim: Simulator, stage: str, edges: np.ndarray,
+                       words: np.ndarray, in_as_out: bool = False) -> None:
+    """Charge to `stage` one routing call in which both ends of every edge
+    send the other words[end] words; free when there is no edge.  With
+    in_as_out, each node's receive count is charged as its send count."""
+    if len(edges) == 0:
+        return
+    ends = edges.ravel()
+    sent = np.bincount(ends, words[ends], len(words)).astype(np.int64)
+    got = np.bincount(edges[:, ::-1].ravel(), words[ends],
+                      len(words)).astype(np.int64)
+    with sim.stage(stage):
+        sim.charge_route_counts(sent, sent if in_as_out else got)
+
+
+def _seed_round(sim: Simulator, cfg: Config, family: HashFamily,
+                ids: np.ndarray, groups: list, stage: str,
+                instance_id: int = 0, minimize: bool = False):
+    """One derandomized hash-seeded round.
+
+    Builds the estimator from the term `groups` (see _add_term_groups),
+    agrees a seed on it through the leader protocol under `stage`, and
+    returns (the hash outputs of `ids` under that seed, the estimator's
+    exact initial expectation numerator, the frozen estimator).  An
+    instance other than 0 runs beside others, so its chunks are capped at
+    log2(n)/2 bits."""
+    obj = AffineObjective(family.seed_len)
+    if groups:
+        _add_term_groups(obj, *groups)
+    obj.freeze()
+    exp0 = obj.expectation_num()
+    z = auto_chunk_bits(sim.n, family.seed_len, obj.n_terms,
+                        len(obj.row_mask), cfg.eval_budget,
+                        cap=None if instance_id == 0 else
+                        max(1, int(log2n(sim.n)) // 2))
+    seed = distributed_seed_agreement(sim, obj, family.seed_len, z,
+                                      minimize=minimize,
+                                      instance_id=instance_id,
+                                      stage_name=stage)
+    return family.eval_vec(seed.bits, ids.astype(np.uint64)), exp0, obj
+
+
+# ===================================================================== #
+# the list-coloring phase loop (shared by sqrt and n^(3/4))
+# ===================================================================== #
+
+def _list_scope(sim: Simulator, graph: Graph, palettes: Palettes,
+                vertices: np.ndarray | None, coloring: np.ndarray | None,
+                fits, regime: str):
+    """Check a list colorer's input and return (coloring, sorted scope,
+    max degree within the scope).
+
+    The scope's degree must satisfy `fits(Delta, n)` (DegreeTooLarge
+    otherwise), and every palette needs deg+1 colors: the first short
+    vertex in the caller's order is named in the ParameterViolation."""
+    if coloring is None:
+        coloring = np.zeros(graph.n, dtype=np.int64)
+    scope = np.arange(graph.n) if vertices is None else \
+        np.asarray(vertices, dtype=np.int64)
+    sub_deg = graph.degrees_within(graph.pack_vertex_mask(scope),
+                                   rows=scope)
+    dmax = int(sub_deg[scope].max(initial=0))
+    if not fits(dmax, sim.n):
+        raise DegreeTooLarge(f"Delta={dmax} too large for {regime} regime")
+    short = scope[palettes.sizes(scope) < sub_deg[scope] + 1]
+    if len(short):
+        raise ParameterViolation(f"palette of {int(short[0])} below deg+1")
+    return coloring, np.unique(scope), dmax
+
+
+def _list_color_phases(sim: Simulator, graph: Graph, palettes: Palettes,
+                       cfg: Config, log: RunLog, coloring: np.ndarray,
+                       scope: np.ndarray, prefix: str, scale_where: str,
+                       phase) -> int:
+    """Color the uncolored vertices of `scope` phase by phase; returns the
+    number of full phases.
+
+    `phase(k, active, edges, free)` runs the seeded round of phase k on
+    the active vertices, the edges among them and their free colors, and
+    returns how many vertices it colored, or the `where` tag of the
+    `central-phase` note when its estimator would exceed the term budget.
+    A phase also completes centrally (tag `scale_where`) when the active
+    subgraph alone, 2m + 2|active| terms, exceeds the budget.  Central
+    phases charge `{prefix}:central`.  A seeded phase that colors fewer
+    than a quarter of its active vertices is topped up centrally
+    (`{prefix}:topup`), and `{prefix}-quarter-progress` asserts the
+    quarter.  After phase_bound(|scope|) full phases the rest is colored
+    centrally under `{prefix}:guard`."""
+    cap = phase_bound(len(scope))
+    phases = 0
+    while True:
+        active = scope[coloring[scope] == UNCOLORED]
+        if len(active) == 0:
+            break
+        if phases >= cap:  # unconditional termination guard
+            _central_phase(sim, graph, palettes, coloring, active,
+                           f"{prefix}:guard")
+            break
+        phases += 1
+        deg_act = graph.degrees_within(graph.pack_vertex_mask(active),
+                                       rows=active)
+        # the degree sum is 2m
+        if int(deg_act[active].sum()) + 2 * len(active) > cfg.term_budget:
+            colored = scale_where
+        else:
+            colored = phase(phases, active, graph.edges_within(active),
+                            free_sets(graph, palettes, coloring, active))
+        if isinstance(colored, str):
+            _central_phase(sim, graph, palettes, coloring, active,
+                           f"{prefix}:central")
+            log.note("central-phase", where=colored, phase=phases,
+                     active=len(active))
+            continue
+        need = -(-len(active) // 4)
+        if colored < need:
+            still = active[coloring[active] == UNCOLORED]
+            _central_phase(sim, graph, palettes, coloring,
+                           still[: need - colored], f"{prefix}:topup")
+            log.note("phase-topup", phase=phases, shortfall=need - colored)
+        done = int((coloring[active] != UNCOLORED).sum())
+        log.require(f"{prefix}-quarter-progress", done >= need,
+                    phase=phases, colored=done, need=need)
+    log.require(f"{prefix}-phase-cap", phases <= cap, phases=phases, cap=cap)
+    return phases
+
+
 # ===================================================================== #
 # derandomized one-round list coloring step (shared by sqrt and n^(3/4))
 # ===================================================================== #
@@ -148,11 +286,12 @@ class RoundOutcome:
     expectation_floor: int     # exact floor/ceil bound the seed must beat
 
 
-def _estimate_pair_terms(sizes: np.ndarray, edges: np.ndarray) -> int:
-    """Upper bound on pair terms: 2 * sum over edges of min palette size."""
-    if len(edges) == 0:
-        return 0
-    return 2 * int(np.minimum(sizes[edges[:, 0]], sizes[edges[:, 1]]).sum())
+def _estimate_terms(sizes: np.ndarray, edges: np.ndarray,
+                    n_vertices: int) -> int:
+    """Upper bound on a seed round's terms: two per vertex, plus 2 * sum
+    over edges of the smaller palette size."""
+    return 2 * (n_vertices + int(np.minimum(sizes[edges[:, 0]],
+                                            sizes[edges[:, 1]]).sum()))
 
 
 def derand_color_round(sim: Simulator, graph: Graph, coloring: np.ndarray,
@@ -177,8 +316,6 @@ def derand_color_round(sim: Simulator, graph: Graph, coloring: np.ndarray,
     gamma = max(1, (max(2, graph.n) - 1).bit_length())
     family = HashFamily(gamma, beta, 2)
     masks = family.bit_masks_vec(active.astype(np.uint64))
-
-    obj = AffineObjective(family.seed_len)
     # single terms: one dyadic block [prefix, prefix + 2^t) of the index
     # range [0, F_v) per set bit t of F_v; the system is v's participation
     # rows plus its index rows t..bv-1, pinned to the prefix's bits
@@ -190,44 +327,27 @@ def derand_color_round(sim: Simulator, graph: Graph, coloring: np.ndarray,
                np.ones(len(li), dtype=np.int64), prefix << part_bits)
     # pair terms: one system per edge (u's rows, then v's at bit beta),
     # one term per common color and endpoint
-    iu = np.searchsorted(active, edges[:, 0])
-    iv = np.searchsorted(active, edges[:, 1])
+    iu, iv = np.searchsorted(active, edges).T
     e, ku, kv = _common_colors(free, iu, iv)
     sys_e, system = np.unique(e, return_inverse=True)
     su, sv = iu[sys_e], iv[sys_e]
     zero = np.zeros(len(sys_e), dtype=np.int64)
     rhs = (ku << part_bits) | (kv << (part_bits + beta))
-    _add_term_groups(obj, singles, (
-        np.concatenate([_rows_block(masks, su, zero, part_bits + bvs[su]),
-                        _rows_block(masks, sv, zero, part_bits + bvs[sv])],
-                       axis=1),
-        np.concatenate([system, system]),
-        np.concatenate([active[iu[e]], active[iv[e]]]),
-        np.full(2 * len(e), -1), np.concatenate([rhs, rhs])))
-    obj.freeze()
-    exp0 = obj.expectation_num()
+    pairs = (np.concatenate([_rows_block(masks, s, zero, part_bits + bvs[s])
+                             for s in (su, sv)], axis=1),
+             np.concatenate([system, system]),
+             np.concatenate([active[iu[e]], active[iv[e]]]),
+             np.full(2 * len(e), -1), np.concatenate([rhs, rhs]))
+    ys, exp0, obj = _seed_round(sim, cfg, family, active, [singles, pairs],
+                                stage, instance_id)
     bound = _ceil_div_pow2(exp0, obj.denom_log2)
-
-    z = auto_chunk_bits(sim.n, family.seed_len, obj.n_terms,
-                        len(obj.row_mask), cfg.eval_budget,
-                        cap=None if instance_id == 0 else
-                        max(1, int(log2n(sim.n)) // 2))
-    seed = distributed_seed_agreement(sim, obj, family.seed_len, z,
-                                      instance_id=instance_id,
-                                      stage_name=stage)
     # apply the agreed seed
-    ys = family.eval_vec(seed.bits, active.astype(np.uint64))
     part = (ys & np.uint64((1 << part_bits) - 1)) == 0
     idx = (ys >> np.uint64(part_bits)).astype(np.int64) & ((1 << bvs) - 1)
     valid = part & (idx < fs)
     colored = _commit_picks(coloring, free, valid, idx, iu, iv)
-    # one exchange round: winners announce their color along graph edges
-    if len(edges):
-        src = np.concatenate([edges[:, 0], edges[:, 1]])
-        dst = np.concatenate([edges[:, 1], edges[:, 0]])
-        sim.exchange_counts(src, dst)
-    else:
-        sim.ledger.advance(1)
+    # winners announce their color along graph edges
+    _announce(sim, edges)
     log.require("seed-round-dominance", colored >= bound,
                 colored=colored, bound=bound, terms=obj.n_terms)
     return RoundOutcome(colored, bound)
@@ -249,83 +369,28 @@ def det_list_color_sqrt(sim: Simulator, graph: Graph, palettes: Palettes,
     central top-up covers any shortfall against the quarter bound.
     Returns (coloring, phases).
     """
-    n = graph.n
-    if coloring is None:
-        coloring = np.zeros(n, dtype=np.int64)
-    scope = np.arange(n) if vertices is None else \
-        np.asarray(vertices, dtype=np.int64)
+    coloring, scope, _ = _list_scope(sim, graph, palettes, vertices,
+                                     coloring, cfg.fits_sqrt, "sqrt")
     if len(scope) == 0:
         return coloring, 0
-    sub_deg = graph.degrees_within(graph.pack_vertex_mask(scope),
-                                   rows=scope)
-    dmax = int(sub_deg[scope].max(initial=0))
-    if dmax * dmax > cfg.c_fit * sim.n:
-        raise DegreeTooLarge(f"Delta={dmax} too large for sqrt regime")
-    short = scope[palettes.sizes(scope) < sub_deg[scope] + 1]
-    if len(short):
-        raise ParameterViolation(f"palette of {int(short[0])} below deg+1")
-    scope = np.unique(scope)
-    cap = phase_bound(len(scope))
-    phases = 0
-    while True:
-        active = scope[coloring[scope] == UNCOLORED]
-        if len(active) == 0:
-            break
-        if phases >= cap:  # unconditional termination guard
-            _central_phase(sim, graph, palettes, coloring, active,
-                           "sqrt:guard")
-            break
-        phases += 1
-        need = -(-len(active) // 4)
-        deg_act = graph.degrees_within(graph.pack_vertex_mask(active),
-                                       rows=active)
-        m_active = int(deg_act[active].sum()) // 2
-        if 2 * m_active + 2 * len(active) > cfg.term_budget:
-            _central_phase(sim, graph, palettes, coloring, active,
-                           "sqrt:central")
-            log.note("central-phase", where="sqrt", phase=phases,
-                     active=len(active))
-            continue
-        edges = graph.edges_within(active)
-        pal_sizes = np.zeros(n, dtype=np.int64)
+
+    def phase(k, active, edges, free):
+        pal_sizes = np.zeros(graph.n, dtype=np.int64)
         pal_sizes[active] = palettes.sizes(active)
-        if (_estimate_pair_terms(pal_sizes, edges) + 2 * len(active)
-                > cfg.term_budget):
-            _central_phase(sim, graph, palettes, coloring, active,
-                           "sqrt:central")
-            log.note("central-phase", where="sqrt", phase=phases,
-                     active=len(active))
-            continue
-        free = free_sets(graph, palettes, coloring, active)
+        if _estimate_terms(pal_sizes, edges, len(active)) > cfg.term_budget:
+            return "sqrt"
         # palette exchange: every active vertex ships its free list to its
         # active neighbors
-        sizes = np.zeros(n, dtype=np.int64)
+        sizes = np.zeros(graph.n, dtype=np.int64)
         sizes[active] = free.sizes
-        if len(edges):
-            out = np.zeros(n, dtype=np.int64)
-            np.add.at(out, edges[:, 0], sizes[edges[:, 0]])
-            np.add.at(out, edges[:, 1], sizes[edges[:, 1]])
-            inc = np.zeros(n, dtype=np.int64)
-            np.add.at(inc, edges[:, 0], sizes[edges[:, 1]])
-            np.add.at(inc, edges[:, 1], sizes[edges[:, 0]])
-            with sim.stage("sqrt:palettes"):
-                sim.charge_route_counts(out, inc)
-        outcome = derand_color_round(sim, graph, coloring, free, edges,
-                                     cfg, log, part_bits=1,
-                                     instance_id=instance_id,
-                                     stage="sqrt:seed")
-        if outcome.colored < need:
-            still = active[coloring[active] == UNCOLORED]
-            topup = still[: need - outcome.colored]
-            _central_phase(sim, graph, palettes, coloring, topup,
-                           "sqrt:topup")
-            log.note("phase-topup", phase=phases,
-                     shortfall=need - outcome.colored)
-        colored_phase = int((coloring[active] != UNCOLORED).sum())
-        log.require("sqrt-quarter-progress", colored_phase >= need,
-                    phase=phases, colored=colored_phase, need=need)
-    log.require("sqrt-phase-cap", phases <= cap, phases=phases, cap=cap)
-    return coloring, phases
+        _charge_edge_words(sim, "sqrt:palettes", edges, sizes)
+        return derand_color_round(sim, graph, coloring, free, edges, cfg,
+                                  log, part_bits=1, instance_id=instance_id,
+                                  stage="sqrt:seed").colored
+
+    return coloring, _list_color_phases(sim, graph, palettes, cfg, log,
+                                        coloring, scope, "sqrt", "sqrt",
+                                        phase)
 
 
 def simple_rand_color_round(graph: Graph, palettes: Palettes,
@@ -363,8 +428,7 @@ def simple_rand_color_round(graph: Graph, palettes: Palettes,
             idx[i] = source.integers(0, int(fs[i]))
     edges = graph.edges_within(active)
     return _commit_picks(coloring, free, valid, idx,
-                         np.searchsorted(active, edges[:, 0]),
-                         np.searchsorted(active, edges[:, 1]))
+                         *np.searchsorted(active, edges).T)
 
 
 # ===================================================================== #
@@ -410,7 +474,6 @@ def det_delta_sq(sim: Simulator, graph: Graph, cfg: Config,
     while len(active):
         rounds += 1
         edges = graph.edges_within(active)
-        obj = AffineObjective(family.seed_len)
         groups = []
         if len(edges):
             # h(u) xor h(v) = c1 * (u xor v): an edge conflicts iff the low
@@ -433,32 +496,15 @@ def det_delta_sq(sim: Simulator, graph: Graph, cfg: Config,
             groups.append((amask, system, active[owner],
                            np.ones(len(pairs), dtype=np.int64),
                            (taken - 1) & ((1 << beta) - 1)))
-        if groups:
-            _add_term_groups(obj, *groups)
-        obj.freeze()
-        exp0 = obj.expectation_num()
-        z = auto_chunk_bits(sim.n, family.seed_len, obj.n_terms,
-                            len(obj.row_mask), cfg.eval_budget)
-        seed = distributed_seed_agreement(sim, obj, family.seed_len, z,
-                                          minimize=True,
-                                          stage_name="deltasq:seed")
-        ys = family.eval_vec(seed.bits, active.astype(np.uint64))
+        ys, exp0, obj = _seed_round(sim, cfg, family, active, groups,
+                                    "deltasq:seed", minimize=True)
         bad = np.zeros(len(active), dtype=bool)
-        if len(edges):
-            iu = np.searchsorted(active, edges[:, 0])
-            iv = np.searchsorted(active, edges[:, 1])
-            clash = ys[iu] == ys[iv]
-            bad[iu[clash]] = True
-            bad[iv[clash]] = True
+        ends = np.searchsorted(active, edges)
+        bad[ends[ys[ends[:, 0]] == ys[ends[:, 1]]].ravel()] = True
         if rounds > 1:
             bad[at[coloring[nbr] == ys[at].astype(np.int64) + 1]] = True
         coloring[active[~bad]] = ys[~bad].astype(np.int64) + 1
-        if len(edges):
-            src = np.concatenate([edges[:, 0], edges[:, 1]])
-            dst = np.concatenate([edges[:, 1], edges[:, 0]])
-            sim.exchange_counts(src, dst)
-        else:
-            sim.ledger.advance(1)
+        _announce(sim, edges)
         remaining = active[bad]
         x_bound = exp0 >> obj.denom_log2  # floor of the minimized estimator
         log.require("deltasq-dominance", len(remaining) <= max(x_bound, 0),
@@ -466,8 +512,7 @@ def det_delta_sq(sim: Simulator, graph: Graph, cfg: Config,
         active = remaining
         if len(active) <= allowed:
             break
-    info["seed_rounds"] = rounds
-    info["uncolored_after_seed"] = len(active)
+    info.update(seed_rounds=rounds, uncolored_after_seed=len(active))
     log.require("deltasq-remainder", len(active) <= allowed,
                 uncolored=len(active), allowed=allowed)
     if len(active):
@@ -490,10 +535,6 @@ class BinLayout:
 
     def bin_of(self, colors: np.ndarray) -> np.ndarray:
         return (colors - self.base) // self.width
-
-    def color_range(self, b: int) -> tuple[int, int]:
-        return (self.base + b * self.width,
-                self.base + (b + 1) * self.width - 1)
 
 
 def bin_layout(delta: int, span_lo: int = 1,
@@ -523,11 +564,8 @@ def required_independence(mu: float, bin_size: float, n: int,
 class PhaseState:
     branch: str                      # "A0" or "A1"
     a0: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
-    a1: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
-    chosen: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
     aprime: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
     s_sets: FreeSets | None = None   # candidate sets S(u) of aprime
-    happy_bound: int = 0
 
 
 def classify_and_bin(sim: Simulator, graph: Graph, coloring: np.ndarray,
@@ -555,7 +593,7 @@ def classify_and_bin(sim: Simulator, graph: Graph, coloring: np.ndarray,
     a0, a1 = active[in_a0], active[~in_a0]
 
     if len(a0) >= len(a1):
-        return PhaseState("A0", a0=a0, a1=a1, aprime=a0,
+        return PhaseState("A0", a0=a0, aprime=a0,
                           s_sets=free.select(small[owner, color_bin],
                                              keep_rows=in_a0))
 
@@ -564,11 +602,8 @@ def classify_and_bin(sim: Simulator, graph: Graph, coloring: np.ndarray,
     # every bin-choice event is a single aligned block and pair events
     # stay one term per (edge, bin).
     sizes, fs = sizes[~in_a0], fs[~in_a0]
-    in_a1 = np.zeros(graph.n, dtype=bool)
-    in_a1[a1] = True
-    e_a1 = edges[in_a1[edges[:, 0]] & in_a1[edges[:, 1]]]
-    iu = np.searchsorted(a1, e_a1[:, 0])
-    iv = np.searchsorted(a1, e_a1[:, 1])
+    e_a1 = edges[np.isin(edges, a1).all(axis=1)]
+    iu, iv = np.searchsorted(a1, e_a1).T
     bb = np.maximum(1, _bit_length(fs - 1))
     maxbb = int(bb.max(initial=1))
     scale = 12
@@ -597,7 +632,6 @@ def classify_and_bin(sim: Simulator, graph: Graph, coloring: np.ndarray,
     if family.seed_len > 64:
         return None
     masks = family.bit_masks_vec(a1.astype(np.uint64))
-    obj = AffineObjective(family.seed_len)
 
     def cells(li, bins):
         """Mask systems and packed rhs of the cell events [y in the
@@ -625,23 +659,14 @@ def classify_and_bin(sim: Simulator, graph: Graph, coloring: np.ndarray,
     rhs = rhs_u | (rhs_v << maxbb)
     cu = -(-(1 << scale) // (10 * sizes[iu[pe], bins]))
     cv = -(-(1 << scale) // (10 * sizes[iv[pe], bins]))
-    _add_term_groups(obj, singles, (
-        np.concatenate([mu, mv], axis=1)[first],
-        np.concatenate([system, system]),
-        np.concatenate([a1[iu[pe]], a1[iv[pe]]]),
-        np.concatenate([-cu, -cv]), np.concatenate([rhs, rhs])))
-    obj.freeze()
-    exp0 = obj.expectation_num()
+    pairs = (np.concatenate([mu, mv], axis=1)[first],
+             np.concatenate([system, system]),
+             np.concatenate([a1[iu[pe]], a1[iv[pe]]]),
+             np.concatenate([-cu, -cv]), np.concatenate([rhs, rhs]))
+    ys, exp0, obj = _seed_round(sim, cfg, family, a1, [singles, pairs],
+                                "n34:bins", instance_id)
     happy_bound = _ceil_div_pow2(exp0, obj.denom_log2 + scale)
-    z = auto_chunk_bits(sim.n, family.seed_len, obj.n_terms,
-                        len(obj.row_mask), cfg.eval_budget,
-                        cap=None if instance_id == 0 else
-                        max(1, int(log2n(sim.n)) // 2))
-    seed = distributed_seed_agreement(sim, obj, family.seed_len, z,
-                                      instance_id=instance_id,
-                                      stage_name="n34:bins")
-    ys = family.eval_vec(seed.bits, a1.astype(np.uint64)).astype(np.int64)
-    y = (ys & ((1 << bb) - 1))[:, None]
+    y = (ys.astype(np.int64) & ((1 << bb) - 1))[:, None]
     hit = (cell_t >= 0) & (cell_off <= y) & (y < cell_off + widths)
     chosen = np.where(hit.any(axis=1), hit.argmax(axis=1), -1)
     # competitor counts per chosen bin
@@ -659,10 +684,9 @@ def classify_and_bin(sim: Simulator, graph: Graph, coloring: np.ndarray,
     # S(u) of a happy vertex: its free colors in the chosen bin
     pick = np.full(len(active), -1)
     pick[~in_a0] = np.where(happy, chosen, -1)
-    return PhaseState("A1", a0=a0, a1=a1, chosen=chosen, aprime=a1[happy],
+    return PhaseState("A1", a0=a0, aprime=a1[happy],
                       s_sets=free.select(color_bin == pick[owner],
-                                         keep_rows=pick >= 0),
-                      happy_bound=happy_bound)
+                                         keep_rows=pick >= 0))
 
 
 def det_list_color_n34(sim: Simulator, graph: Graph, palettes: Palettes,
@@ -674,68 +698,30 @@ def det_list_color_n34(sim: Simulator, graph: Graph, palettes: Palettes,
 
     Each phase narrows palettes to candidate sets S(u) (classify_and_bin)
     and derandomizes one low-participation pick round on them; phases that
-    exceed the estimator budget or make no progress complete centrally.
+    exceed the estimator budget complete centrally, and a charged central
+    top-up keeps every seeded phase at a quarter of its vertices.
     Returns (coloring, phases).
     """
     n = graph.n
-    if coloring is None:
-        coloring = np.zeros(n, dtype=np.int64)
-    scope = np.arange(n) if vertices is None else \
-        np.asarray(vertices, dtype=np.int64)
+    coloring, scope, dmax = _list_scope(sim, graph, palettes, vertices,
+                                        coloring, cfg.fits_n34, "n^(3/4)")
     if len(scope) == 0:
         return coloring, 0
-    sub_deg = graph.degrees_within(graph.pack_vertex_mask(scope),
-                                   rows=scope)
-    dmax = int(sub_deg[scope].max(initial=0))
-    if dmax ** 4 > (cfg.c_fit * sim.n) ** 3:
-        raise DegreeTooLarge(f"Delta={dmax} too large for n^(3/4) regime")
-    short = scope[palettes.sizes(scope) < sub_deg[scope] + 1]
-    if len(short):
-        raise ParameterViolation(f"palette of {int(short[0])} below deg+1")
-    scope = np.unique(scope)
     layout = bin_layout(dmax, *palettes.span(scope))
     need_c = required_independence(dmax / max(1, layout.n_bins),
                                    max(layout.small_cap, 1.0), n)
     if need_c > cfg.d_independence:
         log.note("independence-order", required=need_c,
                  configured=cfg.d_independence)
-    cap = phase_bound(len(scope))
-    phases = 0
-    while True:
-        active = scope[coloring[scope] == UNCOLORED]
-        if len(active) == 0:
-            break
-        phases += 1
-        if phases >= cap:
-            _central_phase(sim, graph, palettes, coloring, active,
-                           "n34:guard")
-            break
-        deg_act = graph.degrees_within(graph.pack_vertex_mask(active),
-                                       rows=active)
-        m_active = int(deg_act[active].sum()) // 2
-        if 2 * m_active + 2 * len(active) > cfg.term_budget:
-            _central_phase(sim, graph, palettes, coloring, active,
-                           "n34:central")
-            log.note("central-phase", where="n34-scale", phase=phases,
-                     active=len(active))
-            continue
-        edges = graph.edges_within(active)
-        free = free_sets(graph, palettes, coloring, active)
+
+    def phase(k, active, edges, free):
         # bin statistics exchange: n_bins words per neighbor
-        if len(edges):
-            out = np.zeros(n, dtype=np.int64)
-            np.add.at(out, edges[:, 0], layout.n_bins)
-            np.add.at(out, edges[:, 1], layout.n_bins)
-            with sim.stage("n34:stats"):
-                sim.charge_route_counts(out, out)
+        _charge_edge_words(sim, "n34:stats", edges,
+                           np.full(n, layout.n_bins))
         state = classify_and_bin(sim, graph, coloring, free, layout, cfg,
                                  log, edges, instance_id=instance_id)
         if state is None:
-            _central_phase(sim, graph, palettes, coloring, active,
-                           "n34:central")
-            log.note("central-phase", where="n34", phase=phases,
-                     active=len(active))
-            continue
+            return "n34"
         s_len = state.s_sets.sizes
         if state.branch == "A0":
             g_a0 = graph.degrees_within(graph.pack_vertex_mask(state.a0),
@@ -747,52 +733,31 @@ def det_list_color_n34(sim: Simulator, graph: Graph, palettes: Palettes,
         sfree = state.s_sets.select(keep_rows=s_len > 0)
         sel = sfree.vertices
         if len(sel) == 0:
-            _central_phase(sim, graph, palettes, coloring, active,
-                           "n34:central")
-            log.note("central-phase", where="n34-empty", phase=phases,
-                     active=len(active))
-            continue
-        in_sel = np.zeros(n, dtype=bool)
-        in_sel[sel] = True
-        both = edges[in_sel[edges[:, 0]] & in_sel[edges[:, 1]]]
+            return "n34-empty"
+        both = edges[np.isin(edges, sel).all(axis=1)]
         # relevant edges: endpoints share a candidate color
-        shared, _, _ = _common_colors(sfree, np.searchsorted(sel, both[:, 0]),
-                                      np.searchsorted(sel, both[:, 1]))
+        shared, _, _ = _common_colors(sfree, *np.searchsorted(sel, both).T)
         rel_edges = both[np.unique(shared)]
         # ship S(u) to relevant neighbors
         s_sizes = np.zeros(n, dtype=np.int64)
         s_sizes[sel] = sfree.sizes
-        if len(rel_edges):
-            out = np.zeros(n, dtype=np.int64)
-            np.add.at(out, rel_edges[:, 0], s_sizes[rel_edges[:, 0]])
-            np.add.at(out, rel_edges[:, 1], s_sizes[rel_edges[:, 1]])
-            with sim.stage("n34:ssets"):
-                sim.charge_route_counts(out, out)
-        est = _estimate_pair_terms(s_sizes, rel_edges) + 2 * len(sel)
-        if est > cfg.term_budget:
-            _central_phase(sim, graph, palettes, coloring, active,
-                           "n34:central")
-            log.note("central-phase", where="n34-step2", phase=phases,
-                     active=len(active))
-            continue
-        outcome = derand_color_round(sim, graph, coloring, sfree,
-                                     rel_edges, cfg, log, part_bits=5,
+        _charge_edge_words(sim, "n34:ssets", rel_edges, s_sizes,
+                           in_as_out=True)
+        if _estimate_terms(s_sizes, rel_edges, len(sel)) > cfg.term_budget:
+            return "n34-step2"
+        outcome = derand_color_round(sim, graph, coloring, sfree, rel_edges,
+                                     cfg, log, part_bits=5,
                                      instance_id=instance_id,
                                      stage="n34:seed")
         log.record("n34-phase-progress",
                    outcome.colored >= outcome.expectation_floor,
-                   phase=phases, colored=outcome.colored,
+                   phase=k, colored=outcome.colored,
                    bound=outcome.expectation_floor)
-        need = -(-len(active) // 4)
-        if outcome.colored < need:
-            still = active[coloring[active] == UNCOLORED]
-            topup = still[: need - outcome.colored]
-            _central_phase(sim, graph, palettes, coloring, topup,
-                           "n34:topup")
-            log.note("phase-topup", phase=phases,
-                     shortfall=need - outcome.colored)
-    log.require("n34-phase-cap", phases <= cap, phases=phases, cap=cap)
-    return coloring, phases
+        return outcome.colored
+
+    return coloring, _list_color_phases(sim, graph, palettes, cfg, log,
+                                        coloring, scope, "n34", "n34-scale",
+                                        phase)
 
 
 # ===================================================================== #
@@ -878,14 +843,13 @@ def det_partition_general(sim: Simulator, graph: Graph, cfg: Config,
     """
     n = graph.n
     delta = graph.max_degree
-    if delta ** 4 <= (cfg.c_fit * n) ** 3:
+    if cfg.fits_n34(delta, n):
         raise ParameterViolation("partition reserved for Delta > (c n)^3/4")
     plan = GeneralPartitionPlan.from_delta(delta)
     if plan.p_i <= 0 or plan.q >= 0.5:
         raise NoZeroViolationSeed(
             f"degenerate plan (q={plan.q:.3f}) at Delta={delta}")
     # feasibility of the seeded route: pairwise-variance tail bound
-    expected_bad = 0.0
     mu = graph.degrees.astype(np.float64) * plan.p_i
     t = plan.cap_parts - mu
     var = graph.degrees * plan.p_i * (1 - plan.p_i)
@@ -945,14 +909,14 @@ def det_coloring(sim: Simulator, graph: Graph, cfg: Config,
         coloring[:] = 1
         info["regime"] = "trivial"
         return coloring, info
-    if delta * delta <= cfg.c_fit * n:
+    if cfg.fits_sqrt(delta, n):
         info["regime"] = "sqrt"
         with sim.stage("det:sqrt"):
             _, phases = det_list_color_sqrt(sim, graph, palettes, cfg, log,
                                             coloring=coloring)
         info["phases"] = phases
         return coloring, info
-    if delta ** 4 <= (cfg.c_fit * n) ** 3:
+    if cfg.fits_n34(delta, n):
         info["regime"] = "n34"
         with sim.stage("det:n34"):
             _, phases = det_list_color_n34(sim, graph, palettes, cfg, log,

@@ -69,11 +69,8 @@ def one_shot_coloring(sim: Simulator, graph: Graph, palettes: Palettes,
             from .coloring import assert_no_conflict
             assert_no_conflict(graph, coloring, "after one-shot round")
         # participants announce their pick to all graph neighbors
-        if len(parts):
-            i, w = graph.edges_into(parts, everyone)
-            sim.exchange_counts(parts[i], w)
-        else:
-            sim.ledger.advance(1)
+        i, w = graph.edges_into(parts, everyone)
+        sim.exchange_counts(parts[i], w)
     return total
 
 
@@ -84,7 +81,6 @@ def one_shot_coloring(sim: Simulator, graph: Graph, palettes: Palettes,
 @dataclass
 class HierBlock:
     level: int
-    clique: int
     stratum: int
     members: np.ndarray
     large: bool = False
@@ -94,8 +90,6 @@ class HierBlock:
 @dataclass
 class EpsHierarchy:
     eps_seq: list[float]
-    q: float
-    delta: int
     layers: list[np.ndarray]          # V_1..V_ell
     v_sp: np.ndarray
     strata: list[list[int]]           # stratum -> layer indices (1-based)
@@ -172,7 +166,7 @@ def compute_hierarchy(sim: Simulator, graph: Graph, cfg: Config,
     """
     n = graph.n
     delta = graph.max_degree if delta is None else delta
-    if delta * delta > cfg.c_fit * sim.n:
+    if not cfg.fits_sqrt(delta, sim.n):
         raise DegreeTooLarge(f"Delta={delta}: 2-neighborhoods too large")
     q = max(1, delta) ** 0.6
     eps_seq = eps_ladder(delta, cfg.big_k)
@@ -232,7 +226,7 @@ def compute_hierarchy(sim: Simulator, graph: Graph, cfg: Config,
             if lab is not None:
                 groups.setdefault(lab, []).append(int(v))
         for lab, mem in sorted(groups.items()):
-            b = HierBlock(li, lab, stratum_of_layer[li],
+            b = HierBlock(li, stratum_of_layer[li],
                           np.array(sorted(mem), dtype=np.int64))
             block_index[(li, lab)] = len(blocks)
             blocks.append(b)
@@ -261,8 +255,7 @@ def compute_hierarchy(sim: Simulator, graph: Graph, cfg: Config,
                     break
                 anc = blocks[anc].parent
             b.large = not has_large_anc
-    return EpsHierarchy(eps_seq, q, delta, layers, v_sp, strata, blocks,
-                        clique_of)
+    return EpsHierarchy(eps_seq, layers, v_sp, strata, blocks, clique_of)
 
 
 # ===================================================================== #
@@ -427,10 +420,10 @@ def _fallback_list_color(sim: Simulator, graph: Graph, palettes: Palettes,
                                    rows=active)
     dmax = int(sub_deg[active].max(initial=0))
     sizes_ok = bool((palettes.sizes(active) >= sub_deg[active] + 1).all())
-    if sizes_ok and dmax * dmax <= cfg.c_fit * sim.n:
+    if sizes_ok and cfg.fits_sqrt(dmax, sim.n):
         det_list_color_sqrt(sim, graph, palettes, cfg, log,
                             vertices=active, coloring=coloring)
-    elif sizes_ok and dmax ** 4 <= (cfg.c_fit * sim.n) ** 3:
+    elif sizes_ok and cfg.fits_n34(dmax, sim.n):
         det_list_color_n34(sim, graph, palettes, cfg, log,
                            vertices=active, coloring=coloring)
     else:
@@ -474,7 +467,7 @@ def clp_list_coloring(sim: Simulator, graph: Graph, palettes: Palettes,
         _fallback_list_color(sim, graph, palettes, coloring, scope, cfg,
                              log, f"Delta={delta} below delta_min")
         return coloring
-    if delta * delta > cfg.c_fit * sim.n:
+    if not cfg.fits_sqrt(delta, sim.n):
         raise DegreeTooLarge(f"Delta={delta} above sqrt({cfg.c_fit}*n)")
 
     with sim.stage("clp:oneshot"):
@@ -485,47 +478,32 @@ def clp_list_coloring(sim: Simulator, graph: Graph, palettes: Palettes,
         return coloring
     with sim.stage("clp:hierarchy"):
         hier = compute_hierarchy(sim, graph, cfg, unc, delta=delta)
+
+    def dense_passes(units):
+        """Up to dense_iters dense steps on the uncolored part of `units`,
+        stopping once every unit is colored."""
+        for _ in range(cfg.dense_iters):
+            units = [m[coloring[m] == UNCOLORED] for m in units]
+            units = [m for m in units if len(m)]
+            if not units:
+                return
+            dense_coloring_step(sim, graph, palettes, coloring, units, rng,
+                                log)
+
     # small blocks, stratum by stratum from the top; the working units are
     # super-blocks (stratum members grouped by their top-layer clique)
     with sim.stage("clp:dense-small"):
         for k in range(len(hier.strata), 0, -1):
-            small_members = np.concatenate(
-                [b.members for b in hier.blocks
-                 if b.stratum == k and not b.large] or
-                [np.zeros(0, dtype=np.int64)])
-            sset = set(small_members.tolist())
-            small = [np.array([v for v in sb if int(v) in sset],
-                              dtype=np.int64)
-                     for sb in hier.superblocks(k)]
-            small = [m[coloring[m] == UNCOLORED] for m in small]
-            small = [m for m in small if len(m)]
-            for _ in range(cfg.dense_iters):
-                if not small:
-                    break
-                dense_coloring_step(sim, graph, palettes, coloring, small,
-                                    rng, log)
-                small = [m[coloring[m] == UNCOLORED] for m in small]
-                small = [m for m in small if len(m)]
+            sset = {int(v) for b in hier.blocks
+                    if b.stratum == k and not b.large for v in b.members}
+            dense_passes([np.array([v for v in sb if int(v) in sset],
+                                   dtype=np.int64)
+                          for sb in hier.superblocks(k)])
+    # large blocks, upper strata first and stratum 1 last
     with sim.stage("clp:dense-large"):
-        for k in range(len(hier.strata), 1, -1):
-            large = [b.members for b in hier.blocks
-                     if b.stratum == k and b.large]
-            for _ in range(cfg.dense_iters):
-                large = [m[coloring[m] == UNCOLORED] for m in large]
-                large = [m for m in large if len(m)]
-                if not large:
-                    break
-                dense_coloring_step(sim, graph, palettes, coloring, large,
-                                    rng, log)
-        large1 = [b.members for b in hier.blocks
-                  if b.stratum == 1 and b.large]
-        for _ in range(cfg.dense_iters):
-            large1 = [m[coloring[m] == UNCOLORED] for m in large1]
-            large1 = [m for m in large1 if len(m)]
-            if not large1:
-                break
-            dense_coloring_step(sim, graph, palettes, coloring, large1,
-                                rng, log)
+        for k in range(len(hier.strata), 0, -1):
+            dense_passes([b.members for b in hier.blocks
+                          if b.stratum == k and b.large])
     # leftovers and sparse vertices: bidding over the density orientation
     level_of: dict[int, int] = {}
     for li, layer in enumerate(hier.layers, start=1):
@@ -695,7 +673,7 @@ def recursive_coloring(sim: Simulator, graph: Graph, scope: np.ndarray,
         raise ParameterViolation("palette smaller than Delta+1")
     pal = Palettes.uniform_range(n, palette_lo,
                                  palette_lo + delta).restrict(scope)
-    if delta * delta <= cfg.c_fit * sim.n and delta >= cfg.delta_min:
+    if cfg.fits_sqrt(delta, sim.n) and delta >= cfg.delta_min:
         clp_list_coloring(sim, graph, pal, cfg, rng, log, vertices=scope,
                           coloring=coloring)
         return coloring
@@ -734,7 +712,7 @@ def recursive_coloring(sim: Simulator, graph: Graph, scope: np.ndarray,
     bound = concentration_bound(delta * plan.p_star, n)
     log.record("star-degree-concentration", dstar <= bound.high,
                dstar=dstar, high=bound.high)
-    if dstar * dstar > cfg.c_fit * sim.n:
+    if not cfg.fits_sqrt(dstar, sim.n):
         # too dense for the window machinery at this scale; the greedy
         # fallback certifies the deg+1 free-color floor by completing
         log.record("palette-window", False, dstar=dstar,

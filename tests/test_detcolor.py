@@ -4,6 +4,7 @@ bins, and the general partition."""
 import numpy as np
 import pytest
 
+from ccclique import detcolor
 from ccclique.config import Config
 from ccclique.coloring import Palettes, free_sets, is_proper
 from ccclique.detcolor import (GeneralPartitionPlan, _add_term_groups,
@@ -285,6 +286,43 @@ def test_det_n34_a1_branch_in_regime(seed, bins, seed_rounds, total, colors):
     stages = report["rounds_by_stage"]
     assert (stages["n34:bins"], stages["n34:seed"]) == (bins, seed_rounds)
     assert (report["rounds_total"], report["colors_used"]) == (total, colors)
+    # every phase is seeded here, and each keeps its quarter of progress
+    phases = next(e["phases"] for e in report["assertion_log"]
+                  if e.get("note") == "det-info")
+    progress = [e for e in report["assertion_log"]
+                if e.get("check") == "n34-quarter-progress"]
+    assert [e["phase"] for e in progress] == list(range(1, phases + 1))
+    assert all(e["ok"] for e in progress)
+
+
+@pytest.mark.parametrize("colorer, prefix, n, p", [
+    (det_list_color_sqrt, "sqrt", 256, 0.015),
+    (det_list_color_n34, "n34", 96, 0.12)])
+def test_guard_fires_after_phase_bound_full_phases(monkeypatch, colorer,
+                                                   prefix, n, p):
+    # with the cap at one phase, both colorers run one full seeded phase
+    # and then color the rest centrally under the guard
+    monkeypatch.setattr(detcolor, "phase_bound", lambda n: 1)
+    g = gen_random_graph(n, p, 1)
+    sim, cfg, log = setup_ctx(n)
+    pal = Palettes.uniform_range(n, 1, g.max_degree + 1)
+    coloring, phases = colorer(sim, g, pal, cfg, log)
+    assert phases == 1 and is_proper(g, coloring, pal) is True
+    stages = sim.ledger.snapshot()["rounds_by_stage"]
+    assert stages[f"{prefix}:seed"] > 0 and stages[f"{prefix}:guard"] > 0
+    seeded = [e for e in log.entries
+              if e.get("check") == "seed-round-dominance"]
+    progress = [e for e in log.entries
+                if e.get("check") == f"{prefix}-quarter-progress"]
+    assert len(seeded) == 1 and [e["phase"] for e in progress] == [1]
+
+
+def test_regime_predicates_at_their_boundaries():
+    cfg = Config()
+    assert cfg.fits_sqrt(16, 256) and not cfg.fits_sqrt(17, 256)
+    assert cfg.fits_n34(64, 256) and not cfg.fits_n34(65, 256)
+    half = Config(c_fit=0.5)
+    assert half.fits_sqrt(8, 128) and not half.fits_sqrt(9, 128)
 
 
 def test_n34_single_vertex():
