@@ -35,6 +35,17 @@ class Config:
     eval_budget: int = 300_000_000  # rough op budget for one seed search
     debug_checks: bool = False  # per-commit properness assertions
 
+    def __post_init__(self):
+        """Reject values the algorithms cannot run (ValueError)."""
+        for name, lo in (("lenzen_cost", 0), ("connectivity_cost", 0),
+                         ("seed_broadcast_cost", 0), ("rng_seed", 0),
+                         ("big_k", 2), ("retry_budget", 0),
+                         ("d_independence", 1)):
+            if getattr(self, name) < lo:
+                raise ValueError(f"{name}={getattr(self, name)} below {lo}")
+        if not self.c_fit > 0:
+            raise ValueError(f"c_fit={self.c_fit} must be positive")
+
     def word_bits(self, n: int) -> int:
         return max(1, self.c_word * max(1, (max(2, n) - 1).bit_length()))
 

@@ -45,7 +45,6 @@ class Seed:
 
     bits: int
     length: int
-    fixed_prefix_len: int = 0
 
 
 class HashFamily:
@@ -429,7 +428,7 @@ def cond_exp_search(objective, seed_len: int, z: int,
         objective.commit(b, width)
         bits |= b << k
         k += width
-    return Seed(bits, seed_len, seed_len)
+    return Seed(bits, seed_len)
 
 
 def distributed_seed_agreement(sim, objective, seed_len: int, z: int,
@@ -456,9 +455,6 @@ def distributed_seed_agreement(sim, objective, seed_len: int, z: int,
             width = min(z, seed_len - k)
             B = 1 << width
             leaders = instance_id * B + np.arange(B)
-            if leaders[-1] >= sim.n:
-                raise ChunkTooWide(
-                    f"leader {int(leaders[-1])} out of range n={sim.n}")
             # nodes -> leaders (one value per assignment per node)
             out_counts = np.zeros(sim.n, dtype=np.int64)
             in_counts = np.zeros(sim.n, dtype=np.int64)
@@ -478,4 +474,4 @@ def distributed_seed_agreement(sim, objective, seed_len: int, z: int,
             objective.commit(b, width)
             bits |= b << k
             k += width
-    return Seed(bits, seed_len, seed_len)
+    return Seed(bits, seed_len)

@@ -151,10 +151,9 @@ def _announce(sim: Simulator, edges: np.ndarray) -> None:
 
 
 def _charge_edge_words(sim: Simulator, stage: str, edges: np.ndarray,
-                       words: np.ndarray, in_as_out: bool = False) -> None:
+                       words: np.ndarray) -> None:
     """Charge to `stage` one routing call in which both ends of every edge
-    send the other words[end] words; free when there is no edge.  With
-    in_as_out, each node's receive count is charged as its send count."""
+    send the other words[end] words; free when there is no edge."""
     if len(edges) == 0:
         return
     ends = edges.ravel()
@@ -162,7 +161,7 @@ def _charge_edge_words(sim: Simulator, stage: str, edges: np.ndarray,
     got = np.bincount(edges[:, ::-1].ravel(), words[ends],
                       len(words)).astype(np.int64)
     with sim.stage(stage):
-        sim.charge_route_counts(sent, sent if in_as_out else got)
+        sim.charge_route_counts(sent, got)
 
 
 def _seed_round(sim: Simulator, cfg: Config, family: HashFamily,
@@ -294,6 +293,17 @@ def _estimate_terms(sizes: np.ndarray, edges: np.ndarray,
                                             sizes[edges[:, 1]]).sum()))
 
 
+def _hash_choices(ys: np.ndarray, fs: np.ndarray,
+                  part_bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """The choice map of a hashed abstain-or-pick round: a vertex with
+    free-list size F and hash output y participates when the low
+    part_bits bits of y are zero, and picks the index in the next
+    ceil(log2 F) bits; an index >= F abstains.  Returns (valid, idx)."""
+    idx = (ys >> np.uint64(part_bits)).astype(np.int64) & \
+        ((1 << _bit_length(fs - 1)) - 1)
+    return ((ys & np.uint64((1 << part_bits) - 1)) == 0) & (idx < fs), idx
+
+
 def derand_color_round(sim: Simulator, graph: Graph, coloring: np.ndarray,
                        free: FreeSets, edges: np.ndarray, cfg: Config,
                        log: RunLog, part_bits: int = 1, instance_id: int = 0,
@@ -342,9 +352,7 @@ def derand_color_round(sim: Simulator, graph: Graph, coloring: np.ndarray,
                                 stage, instance_id)
     bound = _ceil_div_pow2(exp0, obj.denom_log2)
     # apply the agreed seed
-    part = (ys & np.uint64((1 << part_bits) - 1)) == 0
-    idx = (ys >> np.uint64(part_bits)).astype(np.int64) & ((1 << bvs) - 1)
-    valid = part & (idx < fs)
+    valid, idx = _hash_choices(ys, fs, part_bits)
     colored = _commit_picks(coloring, free, valid, idx, iu, iv)
     # winners announce their color along graph edges
     _announce(sim, edges)
@@ -416,11 +424,8 @@ def simple_rand_color_round(graph: Graph, palettes: Palettes,
         raise ParameterViolation("active vertex with empty free palette")
     if isinstance(source, tuple):
         family, bits = source
-        ys = family.eval_vec(bits, active.astype(np.uint64))
-        part = (ys & np.uint64(1)) == 0
-        idx = (ys >> np.uint64(1)).astype(np.int64) & \
-            ((1 << _bit_length(fs - 1)) - 1)
-        valid = part & (idx < fs)
+        valid, idx = _hash_choices(
+            family.eval_vec(bits, active.astype(np.uint64)), fs, 1)
     else:
         valid = source.random(len(active)) < 0.5
         idx = np.zeros(len(active), dtype=np.int64)
@@ -741,8 +746,7 @@ def det_list_color_n34(sim: Simulator, graph: Graph, palettes: Palettes,
         # ship S(u) to relevant neighbors
         s_sizes = np.zeros(n, dtype=np.int64)
         s_sizes[sel] = sfree.sizes
-        _charge_edge_words(sim, "n34:ssets", rel_edges, s_sizes,
-                           in_as_out=True)
+        _charge_edge_words(sim, "n34:ssets", rel_edges, s_sizes)
         if _estimate_terms(s_sizes, rel_edges, len(sel)) > cfg.term_budget:
             return "n34-step2"
         outcome = derand_color_round(sim, graph, coloring, sfree, rel_edges,

@@ -38,10 +38,6 @@ class ParameterViolation(CliqueError):
 class PlanRejected(CliqueError):
     """A partition plan's probabilities are invalid at this scale."""
 
-    def __init__(self, reason):
-        self.reason = reason
-        super().__init__(reason)
-
 
 class AllocationOverflow(CliqueError):
     """Measured subgraph degrees do not fit into the parent palette."""

@@ -79,35 +79,45 @@ def one_shot_coloring(sim: Simulator, graph: Graph, palettes: Palettes,
 # ===================================================================== #
 
 @dataclass
-class HierBlock:
-    level: int
-    stratum: int
-    members: np.ndarray
-    large: bool = False
-    parent: int | None = None  # index into EpsHierarchy.blocks
-
-
-@dataclass
 class EpsHierarchy:
+    """The density hierarchy as arrays over the sorted uncolored set
+    `vertices` (entry i describes vertices[i]).
+
+    level: first dense level (1..ell), ell + 1 if sparse at every level.
+    labels[l - 1]: clique at level l (its smallest member id), -1 where
+    not dense.  A block is the vertices sharing a first level l and a
+    level-l clique, ordered by (l, clique), members by id.  stratum: the
+    block's stratum (0 if sparse).  large: the block has at least
+    Delta / log2(1/xi_k)^2 members and no large ancestor.
+    """
     eps_seq: list[float]
-    layers: list[np.ndarray]          # V_1..V_ell
-    v_sp: np.ndarray
     strata: list[list[int]]           # stratum -> layer indices (1-based)
-    blocks: list[HierBlock]
-    clique_of: list[dict[int, int]]   # per level: vertex -> clique label
+    vertices: np.ndarray
+    level: np.ndarray
+    labels: np.ndarray
+    stratum: np.ndarray
+    large: np.ndarray
 
     def superblocks(self, stratum: int) -> list[np.ndarray]:
         """Stratum members grouped by their top-layer clique."""
-        layers = self.strata[stratum - 1]
-        top = max(layers)
-        groups: dict[int, list[int]] = {}
-        for li in layers:
-            for v in self.layers[li - 1]:
-                lab = self.clique_of[top - 1].get(int(v))
-                if lab is not None:
-                    groups.setdefault(lab, []).append(int(v))
-        return [np.array(sorted(g), dtype=np.int64)
-                for _, g in sorted(groups.items())]
+        lab = self.labels[max(self.strata[stratum - 1]) - 1]
+        sel = (self.stratum == stratum) & (lab >= 0)
+        return _runs(self.vertices[sel], lab[sel])
+
+    def large_blocks(self, stratum: int) -> list[np.ndarray]:
+        """Members of the stratum's large blocks, in block order."""
+        i = np.flatnonzero(self.large & (self.stratum == stratum))
+        lev = self.level[i]
+        return _runs(self.vertices[i], self.labels[lev - 1, i], lev)
+
+
+def _runs(vertices: np.ndarray, *keys: np.ndarray) -> list[np.ndarray]:
+    """Split `vertices` into groups of equal keys, ordered by the keys
+    (the last one primary) and within a group by id."""
+    order = np.lexsort((vertices,) + keys)
+    k = np.stack(keys)[:, order]
+    cut = np.flatnonzero((k[:, 1:] != k[:, :-1]).any(axis=0)) + 1
+    return [g for g in np.split(vertices[order], cut) if len(g)]
 
 
 def eps_ladder(delta: int, big_k: int) -> list[float]:
@@ -155,8 +165,10 @@ def friend_threshold(delta: int, q: float, eps: float) -> float:
 def compute_hierarchy(sim: Simulator, graph: Graph, cfg: Config,
                       uncolored: np.ndarray,
                       delta: int | None = None) -> EpsHierarchy:
-    """Classify uncolored vertices by density and build layers, strata,
-    blocks and the block tree.
+    """Classify uncolored vertices by density: each vertex's first dense
+    level, its clique at every level, and its block's stratum and large
+    flag (a block's parent, which decides the flag, is the block at the
+    lowest higher level of its smallest member's clique).
 
     Friendship between adjacent uncolored u, v at level i means
     |N(u) & N(v)| >= (1-eps_i)(Delta-q) in the full graph; density at
@@ -177,85 +189,56 @@ def compute_hierarchy(sim: Simulator, graph: Graph, cfg: Config,
         # 2-neighborhood collection: O(Delta) out, O(Delta^2) in per node
         sim.charge_route_counts(graph.degrees,
                                 np.minimum(graph.degrees * delta, n))
-    common = graph.common_neighbors(edges[:, 0], edges[:, 1]) \
-        if len(edges) else np.zeros(0, dtype=np.int64)
-    e_lo = np.searchsorted(unc, edges[:, 0]) if len(edges) else \
-        np.zeros(0, dtype=np.int64)
-    e_hi = np.searchsorted(unc, edges[:, 1]) if len(edges) else e_lo
-    dense_prev = np.zeros(len(unc), dtype=bool)
-    layers: list[np.ndarray] = []
-    clique_of: list[dict[int, int]] = []
+    common = graph.common_neighbors(edges[:, 0], edges[:, 1])
+    e = np.searchsorted(unc, edges)
+    level = np.full(len(unc), ell + 1, dtype=np.int64)
+    labels = np.full((ell, len(unc)), -1, dtype=np.int64)
     for li, eps in enumerate(eps_seq, start=1):
         # degenerate degrees make the threshold vacuous; one real friend
         # is the least a dense vertex can have
         thr = max(1.0, friend_threshold(delta, q, eps))
-        fmask = common >= thr if len(edges) else np.zeros(0, bool)
-        fcount = np.zeros(len(unc), dtype=np.int64)
-        if fmask.any():
-            np.add.at(fcount, e_lo[fmask], 1)
-            np.add.at(fcount, e_hi[fmask], 1)
-        dense = fcount >= thr
-        layers.append(unc[dense & ~dense_prev])
+        fe = e[common >= thr]
+        dense = np.bincount(fe.ravel(), minlength=len(unc)) >= thr
+        level[dense & (level > ell)] = li
         # cliques: components of dense vertices under friend edges
-        dset = unc[dense]
-        dmask = np.zeros(n, dtype=bool)
-        dmask[dset] = True
-        if fmask.any():
-            fe = edges[fmask]
-            keep = dmask[fe[:, 0]] & dmask[fe[:, 1]]
-            fe = fe[keep]
-        else:
-            fe = np.zeros((0, 2), np.int64)
+        fe = fe[dense[fe[:, 0]] & dense[fe[:, 1]]]
         with sim.stage("hierarchy:components"):
-            labels = sim.component_labels(fe, dset)
-        clique_of.append({int(v): int(c) for v, c in zip(dset, labels)})
-        dense_prev |= dense
-    v_sp = unc[~dense_prev]
+            labels[li - 1, dense] = sim.component_labels(unc[fe], unc[dense])
     strata = strata_of(eps_seq)
-    stratum_of_layer = {}
+    stratum_of = np.zeros(ell + 2, dtype=np.int64)
     for k, ls in enumerate(strata, start=1):
-        for li in ls:
-            stratum_of_layer[li] = k
-    # blocks: layer x clique, plus the ancestry tree
-    blocks: list[HierBlock] = []
-    block_index: dict[tuple[int, int], int] = {}
-    for li in range(1, ell + 1):
-        groups: dict[int, list[int]] = {}
-        for v in layers[li - 1]:
-            lab = clique_of[li - 1].get(int(v))
-            if lab is not None:
-                groups.setdefault(lab, []).append(int(v))
-        for lab, mem in sorted(groups.items()):
-            b = HierBlock(li, stratum_of_layer[li],
-                          np.array(sorted(mem), dtype=np.int64))
-            block_index[(li, lab)] = len(blocks)
-            blocks.append(b)
-    for b in blocks:
-        rep = int(b.members[0])
-        for lj in range(b.level + 1, ell + 1):
-            lab = clique_of[lj - 1].get(rep)
-            if lab is None:
-                continue
-            key = (lj, lab)
-            if key in block_index:
-                b.parent = block_index[key]
-                break
-    # large flags, highest level first so ancestors are decided first
-    xi = {k: eps_seq[ls[-1] - 1] for k, ls in enumerate(strata, start=1)}
-    for b in sorted(blocks, key=lambda b: -b.level):
-        x = xi[b.stratum]
-        denom = math.log2(1.0 / x) ** 2 if 0 < x < 1 else 0.0
-        thr = delta / denom if denom > 0 else float("inf")
-        if len(b.members) >= thr:
-            anc = b.parent
-            has_large_anc = False
-            while anc is not None:
-                if blocks[anc].large:
-                    has_large_anc = True
-                    break
-                anc = blocks[anc].parent
-            b.large = not has_large_anc
-    return EpsHierarchy(eps_seq, layers, v_sp, strata, blocks, clique_of)
+        stratum_of[ls] = k
+    # blocks: one per (first level, clique) pair, in that order; `first`
+    # is each block's smallest member
+    d = np.flatnonzero(level <= ell)
+    keys, first, block = np.unique(level[d] * n + labels[level[d] - 1, d],
+                                   return_index=True, return_inverse=True)
+    b_level, rep = keys // n, d[first]
+    size = np.bincount(block, minlength=len(keys))
+    # parent: the block, at the lowest higher level, of the smallest
+    # member's clique
+    parent = np.full(len(keys), -1, dtype=np.int64)
+    for lj in range(ell, 1, -1):
+        lower = np.flatnonzero(b_level < lj)
+        lab = labels[lj - 1, rep[lower]]
+        j = np.minimum(np.searchsorted(keys, lj * n + lab), len(keys) - 1)
+        hit = (lab >= 0) & (keys[j] == lj * n + lab)
+        parent[lower[hit]] = j[hit]
+    # large flags, highest level first: a large ancestor suppresses them
+    large = np.zeros(len(keys), dtype=bool)
+    covered = np.zeros(len(keys), dtype=bool)  # large, or under a large one
+    for lj in range(ell, 0, -1):
+        x = eps_seq[strata[stratum_of[lj] - 1][-1] - 1]
+        thr = delta / math.log2(1.0 / x) ** 2 if 0 < x < 1 else math.inf
+        b = np.flatnonzero(b_level == lj)
+        anc = (parent[b] >= 0) & covered[parent[b]]
+        large[b] = (size[b] >= thr) & ~anc
+        covered[b] = large[b] | anc
+    v_large = np.zeros(len(unc), dtype=bool)
+    v_large[d] = large[block]
+    # stratum_of[ell + 1] = 0 marks the sparse vertices
+    return EpsHierarchy(eps_seq, strata, unc, level, labels,
+                        stratum_of[level], v_large)
 
 
 # ===================================================================== #
@@ -330,24 +313,20 @@ def dense_coloring_step(sim: Simulator, graph: Graph, palettes: Palettes,
 
 def color_bidding(sim: Simulator, graph: Graph, palettes: Palettes,
                   coloring: np.ndarray, vertices: np.ndarray,
-                  rank: dict[int, tuple], cfg: Config,
+                  rank: np.ndarray, cfg: Config,
                   rng: np.random.Generator, log: RunLog,
                   C: float | None = None,
                   iterations: int | None = None) -> int:
     """Bid-for-colors rounds on an acyclically oriented uncolored set.
 
-    rank gives the orientation: edges point to the smaller (layer, id)
-    rank.  Each vertex samples each free color with probability C/(2 p_v),
-    p_v = max(1, |free| - outdeg), and takes its smallest sampled color no
-    out-neighbor sampled; properness follows from the orientation.
+    rank is an integer array indexed by vertex id; every edge points to
+    its end with the smaller (rank, id).  Each vertex samples each free
+    color with probability C/(2 p_v), p_v = max(1, |free| - outdeg), and
+    takes its smallest sampled color no out-neighbor sampled; properness
+    follows from the orientation.
     """
     scope = np.asarray(vertices, dtype=np.int64)
     iterations = cfg.bidding_iters if iterations is None else iterations
-    # the orientation as one integer per vertex (equal ranks, equal keys)
-    key = {r: k for k, r in enumerate(sorted({rank[v] for v in
-                                               scope.tolist()}))}
-    rk = np.zeros(graph.n, dtype=np.int64)
-    rk[scope] = [key[rank[v]] for v in scope.tolist()]
     pos = np.zeros(graph.n, dtype=np.int64)
     colored = 0
     for _ in range(iterations):
@@ -355,14 +334,14 @@ def color_bidding(sim: Simulator, graph: Graph, palettes: Palettes,
         if len(active) == 0:
             break
         free = free_sets(graph, palettes, coloring, active)
-        # out-edges (v, u): u is a lower-rank active neighbour of v, listed
-        # by v and then by id, so the float sums below add in id order
+        # out-edges (v, u): u is an active neighbour of v with a smaller
+        # (rank, id), listed by v and then by id, so the float sums below
+        # add in id order
         pos[active] = np.arange(len(active))
-        e = graph.edges_within(active)
-        down = rk[e[:, 1]] < rk[e[:, 0]]
-        up = rk[e[:, 0]] < rk[e[:, 1]]
-        v_out = pos[np.concatenate([e[down, 0], e[up, 1]])]
-        u_out = pos[np.concatenate([e[down, 1], e[up, 0]])]
+        a, b = graph.edges_within(active).T
+        down = (rank[b] < rank[a]) | ((rank[b] == rank[a]) & (b < a))
+        v_out = pos[np.where(down, a, b)]
+        u_out = pos[np.where(down, b, a)]
         by_v = np.lexsort((active[u_out], v_out))
         v_out, u_out = v_out[by_v], u_out[by_v]
         p = np.maximum(1, free.sizes - np.bincount(v_out,
@@ -492,27 +471,20 @@ def clp_list_coloring(sim: Simulator, graph: Graph, palettes: Palettes,
 
     # small blocks, stratum by stratum from the top; the working units are
     # super-blocks (stratum members grouped by their top-layer clique)
+    small = np.zeros(n, dtype=bool)
+    small[hier.vertices[~hier.large]] = True
     with sim.stage("clp:dense-small"):
         for k in range(len(hier.strata), 0, -1):
-            sset = {int(v) for b in hier.blocks
-                    if b.stratum == k and not b.large for v in b.members}
-            dense_passes([np.array([v for v in sb if int(v) in sset],
-                                   dtype=np.int64)
-                          for sb in hier.superblocks(k)])
+            dense_passes([sb[small[sb]] for sb in hier.superblocks(k)])
     # large blocks, upper strata first and stratum 1 last
     with sim.stage("clp:dense-large"):
         for k in range(len(hier.strata), 0, -1):
-            dense_passes([b.members for b in hier.blocks
-                          if b.stratum == k and b.large])
-    # leftovers and sparse vertices: bidding over the density orientation
-    level_of: dict[int, int] = {}
-    for li, layer in enumerate(hier.layers, start=1):
-        for v in layer:
-            level_of[int(v)] = li
+            dense_passes(hier.large_blocks(k))
+    # leftovers and sparse vertices: bidding oriented by density level
     rest = scope[coloring[scope] == UNCOLORED]
     if len(rest):
-        rank = {int(v): (level_of.get(int(v), len(hier.eps_seq) + 1),
-                         int(v)) for v in rest}
+        rank = np.zeros(n, dtype=np.int64)
+        rank[hier.vertices] = hier.level
         with sim.stage("clp:bidding"):
             color_bidding(sim, graph, palettes, coloring, rest, rank, cfg,
                           rng, log)

@@ -166,24 +166,20 @@ class Simulator:
         Returns an array mapping each node in `nodes` to a component id
         (the smallest member id of its component).
         """
-        nodes = np.asarray(nodes, dtype=np.int64)
-        parent = {int(v): int(v) for v in nodes}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for u, v in np.asarray(edges, dtype=np.int64).reshape(-1, 2):
-            ru, rv = find(int(u)), find(int(v))
-            if ru != rv:
-                if ru < rv:
-                    parent[rv] = ru
-                else:
-                    parent[ru] = rv
+        ids, at = np.unique(np.asarray(nodes, dtype=np.int64),
+                            return_inverse=True)
+        u, v = np.searchsorted(ids, np.asarray(edges, dtype=np.int64)
+                               .reshape(-1, 2)).T
+        # min-label propagation: every root hooks under the smallest root
+        # across its edges, then pointer jumping flattens the forest
+        lab = np.arange(len(ids))
+        while (lab[u] != lab[v]).any():
+            np.minimum.at(lab, lab[u], lab[v])
+            np.minimum.at(lab, lab[v], lab[u])
+            while (lab[lab] != lab).any():
+                lab = lab[lab]
         self.ledger.advance(self.config.connectivity_cost)
-        return np.array([find(int(v)) for v in nodes], dtype=np.int64)
+        return ids[lab[at]]
 
     # ------------------------------------------------------------------ #
     # parallel instances

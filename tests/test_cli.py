@@ -109,6 +109,20 @@ def test_input_errors_exit_2(runner, tmp_path):
     assert res5.exit_code == 2
 
 
+@pytest.mark.parametrize("kv", ["big_k=1", "big_k=0", "retry_budget=-1",
+                                "d_independence=0", "lenzen_cost=-1",
+                                "seed_broadcast_cost=-1", "c_fit=0"])
+def test_out_of_range_config_exits_2(runner, kv):
+    # each value used to hang (big_k=1) or crash mid-run with exit 3
+    res = runner.invoke(main, ["run", "--algo", "manycolors", "--gen",
+                               "64,0.3", "--set", kv])
+    assert res.exit_code == 2
+    assert "input error" in res.output
+    res2 = runner.invoke(main, ["sweep", "--algos", "det", "--n", "16",
+                                "--density", "0.5", "--set", kv])
+    assert res2.exit_code == 2
+
+
 @pytest.mark.parametrize("key", ["c_phase", "chunk_bits", "const_deg_cap"])
 def test_removed_config_keys_exit_2(runner, key):
     # no code read these knobs, so they are no longer config keys

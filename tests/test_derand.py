@@ -81,8 +81,8 @@ def test_hash_d1_is_constant():
 def test_hash_eval_wrapper_checks_length():
     fam = HashFamily(3, 3, 2)
     with pytest.raises(SeedLengthMismatch):
-        hash_eval(fam, Seed(0, 5, 5), 1)
-    assert hash_eval(fam, Seed(0, fam.seed_len, fam.seed_len), 3) == 0
+        hash_eval(fam, Seed(0, 5), 1)
+    assert hash_eval(fam, Seed(0, fam.seed_len), 3) == 0
 
 
 def test_pairwise_exact_uniformity():

@@ -451,6 +451,23 @@ def test_det_coloring_partition_regime_logs():
                if e.get("check") in ("partition-cap", "partition-palette"))
 
 
+def test_det_star_takes_seeded_partition():
+    # K_{1,100}: Delta^4 > n^3, and the leaves' low degrees make the
+    # expected cap violations fall below 1, so a probed hash seed splits
+    # the graph; the parts and the left-over set are colored by the
+    # n^(3/4) colorer
+    g = Graph.from_edges(101, [(0, i) for i in range(1, 101)])
+    _, rep = run_algorithm("det", g, Config())
+    assert rep["proper"] and rep["within_budget"] and rep["bandwidth_ok"]
+    notes = [e for e in rep["assertion_log"] if "note" in e]
+    assert notes[0] == {"note": "partition-seeded", "trial": 1}
+    assert not any(e["note"] == "partition-fallback" for e in notes)
+    stages = rep["rounds_by_stage"]
+    assert rep["rounds_total"] == 191
+    assert (stages["partition:probe"], stages["det:star"],
+            stages["n34:seed"]) == (24, 33, 108)
+
+
 def test_det_phase_cap_criterion():
     for n, p, s in ((256, 0.3, 1), (1024, 0.05, 2)):
         g = gen_random_graph(n, p, s)

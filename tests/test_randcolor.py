@@ -132,18 +132,138 @@ def test_hierarchy_complete_graph_single_clique():
     sim = Simulator(2048, cfg)  # Delta^2 = 1024 <= 2048
     g2, _ = Graph.complete(delta + 1).induced(np.arange(delta + 1))
     hier = compute_hierarchy(sim, g2, cfg, np.arange(g2.n))
-    assert len(hier.layers[0]) == g2.n  # everyone dense at level 1
-    labels = set(hier.clique_of[0].values())
-    assert len(labels) == 1
-    assert len(hier.v_sp) == 0
+    assert (hier.level == 1).all()  # everyone dense at level 1
+    assert (hier.labels[0] == 0).all()  # one clique, labelled by vertex 0
 
 
 def test_hierarchy_empty_graph_all_sparse():
     g = Graph.from_edges(6, [])
     sim, cfg, log = setup_ctx(64)
     hier = compute_hierarchy(sim, g, cfg, np.arange(6))
-    assert all(len(layer) == 0 for layer in hier.layers)
-    assert len(hier.v_sp) == 6
+    assert (hier.level == len(hier.eps_seq) + 1).all()  # all sparse
+    assert (hier.labels == -1).all() and (hier.stratum == 0).all()
+
+
+def planted_near_cliques(n, p_bg, cliques, seed):
+    """G(n, p_bg) plus one near-clique per (size, p_in) on consecutive
+    vertex ranges from 0, each pair inside kept with probability p_in."""
+    rng = np.random.default_rng(seed)
+    edges = [tuple(e) for e in
+             gen_random_graph(n, p_bg, seed).edge_array().tolist()]
+    start = 0
+    for size, p_in in cliques:
+        iu, ju = np.triu_indices(size, 1)
+        keep = rng.random(len(iu)) < p_in
+        edges += zip((start + iu[keep]).tolist(), (start + ju[keep]).tolist())
+        start += size
+    return Graph.from_edges(n, edges)
+
+
+def block_table(hier):
+    """(level, stratum, size, large) per block, in block order: a block is
+    the vertices with one first dense level and one clique there."""
+    d = np.flatnonzero(hier.level <= len(hier.eps_seq))
+    own = hier.labels[hier.level[d] - 1, d]
+    keys, first, size = np.unique(hier.level[d] * (1 << 32) + own,
+                                  return_index=True, return_counts=True)
+    i = d[first]
+    return list(zip(hier.level[i].tolist(), hier.stratum[i].tolist(),
+                    size.tolist(), hier.large[i].tolist()))
+
+
+NEAR_CLIQUES = {
+    "a": ((45, 0.95), (40, 0.9), (35, 0.8), (30, 0.7), (25, 0.6)),
+    "b": ((50, 0.95), (40, 0.9), (30, 0.8), (30, 0.7), (30, 0.6)),
+}
+
+
+@pytest.mark.parametrize("ladder, graph, seed, strata, blocks, supers", [
+    # the level-1 block of 15 is big enough to be large (threshold
+    # Delta / log2(10)^2 = 4.7) but its level-2 parent is large already
+    ([0.1, 0.3], "a", 1, [[1], [2]],
+     [(1, 1, 15, False), (2, 2, 30, True), (2, 2, 25, True)],
+     [[15], [30, 25]]),
+    ([0.1, 0.3], "a", 0, [[1], [2]],
+     [(1, 1, 18, False), (2, 2, 27, True), (2, 2, 11, False)],
+     [[18], [27, 11]]),
+    # a large level-1 block under a small level-2 parent
+    ([0.1, 0.3], "b", 0, [[1], [2]],
+     [(1, 1, 35, True), (2, 2, 15, False)], [[35], [15]]),
+    ([0.05, 0.1, 0.3], "a", 0, [[1], [2], [3]],
+     [(2, 2, 18, False), (3, 3, 27, True), (3, 3, 11, False)],
+     [[], [18], [27, 11]]),
+    # stratum 2 holds layers 2 and 3: its super-block joins the level-2
+    # and level-3 blocks under their common level-3 clique
+    ([0.05, 0.1, 0.2, 0.4], "a", 1, [[1], [2, 3], [4]],
+     [(2, 2, 15, False), (3, 2, 28, True), (4, 3, 2, False),
+      (4, 3, 39, True)],
+     [[], [43], [2, 39]]),
+])
+def test_hierarchy_multi_level_blocks(monkeypatch, ladder, graph, seed,
+                                      strata, blocks, supers):
+    from ccclique import randcolor
+    monkeypatch.setattr(randcolor, "eps_ladder", lambda d, k: list(ladder))
+    g = planted_near_cliques(600, 0.01, NEAR_CLIQUES[graph], seed)
+    sim, cfg, log = setup_ctx(g.n, c_fit=64)
+    hier = compute_hierarchy(sim, g, cfg, np.arange(g.n))
+    assert hier.strata == strata
+    assert block_table(hier) == blocks
+    assert [[len(sb) for sb in hier.superblocks(k)]
+            for k in range(1, len(strata) + 1)] == supers
+    # components are charged once per level, after the collection
+    assert sim.ledger.stage_rounds["hierarchy:components"] == len(ladder)
+
+
+def reference_block_flags(hier, delta):
+    """Per-vertex stratum and large flag by dict loops over the blocks:
+    a block's parent is the block, at the lowest higher level, of its
+    smallest member's clique; flags are set from the top level down, and
+    a large ancestor suppresses them."""
+    ell = len(hier.eps_seq)
+    blocks = {}  # (level, clique) -> member indices, ascending
+    for i, lev in enumerate(hier.level.tolist()):
+        if lev <= ell:
+            blocks.setdefault((lev, int(hier.labels[lev - 1, i])),
+                              []).append(i)
+    parent = {}
+    for (lev, c), mem in blocks.items():
+        for lj in range(lev + 1, ell + 1):
+            if (lj, int(hier.labels[lj - 1, mem[0]])) in blocks:
+                parent[(lev, c)] = (lj, int(hier.labels[lj - 1, mem[0]]))
+                break
+    stratum_of = {li: k for k, ls in enumerate(hier.strata, 1) for li in ls}
+    stratum = np.zeros(len(hier.vertices), dtype=np.int64)
+    large = np.zeros(len(hier.vertices), dtype=bool)
+    flag = {}
+    for key in sorted(blocks, key=lambda b: -b[0]):
+        k = stratum_of[key[0]]
+        x = hier.eps_seq[hier.strata[k - 1][-1] - 1]
+        thr = delta / math.log2(1.0 / x) ** 2 if 0 < x < 1 else math.inf
+        anc = parent.get(key)
+        while anc is not None and not flag[anc]:
+            anc = parent.get(anc)
+        flag[key] = len(blocks[key]) >= thr and anc is None
+        stratum[blocks[key]] = k
+        large[blocks[key]] = flag[key]
+    return stratum, large
+
+
+@pytest.mark.parametrize("case", range(12))
+def test_hierarchy_block_flags_match_loop_reference(monkeypatch, case):
+    from ccclique import randcolor
+    rng = np.random.default_rng(case)
+    ladder = np.sort(rng.uniform(0.02, 0.6, 1 + case % 4)).tolist()
+    monkeypatch.setattr(randcolor, "eps_ladder", lambda d, k: ladder)
+    k = int(rng.integers(2, 7))
+    cliques = list(zip(rng.integers(8, 45, k).tolist(),
+                       rng.uniform(0.5, 1.0, k).tolist()))
+    g = planted_near_cliques(400, 0.01, cliques, case)
+    sim, cfg, log = setup_ctx(g.n, c_fit=64)
+    hier = compute_hierarchy(sim, g, cfg,
+                             np.flatnonzero(rng.random(g.n) < 0.8))
+    stratum, large = reference_block_flags(hier, g.max_degree)
+    assert np.array_equal(hier.stratum, stratum)
+    assert np.array_equal(hier.large, large)
 
 
 def test_friend_pairs_imply_two_eps_friends():
@@ -213,7 +333,7 @@ def test_bidding_out_degree_zero_colored():
     sim, cfg, log = setup_ctx(16)
     pal = Palettes.uniform_range(1, 1, 5)
     coloring = np.zeros(1, dtype=np.int64)
-    color_bidding(sim, g, pal, coloring, np.array([0]), {0: (1, 0)}, cfg,
+    color_bidding(sim, g, pal, coloring, np.array([0]), np.ones(1, np.int64), cfg,
                   np.random.default_rng(0), log, iterations=50)
     assert coloring[0] != 0
 
@@ -223,7 +343,7 @@ def test_bidding_disjoint_palettes_both_colored():
     sim, cfg, log = setup_ctx(16)
     pal = Palettes.from_lists(2, {0: [1, 2, 3], 1: [4, 5, 6]})
     coloring = np.zeros(2, dtype=np.int64)
-    rank = {0: (1, 0), 1: (1, 1)}
+    rank = np.ones(2, dtype=np.int64)
     color_bidding(sim, g, pal, coloring, np.arange(2), rank, cfg,
                   np.random.default_rng(1), log, iterations=60)
     assert (coloring != 0).all()
@@ -265,7 +385,7 @@ def test_bidding_path4_matches_bruteforce():
     exact = exact_path4_success_probs()
     g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     pal = Palettes.uniform_range(4, 1, 5)
-    rank = {v: (1, v) for v in range(4)}
+    rank = np.ones(4, dtype=np.int64)
     rng = np.random.default_rng(7)
     trials = 4000
     hits = np.zeros(4)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ccclique.config import Config
 from ccclique.errors import BandwidthViolation, CliqueError
@@ -10,6 +11,22 @@ from ccclique.sim import Simulator
 
 def make(n, **kw):
     return Simulator(n, Config(**kw))
+
+
+@pytest.mark.parametrize("kw", [
+    {"big_k": 1}, {"big_k": 0}, {"retry_budget": -1}, {"d_independence": 0},
+    {"lenzen_cost": -1}, {"connectivity_cost": -1}, {"rng_seed": -1},
+    {"c_fit": 0.0}])
+def test_config_rejects_values_it_cannot_run(kw):
+    with pytest.raises(ValueError):
+        Config(**kw)
+    with pytest.raises(ValueError):
+        Config().with_overrides(**kw)
+
+
+def test_config_accepts_range_floors():
+    Config(big_k=2, retry_budget=0, d_independence=1, lenzen_cost=0,
+           connectivity_cost=0, seed_broadcast_cost=0, c_fit=1e-9)
 
 
 def test_single_message_delivery():
@@ -135,6 +152,46 @@ def test_component_labels_charged():
     assert labels[0] == labels[1] == labels[2] == 0
     assert labels[3] == 3
     assert labels[4] == labels[5] == 4
+
+
+def union_find_labels(edges, nodes):
+    """Reference component labels: a dict union-find that roots every
+    component at its smallest member."""
+    parent = {int(v): int(v) for v in nodes}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in np.asarray(edges, dtype=np.int64).reshape(-1, 2):
+        ru, rv = find(int(u)), find(int(v))
+        if ru != rv:
+            parent[max(ru, rv)] = min(ru, rv)
+    return np.array([find(int(v)) for v in nodes], dtype=np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 60), st.integers(0, 120), st.integers(0, 2 ** 32 - 1))
+def test_component_labels_match_union_find(size, m, seed):
+    # nodes are a shuffled sample of ids below 4 * size; edges join them
+    rng = np.random.default_rng(seed)
+    nodes = rng.permutation(rng.choice(4 * size, size, replace=False))
+    edges = rng.choice(nodes, size=(m, 2)) if m else np.zeros((0, 2), int)
+    sim = make(4 * size)
+    labels = sim.component_labels(edges, nodes)
+    assert np.array_equal(labels, union_find_labels(edges, nodes))
+    assert sim.ledger.rounds_total == sim.config.connectivity_cost
+
+
+def test_component_labels_long_path():
+    # a path numbered in scrambled order needs many hook-and-jump rounds
+    order = np.random.default_rng(3).permutation(5000)
+    sim = make(5000)
+    labels = sim.component_labels(np.stack([order[:-1], order[1:]], 1),
+                                  order)
+    assert (labels == 0).all()
 
 
 def test_monotone_round_counter():
