@@ -32,14 +32,13 @@ class Config:
     # --- derandomization knobs ---
     d_independence: int = 4    # independence order for "O(1)-wise" sites
     term_budget: int = 120_000  # max estimator terms for in-budget search
-    eval_budget: int = 300_000_000  # rough op budget for one seed search
     debug_checks: bool = False  # per-commit properness assertions
 
     def __post_init__(self):
         """Reject values the algorithms cannot run (ValueError)."""
-        for name, lo in (("lenzen_cost", 0), ("connectivity_cost", 0),
-                         ("seed_broadcast_cost", 0), ("rng_seed", 0),
-                         ("big_k", 2), ("retry_budget", 0),
+        for name, lo in (("c_word", 1), ("lenzen_cost", 0),
+                         ("connectivity_cost", 0), ("seed_broadcast_cost", 0),
+                         ("rng_seed", 0), ("big_k", 2), ("retry_budget", 0),
                          ("d_independence", 1)):
             if getattr(self, name) < lo:
                 raise ValueError(f"{name}={getattr(self, name)} below {lo}")
@@ -47,18 +46,16 @@ class Config:
             raise ValueError(f"c_fit={self.c_fit} must be positive")
 
     def word_bits(self, n: int) -> int:
-        return max(1, self.c_word * max(1, (max(2, n) - 1).bit_length()))
+        return self.c_word * (max(2, n) - 1).bit_length()
 
     def with_overrides(self, **kw) -> "Config":
         return replace(self, **kw)
 
     def split_budgets(self, instances: int) -> "Config":
         """The config of one of `instances` simultaneous instances: the
-        term and eval budgets are shared out, down to fixed floors."""
-        k = max(1, instances)
+        term budget is shared out, down to a fixed floor."""
         return self.with_overrides(
-            term_budget=max(2000, self.term_budget // k),
-            eval_budget=max(1_000_000, self.eval_budget // k))
+            term_budget=max(2000, self.term_budget // max(1, instances)))
 
     def fits_sqrt(self, delta: int, n: int) -> bool:
         """Delta^2 <= c_fit * n: the degree regime of the sqrt colorers."""

@@ -319,14 +319,18 @@ class AffineObjective:
 
     def _eval(self, width: int):
         """Conditional sums per chunk assignment, plus the stage kept for
-        commit: vals[b] = all alive weight - weight of terms b breaks."""
+        commit: vals[b] = all alive weight - weight of terms b breaks.
+        The failure sets are weighed in blocks of at most
+        _EVAL_BLOCK_CELLS (term, assignment) cells."""
         terms, fail = self._stage(width)
         w = self._weights(self.k + width)
         vals = np.full(1 << width, (self.const_total << self.denom_log2)
                        + int(w[self.alive].sum()), dtype=np.int64)
-        if len(terms):
-            vals -= (w[terms][:, None]
-                     * _unpack_bits(fail, 1 << width)).sum(axis=0)
+        step = max(1, _EVAL_BLOCK_CELLS >> width)
+        for lo in range(0, len(terms), step):
+            vals -= (w[terms[lo:lo + step]][:, None]
+                     * _unpack_bits(fail[lo:lo + step], 1 << width)
+                     ).sum(axis=0)
         return vals, (width, terms, fail)
 
     def eval_block(self, width: int) -> np.ndarray:
@@ -379,6 +383,10 @@ def _in_word_parity() -> np.ndarray:
 
 _IN_WORD_PARITY = _in_word_parity()
 
+# the most (term, assignment) cells one weighing step of
+# AffineObjective._eval holds, bounding its int64 matrix at 128 MB
+_EVAL_BLOCK_CELLS = 1 << 24
+
 
 def _unpack_bits(words: np.ndarray, count: int) -> np.ndarray:
     """(rows, count) uint8 0/1 matrix of the first `count` bits of each
@@ -391,22 +399,13 @@ def _unpack_bits(words: np.ndarray, count: int) -> np.ndarray:
 # searches
 # --------------------------------------------------------------------- #
 
-def default_chunk_bits(n: int) -> int:
-    return max(1, int(np.log2(max(2, n))))
-
-
-def auto_chunk_bits(n: int, seed_len: int, n_terms: int, n_rows: int,
-                    eval_budget: int, cap: int | None = None) -> int:
-    """Largest chunk width z whose total search cost fits the budget."""
-    zmax = min(default_chunk_bits(n), seed_len, 20)
-    if cap is not None:
-        zmax = min(zmax, cap)
-    work_unit = max(1, n_terms + n_rows)
-    for z in range(zmax, 1, -1):
-        stages = -(-seed_len // z)
-        if stages * work_unit * (1 << z) <= eval_budget:
-            return z
-    return 1
+def chunk_bits(n: int, seed_len: int, instance_id: int = 0) -> int:
+    """Seed bits one agreement stage fixes: one leader per assignment, so
+    min(floor(log2 n), seed_len, 20).  An instance other than 0 runs
+    beside others and gets floor(log2 n) / 2 bits at most."""
+    logn = max(2, n).bit_length() - 1
+    cap = logn if instance_id == 0 else max(1, logn // 2)
+    return max(1, min(cap, seed_len, 20))
 
 
 def _pick(vals: np.ndarray, minimize: bool) -> int:

@@ -36,8 +36,8 @@ import numpy as np
 
 from .config import Config
 from .coloring import (FreeSets, Palettes, UNCOLORED, free_sets,
-                       greedy_list_color, log2n, palette_ranges)
-from .derand import (AffineObjective, HashFamily, auto_chunk_bits,
+                       greedy_list_color, palette_ranges)
+from .derand import (AffineObjective, HashFamily, chunk_bits,
                      distributed_seed_agreement)
 from .errors import DegreeTooLarge, NoZeroViolationSeed, ParameterViolation
 from .gf2 import EchelonTemplate, column_masks_vec
@@ -164,26 +164,23 @@ def _charge_edge_words(sim: Simulator, stage: str, edges: np.ndarray,
         sim.charge_route_counts(sent, got)
 
 
-def _seed_round(sim: Simulator, cfg: Config, family: HashFamily,
-                ids: np.ndarray, groups: list, stage: str,
-                instance_id: int = 0, minimize: bool = False):
+def _seed_round(sim: Simulator, family: HashFamily, ids: np.ndarray,
+                groups: list, stage: str, instance_id: int = 0,
+                minimize: bool = False):
     """One derandomized hash-seeded round.
 
     Builds the estimator from the term `groups` (see _add_term_groups),
     agrees a seed on it through the leader protocol under `stage`, and
     returns (the hash outputs of `ids` under that seed, the estimator's
-    exact initial expectation numerator, the frozen estimator).  An
-    instance other than 0 runs beside others, so its chunks are capped at
-    log2(n)/2 bits."""
+    exact initial expectation numerator, the frozen estimator).  The
+    chunk width depends only on n, the seed length and the instance
+    (derand.chunk_bits); no host cost estimate narrows it."""
     obj = AffineObjective(family.seed_len)
     if groups:
         _add_term_groups(obj, *groups)
     obj.freeze()
     exp0 = obj.expectation_num()
-    z = auto_chunk_bits(sim.n, family.seed_len, obj.n_terms,
-                        len(obj.row_mask), cfg.eval_budget,
-                        cap=None if instance_id == 0 else
-                        max(1, int(log2n(sim.n)) // 2))
+    z = chunk_bits(sim.n, family.seed_len, instance_id)
     seed = distributed_seed_agreement(sim, obj, family.seed_len, z,
                                       minimize=minimize,
                                       instance_id=instance_id,
@@ -305,8 +302,8 @@ def _hash_choices(ys: np.ndarray, fs: np.ndarray,
 
 
 def derand_color_round(sim: Simulator, graph: Graph, coloring: np.ndarray,
-                       free: FreeSets, edges: np.ndarray, cfg: Config,
-                       log: RunLog, part_bits: int = 1, instance_id: int = 0,
+                       free: FreeSets, edges: np.ndarray, log: RunLog,
+                       part_bits: int = 1, instance_id: int = 0,
                        stage: str = "seed-round") -> RoundOutcome:
     """One derandomized abstain-or-pick round on the vertices of `free`.
 
@@ -348,7 +345,7 @@ def derand_color_round(sim: Simulator, graph: Graph, coloring: np.ndarray,
              np.concatenate([system, system]),
              np.concatenate([active[iu[e]], active[iv[e]]]),
              np.full(2 * len(e), -1), np.concatenate([rhs, rhs]))
-    ys, exp0, obj = _seed_round(sim, cfg, family, active, [singles, pairs],
+    ys, exp0, obj = _seed_round(sim, family, active, [singles, pairs],
                                 stage, instance_id)
     bound = _ceil_div_pow2(exp0, obj.denom_log2)
     # apply the agreed seed
@@ -392,8 +389,8 @@ def det_list_color_sqrt(sim: Simulator, graph: Graph, palettes: Palettes,
         sizes = np.zeros(graph.n, dtype=np.int64)
         sizes[active] = free.sizes
         _charge_edge_words(sim, "sqrt:palettes", edges, sizes)
-        return derand_color_round(sim, graph, coloring, free, edges, cfg,
-                                  log, part_bits=1, instance_id=instance_id,
+        return derand_color_round(sim, graph, coloring, free, edges, log,
+                                  part_bits=1, instance_id=instance_id,
                                   stage="sqrt:seed").colored
 
     return coloring, _list_color_phases(sim, graph, palettes, cfg, log,
@@ -501,7 +498,7 @@ def det_delta_sq(sim: Simulator, graph: Graph, cfg: Config,
             groups.append((amask, system, active[owner],
                            np.ones(len(pairs), dtype=np.int64),
                            (taken - 1) & ((1 << beta) - 1)))
-        ys, exp0, obj = _seed_round(sim, cfg, family, active, groups,
+        ys, exp0, obj = _seed_round(sim, family, active, groups,
                                     "deltasq:seed", minimize=True)
         bad = np.zeros(len(active), dtype=bool)
         ends = np.searchsorted(active, edges)
@@ -668,7 +665,7 @@ def classify_and_bin(sim: Simulator, graph: Graph, coloring: np.ndarray,
              np.concatenate([system, system]),
              np.concatenate([a1[iu[pe]], a1[iv[pe]]]),
              np.concatenate([-cu, -cv]), np.concatenate([rhs, rhs]))
-    ys, exp0, obj = _seed_round(sim, cfg, family, a1, [singles, pairs],
+    ys, exp0, obj = _seed_round(sim, family, a1, [singles, pairs],
                                 "n34:bins", instance_id)
     happy_bound = _ceil_div_pow2(exp0, obj.denom_log2 + scale)
     y = (ys.astype(np.int64) & ((1 << bb) - 1))[:, None]
@@ -750,7 +747,7 @@ def det_list_color_n34(sim: Simulator, graph: Graph, palettes: Palettes,
         if _estimate_terms(s_sizes, rel_edges, len(sel)) > cfg.term_budget:
             return "n34-step2"
         outcome = derand_color_round(sim, graph, coloring, sfree, rel_edges,
-                                     cfg, log, part_bits=5,
+                                     log, part_bits=5,
                                      instance_id=instance_id,
                                      stage="n34:seed")
         log.record("n34-phase-progress",

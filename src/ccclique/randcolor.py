@@ -186,9 +186,11 @@ def compute_hierarchy(sim: Simulator, graph: Graph, cfg: Config,
     unc = np.sort(np.asarray(uncolored, dtype=np.int64))
     edges = graph.edges_within(unc)
     with sim.stage("hierarchy:collect"):
-        # 2-neighborhood collection: O(Delta) out, O(Delta^2) in per node
-        sim.charge_route_counts(graph.degrees,
-                                np.minimum(graph.degrees * delta, n))
+        # 2-neighborhood collection by the classified vertices: O(Delta)
+        # out, O(Delta^2) in per node
+        deg = np.zeros(n, dtype=np.int64)
+        deg[unc] = graph.degrees[unc]
+        sim.charge_route_counts(deg, np.minimum(deg * delta, n))
     common = graph.common_neighbors(edges[:, 0], edges[:, 1])
     e = np.searchsorted(unc, edges)
     level = np.full(len(unc), ell + 1, dtype=np.int64)
@@ -364,8 +366,7 @@ def color_bidding(sim: Simulator, graph: Graph, palettes: Palettes,
         out_counts = np.zeros(graph.n, dtype=np.int64)
         out_counts[active] = samples.sizes * np.bincount(
             u_out, minlength=len(active))
-        with sim.stage("bidding"):
-            sim.charge_route_counts(out_counts, out_counts)
+        sim.charge_route_counts(out_counts, out_counts)
         # each vertex takes its smallest sampled color no out-neighbour
         # sampled
         j, k = samples.expand(u_out)

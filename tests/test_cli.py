@@ -111,9 +111,11 @@ def test_input_errors_exit_2(runner, tmp_path):
 
 @pytest.mark.parametrize("kv", ["big_k=1", "big_k=0", "retry_budget=-1",
                                 "d_independence=0", "lenzen_cost=-1",
-                                "seed_broadcast_cost=-1", "c_fit=0"])
+                                "seed_broadcast_cost=-1", "c_fit=0",
+                                "c_word=0"])
 def test_out_of_range_config_exits_2(runner, kv):
-    # each value used to hang (big_k=1) or crash mid-run with exit 3
+    # each value used to hang (big_k=1), crash mid-run with exit 3, or
+    # run in a model whose words carry no vertex id (c_word=0)
     res = runner.invoke(main, ["run", "--algo", "manycolors", "--gen",
                                "64,0.3", "--set", kv])
     assert res.exit_code == 2
@@ -123,9 +125,11 @@ def test_out_of_range_config_exits_2(runner, kv):
     assert res2.exit_code == 2
 
 
-@pytest.mark.parametrize("key", ["c_phase", "chunk_bits", "const_deg_cap"])
+@pytest.mark.parametrize("key", ["c_phase", "chunk_bits", "const_deg_cap",
+                                 "eval_budget"])
 def test_removed_config_keys_exit_2(runner, key):
-    # no code read these knobs, so they are no longer config keys
+    # no code read the first three knobs; eval_budget let a host cost
+    # estimate set the seed chunk width, which the model now fixes
     res = runner.invoke(main, ["run", "--algo", "det", "--gen", "16,0.5",
                                "--set", f"{key}=4"])
     assert res.exit_code == 2

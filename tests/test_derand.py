@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from ccclique import derand
 from ccclique.config import Config
 from ccclique.derand import (AffineObjective, HashFamily, Seed,
-                             TableObjective, _mask_table, auto_chunk_bits,
-                             cond_exp_search, default_chunk_bits,
-                             distributed_seed_agreement, hash_eval)
+                             TableObjective, _mask_table, chunk_bits,
+                             cond_exp_search, distributed_seed_agreement,
+                             hash_eval)
 from ccclique.errors import ChunkTooWide, SeedLengthMismatch
 from ccclique.gf2 import (EchelonTemplate, column_masks_vec, gf_mul,
                           gf_mul_vec, irreducible_poly, solve_parity_rows)
@@ -228,11 +229,19 @@ def test_instance_leader_disjointness():
                                    instance_id=4)  # leader 16 out of range
 
 
-def test_auto_chunk_bounds():
-    for n in (4, 100, 5000):
-        z = auto_chunk_bits(n, 30, 1000, 5000, 10 ** 8)
-        assert 1 <= z <= default_chunk_bits(n)
+def test_chunk_bits_bounds():
+    # instance 0: floor(log2 n), capped by the seed length and at 20
+    for n, seed_len, z in ((1, 30, 1), (2, 30, 1), (4, 30, 2), (100, 30, 6),
+                           (5000, 30, 12), (16384, 30, 14), (16384, 9, 9),
+                           (1 << 24, 64, 20), (1024, 1, 1)):
+        assert chunk_bits(n, seed_len) == z
         assert (1 << z) <= max(2, n)
+    # other instances run beside instance 0: half the width, at least 1
+    for n, seed_len, z in ((2, 30, 1), (4, 30, 1), (100, 30, 3),
+                           (5000, 30, 6), (16384, 30, 7), (16384, 5, 5),
+                           (1 << 24, 64, 12)):
+        for instance_id in (1, 7):
+            assert chunk_bits(n, seed_len, instance_id) == z
 
 
 class TestAffineObjective:
@@ -414,6 +423,13 @@ class TestPackedEvaluation:
                 obj.commit(b, width)
                 assert obj.expectation_num() * scale == \
                     want[prefix | (b << k)]
+
+    def test_blocked_eval_matches_enumeration(self, monkeypatch):
+        # 64 cells per block: a chunk of 6 or more bits weighs one term
+        # per block, so those widths span as many blocks as stage terms
+        monkeypatch.setattr(derand, "_EVAL_BLOCK_CELLS", 64)
+        self.test_eval_block_and_commit_match_enumeration()
+        self.test_distributed_equals_offline_affine()
 
     def test_distributed_equals_offline_affine(self):
         L = self.fam.seed_len

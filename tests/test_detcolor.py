@@ -1,9 +1,17 @@
 """Deterministic colorers: quadratic palette, derandomized list coloring,
 bins, and the general partition."""
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import ccclique
 from ccclique import detcolor
 from ccclique.config import Config
 from ccclique.coloring import Palettes, free_sets, is_proper
@@ -476,3 +484,30 @@ def test_det_phase_cap_criterion():
         info = [e for e in rep["assertion_log"] if e.get("note") ==
                 "det-info"]
         assert info and info[0]["phases"] <= phase_bound(n)
+
+
+def test_detsq_model_width_seed_fits_in_memory():
+    """detsq on G(16384, 0.002) seeds at the model's chunk width, 14 bits,
+    and charges 13 rounds.  One dense (terms x 2^14) int64 matrix of its
+    failure sets would take 2.1 GB; weighed in blocks, the whole run
+    peaks under 1.2 GB.  A fresh process measures its own peak RSS."""
+    code = textwrap.dedent("""
+        import json, resource
+        from ccclique.config import Config
+        from ccclique.graphs import gen_random_graph
+        from ccclique.harness import run_algorithm
+        _, rep = run_algorithm("detsq", gen_random_graph(16384, 0.002, 1),
+                               Config(rng_seed=1))
+        rep["ru_maxrss_kb"] = resource.getrusage(
+            resource.RUSAGE_SELF).ru_maxrss
+        print(json.dumps(rep))
+    """)
+    src = str(Path(ccclique.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    rep = json.loads(out.splitlines()[-1])
+    assert rep["proper"] and rep["within_budget"] and rep["bandwidth_ok"]
+    assert rep["rounds_total"] == 13
+    assert rep["ru_maxrss_kb"] < 1.2 * 2 ** 20

@@ -605,7 +605,7 @@ def test_clp_dense_step_colors_disjoint_cliques(monkeypatch):
     assert colored == [697]
     assert rep["rounds_total"] == 11
     assert rep["rounds_by_stage"] == {
-        "bidding": 0, "clp": 11, "clp:bidding": 0, "clp:dense-large": 0,
+        "clp": 11, "clp:bidding": 0, "clp:dense-large": 0,
         "clp:dense-small": 5, "clp:hierarchy": 3, "clp:oneshot": 3,
         "dense:gather": 5, "hierarchy:collect": 2,
         "hierarchy:components": 1}

@@ -1,5 +1,9 @@
 """Simulator contract tests: delivery, bandwidth, charged primitives."""
 
+import re
+from dataclasses import fields
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +20,7 @@ def make(n, **kw):
 @pytest.mark.parametrize("kw", [
     {"big_k": 1}, {"big_k": 0}, {"retry_budget": -1}, {"d_independence": 0},
     {"lenzen_cost": -1}, {"connectivity_cost": -1}, {"rng_seed": -1},
-    {"c_fit": 0.0}])
+    {"c_fit": 0.0}, {"c_word": 0}])
 def test_config_rejects_values_it_cannot_run(kw):
     with pytest.raises(ValueError):
         Config(**kw)
@@ -26,7 +30,19 @@ def test_config_rejects_values_it_cannot_run(kw):
 
 def test_config_accepts_range_floors():
     Config(big_k=2, retry_budget=0, d_independence=1, lenzen_cost=0,
-           connectivity_cost=0, seed_broadcast_cost=0, c_fit=1e-9)
+           connectivity_cost=0, seed_broadcast_cost=0, c_fit=1e-9, c_word=1)
+
+
+def test_readme_range_table_lists_every_config_key_once():
+    """The README's valid-range table names exactly the Config fields, so
+    a removed knob cannot linger there and a new one must get a row."""
+    text = (Path(__file__).resolve().parents[1]
+            / "README.md").read_text(encoding="utf-8")
+    table = text.split("| key | valid range |\n", 1)[1].split("\n\n", 1)[0]
+    keys = [k for row in table.splitlines()[1:]
+            for k in re.findall(r"`(\w+)`", row.split("|")[1])]
+    assert len(keys) == len(set(keys)), keys
+    assert sorted(keys) == sorted(f.name for f in fields(Config))
 
 
 def test_single_message_delivery():
