@@ -31,6 +31,11 @@ def _parse_gen(spec: str):
         raise InputError(f"--gen expects 'n,p', got {spec!r}") from exc
 
 
+def _check_eps(eps: float) -> None:
+    if not 0.0 < eps < 1.0:  # also rejects nan
+        raise InputError(f"--eps must lie in (0, 1), got {eps}")
+
+
 def _load_instance(graph_path, gen, seed):
     if (graph_path is None) == (gen is None):
         raise InputError("exactly one of --graph or --gen is required")
@@ -88,7 +93,7 @@ def main():
 @click.option("--set", "overrides", multiple=True,
               help="config override key=value (repeatable)")
 @click.option("--eps", type=float, default=0.25, show_default=True,
-              help="epsilon for the manycolors budget")
+              help="epsilon in (0, 1) for the manycolors budget")
 @click.option("--out", type=click.Path())
 @click.option("--coloring-out", type=click.Path(),
               help="also write the coloring (vertex color per line)")
@@ -98,6 +103,7 @@ def run_cmd(algo, graph_path, gen, seed, config_path, overrides, eps, out,
             coloring_out, fmt):
     """Run one algorithm on one instance and emit a report."""
     try:
+        _check_eps(eps)
         graph = _load_instance(graph_path, gen, seed)
         cfg = _build_config(config_path, overrides, seed)
     except (InputError, OSError, ValueError) as exc:
@@ -148,7 +154,8 @@ def verify_cmd(graph_path, coloring_path):
 @click.option("--seeds", default="0", show_default=True)
 @click.option("--config", "config_path", type=click.Path(exists=True))
 @click.option("--set", "overrides", multiple=True)
-@click.option("--eps", type=float, default=0.25, show_default=True)
+@click.option("--eps", type=float, default=0.25, show_default=True,
+              help="epsilon in (0, 1) for the manycolors budget")
 @click.option("--out", type=click.Path(), help="directory for reports")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
               default="json", show_default=True)
@@ -156,10 +163,12 @@ def sweep_cmd(algos, ns, densities, seeds, config_path, overrides, eps,
               out, fmt):
     """Run an (algorithm x n x density x seed) grid; one report per cell.
 
-    Every size, density and config is checked before the first cell runs.
-    A cell whose run crashes is reported and skipped, and the sweep then
-    exits 3; otherwise an improper or over-budget cell makes it exit 1."""
+    Every size, density, config and eps is checked before the first cell
+    runs.  A cell whose run crashes is reported and skipped, and the sweep
+    then exits 3; otherwise an improper or over-budget cell makes it exit
+    1."""
     try:
+        _check_eps(eps)
         algo_list = [a.strip() for a in algos.split(",") if a.strip()]
         for a in algo_list:
             if a not in ALGORITHMS:

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -253,6 +254,10 @@ class AffineObjective:
         self.committed = 0
         self.k = 0
         self.alive = np.ones(T, dtype=bool)
+        self._below = np.zeros(T, dtype=np.int64)
+        i64, u64 = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.uint64)
+        self._no_rows = _Stage(0, i64, i64, i64, i64, u64,
+                               np.zeros(0, dtype=np.uint8))
         self._blocks = None
         self._consts = None
         self._last = None
@@ -260,6 +265,7 @@ class AffineObjective:
     def reset(self):
         self.committed, self.k = 0, 0
         self.alive[:] = True
+        self._below[:] = 0
         self._last = None
 
     # -- evaluation -------------------------------------------------- #
@@ -267,71 +273,98 @@ class AffineObjective:
     # Only a term with a row pivoting inside the chunk [k, k+width) can
     # fail for some chunk assignment; every other alive term keeps its
     # (rescaled) weight whatever the chunk is.  A stage therefore works on
-    # those rows alone, and keeps each term's failure set over the 2^width
-    # assignments as a bitset packed into uint64 words: bit b of word
-    # b >> 6, position b & 63, is set when assignment b breaks the term.
+    # those rows alone, as O(rows) arrays grouped by term (`_Stage`): a
+    # row breaks under chunk assignment b when parity(chunk & b) ^ flip
+    # is 1, where chunk is the row's mask inside the chunk and flip its
+    # rhs plus the parity the committed prefix contributes.  `commit`
+    # reads the terms the chosen assignment breaks from these rows, and
+    # adds the stage's row counts to `_below`, each alive term's rows
+    # pivoting below k.
+    #
+    # `_eval` builds each term's failure set over the 2^width assignments
+    # a block of terms at a time, never more than _EVAL_BLOCK_CELLS
+    # (term, assignment) cells, and subtracts its weight from every
+    # assignment in it.  A failure set wider than one 64-bit word is
+    # weighed per weight class: the stage's terms are put in weight order
+    # and each run of one weight subtracts weight x (its int64 column sum
+    # of 0/1 bits), so no int64 (term, assignment) matrix is formed; a
+    # wide stage has a handful of distinct weights.  A set of one word
+    # (width <= 6) is weighed as one weights @ bits product, the fewest
+    # numpy calls for the many small stages; its int64 copy of the bits
+    # takes 8 bytes a cell, so its blocks hold 1/8 of the cells.
 
     def contributing_nodes(self) -> np.ndarray:
         """Sorted ids of the nodes that own a term or a constant."""
         return np.unique(np.concatenate([self.term_node, self.const_node]))
 
-    def _weights(self, k1: int) -> np.ndarray:
-        """Each term's conditional value once bits [0, k1) are fixed and
-        its rows below k1 hold: coef * 2^-(rows at or above k1), scaled."""
-        below = np.bincount(
-            self.row_term[: np.searchsorted(self.row_pivot, k1)],
-            minlength=self.n_terms)
-        r = self.n_rows_per_term - below
-        return self.term_coef << (self.denom_log2 - r)
+    def _weights(self, stage: _Stage) -> np.ndarray:
+        """Each alive term's conditional value once the stage's chunk is
+        fixed and its rows below the chunk's end hold, coef * 2^-(rows at
+        or above k + width) scaled, and 0 for a dead term.  `_below`
+        counts an alive term's rows below k; the stage adds its own."""
+        r = self.n_rows_per_term - self._below
+        r[stage.terms] -= stage.counts
+        return (self.term_coef << (self.denom_log2 - r)) * self.alive
 
-    def _stage(self, width: int):
-        """Alive terms with a row pivoting in [k, k+width), sorted, and
-        their packed failure sets, shape (terms, max(1, 2^width / 64))."""
-        lo = int(np.searchsorted(self.row_pivot, self.k))
-        hi = int(np.searchsorted(self.row_pivot, self.k + width))
-        terms = self.row_term[lo:hi]
-        keep = self.alive[terms]
-        terms = terms[keep]
-        words = max(1, (1 << width) >> 6)
-        if not len(terms):
-            return terms, np.zeros((0, words), dtype=np.uint64)
-        masks = self.row_mask[lo:hi][keep]
-        # a row breaks when parity(mask & seed) != rhs; the committed
-        # prefix contributes a fixed parity, the chunk bits a pattern
+    def _stage(self, width: int) -> _Stage:
+        """The alive terms' rows pivoting in [k, k+width), grouped by
+        term."""
+        lo, hi = np.searchsorted(self.row_pivot, (self.k, self.k + width))
+        live = lo + self.alive[self.row_term[lo:hi]].nonzero()[0]
+        if not len(live):
+            return self._no_rows._replace(width=width)
+        order = live[np.argsort(self.row_term[live], kind="stable")]
+        row_term = self.row_term[order]
+        masks = self.row_mask[order]
         flip = (np.bitwise_count(masks & np.uint64(self.committed))
-                .astype(np.uint64) & np.uint64(1)) \
-            ^ self.row_rhs[lo:hi][keep].astype(np.uint64)
-        chunk = (masks >> np.uint64(self.k)) \
-            & np.uint64((1 << width) - 1)
-        # chunk bits 6.. select whole words: parity(chunk_hi & word index)
-        high = np.bitwise_count((chunk >> np.uint64(6))[:, None]
-                                & np.arange(words, dtype=np.uint64))
-        fail = (_IN_WORD_PARITY[(chunk & np.uint64(63)).astype(np.intp)]
-                [:, None]
-                ^ (np.uint64(0) - (high.astype(np.uint64) & np.uint64(1)))
-                ^ (np.uint64(0) - flip)[:, None])
-        order = np.argsort(terms, kind="stable")
-        terms = terms[order]
-        starts = np.flatnonzero(np.concatenate(
-            ([True], terms[1:] != terms[:-1])))
-        return terms[starts], np.bitwise_or.reduceat(fail[order], starts,
-                                                     axis=0)
+                & np.uint8(1)) ^ self.row_rhs[order]
+        chunk = (masks >> np.uint64(self.k)) & np.uint64((1 << width) - 1)
+        bounds = np.concatenate(
+            ([True], row_term[1:] != row_term[:-1], [True])).nonzero()[0]
+        starts = bounds[:-1]
+        return _Stage(width, row_term[starts], starts, bounds[1:] - starts,
+                      row_term, chunk, flip)
+
+    def _failure_blocks(self, stage: _Stage, cells: int):
+        """Yield (g, h, bits): the failure sets of the stage's terms g..h-1
+        as a (h - g, 2^width) uint8 0/1 matrix, in blocks of at most
+        `cells` cells and as many rows (a term with more rows than that
+        gets a block of its own)."""
+        step = max(1, cells >> stage.width)
+        ends = stage.starts + stage.counts
+        g = 0
+        while g < len(stage.terms):
+            r0 = stage.starts[g]
+            h = max(g + 1, int(np.searchsorted(ends, r0 + step, "right")))
+            fail = _packed_failures(stage.chunk[r0:ends[h - 1]],
+                                    stage.flip[r0:ends[h - 1]], stage.width)
+            fail = np.bitwise_or.reduceat(fail, stage.starts[g:h] - r0,
+                                          axis=0)
+            yield g, h, _unpack_bits(fail, 1 << stage.width)
+            g = h
 
     def _eval(self, width: int):
         """Conditional sums per chunk assignment, plus the stage kept for
-        commit: vals[b] = all alive weight - weight of terms b breaks.
-        The failure sets are weighed in blocks of at most
-        _EVAL_BLOCK_CELLS (term, assignment) cells."""
-        terms, fail = self._stage(width)
-        w = self._weights(self.k + width)
+        commit: vals[b] = all alive weight - weight of terms b breaks."""
+        stage = self._stage(width)
+        w = self._weights(stage)
         vals = np.full(1 << width, (self.const_total << self.denom_log2)
-                       + int(w[self.alive].sum()), dtype=np.int64)
-        step = max(1, _EVAL_BLOCK_CELLS >> width)
-        for lo in range(0, len(terms), step):
-            vals -= (w[terms[lo:lo + step]][:, None]
-                     * _unpack_bits(fail[lo:lo + step], 1 << width)
-                     ).sum(axis=0)
-        return vals, (width, terms, fail)
+                       + int(w.sum()), dtype=np.int64)
+        if width <= 6:
+            for g, h, bits in self._failure_blocks(
+                    stage, _EVAL_BLOCK_CELLS >> 3):
+                vals -= w[stage.terms[g:h]] @ bits
+            return vals, stage
+        wt = w[stage.terms]
+        order = np.argsort(wt, kind="stable")
+        wt = wt[order]
+        for g, h, bits in self._failure_blocks(stage.regroup(order),
+                                               _EVAL_BLOCK_CELLS):
+            cuts = np.append((wt[g + 1:h] != wt[g:h - 1]).nonzero()[0] + 1,
+                             h - g)
+            for a, b in zip(np.append(0, cuts[:-1]), cuts):
+                vals -= wt[g + a] * bits[a:b].sum(axis=0, dtype=np.int64)
+        return vals, stage
 
     def eval_block(self, width: int) -> np.ndarray:
         vals, self._last = self._eval(width)
@@ -342,26 +375,29 @@ class AffineObjective:
         contributing_nodes()[i] sends to each of the 2^width leaders, and
         the rows sum to eval_block(width).  The searches route only the
         counts of these values and never build the matrix."""
-        _, self._last = self._eval(width)
-        _, terms, fail = self._last
-        w = self._weights(self.k + width)
+        _, stage = self._eval(width)
+        self._last = stage
+        w = self._weights(stage)
         nodes = self.contributing_nodes()
         out = np.zeros((len(nodes), 1 << width), dtype=np.int64)
-        np.add.at(out, np.searchsorted(nodes, self.term_node[self.alive]),
-                  w[self.alive][:, None])
-        np.subtract.at(out, np.searchsorted(nodes, self.term_node[terms]),
-                       w[terms][:, None] * _unpack_bits(fail, 1 << width))
+        np.add.at(out, np.searchsorted(nodes, self.term_node), w[:, None])
+        at = np.searchsorted(nodes, self.term_node[stage.terms])
+        for g, h, bits in self._failure_blocks(stage,
+                                               _EVAL_BLOCK_CELLS >> 3):
+            np.subtract.at(out, at[g:h],
+                           w[stage.terms[g:h]][:, None] * bits)
         np.add.at(out, np.searchsorted(nodes, self.const_node),
                   (self.const_coef << self.denom_log2)[:, None])
         return nodes, out
 
     def commit(self, assignment: int, width: int) -> None:
-        if self._last is None or self._last[0] != width:
-            self.eval_block(width)
-        _, terms, fail = self._last
-        broken = (fail[:, assignment >> 6]
-                  >> np.uint64(assignment & 63)) & np.uint64(1)
-        self.alive[terms[broken.astype(bool)]] = False
+        stage = self._last
+        if stage is None or stage.width != width:
+            stage = self._stage(width)
+        broken = (np.bitwise_count(stage.chunk & np.uint64(assignment))
+                  & np.uint8(1)) ^ stage.flip
+        self.alive[stage.row_term[broken.view(bool)]] = False
+        self._below[stage.terms] += stage.counts
         self.committed |= assignment << self.k
         self.k += width
         self._last = None
@@ -370,6 +406,45 @@ class AffineObjective:
         """Current conditional expectation numerator (denom 2^denom_log2)."""
         vals, _ = self._eval(0)
         return int(vals[0])
+
+
+class _Stage(NamedTuple):
+    """One chunk stage's alive rows, grouped by term: terms[i] owns rows
+    starts[i] .. starts[i] + counts[i] - 1 of the per-row arrays
+    (row_term, chunk = uint64 mask bits inside the chunk, flip = uint8
+    rhs ^ the committed prefix's parity)."""
+
+    width: int
+    terms: np.ndarray
+    starts: np.ndarray
+    counts: np.ndarray
+    row_term: np.ndarray
+    chunk: np.ndarray
+    flip: np.ndarray
+
+    def regroup(self, order: np.ndarray) -> _Stage:
+        """The same stage with its terms in `order`."""
+        counts = self.counts[order]
+        starts = np.cumsum(counts) - counts
+        rows = np.repeat(self.starts[order] - starts, counts) \
+            + np.arange(len(self.row_term))
+        return _Stage(self.width, self.terms[order], starts, counts,
+                      self.row_term[rows], self.chunk[rows], self.flip[rows])
+
+
+def _packed_failures(chunk: np.ndarray, flip: np.ndarray,
+                     width: int) -> np.ndarray:
+    """(rows, max(1, 2^width / 64)) uint64: the assignments b that break
+    each row, parity(chunk & b) ^ flip = 1, packed as bit b & 63 of word
+    b >> 6.  Chunk bits 0..5 pick the pattern within a word, bits 6..
+    whether a whole word flips: parity(chunk >> 6 & word index)."""
+    fail = _IN_WORD_PARITY[chunk & np.uint64(63)] ^ (np.uint64(0) - flip)
+    words = max(1, (1 << width) >> 6)
+    if words == 1:
+        return fail[:, None]
+    high = np.bitwise_count((chunk >> np.uint64(6))[:, None]
+                            & np.arange(words, dtype=np.uint64))
+    return fail[:, None] ^ (np.uint64(0) - (high & np.uint8(1)))
 
 
 def _in_word_parity() -> np.ndarray:
@@ -383,8 +458,9 @@ def _in_word_parity() -> np.ndarray:
 
 _IN_WORD_PARITY = _in_word_parity()
 
-# the most (term, assignment) cells one weighing step of
-# AffineObjective._eval holds, bounding its int64 matrix at 128 MB
+# the most (term, assignment) cells one block of AffineObjective's
+# failure sets holds: 16 MB as 0/1 bytes, 2 MB packed.  Blocks of one-word
+# failure sets hold an eighth of it, so their int64 copy is 16 MB too
 _EVAL_BLOCK_CELLS = 1 << 24
 
 

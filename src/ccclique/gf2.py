@@ -195,7 +195,8 @@ class EchelonTemplate:
         self.out_masks = out_m[s_idx, col]
         self.out_pivots = bits[col].astype(np.int64)
         self._combos = out_c[s_idx, col]
-        self._zero_combos = c
+        # only the columns where some system has a row reduced to zero
+        self._zero_combos = c[:, c.any(axis=0)]
 
     def reduce_rhs(self, systems: np.ndarray, rhs_bits: np.ndarray):
         """Reduce one rhs per term; term b uses system systems[b], with
@@ -207,11 +208,8 @@ class EchelonTemplate:
         """
         systems = np.asarray(systems, dtype=np.int64)
         rhs = np.asarray(rhs_bits, dtype=np.uint64)
-        bad = np.zeros(len(systems), dtype=bool)
-        for col in self._zero_combos.T:  # one column at a time: O(terms)
-            if col.any():
-                bad |= (np.bitwise_count(col[systems] & rhs)
-                        & np.uint8(1)).astype(bool)
+        bad = (np.bitwise_count(self._zero_combos[systems] & rhs[:, None])
+               & np.uint8(1)).any(axis=1)
         nrows = self.rank[systems]
         first = np.repeat(self.row_start[systems] - np.cumsum(nrows)
                           + nrows, nrows)

@@ -166,6 +166,23 @@ def test_sweep_bad_input_exits_2(runner, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("eps", ["-1", "0", "1", "2", "1e308", "nan"])
+def test_eps_outside_unit_interval_exits_2(runner, tmp_path, eps):
+    # these used to reach many_colors_coloring and exit 3 as a crash
+    res = runner.invoke(main, ["run", "--algo", "manycolors", "--gen",
+                               "64,0.3", "--eps", eps])
+    assert res.exit_code == 2
+    assert "input error" in res.output and "--eps" in res.output
+    # sweep rejects it before the first cell runs
+    out = tmp_path / "reports"
+    res2 = runner.invoke(main, ["sweep", "--algos", "manycolors", "--n",
+                                "64", "--density", "0.3", "--eps", eps,
+                                "--out", str(out)])
+    assert res2.exit_code == 2
+    assert "input error" in res2.output
+    assert not out.exists()
+
+
 def test_sweep_crash_exits_3(runner, tmp_path, monkeypatch):
     real = run_algorithm
 

@@ -1,5 +1,6 @@
 """Hash family and conditional-expectation search: exhaustive oracles."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -425,11 +426,84 @@ class TestPackedEvaluation:
                     want[prefix | (b << k)]
 
     def test_blocked_eval_matches_enumeration(self, monkeypatch):
-        # 64 cells per block: a chunk of 6 or more bits weighs one term
-        # per block, so those widths span as many blocks as stage terms
+        # 64 cells per block, 8 for one-word failure sets: a chunk of 3
+        # or more bits weighs one term per block, so those widths span
+        # as many blocks as stage terms
         monkeypatch.setattr(derand, "_EVAL_BLOCK_CELLS", 64)
         self.test_eval_block_and_commit_match_enumeration()
         self.test_distributed_equals_offline_affine()
+
+    def test_weight_classes_spanning_blocks_match_enumeration(
+            self, monkeypatch):
+        # single-row terms with coefficients 1, 2 and 3 pinning one hash
+        # bit each: the 8-bit chunk [4, 12) holds three weight classes,
+        # each larger than the 3 terms a 3 * 2^8-cell block holds, so
+        # every class is weighed across block boundaries
+        monkeypatch.setattr(derand, "_EVAL_BLOCK_CELLS", 3 << 8)
+        L, k, width = self.fam.seed_len, 4, 8
+        rng = np.random.default_rng(7)
+        bm = self.fam.bit_masks_vec(np.arange(16))
+        obj = AffineObjective(L)
+        terms = []
+        for i in range(60):
+            node, t = int(rng.integers(0, 16)), int(rng.integers(0, 4))
+            rows = value_rows(bm[node], [t], int(rng.integers(0, 2)))
+            add_term(obj, node, 1 + i % 3, rows)
+            terms.append((node, 1 + i % 3, rows))
+        obj.freeze()
+        f = self._values(terms)
+        want = self._scaled(obj, f, k + width)
+        for prefix in (0, 5, 15):
+            self._conditioned(obj, prefix, k)
+            stage = obj._stage(width)
+            _, sizes = np.unique(obj._weights(stage)[stage.terms],
+                                 return_counts=True)
+            assert (sizes > 3).sum() >= 3
+            vals = obj.eval_block(width)
+            assert [int(x) for x in vals] == \
+                [want[prefix | (b << k)] for b in range(1 << width)]
+            nodes, per_node = obj.node_eval_block(width)
+            for i, v in enumerate(nodes):
+                mine = self._scaled(obj, self._values(terms, v), k + width)
+                assert [int(x) for x in per_node[i]] == \
+                    [mine[prefix | (b << k)] for b in range(1 << width)]
+            b = int(rng.integers(0, 1 << width))
+            obj.commit(b, width)
+            assert obj.expectation_num() == want[prefix | (b << k)]
+
+    def test_wide_eval_memory_grows_with_rows_not_cells(self, monkeypatch):
+        """One eval_block at width 12 with 8x the stage terms: the traced
+        peak may grow by O(rows) arrays, not by a packed failure row per
+        term (2^12 / 8 = 512 bytes), and stays within the block bound plus
+        a few 2^12-entry int64 vectors plus 128 bytes per stage row."""
+        cells = 1 << 14
+        monkeypatch.setattr(derand, "_EVAL_BLOCK_CELLS", cells)
+        L = width = 12
+
+        def peak(n_terms):
+            rng = np.random.default_rng(5)
+            obj = AffineObjective(L)
+            obj.add_terms(
+                EchelonTemplate(rng.integers(1, 1 << L, size=(n_terms, 2),
+                                             dtype=np.uint64)),
+                np.arange(n_terms), rng.integers(0, 64, n_terms),
+                rng.choice([1, 2, 5], n_terms),
+                rng.integers(0, 4, n_terms, dtype=np.uint64))
+            obj.freeze()
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                obj.eval_block(width)
+                used = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            return used, len(obj.row_term)
+
+        small, rows_small = peak(256)
+        big, rows_big = peak(8 * 256)
+        assert rows_big > 7 * rows_small
+        assert big - small <= 128 * (rows_big - rows_small)
+        assert big <= 4 * cells + 4 * 8 * (1 << width) + 128 * rows_big
 
     def test_distributed_equals_offline_affine(self):
         L = self.fam.seed_len

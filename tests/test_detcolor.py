@@ -488,9 +488,13 @@ def test_det_phase_cap_criterion():
 
 def test_detsq_model_width_seed_fits_in_memory():
     """detsq on G(16384, 0.002) seeds at the model's chunk width, 14 bits,
-    and charges 13 rounds.  One dense (terms x 2^14) int64 matrix of its
-    failure sets would take 2.1 GB; weighed in blocks, the whole run
-    peaks under 1.2 GB.  A fresh process measures its own peak RSS."""
+    and charges 13 rounds.  Its stages keep O(rows) arrays and build the
+    failure sets over the 2^14 assignments in bounded blocks, so the
+    seed agreement traces under 30 MB and the process peaks near 370 MB,
+    most of it generating the graph (Python 3.11, numpy 2.4).  The bound
+    leaves about 260 MB of margin for other interpreter and numpy
+    builds; stages holding every row's packed failure set peaked at
+    880 MB.  A fresh process measures its own peak RSS."""
     code = textwrap.dedent("""
         import json, resource
         from ccclique.config import Config
@@ -506,8 +510,8 @@ def test_detsq_model_width_seed_fits_in_memory():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
+                         capture_output=True, text=True, timeout=600).stdout
     rep = json.loads(out.splitlines()[-1])
     assert rep["proper"] and rep["within_budget"] and rep["bandwidth_ok"]
     assert rep["rounds_total"] == 13
-    assert rep["ru_maxrss_kb"] < 1.2 * 2 ** 20
+    assert rep["ru_maxrss_kb"] < 0.6 * 2 ** 20
