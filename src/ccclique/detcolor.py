@@ -767,7 +767,6 @@ def det_list_color_n34(sim: Simulator, graph: Graph, palettes: Palettes,
 
 @dataclass
 class GeneralPartitionPlan:
-    delta: int
     ell: int
     q: float
     p_i: float
@@ -784,7 +783,7 @@ class GeneralPartitionPlan:
             cap += 1
         while cap ** 4 > delta ** 3:
             cap -= 1
-        return GeneralPartitionPlan(delta, ell, q, p_i, cap,
+        return GeneralPartitionPlan(ell, q, p_i, cap,
                                     delta ** (11.0 / 16.0))
 
 

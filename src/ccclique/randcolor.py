@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import Config
-from .coloring import (Palettes, UNCOLORED, concentration_bound,
-                       free_sets, log2n, palette_ranges)
+from .coloring import (Palettes, UNCOLORED, assert_no_conflict,
+                       concentration_bound, free_sets, log2n, palette_ranges)
 from .detcolor import (det_list_color_n34, det_list_color_sqrt,
                        _central_phase)
 from .errors import (AllocationOverflow, DegreeTooLarge, ParameterViolation,
@@ -66,7 +66,6 @@ def one_shot_coloring(sim: Simulator, graph: Graph, palettes: Palettes,
         coloring[parts[keep]] = chosen[keep]
         total += int(keep.sum())
         if sim.config.debug_checks:
-            from .coloring import assert_no_conflict
             assert_no_conflict(graph, coloring, "after one-shot round")
         # participants announce their pick to all graph neighbors
         i, w = graph.edges_into(parts, everyone)
@@ -90,7 +89,6 @@ class EpsHierarchy:
     block's stratum (0 if sparse).  large: the block has at least
     Delta / log2(1/xi_k)^2 members and no large ancestor.
     """
-    eps_seq: list[float]
     strata: list[list[int]]           # stratum -> layer indices (1-based)
     vertices: np.ndarray
     level: np.ndarray
@@ -239,7 +237,7 @@ def compute_hierarchy(sim: Simulator, graph: Graph, cfg: Config,
     v_large = np.zeros(len(unc), dtype=bool)
     v_large[d] = large[block]
     # stratum_of[ell + 1] = 0 marks the sparse vertices
-    return EpsHierarchy(eps_seq, strata, unc, level, labels,
+    return EpsHierarchy(strata, unc, level, labels,
                         stratum_of[level], v_large)
 
 
@@ -304,7 +302,6 @@ def dense_coloring_step(sim: Simulator, graph: Graph, palettes: Palettes,
     keep = np.flatnonzero(tentative)
     coloring[keep] = tentative[keep]
     if sim.config.debug_checks:
-        from .coloring import assert_no_conflict
         assert_no_conflict(graph, coloring, "after dense step")
     return len(keep)
 
@@ -378,7 +375,6 @@ def color_bidding(sim: Simulator, graph: Graph, palettes: Palettes,
         coloring[active[won]] = mine.colors[mine.ptr[won]]
         colored += len(won)
         if sim.config.debug_checks:
-            from .coloring import assert_no_conflict
             assert_no_conflict(graph, coloring, "after bidding round")
     return colored
 
@@ -391,19 +387,17 @@ def _fallback_list_color(sim: Simulator, graph: Graph, palettes: Palettes,
                          coloring: np.ndarray, vertices: np.ndarray,
                          cfg: Config, log: RunLog, reason: str) -> None:
     """Deterministic relief valve: derandomized list coloring when the
-    degree regime allows it, charged central greedy otherwise."""
+    degree regime allows it, charged central greedy otherwise.  Every
+    palette must hold deg+1 colors; the list colorers check that."""
     log.note("fallback", reason=reason, size=len(vertices))
     active = vertices[coloring[vertices] == UNCOLORED]
     if len(active) == 0:
         return
-    sub_deg = graph.degrees_within(graph.pack_vertex_mask(active),
-                                   rows=active)
-    dmax = int(sub_deg[active].max(initial=0))
-    sizes_ok = bool((palettes.sizes(active) >= sub_deg[active] + 1).all())
-    if sizes_ok and cfg.fits_sqrt(dmax, sim.n):
+    dmax = graph.max_degree_within(active)
+    if cfg.fits_sqrt(dmax, sim.n):
         det_list_color_sqrt(sim, graph, palettes, cfg, log,
                             vertices=active, coloring=coloring)
-    elif sizes_ok and cfg.fits_n34(dmax, sim.n):
+    elif cfg.fits_n34(dmax, sim.n):
         det_list_color_n34(sim, graph, palettes, cfg, log,
                            vertices=active, coloring=coloring)
     else:
@@ -419,8 +413,12 @@ def clp_list_coloring(sim: Simulator, graph: Graph, palettes: Palettes,
 
     Pipeline: one-shot rounds, density hierarchy, small blocks stratum by
     stratum, large blocks (upper strata then stratum 1), bidding on the
-    leftovers and sparse set, then a charged central cleanup.  Below
-    delta_min the dense machinery is skipped entirely (fallback path).
+    leftovers and sparse set, then a charged central cleanup.
+
+    This is the one gate for the pipeline's scale preconditions: a palette
+    below the window, or Delta below delta_min, hands the scope to the
+    fallback colorers.  A palette below deg+1 or above Delta+1 raises
+    ParameterViolation, and Delta above the sqrt bound DegreeTooLarge.
     """
     n = graph.n
     if coloring is None:
@@ -433,16 +431,20 @@ def clp_list_coloring(sim: Simulator, graph: Graph, palettes: Palettes,
     sub_deg = graph.degrees_within(graph.pack_vertex_mask(scope),
                                    rows=scope)[scope]
     delta = int(sub_deg.max(initial=0))
-    window_lo = delta - max(1, delta) ** 0.6
     sizes = palettes.sizes(scope)
-    bad = np.flatnonzero((sizes < sub_deg + 1) | (sizes < window_lo) |
-                         (sizes > delta + 1))
-    if len(bad):
-        i = bad[0]
-        if sizes[i] < sub_deg[i] + 1:
-            raise ParameterViolation(f"palette of {int(scope[i])} below deg+1")
-        raise ParameterViolation(f"palette size {int(sizes[i])} outside "
-                                 f"window [{window_lo},{delta + 1}]")
+    short = np.flatnonzero(sizes < sub_deg + 1)
+    if len(short):
+        raise ParameterViolation(
+            f"palette of {int(scope[short[0]])} below deg+1")
+    if sizes.max() > delta + 1:
+        raise ParameterViolation(
+            f"palette size {int(sizes.max())} above Delta+1={delta + 1}")
+    window_lo = delta - max(1, delta) ** 0.6
+    if (sizes < window_lo).any():
+        log.record("palette-window", False, delta=delta)
+        _fallback_list_color(sim, graph, palettes, coloring, scope, cfg,
+                             log, "palette window unsatisfiable")
+        return coloring
     if delta < cfg.delta_min:
         _fallback_list_color(sim, graph, palettes, coloring, scope, cfg,
                              log, f"Delta={delta} below delta_min")
@@ -492,11 +494,8 @@ def clp_list_coloring(sim: Simulator, graph: Graph, palettes: Palettes,
     # cleanup: constant-degree part plus remaining components, centrally
     rest = scope[coloring[scope] == UNCOLORED]
     if len(rest):
-        with sim.stage("clp:cleanup"):
-            _central_phase(sim, graph, palettes, coloring, rest,
-                           "clp:cleanup")
+        _central_phase(sim, graph, palettes, coloring, rest, "clp:cleanup")
     if cfg.debug_checks:
-        from .coloring import assert_no_conflict
         assert_no_conflict(graph, coloring, "after clp")
     return coloring
 
@@ -507,18 +506,13 @@ def clp_list_coloring(sim: Simulator, graph: Graph, palettes: Palettes,
 
 @dataclass
 class PartitionPlan:
-    level: int
-    y: int
-    x: int
-    delta_i: int
     q: int
     delta_small: float          # the paper's delta_i deviation parameter
     p_j: float
     p_star: float
 
     @staticmethod
-    def make(delta_i: int, x: int, n: int, level: int = 0,
-             y: int | None = None) -> "PartitionPlan":
+    def make(delta_i: int, x: int, n: int) -> "PartitionPlan":
         """Partition parameters at one recursion level; raises
         PlanRejected when the probabilities leave (0,1) at this scale."""
         if x < 2:
@@ -533,8 +527,7 @@ class PartitionPlan:
             raise PlanRejected(f"p*={p_star:.4f} outside (0,1)")
         if p_j <= 0.0:
             raise PlanRejected(f"p_j={p_j:.4f} not positive")
-        return PartitionPlan(level, y if y is not None else x.bit_length(),
-                             x, delta_i, q, dsm, p_j, p_star)
+        return PartitionPlan(q, dsm, p_j, p_star)
 
 
 def _split_labels(rng: np.random.Generator, size: int, p: float,
@@ -575,7 +568,7 @@ def _measured_split(sim: Simulator, graph: Graph, scope: np.ndarray,
 def _color_parts(sim: Simulator, graph: Graph, parts: list[np.ndarray],
                  ranges: list[tuple[int, int]], cfg: Config,
                  rng: np.random.Generator, log: RunLog,
-                 coloring: np.ndarray, depth: int) -> None:
+                 coloring: np.ndarray) -> None:
     """Color vertex-disjoint parts as simultaneous recursive instances:
     part j from ranges[j], with its own seed from `rng` and an equal share
     of the budgets."""
@@ -584,23 +577,22 @@ def _color_parts(sim: Simulator, graph: Graph, parts: list[np.ndarray],
     sim.run_parallel([
         lambda m=m, lo=lo, hi=hi, s=int(s): recursive_coloring(
             sim, graph, m, lo, hi, child_cfg, np.random.default_rng(s), log,
-            coloring=coloring, depth=depth)
+            coloring=coloring)
         for m, (lo, hi), s in zip(parts, ranges, seeds) if len(m)])
 
 
 def partition_step(sim: Simulator, graph: Graph, scope: np.ndarray,
-                   palette_lo: int, palette_hi: int, x: int,
-                   rng: np.random.Generator, cfg: Config, log: RunLog,
-                   level: int = 0):
-    """Randomly split `scope` into q parts plus a left-over set and
-    allocate disjoint palette subranges sized by measured part degrees.
+                   delta_i: int, palette_lo: int, palette_hi: int, x: int,
+                   rng: np.random.Generator, cfg: Config, log: RunLog):
+    """Randomly split `scope`, whose maximum degree is delta_i, into q
+    parts plus a left-over set and allocate disjoint palette subranges
+    sized by measured part degrees.
 
     Returns (plan, parts list with the left-over last, list of (lo, hi)
     child ranges aligned with the q parts).  Raises PlanRejected or
     AllocationOverflow (after retry_budget fresh draws).
     """
-    delta_i = graph.max_degree_within(scope)
-    plan = PartitionPlan.make(delta_i, x, graph.n, level=level)
+    plan = PartitionPlan.make(delta_i, x, graph.n)
     ones = np.ones(graph.n, dtype=np.int64)
 
     def labels():
@@ -628,8 +620,7 @@ def partition_step(sim: Simulator, graph: Graph, scope: np.ndarray,
 def recursive_coloring(sim: Simulator, graph: Graph, scope: np.ndarray,
                        palette_lo: int, palette_hi: int, cfg: Config,
                        rng: np.random.Generator, log: RunLog,
-                       coloring: np.ndarray | None = None,
-                       depth: int = 0) -> np.ndarray:
+                       coloring: np.ndarray | None = None) -> np.ndarray:
     """Recursive degree reduction: partition, recurse on the parts
     simultaneously, then list-color the left-over set from leftover
     palettes.  Falls back to the deterministic colorers when a plan is
@@ -646,13 +637,9 @@ def recursive_coloring(sim: Simulator, graph: Graph, scope: np.ndarray,
         raise ParameterViolation("palette smaller than Delta+1")
     pal = Palettes.uniform_range(n, palette_lo,
                                  palette_lo + delta).restrict(scope)
-    if cfg.fits_sqrt(delta, sim.n) and delta >= cfg.delta_min:
+    if delta < cfg.delta_min or cfg.fits_sqrt(delta, sim.n):
         clp_list_coloring(sim, graph, pal, cfg, rng, log, vertices=scope,
                           coloring=coloring)
-        return coloring
-    if delta < cfg.delta_min:
-        _fallback_list_color(sim, graph, pal, coloring, scope, cfg, log,
-                             f"Delta={delta} below delta_min")
         return coloring
     # choose the recursion exponent: smallest y with Delta <= N^(1-1/2^(y+1))
     bigN = n / (5.0 * log2n(n))
@@ -665,14 +652,13 @@ def recursive_coloring(sim: Simulator, graph: Graph, scope: np.ndarray,
     x = max(2, x)
     try:
         plan, parts, ranges = partition_step(
-            sim, graph, scope, palette_lo, palette_hi, x, rng, cfg, log,
-            level=depth)
+            sim, graph, scope, delta, palette_lo, palette_hi, x, rng, cfg,
+            log)
     except (PlanRejected, AllocationOverflow) as exc:
         _fallback_list_color(sim, graph, pal, coloring, scope, cfg, log,
                              f"partition rejected: {exc}")
         return coloring
-    _color_parts(sim, graph, parts[:-1], ranges, cfg, rng, log, coloring,
-                 depth + 1)
+    _color_parts(sim, graph, parts[:-1], ranges, cfg, rng, log, coloring)
     # left-over set: free colors within the parent palette
     star = parts[-1]
     star = star[coloring[star] == UNCOLORED]
@@ -686,28 +672,23 @@ def recursive_coloring(sim: Simulator, graph: Graph, scope: np.ndarray,
     log.record("star-degree-concentration", dstar <= bound.high,
                dstar=dstar, high=bound.high)
     if not cfg.fits_sqrt(dstar, sim.n):
-        # too dense for the window machinery at this scale; the greedy
-        # fallback certifies the deg+1 free-color floor by completing
+        # too dense for the window machinery at this scale: hand off before
+        # the free lists are built, which on dense cells would hold on the
+        # order of |star| * Delta* entries
         log.record("palette-window", False, dstar=dstar,
                    reason="left-over degree above sqrt bound")
         _fallback_list_color(sim, graph, parent.restrict(star), coloring,
                              star, cfg, log,
                              f"left-over Delta*={dstar} above sqrt bound")
         return coloring
-    window_lo = dstar - max(1, dstar) ** 0.6
     free = free_sets(graph, parent, coloring, star)
     for v, f, need in zip(star.tolist(), free.sizes.tolist(),
                           (sdeg[star] + 1).tolist()):
         log.require("star-free-floor", f >= need, vertex=v, free=f,
                     need=need)
-    # truncate each list to the window's upper end
+    # truncate each list to the window's upper end; clp checks its lower end
     spal = Palettes(n, sets=free.select(
         np.arange(len(free.colors)) - free.ptr[free.owner] <= dstar))
-    if (free.sizes < window_lo).any():
-        log.record("palette-window", False, dstar=dstar)
-        _fallback_list_color(sim, graph, spal, coloring, star, cfg, log,
-                             "left-over palette window unsatisfiable")
-        return coloring
     clp_list_coloring(sim, graph, spal, cfg, rng, log, vertices=star,
                       coloring=coloring)
     return coloring
@@ -754,7 +735,7 @@ def _split_and_recurse(sim: Simulator, graph: Graph, cfg: Config,
         return None
     with sim.stage(f"{name}:parts"):
         _color_parts(sim, graph, parts[:-1], ranges, cfg, rng, log,
-                     coloring, 0)
+                     coloring)
     return parts[-1]
 
 
@@ -793,9 +774,8 @@ def fast_coloring(sim: Simulator, graph: Graph, cfg: Config,
                               rng, log, vertices=star)
         rest = star[coloring[star] == UNCOLORED]
         if len(rest):
-            with sim.stage("fast:star-central"):
-                _central_phase(sim, graph, parent, coloring, rest,
-                               "fast:star-central")
+            _central_phase(sim, graph, parent, coloring, rest,
+                           "fast:star-central")
     return coloring
 
 

@@ -175,7 +175,7 @@ def test_criterion_6_partition_concentration():
         log = RunLog()
         rng = np.random.default_rng(10_000 + seed)
         try:
-            plan, parts, _ = partition_step(sim, graph, scope, 1,
+            plan, parts, _ = partition_step(sim, graph, scope, delta, 1,
                                             delta + 1, 2, rng, Config(),
                                             log)
         except (PlanRejected, AllocationOverflow):

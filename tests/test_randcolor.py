@@ -140,7 +140,7 @@ def test_hierarchy_empty_graph_all_sparse():
     g = Graph.from_edges(6, [])
     sim, cfg, log = setup_ctx(64)
     hier = compute_hierarchy(sim, g, cfg, np.arange(6))
-    assert (hier.level == len(hier.eps_seq) + 1).all()  # all sparse
+    assert (hier.level == len(hier.labels) + 1).all()  # all sparse
     assert (hier.labels == -1).all() and (hier.stratum == 0).all()
 
 
@@ -162,7 +162,7 @@ def planted_near_cliques(n, p_bg, cliques, seed):
 def block_table(hier):
     """(level, stratum, size, large) per block, in block order: a block is
     the vertices with one first dense level and one clique there."""
-    d = np.flatnonzero(hier.level <= len(hier.eps_seq))
+    d = np.flatnonzero(hier.level <= len(hier.labels))
     own = hier.labels[hier.level[d] - 1, d]
     keys, first, size = np.unique(hier.level[d] * (1 << 32) + own,
                                   return_index=True, return_counts=True)
@@ -214,12 +214,12 @@ def test_hierarchy_multi_level_blocks(monkeypatch, ladder, graph, seed,
     assert sim.ledger.stage_rounds["hierarchy:components"] == len(ladder)
 
 
-def reference_block_flags(hier, delta):
+def reference_block_flags(hier, delta, ladder):
     """Per-vertex stratum and large flag by dict loops over the blocks:
     a block's parent is the block, at the lowest higher level, of its
     smallest member's clique; flags are set from the top level down, and
     a large ancestor suppresses them."""
-    ell = len(hier.eps_seq)
+    ell = len(ladder)
     blocks = {}  # (level, clique) -> member indices, ascending
     for i, lev in enumerate(hier.level.tolist()):
         if lev <= ell:
@@ -237,7 +237,7 @@ def reference_block_flags(hier, delta):
     flag = {}
     for key in sorted(blocks, key=lambda b: -b[0]):
         k = stratum_of[key[0]]
-        x = hier.eps_seq[hier.strata[k - 1][-1] - 1]
+        x = ladder[hier.strata[k - 1][-1] - 1]
         thr = delta / math.log2(1.0 / x) ** 2 if 0 < x < 1 else math.inf
         anc = parent.get(key)
         while anc is not None and not flag[anc]:
@@ -261,7 +261,7 @@ def test_hierarchy_block_flags_match_loop_reference(monkeypatch, case):
     sim, cfg, log = setup_ctx(g.n, c_fit=64)
     hier = compute_hierarchy(sim, g, cfg,
                              np.flatnonzero(rng.random(g.n) < 0.8))
-    stratum, large = reference_block_flags(hier, g.max_degree)
+    stratum, large = reference_block_flags(hier, g.max_degree, ladder)
     assert np.array_equal(hier.stratum, stratum)
     assert np.array_equal(hier.large, large)
 
@@ -421,7 +421,7 @@ def test_partition_step_allocates_disjoint_ranges():
     g = gen_random_graph(16384, 0.5, 21)
     sim, cfg, log = setup_ctx(g.n)
     scope = np.arange(g.n)
-    plan, parts, ranges = partition_step(sim, g, scope, 1,
+    plan, parts, ranges = partition_step(sim, g, scope, g.max_degree, 1,
                                          g.max_degree + 1, 2,
                                          np.random.default_rng(3), cfg, log)
     assert len(parts) == plan.q + 1
@@ -455,8 +455,7 @@ def test_recursive_left_over_runs_on_list_palettes(monkeypatch):
     # it is list-colored from its free colors in the parent palette
     from ccclique import randcolor
     monkeypatch.setattr(PartitionPlan, "make", staticmethod(
-        lambda delta_i, x, n, level=0, y=None: PartitionPlan(
-            level, x.bit_length(), x, delta_i, 4, 1.6, 0.15, 0.4)))
+        lambda delta_i, x, n: PartitionPlan(4, 1.6, 0.15, 0.4)))
     lists = []
     for name in ("clp_list_coloring", "_fallback_list_color"):
         def spy(sim, graph, palettes, *a, _f=getattr(randcolor, name), **k):
@@ -556,6 +555,46 @@ def test_clp_window_preconditions():
         g.n, {v: np.arange(1, 3) for v in range(g.n)})  # r_v = 2 too few
     with pytest.raises(ParameterViolation):
         clp_list_coloring(sim, g, bad, cfg, np.random.default_rng(0), log)
+
+
+def test_clp_palette_window_hands_off():
+    # Delta = 246 puts the window's lower end at 218.8; palettes of deg+1
+    # colors leave 884 vertices below it, so clp hands the scope to the
+    # fallback colorers instead of running the dense pipeline
+    from ccclique.randcolor import clp_list_coloring
+    g = gen_random_graph(1024, 0.2, 0)
+    sim, cfg, log = setup_ctx(g.n, rng_seed=0, delta_min=16, c_fit=64)
+    pal = Palettes.from_lists(
+        g.n, {v: np.arange(1, int(g.degrees[v]) + 2) for v in range(g.n)})
+    assert g.max_degree == 246
+    assert (pal.sizes(np.arange(g.n)) < 246 - 246 ** 0.6).sum() == 884
+    coloring = clp_list_coloring(sim, g, pal, cfg, np.random.default_rng(0),
+                                 log)
+    assert is_proper(g, coloring, pal) is True
+    window = [e for e in log.entries if e.get("check") == "palette-window"]
+    assert [e["ok"] for e in window] == [False]
+    assert [e.get("note") for e in log.entries].count("fallback") == 1
+    assert not any(k.startswith("clp:") for k in sim.ledger.stage_rounds)
+
+
+def test_clp_stages_charged_once(monkeypatch):
+    # every stage is opened once per charge: clp's direct stages add up to
+    # clp, and no stage is opened inside a stage of the same name
+    stage = Simulator.stage
+
+    def spy(self, name):
+        assert name not in self.ledger.stage_stack, name
+        return stage(self, name)
+
+    monkeypatch.setattr(Simulator, "stage", spy)
+    g = gen_random_graph(1024, 0.2, 0)
+    _, rep = run_algorithm("clp", g, Config(rng_seed=0, delta_min=16,
+                                            c_fit=64))
+    by_stage = rep["rounds_by_stage"]
+    assert by_stage["clp:cleanup"] == 4
+    assert rep["rounds_total"] == by_stage["clp"] == 22
+    assert sum(r for k, r in by_stage.items()
+               if k.startswith("clp:")) == 22
 
 
 def test_free_color_floor_invariant_during_pipeline():
