@@ -4,6 +4,12 @@ Rows are uint64 words, least-significant bit first, so dense instances at
 n = 16384 cost ~33 MB and neighborhood intersections reduce to AND +
 popcount.  Graphs are immutable after construction and safe to share.
 
+Bulk passes over the adjacency (generation, symmetrization, degree and
+common-neighbour counts, validation) work in blocks of rows or columns
+sized so that one temporary holds about `BLOCK_BYTES` (1 MB): 2^18 uint32
+draws, 2^17 uint64 words or 2^20 unpacked bits.  So beyond the O(n^2/64)
+words of the adjacency itself, their scratch memory does not grow with n.
+
 External format: edge-list text, one "u v" pair per line, 0-indexed,
 whitespace-separated; lines starting with '#' are comments.
 """
@@ -16,6 +22,19 @@ from typing import Iterator
 import numpy as np
 
 from .errors import InputError
+
+#: Size in bytes of one temporary in a blocked pass over the adjacency.
+BLOCK_BYTES = 1 << 20
+
+
+def _block(width: int, itemsize: int) -> int:
+    """Rows of `width` items of `itemsize` bytes in one block (>= 1)."""
+    return max(1, BLOCK_BYTES // (itemsize * max(1, width)))
+
+
+def _bit(cols: np.ndarray) -> np.ndarray:
+    """Each column id's bit within its uint64 word."""
+    return np.uint64(1) << (cols & 63).astype(np.uint64)
 
 
 def _pack_bool(bits: np.ndarray, n_words: int) -> np.ndarray:
@@ -48,31 +67,59 @@ class Graph:
         if rows.shape != (n, self.n_words):
             raise ValueError("adjacency shape mismatch")
         self.rows = rows
-        self.degrees = np.bitwise_count(rows).sum(axis=1).astype(np.int64)
+        self.degrees = self._popcounts()
+
+    def _popcounts(self, mask: np.ndarray | None = None,
+                   rows: np.ndarray | None = None) -> np.ndarray:
+        """Set bits of each of `rows` (every row by default) ANDed with
+        the packed `mask`, in row blocks."""
+        m = self.n if rows is None else len(rows)
+        out = np.empty(m, dtype=np.int64)
+        step = _block(self.n_words, 8)
+        for s in range(0, m, step):
+            block = self.rows[s:s + step] if rows is None else \
+                self.rows[rows[s:s + step]]
+            if mask is not None:
+                block = block & mask
+            out[s:s + step] = np.bitwise_count(block).sum(axis=1)
+        return out
 
     # ---------------------------- constructors ------------------------ #
 
     @staticmethod
     def from_edges(n: int, edges) -> "Graph":
+        """Graph from (u, v) pairs; duplicates are merged.  Raises
+        InputError for the first self-loop or out-of-range pair in input
+        order."""
+        e = np.asarray(edges, dtype=np.int64)
+        if e.size == 0:
+            e = e.reshape(0, 2)
+        if e.ndim != 2 or e.shape[1] != 2:
+            raise InputError("edges must be (u, v) pairs")
+        u, v = e[:, 0], e[:, 1]
+        loop = u == v
+        bad = loop | (u < 0) | (u >= n) | (v < 0) | (v >= n)
+        if bad.any():
+            i = int(np.argmax(bad))
+            if loop[i]:
+                raise InputError(f"self-loop at {u[i]}")
+            raise InputError(f"edge ({u[i]},{v[i]}) out of range for n={n}")
         nw = (n + 63) // 64
         rows = np.zeros((n, nw), dtype=np.uint64)
-        one = np.uint64(1)
-        for u, v in edges:
-            u, v = int(u), int(v)
-            if u == v:
-                raise InputError(f"self-loop at {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise InputError(f"edge ({u},{v}) out of range for n={n}")
-            rows[u, v >> 6] |= one << np.uint64(v & 63)
-            rows[v, u >> 6] |= one << np.uint64(u & 63)
+        flat = rows.reshape(-1)
+        for a, b in ((u, v), (v, u)):
+            np.bitwise_or.at(flat, a * nw + (b >> 6), _bit(b))
         return Graph(n, rows)
 
     @staticmethod
     def complete(n: int) -> "Graph":
         nw = (n + 63) // 64
-        bits = np.ones((n, n), dtype=bool)
-        np.fill_diagonal(bits, False)
-        return Graph(n, _pack_bool(bits, nw))
+        rows = np.full((n, nw), ~np.uint64(0))
+        if n % 64:
+            rows[:, -1] = (np.uint64(1) << np.uint64(n % 64)) - np.uint64(1)
+        v = np.arange(n)
+        rows[v, v >> 6] ^= _bit(v)
+        return Graph(n, rows)
 
     # ------------------------------ queries --------------------------- #
 
@@ -99,7 +146,7 @@ class Graph:
     def common_neighbors(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """Count |N(u) & N(v)| for parallel index arrays (vectorized)."""
         out = np.empty(len(us), dtype=np.int64)
-        step = max(1, 8_000_000 // max(1, self.n_words))
+        step = _block(self.n_words, 8)
         for s in range(0, len(us), step):
             e = min(len(us), s + step)
             both = self.rows[us[s:e]] & self.rows[vs[s:e]]
@@ -119,12 +166,10 @@ class Graph:
         the result is indexed by the full vertex range (zeros elsewhere).
         """
         if rows is None:
-            return np.bitwise_count(self.rows & packed_mask[None, :]).sum(
-                axis=1).astype(np.int64)
+            return self._popcounts(packed_mask)
         rows = np.asarray(rows, dtype=np.int64)
         out = np.zeros(self.n, dtype=np.int64)
-        out[rows] = np.bitwise_count(
-            self.rows[rows] & packed_mask[None, :]).sum(axis=1)
+        out[rows] = self._popcounts(packed_mask, rows)
         return out
 
     def max_degree_within(self, vertices: np.ndarray) -> int:
@@ -179,16 +224,16 @@ class Graph:
         bits = _unpack_rows(self.rows[verts], self.n)[:, verts].astype(bool)
         return Graph(k, _pack_bool(bits, nw)), verts
 
-    def edges_iter(self, chunk: int = 2048) -> Iterator[tuple[int, int]]:
-        """Yield edges (u, v) with u < v in lexicographic order."""
-        for s in range(0, self.n, chunk):
-            e = min(self.n, s + chunk)
-            bits = _unpack_rows(self.rows[s:e], self.n).astype(bool)
-            cols = np.arange(self.n)
-            for i in range(e - s):
-                u = s + i
-                for v in np.nonzero(bits[i] & (cols > u))[0]:
-                    yield u, int(v)
+    def edges_iter(self) -> Iterator[tuple[int, int]]:
+        """Yield edges (u, v) with u < v in lexicographic order, one row
+        block at a time."""
+        every = self.pack_vertex_mask(np.arange(self.n))
+        step = _block(self.n, 8)
+        for s in range(0, self.n, step):
+            i, w = self.edges_into(np.arange(s, min(self.n, s + step)),
+                                   every)
+            keep = w > i + s
+            yield from zip((i[keep] + s).tolist(), w[keep].tolist())
 
     def edge_array(self) -> np.ndarray:
         """All edges as an (m, 2) array with u < v (small/medium graphs)."""
@@ -198,14 +243,18 @@ class Graph:
 
     def validate(self) -> None:
         """Assert simplicity and symmetry (test/diagnostic helper)."""
-        one = np.uint64(1)
-        for v in range(self.n):
-            if (self.rows[v, v >> 6] >> np.uint64(v & 63)) & one:
-                raise InputError(f"self-loop at {v}")
-        for s in range(0, self.n, 2048):
-            e = min(self.n, s + 2048)
+        v = np.arange(self.n)
+        loops = np.flatnonzero(self.rows[v, v >> 6] & _bit(v))
+        if len(loops):
+            raise InputError(f"self-loop at {loops[0]}")
+        # rows [s, e) against columns [s, e): the 64 * w rows unpacked, and
+        # the same w word columns of every row unpacked and transposed
+        w = _block(self.n, 64)
+        for w0 in range(0, self.n_words, w):
+            w1 = min(self.n_words, w0 + w)
+            s, e = 64 * w0, min(self.n, 64 * w1)
             bits = _unpack_rows(self.rows[s:e], self.n)
-            back = _unpack_rows(self.rows, self.n)[:, s:e].T
+            back = _unpack_rows(self.rows[:, w0:w1], e - s).T
             if not np.array_equal(bits, back):
                 raise InputError("adjacency not symmetric")
 
@@ -219,30 +268,37 @@ def check_random_graph_params(n: int, edge_probability: float) -> None:
 
 
 def gen_random_graph(n: int, edge_probability: float, rng_seed: int) -> Graph:
-    """Erdos-Renyi G(n, p), reproducible from the seed."""
+    """Erdos-Renyi G(n, p), reproducible from the seed.
+
+    Cell (u, v), u < v, is an edge when the uint32 draw at position
+    u * n + v of the seeded stream is below p * 2^32.  The stream does not
+    depend on how it is cut into blocks, so the graph does not either."""
     check_random_graph_params(n, edge_probability)
     rng = np.random.default_rng(rng_seed)
     nw = (n + 63) // 64
     rows = np.zeros((n, nw), dtype=np.uint64)
-    chunk = max(1, min(n, 32_000_000 // max(1, n)))
     thresh = np.uint32(min(2 ** 32 - 1, round(edge_probability * 2 ** 32)))
     cols = np.arange(n)
-    # strict upper triangle, row chunks
-    for s in range(0, n, chunk):
-        e = min(n, s + chunk)
+    # strict upper triangle, in row blocks of whole rows of draws
+    step = _block(n, 4)
+    for s in range(0, n, step):
+        e = min(n, s + step)
         draw = rng.integers(0, 2 ** 32, size=(e - s, n), dtype=np.uint32)
         block = (draw < thresh) if edge_probability < 1.0 else \
             np.ones((e - s, n), dtype=bool)
         block &= cols[None, :] > np.arange(s, e)[:, None]
         rows[s:e] = _pack_bool(block, nw)
-    # symmetrize: rows |= rows^T, column chunks of 64*words
-    cchunk = max(64, (chunk // 64) * 64)
-    for cs in range(0, n, cchunk):
-        ce = min(n, cs + cchunk)
-        w0, w1 = cs >> 6, (ce + 63) >> 6
-        sub = _unpack_rows(rows[:, w0:w1], min(n - cs, (w1 - w0) * 64))
-        subT = sub[:, : ce - cs].T.astype(bool)  # (ce-cs, n)
-        rows[cs:ce] |= _pack_bool(subT, nw)
+    # symmetrize: rows |= rows^T over blocks of w word columns, each of n
+    # rows unpacked to 64 bytes.  Only rows above a block's last column
+    # hold upper-triangle bits in it, and the earlier blocks have written
+    # only columns left of it.
+    w = _block(n, 64)
+    for w0 in range(0, nw, w):
+        w1 = min(nw, w0 + w)
+        cs, ce = 64 * w0, min(n, 64 * w1)
+        sub = _unpack_rows(rows[:ce, w0:w1], ce - cs)
+        tw = (ce + 63) // 64
+        rows[cs:ce, :tw] |= _pack_bool(sub.T, tw)
     return Graph(n, rows)
 
 

@@ -490,11 +490,13 @@ def test_detsq_model_width_seed_fits_in_memory():
     """detsq on G(16384, 0.002) seeds at the model's chunk width, 14 bits,
     and charges 13 rounds.  Its stages keep O(rows) arrays and build the
     failure sets over the 2^14 assignments in bounded blocks, so the
-    seed agreement traces under 30 MB and the process peaks near 370 MB,
-    most of it generating the graph (Python 3.11, numpy 2.4).  The bound
-    leaves about 260 MB of margin for other interpreter and numpy
-    builds; stages holding every row's packed failure set peaked at
-    880 MB.  A fresh process measures its own peak RSS."""
+    seed agreement traces under 30 MB.  The graph is generated in 1 MB
+    blocks, so the process peaks near 126 MB, of which the 32 MB
+    adjacency and the interpreter with numpy are about 72 MB (Python
+    3.11, numpy 2.4).  The bound leaves about 170 MB of margin for other
+    builds; generating in 32M-cell chunks peaked at 370 MB, and stages
+    holding every row's packed failure set at 880 MB.  A fresh process
+    measures its own peak RSS."""
     code = textwrap.dedent("""
         import json, resource
         from ccclique.config import Config
@@ -514,4 +516,4 @@ def test_detsq_model_width_seed_fits_in_memory():
     rep = json.loads(out.splitlines()[-1])
     assert rep["proper"] and rep["within_budget"] and rep["bandwidth_ok"]
     assert rep["rounds_total"] == 13
-    assert rep["ru_maxrss_kb"] < 0.6 * 2 ** 20
+    assert rep["ru_maxrss_kb"] < 0.3 * 2 ** 20

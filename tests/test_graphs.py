@@ -1,8 +1,10 @@
 """Graph core: generation, IO, verification, concentration bounds."""
 
+import hashlib
 import io
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from ccclique.coloring import (UNCOLORED, Palettes, concentration_bound,
                                find_conflict, free_colors, free_sets,
                                greedy_list_color, is_proper, palette_ranges,
                                Violation)
+from ccclique import graphs
 from ccclique.errors import InputError
 from ccclique.graphs import (Graph, gen_random_graph, graph_from_text,
                              read_edge_list, write_edge_list)
@@ -487,3 +490,98 @@ def test_list_greedy_matches_reference(n, p, seed, slack, frac):
         return
     assert greedy_list_color(g, pal, got, vertices) == expected
     assert np.array_equal(want, got)
+
+
+# ------------- bounded blocks: generation, counts, construction ------------ #
+
+# SHA-256 of gen_random_graph(n, p, 1).rows.tobytes().  The cells span one
+# and several row and column blocks, with and without a padded last word.
+GEN_DIGESTS = {
+    (1, 0): "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
+    (1, 0.3): "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
+    (1, 1): "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
+    (63, 0): "696bda342649ec9268da57b6a279df6f24b0e857d5e6d0605fd25af95adc3cee",
+    (63, 0.3): "4cf43d6383c49fdcc02912a3c4061165441f21a9a1233cd150d73596eb88b055",
+    (63, 1): "9030262310012727ad247181f8b0806b97ba6f9b352d75b09666e9d8921f0591",
+    (64, 0): "076a27c79e5ace2a3d47f9dd2e83e4ff6ea8872b3c2218f66c92b89b55f36560",
+    (64, 0.3): "d948e02fec1ce86a97f870730c0fad39865561fa1f8f0e036b3d72369569e8cf",
+    (64, 1): "767dfa123f30c601ca1a71d83a0c340e11b2ff7ccfbe9a95ea14def2534c34c8",
+    (65, 0): "256fb9c4796b15a7ec4b0d5319e9e493ca4cffda658310420bdfd31e1c59da79",
+    (65, 0.3): "8a5b51b41b5975674427e6db64b169db807ff4f75ed08bfdfeda53c0861c7ed3",
+    (65, 1): "92a80d62e53a842f34412ebbc28f3942c0f0d9bb002ea3d79c03395fe2db681f",
+    (1000, 0): "eec19bc6af0b3b6dfb97a08782c65f4bb3c3203e789a015d2008b0d689ad08be",
+    (1000, 0.3): "f39ec344b483b1a9bd13478270220ac6af75900e1a9b2570f608892e910a4f0c",
+    (1000, 1): "de99ff1b7b608ccbf6cab2b267c0ff79b5ee2105b024776c19c0e0cb4ea9f24a",
+    (5000, 0): "df4456272990b7d177e5c329e6a2f90196b497e9fadbb11dbe67234e1391f415",
+    (5000, 0.3): "2567f407fdc235af30191fe067bdfe68662445de4864cfba1e126f22281a1707",
+    (5000, 1): "1c7b4f714163b2cda83ab98692e92fd7d9b30fa6298dc4b7c622bdbb2b6ce03d",
+}
+
+
+@pytest.mark.parametrize("n,p", sorted(GEN_DIGESTS))
+def test_gen_random_graph_golden(n, p):
+    rows = gen_random_graph(n, p, 1).rows
+    assert hashlib.sha256(rows.tobytes()).hexdigest() == GEN_DIGESTS[n, p]
+
+
+def test_gen_random_graph_traced_peak():
+    """G(4096, 0.8) draws, packs and symmetrizes in 1 MB blocks: beyond
+    its 2 MB of rows it traces a few MB.  Drawing the whole matrix at
+    once traced 119 MB."""
+    tracemalloc.start()
+    try:
+        gen_random_graph(4096, 0.8, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
+def test_block_size_does_not_change_results(monkeypatch):
+    """Every blocked pass gives the same answer with 256-byte blocks."""
+    n = 200
+    g = gen_random_graph(n, 0.3, 6)
+    edges = g.edge_array()
+    mask = g.pack_vertex_mask(np.arange(0, n, 3))
+    monkeypatch.setattr(graphs, "BLOCK_BYTES", 256)
+    small = gen_random_graph(n, 0.3, 6)
+    assert np.array_equal(small.rows, g.rows)
+    small.validate()
+    assert np.array_equal(small.degrees, g.degrees)
+    assert np.array_equal(small.degrees_within(mask), g.degrees_within(mask))
+    assert list(small.edges_iter()) == [tuple(e) for e in edges.tolist()]
+    assert np.array_equal(small.common_neighbors(edges[:, 0], edges[:, 1]),
+                          g.common_neighbors(edges[:, 0], edges[:, 1]))
+
+
+def test_common_neighbors_multi_block_bruteforce():
+    g = gen_random_graph(1000, 0.04, 3)
+    edges = g.edge_array()
+    assert len(edges) > 2 * graphs._block(g.n_words, 8)
+    adj = np.array([g.row_bool(v) for v in range(g.n)], dtype=np.float32)
+    want = (adj @ adj)[edges[:, 0], edges[:, 1]]
+    assert np.array_equal(g.common_neighbors(edges[:, 0], edges[:, 1]),
+                          want.astype(np.int64))
+
+
+def test_from_edges_round_trip():
+    g = gen_random_graph(130, 0.3, 8)
+    edges = g.edge_array()
+    assert np.array_equal(Graph.from_edges(130, edges).rows, g.rows)
+    both = np.concatenate([edges[::-1, ::-1], edges]).tolist()
+    assert np.array_equal(Graph.from_edges(130, both).rows, g.rows)
+    empty = Graph.from_edges(5, [])
+    assert empty.n_edges == 0 and empty.rows.shape == (5, 1)
+    assert np.array_equal(Graph.complete(130).rows,
+                          gen_random_graph(130, 1.0, 0).rows)
+
+
+@pytest.mark.parametrize("edges,message", [
+    ([(0, 1), (2, 2), (9, 1)], "self-loop at 2"),
+    ([(0, 1), (9, 1), (2, 2)], "edge (9,1) out of range for n=4"),
+    ([(0, 1), (1, -1)], "edge (1,-1) out of range for n=4"),
+    ([(4, 4)], "self-loop at 4"),
+])
+def test_from_edges_reports_first_bad_edge(edges, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        Graph.from_edges(4, edges)
