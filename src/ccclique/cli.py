@@ -157,11 +157,10 @@ def verify_cmd(graph_path, coloring_path):
 @click.option("--eps", type=float, default=0.25, show_default=True,
               help="epsilon in (0, 1) for the manycolors budget")
 @click.option("--out", type=click.Path(), help="directory for reports")
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
-              default="json", show_default=True)
 def sweep_cmd(algos, ns, densities, seeds, config_path, overrides, eps,
-              out, fmt):
-    """Run an (algorithm x n x density x seed) grid; one report per cell.
+              out):
+    """Run an (algorithm x n x density x seed) grid: a CSV summary on
+    stdout and, with --out, one JSON report per cell plus summary.csv.
 
     Every size, density, config and eps is checked before the first cell
     runs.  A cell whose run crashes is reported and skipped, and the sweep

@@ -1,8 +1,10 @@
-"""Run configuration: model cost constants and algorithm knobs.
+"""Run configuration: model costs, desk-scale gates, host budget, seed.
 
-All constants the underlying method leaves symbolic are exposed here with
-the defaults documented in the README.  A single Config object is threaded
-through the simulator and every algorithm entry point.
+`Config` holds the model costs, the gates that put a scope in a degree
+regime, the host's derandomization term budget and the master seed, with
+the defaults documented in the README; the method's fixed O(1)s are
+constants of the colorers.  A single Config object is threaded through
+the simulator and every algorithm entry point.
 """
 
 from __future__ import annotations
@@ -20,17 +22,11 @@ class Config:
     seed_broadcast_cost: int = 1  # rounds per word of broadcast seed
     rng_seed: int = 0          # master seed for all randomized algorithms
 
-    # --- shared algorithm knobs ---
+    # --- desk-scale gates ---
     c_fit: float = 1.0         # admissible degree: Delta^2 <= c_fit * n
     delta_min: int = 64        # below this, dense machinery falls back
-    big_k: int = 100           # final sparsity constant (1/K threshold)
-    one_shot_iters: int = 3    # "O(1) iterations" of the one-shot colorer
-    dense_iters: int = 6       # dense-step applications per stratum
-    bidding_iters: int = 6     # color-bidding iterations before cleanup
-    retry_budget: int = 3      # fresh-randomness retries on overflow
 
-    # --- derandomization knobs ---
-    d_independence: int = 4    # independence order for "O(1)-wise" sites
+    # --- host budget and checks ---
     term_budget: int = 120_000  # max estimator terms for in-budget search
     debug_checks: bool = False  # per-commit properness assertions
 
@@ -38,8 +34,7 @@ class Config:
         """Reject values the algorithms cannot run (ValueError)."""
         for name, lo in (("c_word", 1), ("lenzen_cost", 0),
                          ("connectivity_cost", 0), ("seed_broadcast_cost", 0),
-                         ("rng_seed", 0), ("big_k", 2), ("retry_budget", 0),
-                         ("d_independence", 1)):
+                         ("rng_seed", 0)):
             if getattr(self, name) < lo:
                 raise ValueError(f"{name}={getattr(self, name)} below {lo}")
         if not self.c_fit > 0:

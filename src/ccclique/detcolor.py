@@ -45,6 +45,8 @@ from .graphs import Graph
 from .runlog import RunLog
 from .sim import Simulator
 
+D_INDEPENDENCE = 4  # hash independence order at the "O(1)-wise" sites
+
 
 def phase_bound(n: int) -> int:
     """Hard cap on list-coloring phases: ceil(log_{4/3} n)."""
@@ -223,17 +225,17 @@ def _list_color_phases(sim: Simulator, graph: Graph, palettes: Palettes,
     """Color the uncolored vertices of `scope` phase by phase; returns the
     number of full phases.
 
-    `phase(k, active, edges, free)` runs the seeded round of phase k on
-    the active vertices, the edges among them and their free colors, and
-    returns how many vertices it colored, or the `where` tag of the
-    `central-phase` note when its estimator would exceed the term budget.
-    A phase also completes centrally (tag `scale_where`) when the active
-    subgraph alone, 2m + 2|active| terms, exceeds the budget.  Central
-    phases charge `{prefix}:central`.  A seeded phase that colors fewer
-    than a quarter of its active vertices is topped up centrally
-    (`{prefix}:topup`), and `{prefix}-quarter-progress` asserts the
-    quarter.  After phase_bound(|scope|) full phases the rest is colored
-    centrally under `{prefix}:guard`."""
+    `phase(k, edges, free)` runs the seeded round of phase k on the
+    active vertices (`free.vertices`), the edges among them and their
+    free colors, and returns how many vertices it colored, or the `where`
+    tag of the `central-phase` note when its estimator would exceed the
+    term budget.  A phase also completes centrally (tag `scale_where`)
+    when the active subgraph alone, 2m + 2|active| terms, exceeds the
+    budget.  Central phases charge `{prefix}:central`.  A seeded phase
+    that colors fewer than a quarter of its active vertices is topped up
+    centrally (`{prefix}:topup`), and `{prefix}-quarter-progress` asserts
+    the quarter.  After phase_bound(|scope|) full phases the rest is
+    colored centrally under `{prefix}:guard`."""
     cap = phase_bound(len(scope))
     phases = 0
     while True:
@@ -251,7 +253,7 @@ def _list_color_phases(sim: Simulator, graph: Graph, palettes: Palettes,
         if int(deg_act[active].sum()) + 2 * len(active) > cfg.term_budget:
             colored = scale_where
         else:
-            colored = phase(phases, active, graph.edges_within(active),
+            colored = phase(phases, graph.edges_within(active),
                             free_sets(graph, palettes, coloring, active))
         if isinstance(colored, str):
             _central_phase(sim, graph, palettes, coloring, active,
@@ -379,7 +381,8 @@ def det_list_color_sqrt(sim: Simulator, graph: Graph, palettes: Palettes,
     if len(scope) == 0:
         return coloring, 0
 
-    def phase(k, active, edges, free):
+    def phase(_k, edges, free):
+        active = free.vertices
         pal_sizes = np.zeros(graph.n, dtype=np.int64)
         pal_sizes[active] = palettes.sizes(active)
         if _estimate_terms(pal_sizes, edges, len(active)) > cfg.term_budget:
@@ -437,7 +440,7 @@ def simple_rand_color_round(graph: Graph, palettes: Palettes,
 # quadratic-palette coloring
 # ===================================================================== #
 
-def det_delta_sq(sim: Simulator, graph: Graph, cfg: Config,
+def det_delta_sq(sim: Simulator, graph: Graph,
                  log: RunLog) -> tuple[np.ndarray, dict]:
     """Deterministic coloring with at most max(Delta, 2)^2 colors.
 
@@ -570,9 +573,9 @@ class PhaseState:
     s_sets: FreeSets | None = None   # candidate sets S(u) of aprime
 
 
-def classify_and_bin(sim: Simulator, graph: Graph, coloring: np.ndarray,
-                     free: FreeSets, layout: BinLayout, cfg: Config,
-                     log: RunLog, edges: np.ndarray, instance_id: int = 0
+def classify_and_bin(sim: Simulator, graph: Graph, free: FreeSets,
+                     layout: BinLayout, cfg: Config, log: RunLog,
+                     edges: np.ndarray, instance_id: int = 0
                      ) -> PhaseState | None:
     """Phase step 1: pick candidate color sets S(u) for the vertices of
     `free`.
@@ -630,7 +633,7 @@ def classify_and_bin(sim: Simulator, graph: Graph, coloring: np.ndarray,
         return None
 
     gamma = max(1, (graph.n - 1).bit_length())
-    family = HashFamily(gamma, maxbb, cfg.d_independence)
+    family = HashFamily(gamma, maxbb, D_INDEPENDENCE)
     if family.seed_len > 64:
         return None
     masks = family.bit_masks_vec(a1.astype(np.uint64))
@@ -712,16 +715,16 @@ def det_list_color_n34(sim: Simulator, graph: Graph, palettes: Palettes,
     layout = bin_layout(dmax, *palettes.span(scope))
     need_c = required_independence(dmax / max(1, layout.n_bins),
                                    max(layout.small_cap, 1.0), n)
-    if need_c > cfg.d_independence:
+    if need_c > D_INDEPENDENCE:
         log.note("independence-order", required=need_c,
-                 configured=cfg.d_independence)
+                 configured=D_INDEPENDENCE)
 
-    def phase(k, active, edges, free):
+    def phase(k, edges, free):
         # bin statistics exchange: n_bins words per neighbor
         _charge_edge_words(sim, "n34:stats", edges,
                            np.full(n, layout.n_bins))
-        state = classify_and_bin(sim, graph, coloring, free, layout, cfg,
-                                 log, edges, instance_id=instance_id)
+        state = classify_and_bin(sim, graph, free, layout, cfg, log, edges,
+                                 instance_id=instance_id)
         if state is None:
             return "n34"
         s_len = state.s_sets.sizes
@@ -859,7 +862,7 @@ def det_partition_general(sim: Simulator, graph: Graph, cfg: Config,
     if expected_bad < 1.0:
         bits_res = 16
         gamma = max(1, (n - 1).bit_length())
-        family = HashFamily(gamma, bits_res, cfg.d_independence)
+        family = HashFamily(gamma, bits_res, D_INDEPENDENCE)
         widths = np.full(plan.ell, int(plan.p_i * (1 << bits_res)),
                          dtype=np.int64)
         cum = np.concatenate([[0], np.cumsum(widths)])

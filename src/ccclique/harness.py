@@ -18,8 +18,8 @@ from .coloring import Palettes, is_proper
 from .detcolor import det_coloring, det_delta_sq
 from .errors import DegreeTooLarge, InputError
 from .graphs import Graph
-from .randcolor import (clp_list_coloring, fast_coloring,
-                        many_colors_coloring, recursive_coloring)
+from .randcolor import (_recurse_whole, clp_list_coloring, fast_coloring,
+                        many_colors_coloring)
 from .runlog import RunLog
 from .sim import Simulator
 
@@ -53,9 +53,7 @@ def run_algorithm(algo: str, graph: Graph, cfg: Config,
         if delta == 0:
             coloring[:] = 1
         else:
-            with sim.stage("recursive"):
-                recursive_coloring(sim, graph, np.arange(n), 1, delta + 1,
-                                   cfg, rng, log, coloring=coloring)
+            _recurse_whole(sim, graph, cfg, rng, log, coloring, "recursive")
     elif algo == "manycolors":
         coloring = many_colors_coloring(sim, graph, cfg, rng, log, eps)
     elif algo == "clp":
@@ -75,7 +73,7 @@ def run_algorithm(algo: str, graph: Graph, cfg: Config,
         coloring, info = det_coloring(sim, graph, cfg, log)
         log.note("det-info", **info)
     else:  # detsq
-        coloring, info = det_delta_sq(sim, graph, cfg, log)
+        coloring, info = det_delta_sq(sim, graph, log)
         log.note("detsq-info", **info)
     wall = time.monotonic() - t0
 

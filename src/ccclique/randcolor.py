@@ -28,6 +28,13 @@ from .graphs import Graph
 from .runlog import RunLog
 from .sim import Simulator
 
+# The O(1)s the method leaves unspecified, fixed at their desk-scale values.
+BIG_K = 100          # sparsity constant K: the eps ladder is capped at 1/K
+ONE_SHOT_ITERS = 3   # the "O(1) iterations" of one-shot coloring in clp
+DENSE_ITERS = 6      # dense-step applications per set of working units
+BIDDING_ITERS = 6    # color-bidding iterations before the central cleanup
+RETRY_BUDGET = 3     # fresh draws after the first for a split that overflows
+
 
 # ===================================================================== #
 # one-shot coloring
@@ -35,7 +42,7 @@ from .sim import Simulator
 
 def one_shot_coloring(sim: Simulator, graph: Graph, palettes: Palettes,
                       coloring: np.ndarray, p: float, iterations: int,
-                      rng: np.random.Generator, log: RunLog,
+                      rng: np.random.Generator,
                       vertices: np.ndarray | None = None) -> int:
     """Participate-with-probability-p rounds: participants pick a uniform
     free color and keep it unless a lower-id participating neighbor picked
@@ -179,7 +186,7 @@ def compute_hierarchy(sim: Simulator, graph: Graph, cfg: Config,
     if not cfg.fits_sqrt(delta, sim.n):
         raise DegreeTooLarge(f"Delta={delta}: 2-neighborhoods too large")
     q = max(1, delta) ** 0.6
-    eps_seq = eps_ladder(delta, cfg.big_k)
+    eps_seq = eps_ladder(delta, BIG_K)
     ell = len(eps_seq)
     unc = np.sort(np.asarray(uncolored, dtype=np.int64))
     edges = graph.edges_within(unc)
@@ -312,10 +319,9 @@ def dense_coloring_step(sim: Simulator, graph: Graph, palettes: Palettes,
 
 def color_bidding(sim: Simulator, graph: Graph, palettes: Palettes,
                   coloring: np.ndarray, vertices: np.ndarray,
-                  rank: np.ndarray, cfg: Config,
-                  rng: np.random.Generator, log: RunLog,
+                  rank: np.ndarray, rng: np.random.Generator,
                   C: float | None = None,
-                  iterations: int | None = None) -> int:
+                  iterations: int = BIDDING_ITERS) -> int:
     """Bid-for-colors rounds on an acyclically oriented uncolored set.
 
     rank is an integer array indexed by vertex id; every edge points to
@@ -325,7 +331,6 @@ def color_bidding(sim: Simulator, graph: Graph, palettes: Palettes,
     follows from the orientation.
     """
     scope = np.asarray(vertices, dtype=np.int64)
-    iterations = cfg.bidding_iters if iterations is None else iterations
     pos = np.zeros(graph.n, dtype=np.int64)
     colored = 0
     for _ in range(iterations):
@@ -385,23 +390,21 @@ def color_bidding(sim: Simulator, graph: Graph, palettes: Palettes,
 
 def _fallback_list_color(sim: Simulator, graph: Graph, palettes: Palettes,
                          coloring: np.ndarray, vertices: np.ndarray,
-                         cfg: Config, log: RunLog, reason: str) -> None:
-    """Deterministic relief valve: derandomized list coloring when the
-    degree regime allows it, charged central greedy otherwise.  Every
+                         delta: int, cfg: Config, log: RunLog,
+                         reason: str) -> None:
+    """Deterministic relief valve for the uncolored, non-empty `vertices`
+    of maximum degree `delta` among themselves: derandomized list coloring
+    when that regime allows it, charged central greedy otherwise.  Every
     palette must hold deg+1 colors; the list colorers check that."""
     log.note("fallback", reason=reason, size=len(vertices))
-    active = vertices[coloring[vertices] == UNCOLORED]
-    if len(active) == 0:
-        return
-    dmax = graph.max_degree_within(active)
-    if cfg.fits_sqrt(dmax, sim.n):
+    if cfg.fits_sqrt(delta, sim.n):
         det_list_color_sqrt(sim, graph, palettes, cfg, log,
-                            vertices=active, coloring=coloring)
-    elif cfg.fits_n34(dmax, sim.n):
+                            vertices=vertices, coloring=coloring)
+    elif cfg.fits_n34(delta, sim.n):
         det_list_color_n34(sim, graph, palettes, cfg, log,
-                           vertices=active, coloring=coloring)
+                           vertices=vertices, coloring=coloring)
     else:
-        _central_phase(sim, graph, palettes, coloring, active, "fallback")
+        _central_phase(sim, graph, palettes, coloring, vertices, "fallback")
 
 
 def clp_list_coloring(sim: Simulator, graph: Graph, palettes: Palettes,
@@ -442,19 +445,19 @@ def clp_list_coloring(sim: Simulator, graph: Graph, palettes: Palettes,
     window_lo = delta - max(1, delta) ** 0.6
     if (sizes < window_lo).any():
         log.record("palette-window", False, delta=delta)
-        _fallback_list_color(sim, graph, palettes, coloring, scope, cfg,
-                             log, "palette window unsatisfiable")
+        _fallback_list_color(sim, graph, palettes, coloring, scope, delta,
+                             cfg, log, "palette window unsatisfiable")
         return coloring
     if delta < cfg.delta_min:
-        _fallback_list_color(sim, graph, palettes, coloring, scope, cfg,
-                             log, f"Delta={delta} below delta_min")
+        _fallback_list_color(sim, graph, palettes, coloring, scope, delta,
+                             cfg, log, f"Delta={delta} below delta_min")
         return coloring
     if not cfg.fits_sqrt(delta, sim.n):
         raise DegreeTooLarge(f"Delta={delta} above sqrt({cfg.c_fit}*n)")
 
     with sim.stage("clp:oneshot"):
         one_shot_coloring(sim, graph, palettes, coloring, 0.125,
-                          cfg.one_shot_iters, rng, log, vertices=scope)
+                          ONE_SHOT_ITERS, rng, vertices=scope)
     unc = scope[coloring[scope] == UNCOLORED]
     if len(unc) == 0:
         return coloring
@@ -462,9 +465,9 @@ def clp_list_coloring(sim: Simulator, graph: Graph, palettes: Palettes,
         hier = compute_hierarchy(sim, graph, cfg, unc, delta=delta)
 
     def dense_passes(units):
-        """Up to dense_iters dense steps on the uncolored part of `units`,
+        """Up to DENSE_ITERS dense steps on the uncolored part of `units`,
         stopping once every unit is colored."""
-        for _ in range(cfg.dense_iters):
+        for _ in range(DENSE_ITERS):
             units = [m[coloring[m] == UNCOLORED] for m in units]
             units = [m for m in units if len(m)]
             if not units:
@@ -489,8 +492,7 @@ def clp_list_coloring(sim: Simulator, graph: Graph, palettes: Palettes,
         rank = np.zeros(n, dtype=np.int64)
         rank[hier.vertices] = hier.level
         with sim.stage("clp:bidding"):
-            color_bidding(sim, graph, palettes, coloring, rest, rank, cfg,
-                          rng, log)
+            color_bidding(sim, graph, palettes, coloring, rest, rank, rng)
     # cleanup: constant-degree part plus remaining components, centrally
     rest = scope[coloring[scope] == UNCOLORED]
     if len(rest):
@@ -539,8 +541,8 @@ def _split_labels(rng: np.random.Generator, size: int, p: float,
 
 
 def _measured_split(sim: Simulator, graph: Graph, scope: np.ndarray,
-                    labels, n_parts: int, lo: int, hi: int, cfg: Config,
-                    stage: str, on_overflow):
+                    labels, n_parts: int, lo: int, hi: int, stage: str,
+                    on_overflow):
     """Sample, measure, retry: split `scope` until the parts fit [lo, hi].
 
     Each attempt broadcasts a fresh seed (charged to `stage`), labels
@@ -548,10 +550,10 @@ def _measured_split(sim: Simulator, graph: Graph, scope: np.ndarray,
     measures each part's maximum degree; part j needs that degree + 1
     colors.  Returns (parts with the left-over last, contiguous ranges
     packed from lo) for the first draw that fits.  Each draw that does not
-    fit calls on_overflow(attempt, need); after retry_budget + 1 of them
+    fit calls on_overflow(attempt, need); after RETRY_BUDGET + 1 of them
     AllocationOverflow is raised.
     """
-    for attempt in range(cfg.retry_budget + 1):
+    for attempt in range(RETRY_BUDGET + 1):
         with sim.stage(stage):
             sim.broadcast_seed(sim.word_size)
         part = labels()
@@ -583,14 +585,14 @@ def _color_parts(sim: Simulator, graph: Graph, parts: list[np.ndarray],
 
 def partition_step(sim: Simulator, graph: Graph, scope: np.ndarray,
                    delta_i: int, palette_lo: int, palette_hi: int, x: int,
-                   rng: np.random.Generator, cfg: Config, log: RunLog):
+                   rng: np.random.Generator, log: RunLog):
     """Randomly split `scope`, whose maximum degree is delta_i, into q
     parts plus a left-over set and allocate disjoint palette subranges
     sized by measured part degrees.
 
     Returns (plan, parts list with the left-over last, list of (lo, hi)
     child ranges aligned with the q parts).  Raises PlanRejected or
-    AllocationOverflow (after retry_budget fresh draws).
+    AllocationOverflow (after RETRY_BUDGET fresh draws).
     """
     plan = PartitionPlan.make(delta_i, x, graph.n)
     ones = np.ones(graph.n, dtype=np.int64)
@@ -603,7 +605,7 @@ def partition_step(sim: Simulator, graph: Graph, scope: np.ndarray,
         return part
 
     parts, ranges = _measured_split(
-        sim, graph, scope, labels, plan.q, palette_lo, palette_hi, cfg,
+        sim, graph, scope, labels, plan.q, palette_lo, palette_hi,
         "partition:sample",
         lambda attempt, need: log.record(
             "partition-allocation", False, attempt=attempt, need=need,
@@ -652,11 +654,10 @@ def recursive_coloring(sim: Simulator, graph: Graph, scope: np.ndarray,
     x = max(2, x)
     try:
         plan, parts, ranges = partition_step(
-            sim, graph, scope, delta, palette_lo, palette_hi, x, rng, cfg,
-            log)
+            sim, graph, scope, delta, palette_lo, palette_hi, x, rng, log)
     except (PlanRejected, AllocationOverflow) as exc:
-        _fallback_list_color(sim, graph, pal, coloring, scope, cfg, log,
-                             f"partition rejected: {exc}")
+        _fallback_list_color(sim, graph, pal, coloring, scope, delta, cfg,
+                             log, f"partition rejected: {exc}")
         return coloring
     _color_parts(sim, graph, parts[:-1], ranges, cfg, rng, log, coloring)
     # left-over set: free colors within the parent palette
@@ -678,7 +679,7 @@ def recursive_coloring(sim: Simulator, graph: Graph, scope: np.ndarray,
         log.record("palette-window", False, dstar=dstar,
                    reason="left-over degree above sqrt bound")
         _fallback_list_color(sim, graph, parent.restrict(star), coloring,
-                             star, cfg, log,
+                             star, dstar, cfg, log,
                              f"left-over Delta*={dstar} above sqrt bound")
         return coloring
     free = free_sets(graph, parent, coloring, star)
@@ -724,10 +725,10 @@ def _split_and_recurse(sim: Simulator, graph: Graph, cfg: Config,
     """
     try:
         parts, ranges = _measured_split(
-            sim, graph, np.arange(graph.n), labels, n_parts, 1, budget, cfg,
+            sim, graph, np.arange(graph.n), labels, n_parts, 1, budget,
             f"{name}:sample",
-            lambda attempt, need: log.record(f"{name}-allocation", False,
-                                             attempt=attempt))
+            lambda attempt, _need: log.record(f"{name}-allocation", False,
+                                              attempt=attempt))
     except AllocationOverflow:
         log.note(f"{name}-split-overflow")
         _recurse_whole(sim, graph, cfg, rng, log, coloring,
@@ -771,7 +772,7 @@ def fast_coloring(sim: Simulator, graph: Graph, cfg: Config,
         iters = max(3, math.ceil(2.0 * math.log2(max(2.0, log2n(n)))))
         with sim.stage("fast:star-oneshot"):
             one_shot_coloring(sim, graph, parent, coloring, 0.125, iters,
-                              rng, log, vertices=star)
+                              rng, vertices=star)
         rest = star[coloring[star] == UNCOLORED]
         if len(rest):
             _central_phase(sim, graph, parent, coloring, rest,

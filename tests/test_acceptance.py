@@ -176,8 +176,7 @@ def test_criterion_6_partition_concentration():
         rng = np.random.default_rng(10_000 + seed)
         try:
             plan, parts, _ = partition_step(sim, graph, scope, delta, 1,
-                                            delta + 1, 2, rng, Config(),
-                                            log)
+                                            delta + 1, 2, rng, log)
         except (PlanRejected, AllocationOverflow):
             logged_failures += 1
             continue

@@ -109,13 +109,11 @@ def test_input_errors_exit_2(runner, tmp_path):
     assert res5.exit_code == 2
 
 
-@pytest.mark.parametrize("kv", ["big_k=1", "big_k=0", "retry_budget=-1",
-                                "d_independence=0", "lenzen_cost=-1",
-                                "seed_broadcast_cost=-1", "c_fit=0",
-                                "c_word=0"])
+@pytest.mark.parametrize("kv", ["lenzen_cost=-1", "seed_broadcast_cost=-1",
+                                "c_fit=0", "c_word=0"])
 def test_out_of_range_config_exits_2(runner, kv):
-    # each value used to hang (big_k=1), crash mid-run with exit 3, or
-    # run in a model whose words carry no vertex id (c_word=0)
+    # each value used to crash mid-run with exit 3, or run in a model
+    # whose words carry no vertex id (c_word=0)
     res = runner.invoke(main, ["run", "--algo", "manycolors", "--gen",
                                "64,0.3", "--set", kv])
     assert res.exit_code == 2
@@ -126,10 +124,13 @@ def test_out_of_range_config_exits_2(runner, kv):
 
 
 @pytest.mark.parametrize("key", ["c_phase", "chunk_bits", "const_deg_cap",
-                                 "eval_budget"])
+                                 "eval_budget", "big_k", "one_shot_iters",
+                                 "dense_iters", "bidding_iters",
+                                 "retry_budget", "d_independence"])
 def test_removed_config_keys_exit_2(runner, key):
     # no code read the first three knobs; eval_budget let a host cost
-    # estimate set the seed chunk width, which the model now fixes
+    # estimate set the seed chunk width, which the model now fixes; the
+    # last six are the method's O(1)s, now constants of the colorers
     res = runner.invoke(main, ["run", "--algo", "det", "--gen", "16,0.5",
                                "--set", f"{key}=4"])
     assert res.exit_code == 2
@@ -217,6 +218,14 @@ def test_run_csv_format(runner):
     header, row = res.output.strip().splitlines()[:2]
     assert "rounds_total" in header and len(row.split(",")) == \
         len(header.split(","))
+
+
+def test_sweep_has_no_format_option(runner):
+    # sweep always writes JSON reports and a CSV summary
+    res = runner.invoke(main, ["sweep", "--algos", "det", "--n", "16",
+                               "--density", "0.5", "--format", "csv"])
+    assert res.exit_code == 2
+    assert "--format" in res.output
 
 
 def test_debug_checks_mode(runner):

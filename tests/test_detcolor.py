@@ -128,7 +128,7 @@ def test_delta_sq_k2():
 def test_delta_sq_identity_regime():
     g = gen_random_graph(128, 0.5, 1)  # Delta^2 >= n
     sim, cfg, log = setup_ctx(g.n)
-    coloring, info = det_delta_sq(sim, g, cfg, log)
+    coloring, info = det_delta_sq(sim, g, log)
     assert info["uncolored_after_seed"] == 0
     assert sim.ledger.rounds_total == 0
     assert is_proper(g, coloring,
@@ -141,7 +141,7 @@ def test_delta_sq_seeded_regime_remainder_bound():
     delta = g.max_degree
     assert delta >= 5 and delta * delta < g.n
     sim, cfg, log = setup_ctx(g.n)
-    coloring, info = det_delta_sq(sim, g, cfg, log)
+    coloring, info = det_delta_sq(sim, g, log)
     assert info["uncolored_after_seed"] <= g.n // delta
     assert sim.ledger.rounds_total > 0
     assert is_proper(g, coloring,
@@ -155,7 +155,7 @@ def test_delta_sq_deterministic():
     runs = []
     for _ in range(2):
         sim, cfg, log = setup_ctx(g.n)
-        coloring, _ = det_delta_sq(sim, g, cfg, log)
+        coloring, _ = det_delta_sq(sim, g, log)
         runs.append((coloring.copy(), sim.ledger.snapshot()))
     assert np.array_equal(runs[0][0], runs[1][0])
     assert runs[0][1] == runs[1][1]
@@ -252,8 +252,7 @@ def test_all_small_bins_goes_a0():
     active = np.arange(n)
     coloring = np.zeros(n, dtype=np.int64)
     free = free_sets(g, pal, coloring, active)
-    state = classify_and_bin(sim, g, coloring, free, layout, cfg, log,
-                             g.edge_array())
+    state = classify_and_bin(sim, g, free, layout, cfg, log, g.edge_array())
     assert state.branch == "A0"
     assert set(state.a0.tolist()) == set(range(n))
     # every bin is small, so S(u) is the whole free list

@@ -53,7 +53,7 @@ def test_one_shot_p_zero_noop():
     pal = Palettes.uniform_range(3, 1, 2)
     coloring = np.zeros(3, dtype=np.int64)
     got = one_shot_coloring(sim, g, pal, coloring, 0.0, 2,
-                            np.random.default_rng(0), log)
+                            np.random.default_rng(0))
     assert got == 0 and (coloring == 0).all()
     assert sim.ledger.rounds_total == 2  # rounds still tick
 
@@ -64,7 +64,7 @@ def test_one_shot_rejects_large_p():
     pal = Palettes.uniform_range(2, 1, 2)
     with pytest.raises(ParameterViolation):
         one_shot_coloring(sim, g, pal, np.zeros(2, dtype=np.int64), 0.3, 1,
-                          np.random.default_rng(0), log)
+                          np.random.default_rng(0))
 
 
 def test_one_shot_isolated_vertex_frequency():
@@ -78,7 +78,7 @@ def test_one_shot_isolated_vertex_frequency():
     for _ in range(trials):
         sim = Simulator(1, Config())
         coloring = np.zeros(1, dtype=np.int64)
-        one_shot_coloring(sim, g, pal, coloring, 0.125, 1, rng, RunLog())
+        one_shot_coloring(sim, g, pal, coloring, 0.125, 1, rng)
         hits += int(coloring[0] != 0)
     assert abs(hits / trials - 0.125) < 0.02
 
@@ -91,7 +91,7 @@ def test_one_shot_lower_id_wins_on_conflict():
     pal = Palettes.from_lists(2, {0: [1], 1: [1]})
     coloring = np.zeros(2, dtype=np.int64)
     stub = StubRng(rand_vals=[0.0, 0.0], int_vals=[0, 0])
-    one_shot_coloring(sim, g, pal, coloring, 0.125, 1, stub, log)
+    one_shot_coloring(sim, g, pal, coloring, 0.125, 1, stub)
     assert coloring[0] == 1 and coloring[1] == 0
 
 
@@ -333,8 +333,8 @@ def test_bidding_out_degree_zero_colored():
     sim, cfg, log = setup_ctx(16)
     pal = Palettes.uniform_range(1, 1, 5)
     coloring = np.zeros(1, dtype=np.int64)
-    color_bidding(sim, g, pal, coloring, np.array([0]), np.ones(1, np.int64), cfg,
-                  np.random.default_rng(0), log, iterations=50)
+    color_bidding(sim, g, pal, coloring, np.array([0]), np.ones(1, np.int64),
+                  np.random.default_rng(0), iterations=50)
     assert coloring[0] != 0
 
 
@@ -344,8 +344,8 @@ def test_bidding_disjoint_palettes_both_colored():
     pal = Palettes.from_lists(2, {0: [1, 2, 3], 1: [4, 5, 6]})
     coloring = np.zeros(2, dtype=np.int64)
     rank = np.ones(2, dtype=np.int64)
-    color_bidding(sim, g, pal, coloring, np.arange(2), rank, cfg,
-                  np.random.default_rng(1), log, iterations=60)
+    color_bidding(sim, g, pal, coloring, np.arange(2), rank,
+                  np.random.default_rng(1), iterations=60)
     assert (coloring != 0).all()
     assert is_proper(g, coloring, pal) is True
 
@@ -392,8 +392,8 @@ def test_bidding_path4_matches_bruteforce():
     for _ in range(trials):
         sim, cfg, log = setup_ctx(16)
         coloring = np.zeros(4, dtype=np.int64)
-        color_bidding(sim, g, pal, coloring, np.arange(4), rank, cfg, rng,
-                      log, C=1.0, iterations=1)
+        color_bidding(sim, g, pal, coloring, np.arange(4), rank, rng,
+                      C=1.0, iterations=1)
         hits += coloring != 0
     for v in range(4):
         assert abs(hits[v] / trials - float(exact[v])) < 0.03
@@ -423,7 +423,7 @@ def test_partition_step_allocates_disjoint_ranges():
     scope = np.arange(g.n)
     plan, parts, ranges = partition_step(sim, g, scope, g.max_degree, 1,
                                          g.max_degree + 1, 2,
-                                         np.random.default_rng(3), cfg, log)
+                                         np.random.default_rng(3), log)
     assert len(parts) == plan.q + 1
     assert sum(len(p) for p in parts) == g.n
     last_hi = 0
@@ -605,7 +605,7 @@ def test_free_color_floor_invariant_during_pipeline():
     sim, cfg, log = setup_ctx(g.n)
     rng = np.random.default_rng(13)
     coloring = np.zeros(g.n, dtype=np.int64)
-    one_shot_coloring(sim, g, pal, coloring, 0.125, 3, rng, log)
+    one_shot_coloring(sim, g, pal, coloring, 0.125, 3, rng)
     from ccclique.coloring import free_colors
     unc = np.nonzero(coloring == UNCOLORED)[0]
     for v in unc[:50]:

@@ -37,7 +37,7 @@ def test_one_shot_reversed_scope(seed):
 
     def call(sim, log, coloring, scope):
         one_shot_coloring(sim, g, pal, coloring, 0.125, 8,
-                          np.random.default_rng(seed), log, vertices=scope)
+                          np.random.default_rng(seed), vertices=scope)
         assert find_conflict(g, coloring) is None
 
     a, b = run_both(g.n, call)

@@ -18,9 +18,9 @@ def make(n, **kw):
 
 
 @pytest.mark.parametrize("kw", [
-    {"big_k": 1}, {"big_k": 0}, {"retry_budget": -1}, {"d_independence": 0},
     {"lenzen_cost": -1}, {"connectivity_cost": -1}, {"rng_seed": -1},
-    {"c_fit": 0.0}, {"c_word": 0}])
+    {"c_fit": 0.0}, {"c_word": 0}, {"seed_broadcast_cost": -1},
+    {"c_fit": -1.0}, {"c_fit": float("nan")}])
 def test_config_rejects_values_it_cannot_run(kw):
     with pytest.raises(ValueError):
         Config(**kw)
@@ -29,8 +29,8 @@ def test_config_rejects_values_it_cannot_run(kw):
 
 
 def test_config_accepts_range_floors():
-    Config(big_k=2, retry_budget=0, d_independence=1, lenzen_cost=0,
-           connectivity_cost=0, seed_broadcast_cost=0, c_fit=1e-9, c_word=1)
+    Config(lenzen_cost=0, connectivity_cost=0, seed_broadcast_cost=0,
+           rng_seed=0, c_fit=1e-9, c_word=1)
 
 
 def test_readme_range_table_lists_every_config_key_once():
