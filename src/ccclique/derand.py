@@ -540,12 +540,10 @@ def distributed_seed_agreement(sim, objective, seed_len: int, z: int,
             # each leader sums its column (the objective's conditional sum
             # for its assignment) and forwards it to the arbiter
             totals = objective.eval_block(width)
-            sim.ledger.messages_total += B
-            sim.ledger.advance(1)
+            sim.ledger.advance(1, B)
             b = _pick(totals, minimize)
             # arbiter broadcasts the winning assignment to all nodes
-            sim.ledger.messages_total += sim.n
-            sim.ledger.advance(1)
+            sim.ledger.advance(1, sim.n)
             objective.commit(b, width)
             bits |= b << k
             k += width

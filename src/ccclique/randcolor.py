@@ -57,7 +57,7 @@ def one_shot_coloring(sim: Simulator, graph: Graph, palettes: Palettes,
     for _ in range(iterations):
         active = scope[coloring[scope] == UNCOLORED]
         if len(active) == 0 or p == 0:
-            sim.ledger.advance(1)
+            sim.exchange_counts([], [])  # the round passes idle
             continue
         parts = active[rng.random(len(active)) < p]
         free = free_sets(graph, palettes, coloring, parts)
@@ -541,30 +541,33 @@ def _split_labels(rng: np.random.Generator, size: int, p: float,
 
 
 def _measured_split(sim: Simulator, graph: Graph, scope: np.ndarray,
-                    labels, n_parts: int, lo: int, hi: int, stage: str,
-                    on_overflow):
+                    labels, n_parts: int, lo: int, hi: int, name: str,
+                    log: RunLog):
     """Sample, measure, retry: split `scope` until the parts fit [lo, hi].
 
-    Each attempt broadcasts a fresh seed (charged to `stage`), labels
-    `scope` with `labels()` (label n_parts marks the left-over set) and
-    measures each part's maximum degree; part j needs that degree + 1
+    Each attempt broadcasts a fresh seed (charged to `name:sample`),
+    labels `scope` with `labels()` (label n_parts marks the left-over set)
+    and measures each part's maximum degree; part j needs that degree + 1
     colors.  Returns (parts with the left-over last, contiguous ranges
     packed from lo) for the first draw that fits.  Each draw that does not
-    fit calls on_overflow(attempt, need); after RETRY_BUDGET + 1 of them
-    AllocationOverflow is raised.
+    fit is logged as `name-allocation` with its attempt, need and the
+    available colors; after RETRY_BUDGET + 1 of them AllocationOverflow is
+    raised.
     """
+    available = hi - lo + 1
     for attempt in range(RETRY_BUDGET + 1):
-        with sim.stage(stage):
+        with sim.stage(f"{name}:sample"):
             sim.broadcast_seed(sim.word_size)
         part = labels()
         parts = [scope[part == j] for j in range(n_parts + 1)]
         sizes = [graph.max_degree_within(m) + 1 for m in parts[:-1]]
         need = sum(sizes)
-        if need <= hi - lo + 1:
+        if need <= available:
             return parts, palette_ranges(lo, sizes)
-        on_overflow(attempt, need)
+        log.record(f"{name}-allocation", False, attempt=attempt, need=need,
+                   available=available)
     raise AllocationOverflow(
-        f"sum of child palettes {need} exceeds {hi - lo + 1}")
+        f"sum of child palettes {need} exceeds {available}")
 
 
 def _color_parts(sim: Simulator, graph: Graph, parts: list[np.ndarray],
@@ -604,12 +607,8 @@ def partition_step(sim: Simulator, graph: Graph, scope: np.ndarray,
             sim.charge_route_counts(ones, ones)
         return part
 
-    parts, ranges = _measured_split(
-        sim, graph, scope, labels, plan.q, palette_lo, palette_hi,
-        "partition:sample",
-        lambda attempt, need: log.record(
-            "partition-allocation", False, attempt=attempt, need=need,
-            available=palette_hi - palette_lo + 1))
+    parts, ranges = _measured_split(sim, graph, scope, labels, plan.q,
+                                    palette_lo, palette_hi, "partition", log)
     last = ranges[-1][1]
     need = last - palette_lo + 1
     log.record("partition-lemma-budget", need <= delta_i, total=need,
@@ -726,9 +725,7 @@ def _split_and_recurse(sim: Simulator, graph: Graph, cfg: Config,
     try:
         parts, ranges = _measured_split(
             sim, graph, np.arange(graph.n), labels, n_parts, 1, budget,
-            f"{name}:sample",
-            lambda attempt, _need: log.record(f"{name}-allocation", False,
-                                              attempt=attempt))
+            name, log)
     except AllocationOverflow:
         log.note(f"{name}-split-overflow")
         _recurse_whole(sim, graph, cfg, rng, log, coloring,

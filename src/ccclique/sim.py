@@ -16,6 +16,7 @@ concurrently.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -35,10 +36,13 @@ class RoundLedger:
     stage_rounds: dict = field(default_factory=dict)
     stage_stack: list = field(default_factory=list)
 
-    def advance(self, rounds: int) -> None:
+    def advance(self, rounds: int, messages: int = 0) -> None:
+        """Charge `rounds` rounds and `messages` messages; the rounds also
+        go to every open stage.  The one place counters change."""
         if rounds < 0:
             raise CliqueError("round counter is monotone")
         self.rounds_total += rounds
+        self.messages_total += messages
         for name in self.stage_stack:
             self.stage_rounds[name] = self.stage_rounds.get(name, 0) + rounds
 
@@ -49,20 +53,6 @@ class RoundLedger:
             "max_bits_per_pair_round": self.max_bits_pair_round,
             "rounds_by_stage": dict(sorted(self.stage_rounds.items())),
         }
-
-
-class _Stage:
-    def __init__(self, ledger: RoundLedger, name: str):
-        self.ledger, self.name = ledger, name
-
-    def __enter__(self):
-        self.ledger.stage_stack.append(self.name)
-        self.ledger.stage_rounds.setdefault(self.name, 0)
-        return self
-
-    def __exit__(self, *exc):
-        self.ledger.stage_stack.pop()
-        return False
 
 
 class Simulator:
@@ -80,8 +70,16 @@ class Simulator:
     # core round delivery
     # ------------------------------------------------------------------ #
 
-    def stage(self, name: str) -> _Stage:
-        return _Stage(self.ledger, name)
+    @contextmanager
+    def stage(self, name: str):
+        """Charge the rounds advanced inside the block to stage `name` as
+        well as to every stage already open."""
+        self.ledger.stage_stack.append(name)
+        self.ledger.stage_rounds.setdefault(name, 0)
+        try:
+            yield
+        finally:
+            self.ledger.stage_stack.pop()
 
     def exchange_counts(self, src: np.ndarray, dst: np.ndarray,
                         bits: int | None = None) -> None:
@@ -109,10 +107,9 @@ class Simulator:
                 j = int(np.nonzero(ks[1:] == ks[:-1])[0][0])
                 s, d = divmod(int(ks[j]), self.n)
                 raise BandwidthViolation(s, d, 2 * bits)
-            self.ledger.messages_total += m
             self.ledger.max_bits_pair_round = max(
                 self.ledger.max_bits_pair_round, bits)
-        self.ledger.advance(1)
+        self.ledger.advance(1, m)
 
     # ------------------------------------------------------------------ #
     # charged primitives
@@ -134,8 +131,7 @@ class Simulator:
                    int(in_counts.max(initial=0)))
         calls = -(-peak // self.n)
         rounds = calls * self.config.lenzen_cost
-        self.ledger.messages_total += total
-        self.ledger.advance(rounds)
+        self.ledger.advance(rounds, total)
         return rounds
 
     def central_solve_counts(self, n_edges: int, payload_words: int,
@@ -147,8 +143,7 @@ class Simulator:
         total_words = 2 * n_edges + payload_words
         if total_words:
             rounds = 2 * (-(-total_words // self.n)) * self.config.lenzen_cost
-            self.ledger.messages_total += total_words
-            self.ledger.advance(rounds)
+            self.ledger.advance(rounds, total_words)
         return solver()
 
     def broadcast_seed(self, bits: int) -> None:
@@ -156,8 +151,8 @@ class Simulator:
         if bits <= 0:
             raise CliqueError("seed must be non-empty")
         words = -(-bits // self.word_size)
-        self.ledger.messages_total += words * self.n
-        self.ledger.advance(words * self.config.seed_broadcast_cost)
+        self.ledger.advance(words * self.config.seed_broadcast_cost,
+                            words * self.n)
 
     def component_labels(self, edges, nodes: np.ndarray) -> np.ndarray:
         """Label connected components of (nodes, edges) as a charged
@@ -189,14 +184,19 @@ class Simulator:
         """Run vertex-disjoint branches that share the clique's rounds.
 
         Branches execute sequentially in wall time but are charged as
-        simultaneous instances: the round counter advances by the maximum
-        branch cost, not the sum.  Message totals still sum.
+        simultaneous instances: each starts from the same round counters,
+        and afterwards `rounds_total` and every stage, including one that
+        only some branches opened, stand at the most any one branch
+        reached.  Message totals still sum.
         """
-        start = self.ledger.rounds_total
-        results, deltas = [], []
+        led = self.ledger
+        total0, stages0 = led.rounds_total, led.stage_rounds
+        results, total, stages = [], total0, dict(stages0)
         for fn in branches:
-            self.ledger.rounds_total = start
+            led.rounds_total, led.stage_rounds = total0, dict(stages0)
             results.append(fn())
-            deltas.append(self.ledger.rounds_total - start)
-        self.ledger.rounds_total = start + (max(deltas) if deltas else 0)
+            total = max(total, led.rounds_total)
+            for name, rounds in led.stage_rounds.items():
+                stages[name] = max(stages.get(name, 0), rounds)
+        led.rounds_total, led.stage_rounds = total, stages
         return results

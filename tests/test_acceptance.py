@@ -222,6 +222,12 @@ def test_criterion_7_round_reporting(suite_reports):
                     if e.get("note") == "det-info"]
             if not info or info[0]["phases"] > phase_bound(n):
                 problems.append((rep["_cell"], "phase cap"))
+        # parallel instances charge every stage their longest branch, so
+        # no stage can exceed the whole run
+        over = {k: r for k, r in rep["rounds_by_stage"].items()
+                if r > rep["rounds_total"]}
+        if over:
+            problems.append((rep["_cell"], f"stages above total: {over}"))
         key = (algo, n, p, seed)
         if key in ROUND_BASELINES:
             base = ROUND_BASELINES[key]
@@ -230,7 +236,8 @@ def test_criterion_7_round_reporting(suite_reports):
                 problems.append((key, f"rounds {got} vs baseline {base}"))
     _verdict(7, "round-count reporting", not problems,
              f"{len(ROUND_BASELINES)} frozen baselines within 20%, "
-             f"det phases capped; problems: {problems[:3]}")
+             f"det phases capped, no stage above rounds_total; "
+             f"problems: {problems[:3]}")
 
 
 @pytest.mark.slow

@@ -472,7 +472,7 @@ def test_det_star_takes_seeded_partition():
     stages = rep["rounds_by_stage"]
     assert rep["rounds_total"] == 191
     assert (stages["partition:probe"], stages["det:star"],
-            stages["n34:seed"]) == (24, 33, 108)
+            stages["n34:seed"]) == (24, 33, 56)
 
 
 def test_det_phase_cap_criterion():

@@ -9,10 +9,12 @@ import pytest
 
 from ccclique.config import Config
 from ccclique.coloring import Palettes, UNCOLORED, is_proper
-from ccclique.errors import ParameterViolation, PlanRejected
+from ccclique.errors import (AllocationOverflow, ParameterViolation,
+                             PlanRejected)
 from ccclique.graphs import Graph, gen_random_graph
 from ccclique.harness import run_algorithm
-from ccclique.randcolor import (PartitionPlan, color_bidding,
+from ccclique.randcolor import (RETRY_BUDGET, PartitionPlan,
+                                _measured_split, color_bidding,
                                 compute_hierarchy, dense_coloring_step,
                                 eps_ladder, friend_threshold,
                                 one_shot_coloring, partition_step,
@@ -433,6 +435,22 @@ def test_partition_step_allocates_disjoint_ranges():
     assert last_hi <= g.max_degree + 1
     assert all(e["ok"] for e in log.entries
                if e.get("check") == "partition-ranges-disjoint")
+
+
+def test_overflowing_split_draws_logged():
+    # every draw puts all of K6 in one part, which needs 6 colors of the 4
+    # available: each draw logs its need, then the split gives up
+    g = Graph.from_edges(6, [(u, v) for u in range(6)
+                             for v in range(u + 1, 6)])
+    sim, cfg, log = setup_ctx(g.n)
+    with pytest.raises(AllocationOverflow):
+        _measured_split(sim, g, np.arange(6), lambda: np.zeros(6, int), 1,
+                        1, 4, "fast", log)
+    assert log.entries == [
+        {"check": "fast-allocation", "ok": False, "attempt": a, "need": 6,
+         "available": 4} for a in range(RETRY_BUDGET + 1)]
+    assert sim.ledger.stage_rounds == {
+        "fast:sample": (RETRY_BUDGET + 1) * cfg.seed_broadcast_cost}
 
 
 def test_recursive_base_case_no_partition_rounds():

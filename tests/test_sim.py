@@ -146,18 +146,30 @@ def test_broadcast_seed_costs():
 
 
 def test_parallel_branches_charge_max():
+    # every branch starts from the same counters; afterwards rounds_total
+    # and every stage stand at the most one branch added, and messages sum
     sim = make(8)
 
-    def branch(cost):
+    def branch(cost, stage):
         def run():
-            sim.ledger.advance(cost)
+            with sim.stage(stage):
+                sim.ledger.advance(cost, messages=cost)
             return cost
         return run
 
     sim.ledger.advance(5)
-    out = sim.run_parallel([branch(3), branch(11), branch(7)])
+    with sim.stage("outer"):
+        sim.ledger.advance(2)
+        out = sim.run_parallel([branch(3, "short"), branch(11, "long"),
+                                branch(7, "short")])
     assert out == [3, 11, 7]
-    assert sim.ledger.rounds_total == 5 + 11
+    assert sim.ledger.rounds_total == 5 + 2 + 11
+    assert sim.ledger.messages_total == 3 + 11 + 7
+    # the stage open around the call gets the longest branch; a stage
+    # opened inside gets its largest per-branch value, also when only
+    # shorter branches opened it
+    assert sim.ledger.stage_rounds == {"outer": 2 + 11, "long": 11,
+                                       "short": 7}
 
 
 def test_component_labels_charged():
