@@ -16,8 +16,9 @@ Three desk-scale escape hatches, all charged honestly in the ledger:
 
 * When the estimator would exceed the configured term budget, the phase is
   completed by a central greedy list-coloring instead (gather charged via
-  the central-solve cost rule).  Greedy colors like this never violate a
-  palette or an edge because every palette keeps deg+1 slack.
+  the central-solve cost rule; a `host-budget` fallback note).  Greedy
+  colors like this never violate a palette or an edge because every
+  palette keeps deg+1 slack.
 * When a phase's seed colors fewer than a quarter of its vertices (the
   power-of-two index map concedes up to half the participation mass), a
   charged central top-up colors the difference, so every seeded phase of
@@ -195,16 +196,13 @@ def _seed_round(sim: Simulator, family: HashFamily, ids: np.ndarray,
 # ===================================================================== #
 
 def _list_scope(sim: Simulator, graph: Graph, palettes: Palettes,
-                vertices: np.ndarray | None, coloring: np.ndarray | None,
-                fits, regime: str):
-    """Check a list colorer's input and return (coloring, sorted scope,
-    max degree within the scope).
+                vertices: np.ndarray | None, fits, regime: str):
+    """Check a list colorer's input and return (sorted scope, max degree
+    within the scope).
 
     The scope's degree must satisfy `fits(Delta, n)` (DegreeTooLarge
     otherwise), and every palette needs deg+1 colors: the first short
     vertex in the caller's order is named in the ParameterViolation."""
-    if coloring is None:
-        coloring = np.zeros(graph.n, dtype=np.int64)
     scope = np.arange(graph.n) if vertices is None else \
         np.asarray(vertices, dtype=np.int64)
     sub_deg = graph.degrees_within(graph.pack_vertex_mask(scope),
@@ -215,7 +213,7 @@ def _list_scope(sim: Simulator, graph: Graph, palettes: Palettes,
     short = scope[palettes.sizes(scope) < sub_deg[scope] + 1]
     if len(short):
         raise ParameterViolation(f"palette of {int(short[0])} below deg+1")
-    return coloring, np.unique(scope), dmax
+    return np.unique(scope), dmax
 
 
 def _list_color_phases(sim: Simulator, graph: Graph, palettes: Palettes,
@@ -225,11 +223,13 @@ def _list_color_phases(sim: Simulator, graph: Graph, palettes: Palettes,
     """Color the uncolored vertices of `scope` phase by phase; returns the
     number of full phases.
 
-    `phase(k, edges, free)` runs the seeded round of phase k on the
-    active vertices (`free.vertices`), the edges among them and their
-    free colors, and returns how many vertices it colored, or the `where`
-    tag of the `central-phase` note when its estimator would exceed the
-    term budget.  A phase also completes centrally (tag `scale_where`)
+    `phase(edges, free)` runs the seeded round of a phase on the active
+    vertices (`free.vertices`), the edges among them and their free
+    colors, and returns how many vertices it colored, or the
+    (reason, where) of the `fallback` note that hands the phase to a
+    central solve: `host-budget` when its estimator would exceed the term
+    budget, `no-candidates` when no vertex kept a candidate color.  A
+    phase also completes centrally (`host-budget`, where `scale_where`)
     when the active subgraph alone, 2m + 2|active| terms, exceeds the
     budget.  Central phases charge `{prefix}:central`.  A seeded phase
     that colors fewer than a quarter of its active vertices is topped up
@@ -251,15 +251,15 @@ def _list_color_phases(sim: Simulator, graph: Graph, palettes: Palettes,
                                        rows=active)
         # the degree sum is 2m
         if int(deg_act[active].sum()) + 2 * len(active) > cfg.term_budget:
-            colored = scale_where
+            colored = ("host-budget", scale_where)
         else:
-            colored = phase(phases, graph.edges_within(active),
+            colored = phase(graph.edges_within(active),
                             free_sets(graph, palettes, coloring, active))
-        if isinstance(colored, str):
+        if isinstance(colored, tuple):
             _central_phase(sim, graph, palettes, coloring, active,
                            f"{prefix}:central")
-            log.note("central-phase", where=colored, phase=phases,
-                     active=len(active))
+            reason, where = colored
+            log.fallback(reason, len(active), where=where, phase=phases)
             continue
         need = -(-len(active) // 4)
         if colored < need:
@@ -281,7 +281,6 @@ def _list_color_phases(sim: Simulator, graph: Graph, palettes: Palettes,
 @dataclass
 class RoundOutcome:
     colored: int
-    expectation_floor: int     # exact floor/ceil bound the seed must beat
 
 
 def _estimate_terms(sizes: np.ndarray, edges: np.ndarray,
@@ -357,7 +356,7 @@ def derand_color_round(sim: Simulator, graph: Graph, coloring: np.ndarray,
     _announce(sim, edges)
     log.require("seed-round-dominance", colored >= bound,
                 colored=colored, bound=bound, terms=obj.n_terms)
-    return RoundOutcome(colored, bound)
+    return RoundOutcome(colored)
 
 
 # ===================================================================== #
@@ -365,28 +364,28 @@ def derand_color_round(sim: Simulator, graph: Graph, coloring: np.ndarray,
 # ===================================================================== #
 
 def det_list_color_sqrt(sim: Simulator, graph: Graph, palettes: Palettes,
-                        cfg: Config, log: RunLog,
+                        cfg: Config, log: RunLog, coloring: np.ndarray,
                         vertices: np.ndarray | None = None,
-                        coloring: np.ndarray | None = None,
-                        instance_id: int = 0) -> tuple[np.ndarray, int]:
-    """Derandomized list coloring for Delta <= sqrt(c_fit * n).
+                        instance_id: int = 0) -> int:
+    """Derandomized list coloring for Delta <= sqrt(c_fit * n), in place
+    in `coloring`.
 
     Every phase colors at least ceil(uncolored / 4) vertices: the seed
     round guarantees its exact estimator expectation, and a charged
     central top-up covers any shortfall against the quarter bound.
-    Returns (coloring, phases).
+    Returns the number of phases.
     """
-    coloring, scope, _ = _list_scope(sim, graph, palettes, vertices,
-                                     coloring, cfg.fits_sqrt, "sqrt")
+    scope, _ = _list_scope(sim, graph, palettes, vertices, cfg.fits_sqrt,
+                           "sqrt")
     if len(scope) == 0:
-        return coloring, 0
+        return 0
 
-    def phase(_k, edges, free):
+    def phase(edges, free):
         active = free.vertices
         pal_sizes = np.zeros(graph.n, dtype=np.int64)
         pal_sizes[active] = palettes.sizes(active)
         if _estimate_terms(pal_sizes, edges, len(active)) > cfg.term_budget:
-            return "sqrt"
+            return "host-budget", "sqrt"
         # palette exchange: every active vertex ships its free list to its
         # active neighbors
         sizes = np.zeros(graph.n, dtype=np.int64)
@@ -396,9 +395,8 @@ def det_list_color_sqrt(sim: Simulator, graph: Graph, palettes: Palettes,
                                   part_bits=1, instance_id=instance_id,
                                   stage="sqrt:seed").colored
 
-    return coloring, _list_color_phases(sim, graph, palettes, cfg, log,
-                                        coloring, scope, "sqrt", "sqrt",
-                                        phase)
+    return _list_color_phases(sim, graph, palettes, cfg, log, coloring,
+                              scope, "sqrt", "sqrt", phase)
 
 
 def simple_rand_color_round(graph: Graph, palettes: Palettes,
@@ -440,9 +438,10 @@ def simple_rand_color_round(graph: Graph, palettes: Palettes,
 # quadratic-palette coloring
 # ===================================================================== #
 
-def det_delta_sq(sim: Simulator, graph: Graph,
-                 log: RunLog) -> tuple[np.ndarray, dict]:
-    """Deterministic coloring with at most max(Delta, 2)^2 colors.
+def det_delta_sq(sim: Simulator, graph: Graph, log: RunLog,
+                 coloring: np.ndarray) -> None:
+    """Deterministic coloring with at most max(Delta, 2)^2 colors, in
+    place in `coloring`; logs a `detsq-info` note.
 
     When Delta^2 >= n, node ids are already a valid coloring (zero
     rounds).  Otherwise one hash-seeded pick-a-color round is
@@ -454,29 +453,22 @@ def det_delta_sq(sim: Simulator, graph: Graph,
     delta = graph.max_degree
     de = max(2, delta)
     budget = de * de
-    coloring = np.zeros(n, dtype=np.int64)
-    info = {"budget": budget, "uncolored_after_seed": 0, "seed_rounds": 0}
+    palettes = Palettes.uniform_range(n, 1, budget)
+    allowed = n // de  # uncolored-after-seed must not exceed n/Delta
+    active = np.arange(0)  # only the seeded regime runs seed rounds
+    rounds = 0
     if budget >= n:
         coloring[:] = np.arange(1, n + 1)
-        log.record("deltasq-remainder", True, uncolored=0, allowed=n // de)
-        return coloring, info
-    if delta <= 4:
+    elif delta <= 4:
         # tiny-degree regime: the dyadic color space cannot certify the
         # n/Delta remainder bound, so solve centrally (zero left uncolored)
-        palettes = Palettes.uniform_range(n, 1, budget)
         _central_phase(sim, graph, palettes, coloring, np.arange(n),
                        "deltasq:tiny")
-        log.record("deltasq-remainder", True, uncolored=0, allowed=n // de)
-        return coloring, info
-
-    beta = int(math.floor(math.log2(budget)))
-    gamma = max(1, (n - 1).bit_length())
-    family = HashFamily(gamma, beta, 2)
-    k = family.k
-    allowed = n // delta  # uncolored-after-seed must not exceed n/Delta
-    active = np.arange(n)
-    rounds = 0
-    while len(active):
+    else:
+        active = np.arange(n)
+        beta = int(math.floor(math.log2(budget)))
+        family = HashFamily(max(1, (n - 1).bit_length()), beta, 2)
+    while len(active) > allowed:
         rounds += 1
         edges = graph.edges_within(active)
         groups = []
@@ -485,7 +477,8 @@ def det_delta_sq(sim: Simulator, graph: Graph,
             # beta bits of that product are zero, a parity system on c1
             xors = (edges[:, 0] ^ edges[:, 1]).astype(np.uint64)
             ws, counts = np.unique(xors, return_counts=True)
-            wmasks = column_masks_vec(ws, k)[:, :beta] << np.uint64(k)
+            wmasks = column_masks_vec(ws, family.k)[:, :beta] \
+                << np.uint64(family.k)
             groups.append((wmasks, np.arange(len(ws)),
                            (ws % np.uint64(n)).astype(np.int64), 2 * counts,
                            np.zeros(len(ws), dtype=np.uint64)))
@@ -515,16 +508,12 @@ def det_delta_sq(sim: Simulator, graph: Graph,
         log.require("deltasq-dominance", len(remaining) <= max(x_bound, 0),
                     round=rounds, remaining=len(remaining), bound=x_bound)
         active = remaining
-        if len(active) <= allowed:
-            break
-    info.update(seed_rounds=rounds, uncolored_after_seed=len(active))
     log.require("deltasq-remainder", len(active) <= allowed,
                 uncolored=len(active), allowed=allowed)
-    if len(active):
-        palettes = Palettes.uniform_range(n, 1, budget)
-        _central_phase(sim, graph, palettes, coloring, active,
-                       "deltasq:remainder")
-    return coloring, info
+    _central_phase(sim, graph, palettes, coloring, active,
+                   "deltasq:remainder")
+    log.note("detsq-info", budget=budget, uncolored_after_seed=len(active),
+             seed_rounds=rounds)
 
 
 # ===================================================================== #
@@ -695,23 +684,23 @@ def classify_and_bin(sim: Simulator, graph: Graph, free: FreeSets,
 
 
 def det_list_color_n34(sim: Simulator, graph: Graph, palettes: Palettes,
-                       cfg: Config, log: RunLog,
+                       cfg: Config, log: RunLog, coloring: np.ndarray,
                        vertices: np.ndarray | None = None,
-                       coloring: np.ndarray | None = None,
-                       instance_id: int = 0) -> tuple[np.ndarray, int]:
-    """Bin-based deterministic list coloring for Delta <= (c_fit n)^(3/4).
+                       instance_id: int = 0) -> int:
+    """Bin-based deterministic list coloring for Delta <= (c_fit n)^(3/4),
+    in place in `coloring`.
 
     Each phase narrows palettes to candidate sets S(u) (classify_and_bin)
     and derandomizes one low-participation pick round on them; phases that
     exceed the estimator budget complete centrally, and a charged central
     top-up keeps every seeded phase at a quarter of its vertices.
-    Returns (coloring, phases).
+    Returns the number of phases.
     """
     n = graph.n
-    coloring, scope, dmax = _list_scope(sim, graph, palettes, vertices,
-                                        coloring, cfg.fits_n34, "n^(3/4)")
+    scope, dmax = _list_scope(sim, graph, palettes, vertices, cfg.fits_n34,
+                              "n^(3/4)")
     if len(scope) == 0:
-        return coloring, 0
+        return 0
     layout = bin_layout(dmax, *palettes.span(scope))
     need_c = required_independence(dmax / max(1, layout.n_bins),
                                    max(layout.small_cap, 1.0), n)
@@ -719,14 +708,14 @@ def det_list_color_n34(sim: Simulator, graph: Graph, palettes: Palettes,
         log.note("independence-order", required=need_c,
                  configured=D_INDEPENDENCE)
 
-    def phase(k, edges, free):
+    def phase(edges, free):
         # bin statistics exchange: n_bins words per neighbor
         _charge_edge_words(sim, "n34:stats", edges,
                            np.full(n, layout.n_bins))
         state = classify_and_bin(sim, graph, free, layout, cfg, log, edges,
                                  instance_id=instance_id)
         if state is None:
-            return "n34"
+            return "host-budget", "n34"
         s_len = state.s_sets.sizes
         if state.branch == "A0":
             g_a0 = graph.degrees_within(graph.pack_vertex_mask(state.a0),
@@ -738,7 +727,7 @@ def det_list_color_n34(sim: Simulator, graph: Graph, palettes: Palettes,
         sfree = state.s_sets.select(keep_rows=s_len > 0)
         sel = sfree.vertices
         if len(sel) == 0:
-            return "n34-empty"
+            return "no-candidates", "n34"
         both = edges[np.isin(edges, sel).all(axis=1)]
         # relevant edges: endpoints share a candidate color
         shared, _, _ = _common_colors(sfree, *np.searchsorted(sel, both).T)
@@ -748,20 +737,13 @@ def det_list_color_n34(sim: Simulator, graph: Graph, palettes: Palettes,
         s_sizes[sel] = sfree.sizes
         _charge_edge_words(sim, "n34:ssets", rel_edges, s_sizes)
         if _estimate_terms(s_sizes, rel_edges, len(sel)) > cfg.term_budget:
-            return "n34-step2"
-        outcome = derand_color_round(sim, graph, coloring, sfree, rel_edges,
-                                     log, part_bits=5,
-                                     instance_id=instance_id,
-                                     stage="n34:seed")
-        log.record("n34-phase-progress",
-                   outcome.colored >= outcome.expectation_floor,
-                   phase=k, colored=outcome.colored,
-                   bound=outcome.expectation_floor)
-        return outcome.colored
+            return "host-budget", "n34-step2"
+        return derand_color_round(sim, graph, coloring, sfree, rel_edges,
+                                  log, part_bits=5, instance_id=instance_id,
+                                  stage="n34:seed").colored
 
-    return coloring, _list_color_phases(sim, graph, palettes, cfg, log,
-                                        coloring, scope, "n34", "n34-scale",
-                                        phase)
+    return _list_color_phases(sim, graph, palettes, cfg, log, coloring,
+                              scope, "n34", "n34-scale", phase)
 
 
 # ===================================================================== #
@@ -896,9 +878,10 @@ def det_partition_general(sim: Simulator, graph: Graph, cfg: Config,
         f"expected violations {expected_bad:.1f} >= 1 at this scale")
 
 
-def det_coloring(sim: Simulator, graph: Graph, cfg: Config,
-                 log: RunLog) -> tuple[np.ndarray, dict]:
-    """Deterministic (Delta+1) coloring: dispatch by degree regime.
+def det_coloring(sim: Simulator, graph: Graph, cfg: Config, log: RunLog,
+                 coloring: np.ndarray) -> None:
+    """Deterministic (Delta+1) coloring in place in `coloring`: dispatch by
+    degree regime, then log a `det-info` note.
 
     Consumes no randomness; identical inputs give identical colorings and
     ledgers.
@@ -906,31 +889,35 @@ def det_coloring(sim: Simulator, graph: Graph, cfg: Config,
     n = graph.n
     delta = graph.max_degree
     palettes = Palettes.uniform_range(n, 1, delta + 1)
-    info = {"budget": delta + 1, "phases": 0, "regime": ""}
-    coloring = np.zeros(n, dtype=np.int64)
-    if delta == 0:
-        coloring[:] = 1
-        info["regime"] = "trivial"
-        return coloring, info
     if cfg.fits_sqrt(delta, n):
-        info["regime"] = "sqrt"
+        regime = "sqrt"
         with sim.stage("det:sqrt"):
-            _, phases = det_list_color_sqrt(sim, graph, palettes, cfg, log,
-                                            coloring=coloring)
-        info["phases"] = phases
-        return coloring, info
-    if cfg.fits_n34(delta, n):
-        info["regime"] = "n34"
+            phases = det_list_color_sqrt(sim, graph, palettes, cfg, log,
+                                         coloring)
+    elif cfg.fits_n34(delta, n):
+        regime = "n34"
         with sim.stage("det:n34"):
-            _, phases = det_list_color_n34(sim, graph, palettes, cfg, log,
-                                           coloring=coloring)
-        info["phases"] = phases
-        return coloring, info
-    info["regime"] = "partition"
+            phases = det_list_color_n34(sim, graph, palettes, cfg, log,
+                                        coloring)
+    else:
+        regime = "partition"
+        phases = _partition_coloring(sim, graph, cfg, log, coloring,
+                                     palettes)
+    log.note("det-info", budget=delta + 1, phases=phases, regime=regime)
+
+
+def _partition_coloring(sim: Simulator, graph: Graph, cfg: Config,
+                        log: RunLog, coloring: np.ndarray,
+                        palettes: Palettes) -> int:
+    """Color a graph above the n^(3/4) regime by a degree-capped partition
+    whose parts run the n^(3/4) colorer simultaneously, then the left-over
+    part; returns the most phases any of them took."""
+    n = graph.n
+    delta = graph.max_degree
     try:
         part, plan, sizes = det_partition_general(sim, graph, cfg, log)
     except NoZeroViolationSeed as exc:
-        log.note("partition-fallback", reason=str(exc))
+        log.fallback("plan-rejected", n, cause=str(exc))
         plan = GeneralPartitionPlan.from_delta(delta)
         sizes = np.full(plan.ell, (delta + 1) // plan.ell, dtype=np.int64)
         sizes[: (delta + 1) % plan.ell] += 1
@@ -954,10 +941,9 @@ def det_coloring(sim: Simulator, graph: Graph, cfg: Config,
     jobs = []
     for idx, (members, pal_i) in enumerate(branches):
         jobs.append(lambda m=members, p=pal_i, j=idx: det_list_color_n34(
-            sim, graph, p, branch_cfg, log, vertices=m, coloring=coloring,
-            instance_id=j)[1])
-    results = sim.run_parallel(jobs)
-    max_phases = max(results, default=0)
+            sim, graph, p, branch_cfg, log, coloring, vertices=m,
+            instance_id=j))
+    max_phases = max(sim.run_parallel(jobs), default=0)
     # left-over part (empty under the capacity split)
     star = np.nonzero(part == plan.ell)[0]
     if len(star):
@@ -967,8 +953,6 @@ def det_coloring(sim: Simulator, graph: Graph, cfg: Config,
         star_pals = Palettes(n, sets=free_sets(graph, palettes, coloring,
                                                star))
         with sim.stage("det:star"):
-            _, p2 = det_list_color_n34(sim, graph, star_pals, cfg, log,
-                                       vertices=star, coloring=coloring)
-        max_phases = max(max_phases, p2)
-    info["phases"] = max_phases
-    return coloring, info
+            max_phases = max(max_phases, det_list_color_n34(
+                sim, graph, star_pals, cfg, log, coloring, vertices=star))
+    return max_phases

@@ -131,9 +131,6 @@ class Graph:
     def n_edges(self) -> int:
         return int(self.degrees.sum()) // 2
 
-    def degree(self, v: int) -> int:
-        return int(self.degrees[v])
-
     def row_bool(self, v: int) -> np.ndarray:
         return _unpack_rows(self.rows[v:v + 1], self.n)[0].astype(bool)
 

@@ -2,8 +2,9 @@
 
 Every entry point must end in a proper coloring; entry points whose
 admissibility preconditions fail at the instance's scale fall back along
-the documented chains (recorded in the assertion log) rather than erroring
-out.  Reports are deterministic apart from wall_time.
+the documented chains (one `fallback` note in the assertion log per
+hand-off) rather than erroring out.  Reports are deterministic apart from
+wall_time.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 from .config import Config
 from .coloring import Palettes, is_proper
 from .detcolor import det_coloring, det_delta_sq
-from .errors import DegreeTooLarge, InputError
+from .errors import DegreeTooLarge, InputError, ParameterViolation
 from .graphs import Graph
 from .randcolor import (_recurse_whole, clp_list_coloring, fast_coloring,
                         many_colors_coloring)
@@ -38,43 +39,41 @@ def color_budget(algo: str, delta: int, eps: float) -> int:
 
 def run_algorithm(algo: str, graph: Graph, cfg: Config,
                   eps: float = 0.25):
-    """Run one entry point; returns (coloring, report dict)."""
+    """Run one entry point; returns (coloring, report dict).
+
+    The coloring is allocated here and every colorer colors it in place.
+    A graph without edges takes color 1 everywhere, in no rounds, for
+    every entry point."""
     if algo not in ALGORITHMS:
         raise InputError(f"unknown algorithm {algo!r}")
+    if algo == "manycolors" and not 0.0 < eps < 1.0:
+        raise ParameterViolation("eps must lie in (0,1)")
     sim = Simulator(graph.n, cfg)
     log = RunLog()
     rng = np.random.default_rng(cfg.rng_seed)
     n, delta = graph.n, graph.max_degree
+    coloring = np.zeros(n, dtype=np.int64)
     t0 = time.monotonic()
-    if algo == "fast":
-        coloring = fast_coloring(sim, graph, cfg, rng, log)
+    if delta == 0:
+        coloring[:] = 1
+    elif algo == "fast":
+        fast_coloring(sim, graph, cfg, rng, log, coloring)
     elif algo == "recursive":
-        coloring = np.zeros(n, dtype=np.int64)
-        if delta == 0:
-            coloring[:] = 1
-        else:
-            _recurse_whole(sim, graph, cfg, rng, log, coloring, "recursive")
+        _recurse_whole(sim, graph, cfg, rng, log, coloring, "recursive")
     elif algo == "manycolors":
-        coloring = many_colors_coloring(sim, graph, cfg, rng, log, eps)
+        many_colors_coloring(sim, graph, cfg, rng, log, coloring, eps)
     elif algo == "clp":
-        coloring = np.zeros(n, dtype=np.int64)
-        if delta == 0:
-            coloring[:] = 1
-        else:
-            pal = Palettes.uniform_range(n, 1, delta + 1)
-            try:
-                with sim.stage("clp"):
-                    clp_list_coloring(sim, graph, pal, cfg, rng, log,
-                                      coloring=coloring)
-            except DegreeTooLarge as exc:
-                log.note("clp-fallback", reason=str(exc))
-                coloring, _ = det_coloring(sim, graph, cfg, log)
+        pal = Palettes.uniform_range(n, 1, delta + 1)
+        try:
+            with sim.stage("clp"):
+                clp_list_coloring(sim, graph, pal, cfg, rng, log, coloring)
+        except DegreeTooLarge as exc:
+            log.fallback("sqrt-bound", n, cause=str(exc))
+            det_coloring(sim, graph, cfg, log, coloring)
     elif algo == "det":
-        coloring, info = det_coloring(sim, graph, cfg, log)
-        log.note("det-info", **info)
+        det_coloring(sim, graph, cfg, log, coloring)
     else:  # detsq
-        coloring, info = det_delta_sq(sim, graph, log)
-        log.note("detsq-info", **info)
+        det_delta_sq(sim, graph, log, coloring)
     wall = time.monotonic() - t0
 
     budget = color_budget(algo, delta, eps)

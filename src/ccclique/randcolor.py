@@ -262,7 +262,7 @@ def dense_coloring_step(sim: Simulator, graph: Graph, palettes: Palettes,
     the block; a vertex keeps its color only if no vertex outside its
     block tentatively picked the same color on a shared edge.  A block
     whose leader gather would exceed n words makes the step color nothing
-    (a failed `dense-gather` entry); bidding and the cleanup color it.
+    (a `dense-gather` fallback); bidding and the cleanup color the units.
     """
     blocks = [np.asarray(b, dtype=np.int64) for b in super_blocks if len(b)]
     if not blocks:
@@ -272,7 +272,8 @@ def dense_coloring_step(sim: Simulator, graph: Graph, palettes: Palettes,
     for b in blocks:
         words = int((palettes.sizes(b) + graph.degrees[b] + 2).sum())
         if words > sim.n:
-            log.record("dense-gather", False, words=words, n=sim.n)
+            log.fallback("dense-gather", sum(len(u) for u in blocks),
+                         words=words, n=sim.n)
             return 0
     with sim.stage("dense:gather"):
         sim.ledger.advance(2 * sim.config.lenzen_cost + 1)
@@ -390,29 +391,30 @@ def color_bidding(sim: Simulator, graph: Graph, palettes: Palettes,
 
 def _fallback_list_color(sim: Simulator, graph: Graph, palettes: Palettes,
                          coloring: np.ndarray, vertices: np.ndarray,
-                         delta: int, cfg: Config, log: RunLog,
-                         reason: str) -> None:
+                         dmax: int, cfg: Config, log: RunLog,
+                         reason: str, **detail) -> None:
     """Deterministic relief valve for the uncolored, non-empty `vertices`
-    of maximum degree `delta` among themselves: derandomized list coloring
-    when that regime allows it, charged central greedy otherwise.  Every
-    palette must hold deg+1 colors; the list colorers check that."""
-    log.note("fallback", reason=reason, size=len(vertices))
-    if cfg.fits_sqrt(delta, sim.n):
-        det_list_color_sqrt(sim, graph, palettes, cfg, log,
-                            vertices=vertices, coloring=coloring)
-    elif cfg.fits_n34(delta, sim.n):
-        det_list_color_n34(sim, graph, palettes, cfg, log,
-                           vertices=vertices, coloring=coloring)
+    of maximum degree `dmax` among themselves, logged as one `fallback`
+    note: derandomized list coloring when that regime allows it, charged
+    central greedy otherwise.  Every palette must hold deg+1 colors; the
+    list colorers check that."""
+    log.fallback(reason, len(vertices), **detail)
+    if cfg.fits_sqrt(dmax, sim.n):
+        det_list_color_sqrt(sim, graph, palettes, cfg, log, coloring,
+                            vertices=vertices)
+    elif cfg.fits_n34(dmax, sim.n):
+        det_list_color_n34(sim, graph, palettes, cfg, log, coloring,
+                           vertices=vertices)
     else:
         _central_phase(sim, graph, palettes, coloring, vertices, "fallback")
 
 
 def clp_list_coloring(sim: Simulator, graph: Graph, palettes: Palettes,
                       cfg: Config, rng: np.random.Generator, log: RunLog,
-                      vertices: np.ndarray | None = None,
-                      coloring: np.ndarray | None = None) -> np.ndarray:
+                      coloring: np.ndarray,
+                      vertices: np.ndarray | None = None) -> None:
     """List coloring for Delta <= sqrt(c_fit n) with palettes allowed to
-    range over [Delta - Delta^(3/5), Delta + 1].
+    range over [Delta - Delta^(3/5), Delta + 1], in place in `coloring`.
 
     Pipeline: one-shot rounds, density hierarchy, small blocks stratum by
     stratum, large blocks (upper strata then stratum 1), bidding on the
@@ -424,13 +426,11 @@ def clp_list_coloring(sim: Simulator, graph: Graph, palettes: Palettes,
     ParameterViolation, and Delta above the sqrt bound DegreeTooLarge.
     """
     n = graph.n
-    if coloring is None:
-        coloring = np.zeros(n, dtype=np.int64)
     scope = np.arange(n) if vertices is None else \
         np.unique(np.asarray(vertices, dtype=np.int64))
     scope = scope[coloring[scope] == UNCOLORED]
     if len(scope) == 0:
-        return coloring
+        return
     sub_deg = graph.degrees_within(graph.pack_vertex_mask(scope),
                                    rows=scope)[scope]
     delta = int(sub_deg.max(initial=0))
@@ -443,15 +443,12 @@ def clp_list_coloring(sim: Simulator, graph: Graph, palettes: Palettes,
         raise ParameterViolation(
             f"palette size {int(sizes.max())} above Delta+1={delta + 1}")
     window_lo = delta - max(1, delta) ** 0.6
-    if (sizes < window_lo).any():
-        log.record("palette-window", False, delta=delta)
+    narrow = (sizes < window_lo).any()
+    if narrow or delta < cfg.delta_min:
+        reason = "palette-window" if narrow else "delta-min"
         _fallback_list_color(sim, graph, palettes, coloring, scope, delta,
-                             cfg, log, "palette window unsatisfiable")
-        return coloring
-    if delta < cfg.delta_min:
-        _fallback_list_color(sim, graph, palettes, coloring, scope, delta,
-                             cfg, log, f"Delta={delta} below delta_min")
-        return coloring
+                             cfg, log, reason, delta=delta)
+        return
     if not cfg.fits_sqrt(delta, sim.n):
         raise DegreeTooLarge(f"Delta={delta} above sqrt({cfg.c_fit}*n)")
 
@@ -460,7 +457,7 @@ def clp_list_coloring(sim: Simulator, graph: Graph, palettes: Palettes,
                           ONE_SHOT_ITERS, rng, vertices=scope)
     unc = scope[coloring[scope] == UNCOLORED]
     if len(unc) == 0:
-        return coloring
+        return
     with sim.stage("clp:hierarchy"):
         hier = compute_hierarchy(sim, graph, cfg, unc, delta=delta)
 
@@ -499,7 +496,6 @@ def clp_list_coloring(sim: Simulator, graph: Graph, palettes: Palettes,
         _central_phase(sim, graph, palettes, coloring, rest, "clp:cleanup")
     if cfg.debug_checks:
         assert_no_conflict(graph, coloring, "after clp")
-    return coloring
 
 
 # ===================================================================== #
@@ -582,7 +578,7 @@ def _color_parts(sim: Simulator, graph: Graph, parts: list[np.ndarray],
     sim.run_parallel([
         lambda m=m, lo=lo, hi=hi, s=int(s): recursive_coloring(
             sim, graph, m, lo, hi, child_cfg, np.random.default_rng(s), log,
-            coloring=coloring)
+            coloring)
         for m, (lo, hi), s in zip(parts, ranges, seeds) if len(m)])
 
 
@@ -621,27 +617,25 @@ def partition_step(sim: Simulator, graph: Graph, scope: np.ndarray,
 def recursive_coloring(sim: Simulator, graph: Graph, scope: np.ndarray,
                        palette_lo: int, palette_hi: int, cfg: Config,
                        rng: np.random.Generator, log: RunLog,
-                       coloring: np.ndarray | None = None) -> np.ndarray:
-    """Recursive degree reduction: partition, recurse on the parts
-    simultaneously, then list-color the left-over set from leftover
-    palettes.  Falls back to the deterministic colorers when a plan is
-    rejected at this scale."""
+                       coloring: np.ndarray) -> None:
+    """Recursive degree reduction, in place in `coloring`: partition,
+    recurse on the parts simultaneously, then list-color the left-over set
+    from leftover palettes.  Falls back to the deterministic colorers when
+    a plan is rejected or every split overflows at this scale."""
     n = graph.n
-    if coloring is None:
-        coloring = np.zeros(n, dtype=np.int64)
     scope = np.asarray(scope, dtype=np.int64)
     scope = scope[coloring[scope] == UNCOLORED]
     if len(scope) == 0:
-        return coloring
+        return
     delta = graph.max_degree_within(scope)
     if palette_hi - palette_lo + 1 < delta + 1:
         raise ParameterViolation("palette smaller than Delta+1")
     pal = Palettes.uniform_range(n, palette_lo,
                                  palette_lo + delta).restrict(scope)
     if delta < cfg.delta_min or cfg.fits_sqrt(delta, sim.n):
-        clp_list_coloring(sim, graph, pal, cfg, rng, log, vertices=scope,
-                          coloring=coloring)
-        return coloring
+        clp_list_coloring(sim, graph, pal, cfg, rng, log, coloring,
+                          vertices=scope)
+        return
     # choose the recursion exponent: smallest y with Delta <= N^(1-1/2^(y+1))
     bigN = n / (5.0 * log2n(n))
     x = 2
@@ -655,15 +649,17 @@ def recursive_coloring(sim: Simulator, graph: Graph, scope: np.ndarray,
         plan, parts, ranges = partition_step(
             sim, graph, scope, delta, palette_lo, palette_hi, x, rng, log)
     except (PlanRejected, AllocationOverflow) as exc:
+        reason = "plan-rejected" if isinstance(exc, PlanRejected) else \
+            "split-overflow"
         _fallback_list_color(sim, graph, pal, coloring, scope, delta, cfg,
-                             log, f"partition rejected: {exc}")
-        return coloring
+                             log, reason, cause=str(exc))
+        return
     _color_parts(sim, graph, parts[:-1], ranges, cfg, rng, log, coloring)
     # left-over set: free colors within the parent palette
     star = parts[-1]
     star = star[coloring[star] == UNCOLORED]
     if len(star) == 0:
-        return coloring
+        return
     parent = Palettes.uniform_range(n, palette_lo, palette_hi)
     smask = graph.pack_vertex_mask(star)
     sdeg = graph.degrees_within(smask, rows=star)
@@ -675,12 +671,10 @@ def recursive_coloring(sim: Simulator, graph: Graph, scope: np.ndarray,
         # too dense for the window machinery at this scale: hand off before
         # the free lists are built, which on dense cells would hold on the
         # order of |star| * Delta* entries
-        log.record("palette-window", False, dstar=dstar,
-                   reason="left-over degree above sqrt bound")
         _fallback_list_color(sim, graph, parent.restrict(star), coloring,
-                             star, dstar, cfg, log,
-                             f"left-over Delta*={dstar} above sqrt bound")
-        return coloring
+                             star, dstar, cfg, log, "sqrt-bound",
+                             delta=dstar)
+        return
     free = free_sets(graph, parent, coloring, star)
     for v, f, need in zip(star.tolist(), free.sizes.tolist(),
                           (sdeg[star] + 1).tolist()):
@@ -689,9 +683,8 @@ def recursive_coloring(sim: Simulator, graph: Graph, scope: np.ndarray,
     # truncate each list to the window's upper end; clp checks its lower end
     spal = Palettes(n, sets=free.select(
         np.arange(len(free.colors)) - free.ptr[free.owner] <= dstar))
-    clp_list_coloring(sim, graph, spal, cfg, rng, log, vertices=star,
-                      coloring=coloring)
-    return coloring
+    clp_list_coloring(sim, graph, spal, cfg, rng, log, coloring,
+                      vertices=star)
 
 
 # ===================================================================== #
@@ -704,8 +697,7 @@ def _recurse_whole(sim: Simulator, graph: Graph, cfg: Config,
     """One recursive instance on the whole graph with colors 1..Delta+1."""
     with sim.stage(stage):
         recursive_coloring(sim, graph, np.arange(graph.n), 1,
-                           graph.max_degree + 1, cfg, rng, log,
-                           coloring=coloring)
+                           graph.max_degree + 1, cfg, rng, log, coloring)
 
 
 def _split_and_recurse(sim: Simulator, graph: Graph, cfg: Config,
@@ -718,8 +710,8 @@ def _split_and_recurse(sim: Simulator, graph: Graph, cfg: Config,
 
     Seeds are charged to stage `name:sample`, overflowing draws are logged
     as `name-allocation` and the parts run under `name:parts`.  Returns
-    the left-over set, or None when every draw overflowed: then the note
-    `name-split-overflow` precedes one recursive instance on the whole
+    the left-over set, or None when every draw overflowed: then a
+    `split-overflow` fallback precedes one recursive instance on the whole
     graph under `name:recursive`.
     """
     try:
@@ -727,7 +719,7 @@ def _split_and_recurse(sim: Simulator, graph: Graph, cfg: Config,
             sim, graph, np.arange(graph.n), labels, n_parts, 1, budget,
             name, log)
     except AllocationOverflow:
-        log.note(f"{name}-split-overflow")
+        log.fallback("split-overflow", graph.n)
         _recurse_whole(sim, graph, cfg, rng, log, coloring,
                        f"{name}:recursive")
         return None
@@ -738,31 +730,28 @@ def _split_and_recurse(sim: Simulator, graph: Graph, cfg: Config,
 
 
 def fast_coloring(sim: Simulator, graph: Graph, cfg: Config,
-                  rng: np.random.Generator, log: RunLog) -> np.ndarray:
+                  rng: np.random.Generator, log: RunLog,
+                  coloring: np.ndarray) -> None:
     """General (Delta+1) entry point: recursion below n/(10 log n), else a
     log-n-way split with recursion per part and a one-shot + central
     finish on the left-over."""
     n = graph.n
     delta = graph.max_degree
-    coloring = np.zeros(n, dtype=np.int64)
-    if delta == 0:
-        coloring[:] = 1
-        return coloring
     ell = math.ceil(5.0 * log2n(n))
     p = 1.0 / ell - 2.0 * math.sqrt(5.0 * log2n(n) / (delta * ell))
     p_star = 1.0 - ell * p
     split = delta > n / (10.0 * log2n(n))
     if split and (p <= 0.0 or not (0.0 < p_star < 1.0)):
-        log.note("fast-split-degenerate", p=p, ell=ell)
+        log.fallback("plan-rejected", n, p=p, ell=ell)
         split = False
     if not split:
         _recurse_whole(sim, graph, cfg, rng, log, coloring, "fast:recursive")
-        return coloring
+        return
     star = _split_and_recurse(sim, graph, cfg, rng, log, coloring, "fast",
                               lambda: _split_labels(rng, n, p, ell), ell,
                               delta + 1)
     if star is None:
-        return coloring
+        return
     star = star[coloring[star] == UNCOLORED]
     if len(star):
         parent = Palettes.uniform_range(n, 1, delta + 1)
@@ -774,32 +763,25 @@ def fast_coloring(sim: Simulator, graph: Graph, cfg: Config,
         if len(rest):
             _central_phase(sim, graph, parent, coloring, rest,
                            "fast:star-central")
-    return coloring
 
 
 def many_colors_coloring(sim: Simulator, graph: Graph, cfg: Config,
                          rng: np.random.Generator, log: RunLog,
-                         eps: float) -> np.ndarray:
-    """Coloring with budget Delta + Delta^(1/2+eps): uniform split into
-    floor(Delta^eps) parts, then the recursive colorer per part."""
-    if not (0.0 < eps < 1.0):
-        raise ParameterViolation("eps must lie in (0,1)")
+                         coloring: np.ndarray, eps: float) -> None:
+    """Coloring with budget Delta + Delta^(1/2+eps), eps in (0, 1): uniform
+    split into floor(Delta^eps) parts, then the recursive colorer per
+    part."""
     n = graph.n
     delta = graph.max_degree
-    coloring = np.zeros(n, dtype=np.int64)
-    if delta == 0:
-        coloring[:] = 1
-        return coloring
     budget = delta + int(math.floor(delta ** (0.5 + eps)))
     k = max(1, int(math.floor(delta ** eps)))
     if k == 1:
         _recurse_whole(sim, graph, cfg, rng, log, coloring, "many:recursive")
-        return coloring
+        return
     if _split_and_recurse(sim, graph, cfg, rng, log, coloring, "many",
                           lambda: rng.integers(0, k, size=n), k,
                           budget) is None:
-        return coloring
+        return
     used = int(coloring.max())
     log.require("many-colors-budget", used <= budget, used=used,
                 budget=budget)
-    return coloring

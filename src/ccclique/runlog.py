@@ -2,10 +2,16 @@
 
 Hard invariants raise immediately; expected-to-mostly-hold events (the
 "with high probability" claims) are recorded and trigger fallbacks without
-aborting the run.  Harness reports embed the log.
+aborting the run.  Every hand-off of a scope from one colorer to another
+is one `fallback` note naming a reason from FALLBACK_REASONS.  Harness
+reports embed the log.
 """
 
 from __future__ import annotations
+
+FALLBACK_REASONS = frozenset({
+    "plan-rejected", "delta-min", "palette-window", "sqrt-bound",
+    "host-budget", "split-overflow", "dense-gather", "no-candidates"})
 
 
 class RunLog:
@@ -28,6 +34,8 @@ class RunLog:
         entry.update(info)
         self.entries.append(entry)
 
-    @property
-    def failures(self) -> list[dict]:
-        return [e for e in self.entries if "ok" in e and not e["ok"]]
+    def fallback(self, reason: str, size: int, **detail) -> None:
+        """One hand-off of `size` vertices to another colorer."""
+        if reason not in FALLBACK_REASONS:
+            raise ValueError(f"unknown fallback reason {reason!r}")
+        self.note("fallback", reason=reason, size=int(size), **detail)

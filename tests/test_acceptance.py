@@ -16,7 +16,7 @@ from ccclique.errors import AllocationOverflow, PlanRejected
 from ccclique.graphs import gen_random_graph
 from ccclique.harness import ALGORITHMS, report_key, run_algorithm
 from ccclique.randcolor import partition_step
-from ccclique.runlog import RunLog
+from ccclique.runlog import FALLBACK_REASONS, RunLog
 from ccclique.selftest import (check_cond_exp_dominance,
                                check_distributed_agreement,
                                check_hash_independence, make_corpus)
@@ -26,6 +26,12 @@ GRID_NS = (256, 1024, 4096, 16384)
 GRID_DENSITIES = (0.05, 0.3, 0.8)
 GRID_SEEDS = (1, 2, 3, 4, 5)
 EPS_MANYCOLORS = 0.25
+
+# log entry names under which hand-offs were recorded before every
+# hand-off became one `fallback` note (plus any `*-split-overflow`)
+OLD_HANDOFF_NAMES = ("palette-window", "fast-split-degenerate",
+                     "clp-fallback", "partition-fallback", "central-phase",
+                     "dense-gather")
 
 # frozen observed round counts for randomized suites (criterion 7);
 # runs are seed-deterministic, the +-20% tolerance absorbs refactors
@@ -88,7 +94,7 @@ def test_criterion_2_derandomization_dominance(suite_reports):
     reports, _ = suite_reports
     watched = ("seed-round-dominance", "sqrt-quarter-progress",
                "deltasq-dominance", "deltasq-remainder",
-               "n34-phase-progress", "bin-happy-dominance")
+               "bin-happy-dominance")
     failures = []
     seen = set()
     for rep in reports:
@@ -110,7 +116,8 @@ def test_criterion_2_derandomization_dominance(suite_reports):
         sim = Simulator(g.n, Config())
         log = RunLog()
         pal = Palettes.uniform_range(g.n, 1, g.max_degree + 1)
-        coloring, phases = det_list_color_sqrt(sim, g, pal, Config(), log)
+        coloring = np.zeros(g.n, dtype=np.int64)
+        det_list_color_sqrt(sim, g, pal, Config(), log, coloring)
         assert is_proper(g, coloring, pal) is True
         entries = [e for e in log.entries
                    if e.get("check") == "sqrt-quarter-progress"]
@@ -265,3 +272,22 @@ def test_criterion_8_determinism(suite_reports):
     _verdict(8, "determinism", not mismatches and det_seedfree,
              f"{len(sample)} cells byte-identical apart from wall_time; "
              f"det output independent of rng_seed: {det_seedfree}")
+
+
+@pytest.mark.slow
+def test_criterion_9_handoff_records(suite_reports):
+    reports, _ = suite_reports
+    stale, unknown, reasons = [], [], set()
+    for rep in reports:
+        for e in rep["assertion_log"]:
+            name = e.get("check") or e.get("note")
+            if name in OLD_HANDOFF_NAMES or name.endswith("-split-overflow"):
+                stale.append((rep["_cell"], name))
+            if name == "fallback":
+                reasons.add(e["reason"])
+                if e["reason"] not in FALLBACK_REASONS:
+                    unknown.append((rep["_cell"], e["reason"]))
+    _verdict(9, "hand-off records",
+             not stale and not unknown and bool(reasons),
+             f"fallback reasons seen: {sorted(reasons)}; old-style entries: "
+             f"{stale[:3]}; unknown reasons: {unknown[:3]}")

@@ -125,10 +125,19 @@ def test_delta_sq_k2():
     assert rep["max_color"] <= 4
 
 
+def _delta_sq(sim, g, log):
+    """det_delta_sq on a fresh coloring; returns it with the run's
+    detsq-info note, the last entry of the log."""
+    coloring = np.zeros(g.n, dtype=np.int64)
+    det_delta_sq(sim, g, log, coloring)
+    assert log.entries[-1]["note"] == "detsq-info"
+    return coloring, log.entries[-1]
+
+
 def test_delta_sq_identity_regime():
     g = gen_random_graph(128, 0.5, 1)  # Delta^2 >= n
     sim, cfg, log = setup_ctx(g.n)
-    coloring, info = det_delta_sq(sim, g, log)
+    coloring, info = _delta_sq(sim, g, log)
     assert info["uncolored_after_seed"] == 0
     assert sim.ledger.rounds_total == 0
     assert is_proper(g, coloring,
@@ -141,7 +150,7 @@ def test_delta_sq_seeded_regime_remainder_bound():
     delta = g.max_degree
     assert delta >= 5 and delta * delta < g.n
     sim, cfg, log = setup_ctx(g.n)
-    coloring, info = det_delta_sq(sim, g, log)
+    coloring, info = _delta_sq(sim, g, log)
     assert info["uncolored_after_seed"] <= g.n // delta
     assert sim.ledger.rounds_total > 0
     assert is_proper(g, coloring,
@@ -155,7 +164,7 @@ def test_delta_sq_deterministic():
     runs = []
     for _ in range(2):
         sim, cfg, log = setup_ctx(g.n)
-        coloring, _ = det_delta_sq(sim, g, log)
+        coloring, _ = _delta_sq(sim, g, log)
         runs.append((coloring.copy(), sim.ledger.snapshot()))
     assert np.array_equal(runs[0][0], runs[1][0])
     assert runs[0][1] == runs[1][1]
@@ -168,7 +177,8 @@ def test_sqrt_three_path_colored_within_bound():
     g = Graph.from_edges(3, [(0, 1), (1, 2)])
     pal = Palettes.from_lists(3, {0: [1, 2], 1: [1, 2, 3], 2: [1, 2]})
     sim, cfg, log = setup_ctx(16)
-    coloring, phases = det_list_color_sqrt(sim, g, pal, cfg, log)
+    coloring = np.zeros(3, dtype=np.int64)
+    phases = det_list_color_sqrt(sim, g, pal, cfg, log, coloring)
     assert is_proper(g, coloring, pal) is True
     assert phases <= phase_bound(3) == 4
 
@@ -178,9 +188,7 @@ def test_sqrt_zero_phases_when_complete():
     pal = Palettes.uniform_range(3, 1, 2)
     sim, cfg, log = setup_ctx(3)
     coloring = np.array([1, 2, 1], dtype=np.int64)
-    _, phases = det_list_color_sqrt(sim, g, pal, cfg, log,
-                                    coloring=coloring)
-    assert phases == 0
+    assert det_list_color_sqrt(sim, g, pal, cfg, log, coloring) == 0
 
 
 def test_sqrt_quarter_progress_every_phase():
@@ -189,7 +197,8 @@ def test_sqrt_quarter_progress_every_phase():
     assert delta * delta <= g.n
     sim, cfg, log = setup_ctx(g.n)
     pal = Palettes.uniform_range(g.n, 1, delta + 1)
-    coloring, phases = det_list_color_sqrt(sim, g, pal, cfg, log)
+    coloring = np.zeros(g.n, dtype=np.int64)
+    phases = det_list_color_sqrt(sim, g, pal, cfg, log, coloring)
     assert is_proper(g, coloring, pal) is True
     progress = [e for e in log.entries
                 if e.get("check") == "sqrt-quarter-progress"]
@@ -202,7 +211,8 @@ def test_sqrt_degree_precondition():
     sim, cfg, log = setup_ctx(g.n)
     pal = Palettes.uniform_range(g.n, 1, g.max_degree + 1)
     with pytest.raises(DegreeTooLarge):
-        det_list_color_sqrt(sim, g, pal, cfg, log)
+        det_list_color_sqrt(sim, g, pal, cfg, log,
+                            np.zeros(g.n, dtype=np.int64))
 
 
 @pytest.mark.parametrize("colorer", [det_list_color_sqrt, det_list_color_n34])
@@ -213,10 +223,12 @@ def test_palette_guard_names_first_short_vertex(colorer):
     hi = g.degrees + 1
     hi[[7, 12, 30]] = 0
     scope = np.array([30, 12, 7, 2], dtype=np.int64)
+    coloring = np.zeros(g.n, dtype=np.int64)
     with pytest.raises(ParameterViolation, match="^palette of 7 below"):
-        colorer(sim, g, Palettes(g.n, lo, hi), cfg, log)
+        colorer(sim, g, Palettes(g.n, lo, hi), cfg, log, coloring)
     with pytest.raises(ParameterViolation, match="^palette of 30 below"):
-        colorer(sim, g, Palettes(g.n, lo, hi), cfg, log, vertices=scope)
+        colorer(sim, g, Palettes(g.n, lo, hi), cfg, log, coloring,
+                vertices=scope)
 
 
 # ------------------------------- bins --------------------------------- #
@@ -268,7 +280,8 @@ def test_n34_moderate_instance_properness_and_logs():
     assert delta ** 4 <= n ** 3 and delta * delta > n
     sim, cfg, log = setup_ctx(n)
     pal = Palettes.uniform_range(n, 1, delta + 1)
-    coloring, phases = det_list_color_n34(sim, g, pal, cfg, log)
+    coloring = np.zeros(n, dtype=np.int64)
+    phases = det_list_color_n34(sim, g, pal, cfg, log, coloring)
     assert is_proper(g, coloring, pal) is True
     assert phases <= phase_bound(n)
     for e in log.entries:
@@ -313,7 +326,8 @@ def test_guard_fires_after_phase_bound_full_phases(monkeypatch, colorer,
     g = gen_random_graph(n, p, 1)
     sim, cfg, log = setup_ctx(n)
     pal = Palettes.uniform_range(n, 1, g.max_degree + 1)
-    coloring, phases = colorer(sim, g, pal, cfg, log)
+    coloring = np.zeros(n, dtype=np.int64)
+    phases = colorer(sim, g, pal, cfg, log, coloring)
     assert phases == 1 and is_proper(g, coloring, pal) is True
     stages = sim.ledger.snapshot()["rounds_by_stage"]
     assert stages[f"{prefix}:seed"] > 0 and stages[f"{prefix}:guard"] > 0
@@ -336,7 +350,8 @@ def test_n34_single_vertex():
     g = Graph.from_edges(1, [])
     sim, cfg, log = setup_ctx(16)
     pal = Palettes.uniform_range(1, 1, 1)
-    coloring, phases = det_list_color_n34(sim, g, pal, cfg, log)
+    coloring = np.zeros(1, dtype=np.int64)
+    phases = det_list_color_n34(sim, g, pal, cfg, log, coloring)
     assert coloring[0] == 1 and phases == 1
 
 
@@ -468,7 +483,7 @@ def test_det_star_takes_seeded_partition():
     assert rep["proper"] and rep["within_budget"] and rep["bandwidth_ok"]
     notes = [e for e in rep["assertion_log"] if "note" in e]
     assert notes[0] == {"note": "partition-seeded", "trial": 1}
-    assert not any(e["note"] == "partition-fallback" for e in notes)
+    assert not any(e["note"] == "fallback" for e in notes)
     stages = rep["rounds_by_stage"]
     assert rep["rounds_total"] == 191
     assert (stages["partition:probe"], stages["det:star"],

@@ -14,7 +14,8 @@ from ccclique.errors import (AllocationOverflow, ParameterViolation,
 from ccclique.graphs import Graph, gen_random_graph
 from ccclique.harness import run_algorithm
 from ccclique.randcolor import (RETRY_BUDGET, PartitionPlan,
-                                _measured_split, color_bidding,
+                                _measured_split, _split_and_recurse,
+                                color_bidding,
                                 compute_hierarchy, dense_coloring_step,
                                 eps_ladder, friend_threshold,
                                 one_shot_coloring, partition_step,
@@ -453,6 +454,28 @@ def test_overflowing_split_draws_logged():
         "fast:sample": (RETRY_BUDGET + 1) * cfg.seed_broadcast_cost}
 
 
+def test_split_overflow_hands_off_to_recursion():
+    # the same always-overflowing split through _split_and_recurse: after
+    # the four logged draws, one split-overflow fallback hands the whole
+    # graph to one recursive instance under fast:recursive
+    g = Graph.complete(6)
+    sim, cfg, log = setup_ctx(g.n)
+    coloring = np.zeros(g.n, dtype=np.int64)
+    star = _split_and_recurse(sim, g, cfg, np.random.default_rng(1), log,
+                              coloring, "fast", lambda: np.zeros(6, int), 1,
+                              4)
+    assert star is None
+    assert is_proper(g, coloring, Palettes.uniform_range(6, 1, 6)) is True
+    names = [e.get("check") or e.get("note") for e in log.entries]
+    assert names[: RETRY_BUDGET + 2] == \
+        ["fast-allocation"] * (RETRY_BUDGET + 1) + ["fallback"]
+    assert log.entries[RETRY_BUDGET + 1] == {
+        "note": "fallback", "reason": "split-overflow", "size": 6}
+    assert [e.get("reason") for e in log.entries].count(
+        "split-overflow") == 1
+    assert sim.ledger.stage_rounds["fast:recursive"] > 0
+
+
 def test_recursive_base_case_no_partition_rounds():
     # Delta <= sqrt(n): straight to list coloring, no partition stage
     g = gen_random_graph(4096, 0.008, 5)
@@ -460,7 +483,7 @@ def test_recursive_base_case_no_partition_rounds():
     sim, cfg, log = setup_ctx(g.n)
     coloring = np.zeros(g.n, dtype=np.int64)
     recursive_coloring(sim, g, np.arange(g.n), 1, g.max_degree + 1, cfg,
-                       np.random.default_rng(1), log, coloring=coloring)
+                       np.random.default_rng(1), log, coloring)
     assert is_proper(g, coloring,
                      Palettes.uniform_range(g.n, 1, g.max_degree + 1)) is True
     assert not any(k.startswith("partition") for k in
@@ -483,9 +506,9 @@ def test_recursive_left_over_runs_on_list_palettes(monkeypatch):
     g = gen_random_graph(1024, 0.15, 3)
     sim, cfg, log = setup_ctx(g.n, c_fit=16)
     assert g.max_degree ** 2 > cfg.c_fit * g.n
-    coloring = recursive_coloring(sim, g, np.arange(g.n), 1,
-                                  g.max_degree + 1, cfg,
-                                  np.random.default_rng(1), log)
+    coloring = np.zeros(g.n, dtype=np.int64)
+    recursive_coloring(sim, g, np.arange(g.n), 1, g.max_degree + 1, cfg,
+                       np.random.default_rng(1), log, coloring)
     assert is_proper(g, coloring, Palettes.uniform_range(
         g.n, 1, g.max_degree + 1)) is True
     assert any(lists)
@@ -511,7 +534,7 @@ def test_parallel_instance_isolation():
         jobs = [
             (lambda b=b: recursive_coloring(
                 sim, g, blocks[b], 1, delta + 1, cfg,
-                np.random.default_rng(100 + b), log, coloring=coloring))
+                np.random.default_rng(100 + b), log, coloring))
             for b in range(2)]
         if parallel:
             sim.run_parallel(jobs)
@@ -540,8 +563,9 @@ def test_fast_branch_predicate():
     sim = Simulator(g.n, Config(rng_seed=9))
     from ccclique.randcolor import fast_coloring
     log = RunLog()
-    coloring = fast_coloring(sim, g, Config(rng_seed=9),
-                             np.random.default_rng(9), log)
+    coloring = np.zeros(g.n, dtype=np.int64)
+    fast_coloring(sim, g, Config(rng_seed=9), np.random.default_rng(9), log,
+                  coloring)
     assert "fast:recursive" in sim.ledger.stage_rounds
     assert "fast:parts" not in sim.ledger.stage_rounds
     assert is_proper(g, coloring,
@@ -572,7 +596,8 @@ def test_clp_window_preconditions():
     bad = Palettes.from_lists(
         g.n, {v: np.arange(1, 3) for v in range(g.n)})  # r_v = 2 too few
     with pytest.raises(ParameterViolation):
-        clp_list_coloring(sim, g, bad, cfg, np.random.default_rng(0), log)
+        clp_list_coloring(sim, g, bad, cfg, np.random.default_rng(0), log,
+                          np.zeros(g.n, dtype=np.int64))
 
 
 def test_clp_palette_window_hands_off():
@@ -586,12 +611,16 @@ def test_clp_palette_window_hands_off():
         g.n, {v: np.arange(1, int(g.degrees[v]) + 2) for v in range(g.n)})
     assert g.max_degree == 246
     assert (pal.sizes(np.arange(g.n)) < 246 - 246 ** 0.6).sum() == 884
-    coloring = clp_list_coloring(sim, g, pal, cfg, np.random.default_rng(0),
-                                 log)
+    coloring = np.zeros(g.n, dtype=np.int64)
+    clp_list_coloring(sim, g, pal, cfg, np.random.default_rng(0), log,
+                      coloring)
     assert is_proper(g, coloring, pal) is True
-    window = [e for e in log.entries if e.get("check") == "palette-window"]
-    assert [e["ok"] for e in window] == [False]
-    assert [e.get("note") for e in log.entries].count("fallback") == 1
+    # the list colorer it hands to may in turn hand phases to a central
+    # solve, logged as host-budget fallbacks
+    handoffs = [e for e in log.entries if e.get("note") == "fallback"]
+    assert handoffs[0] == {"note": "fallback", "reason": "palette-window",
+                           "size": g.n, "delta": 246}
+    assert {e["reason"] for e in handoffs[1:]} <= {"host-budget"}
     assert not any(k.startswith("clp:") for k in sim.ledger.stage_rounds)
 
 

@@ -50,8 +50,8 @@ def test_det_sqrt_reversed_scope(seed):
     pal = Palettes.uniform_range(g.n, 1, g.max_degree + 1)
 
     def call(sim, log, coloring, scope):
-        det_list_color_sqrt(sim, g, pal, sim.config, log, vertices=scope,
-                            coloring=coloring)
+        det_list_color_sqrt(sim, g, pal, sim.config, log, coloring,
+                            vertices=scope)
 
     a, b = run_both(g.n, call)
     assert a == b
@@ -63,8 +63,8 @@ def test_det_n34_reversed_scope(seed):
     pal = Palettes.uniform_range(g.n, 1, g.max_degree + 1)
 
     def call(sim, log, coloring, scope):
-        det_list_color_n34(sim, g, pal, sim.config, log, vertices=scope,
-                           coloring=coloring)
+        det_list_color_n34(sim, g, pal, sim.config, log, coloring,
+                           vertices=scope)
 
     a, b = run_both(g.n, call)
     assert a == b
@@ -93,7 +93,7 @@ def test_clp_reversed_scope():
 
     def call(sim, log, coloring, scope):
         clp_list_coloring(sim, g, pal, sim.config, np.random.default_rng(1),
-                          log, vertices=scope, coloring=coloring)
+                          log, coloring, vertices=scope)
 
     a, b = run_both(g.n, call, cfg)
     assert a == b
