@@ -3,8 +3,10 @@
 `Config` holds the model costs, the gates that put a scope in a degree
 regime, the host's derandomization term budget and the master seed, with
 the defaults documented in the README; the method's fixed O(1)s are
-constants of the colorers.  A single Config object is threaded through
-the simulator and every algorithm entry point.
+constants of the colorers.  `run_algorithm` hands the run's Config to its
+Simulator, and every colorer reads it as `sim.config`; inside a
+`Simulator.run_parallel` branch that is the parent's config with its share
+of `term_budget` (`split_budgets`).
 """
 
 from __future__ import annotations
@@ -48,7 +50,8 @@ class Config:
 
     def split_budgets(self, instances: int) -> "Config":
         """The config of one of `instances` simultaneous instances: the
-        term budget is shared out, down to a fixed floor."""
+        term budget is shared out, down to a fixed floor.  Applied by
+        Simulator.run_parallel to each branch."""
         return self.with_overrides(
             term_budget=max(2000, self.term_budget // max(1, instances)))
 

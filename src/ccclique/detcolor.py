@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import Config
 from .coloring import (FreeSets, Palettes, UNCOLORED, free_sets,
                        greedy_list_color, palette_ranges)
 from .derand import (AffineObjective, HashFamily, chunk_bits,
@@ -217,9 +216,8 @@ def _list_scope(sim: Simulator, graph: Graph, palettes: Palettes,
 
 
 def _list_color_phases(sim: Simulator, graph: Graph, palettes: Palettes,
-                       cfg: Config, log: RunLog, coloring: np.ndarray,
-                       scope: np.ndarray, prefix: str, scale_where: str,
-                       phase) -> int:
+                       coloring: np.ndarray, scope: np.ndarray, prefix: str,
+                       scale_where: str, phase) -> int:
     """Color the uncolored vertices of `scope` phase by phase; returns the
     number of full phases.
 
@@ -236,6 +234,7 @@ def _list_color_phases(sim: Simulator, graph: Graph, palettes: Palettes,
     centrally (`{prefix}:topup`), and `{prefix}-quarter-progress` asserts
     the quarter.  After phase_bound(|scope|) full phases the rest is
     colored centrally under `{prefix}:guard`."""
+    log = sim.log
     cap = phase_bound(len(scope))
     phases = 0
     while True:
@@ -250,7 +249,8 @@ def _list_color_phases(sim: Simulator, graph: Graph, palettes: Palettes,
         deg_act = graph.degrees_within(graph.pack_vertex_mask(active),
                                        rows=active)
         # the degree sum is 2m
-        if int(deg_act[active].sum()) + 2 * len(active) > cfg.term_budget:
+        if int(deg_act[active].sum()) + 2 * len(active) > \
+                sim.config.term_budget:
             colored = ("host-budget", scale_where)
         else:
             colored = phase(graph.edges_within(active),
@@ -303,7 +303,7 @@ def _hash_choices(ys: np.ndarray, fs: np.ndarray,
 
 
 def derand_color_round(sim: Simulator, graph: Graph, coloring: np.ndarray,
-                       free: FreeSets, edges: np.ndarray, log: RunLog,
+                       free: FreeSets, edges: np.ndarray,
                        part_bits: int = 1, instance_id: int = 0,
                        stage: str = "seed-round") -> RoundOutcome:
     """One derandomized abstain-or-pick round on the vertices of `free`.
@@ -354,8 +354,8 @@ def derand_color_round(sim: Simulator, graph: Graph, coloring: np.ndarray,
     colored = _commit_picks(coloring, free, valid, idx, iu, iv)
     # winners announce their color along graph edges
     _announce(sim, edges)
-    log.require("seed-round-dominance", colored >= bound,
-                colored=colored, bound=bound, terms=obj.n_terms)
+    sim.log.require("seed-round-dominance", colored >= bound,
+                    colored=colored, bound=bound, terms=obj.n_terms)
     return RoundOutcome(colored)
 
 
@@ -364,7 +364,7 @@ def derand_color_round(sim: Simulator, graph: Graph, coloring: np.ndarray,
 # ===================================================================== #
 
 def det_list_color_sqrt(sim: Simulator, graph: Graph, palettes: Palettes,
-                        cfg: Config, log: RunLog, coloring: np.ndarray,
+                        coloring: np.ndarray,
                         vertices: np.ndarray | None = None,
                         instance_id: int = 0) -> int:
     """Derandomized list coloring for Delta <= sqrt(c_fit * n), in place
@@ -375,8 +375,8 @@ def det_list_color_sqrt(sim: Simulator, graph: Graph, palettes: Palettes,
     central top-up covers any shortfall against the quarter bound.
     Returns the number of phases.
     """
-    scope, _ = _list_scope(sim, graph, palettes, vertices, cfg.fits_sqrt,
-                           "sqrt")
+    scope, _ = _list_scope(sim, graph, palettes, vertices,
+                           sim.config.fits_sqrt, "sqrt")
     if len(scope) == 0:
         return 0
 
@@ -384,19 +384,20 @@ def det_list_color_sqrt(sim: Simulator, graph: Graph, palettes: Palettes,
         active = free.vertices
         pal_sizes = np.zeros(graph.n, dtype=np.int64)
         pal_sizes[active] = palettes.sizes(active)
-        if _estimate_terms(pal_sizes, edges, len(active)) > cfg.term_budget:
+        if _estimate_terms(pal_sizes, edges, len(active)) > \
+                sim.config.term_budget:
             return "host-budget", "sqrt"
         # palette exchange: every active vertex ships its free list to its
         # active neighbors
         sizes = np.zeros(graph.n, dtype=np.int64)
         sizes[active] = free.sizes
         _charge_edge_words(sim, "sqrt:palettes", edges, sizes)
-        return derand_color_round(sim, graph, coloring, free, edges, log,
+        return derand_color_round(sim, graph, coloring, free, edges,
                                   part_bits=1, instance_id=instance_id,
                                   stage="sqrt:seed").colored
 
-    return _list_color_phases(sim, graph, palettes, cfg, log, coloring,
-                              scope, "sqrt", "sqrt", phase)
+    return _list_color_phases(sim, graph, palettes, coloring, scope, "sqrt",
+                              "sqrt", phase)
 
 
 def simple_rand_color_round(graph: Graph, palettes: Palettes,
@@ -438,8 +439,7 @@ def simple_rand_color_round(graph: Graph, palettes: Palettes,
 # quadratic-palette coloring
 # ===================================================================== #
 
-def det_delta_sq(sim: Simulator, graph: Graph, log: RunLog,
-                 coloring: np.ndarray) -> None:
+def det_delta_sq(sim: Simulator, graph: Graph, coloring: np.ndarray) -> None:
     """Deterministic coloring with at most max(Delta, 2)^2 colors, in
     place in `coloring`; logs a `detsq-info` note.
 
@@ -505,15 +505,16 @@ def det_delta_sq(sim: Simulator, graph: Graph, log: RunLog,
         _announce(sim, edges)
         remaining = active[bad]
         x_bound = exp0 >> obj.denom_log2  # floor of the minimized estimator
-        log.require("deltasq-dominance", len(remaining) <= max(x_bound, 0),
-                    round=rounds, remaining=len(remaining), bound=x_bound)
+        sim.log.require("deltasq-dominance",
+                        len(remaining) <= max(x_bound, 0), round=rounds,
+                        remaining=len(remaining), bound=x_bound)
         active = remaining
-    log.require("deltasq-remainder", len(active) <= allowed,
-                uncolored=len(active), allowed=allowed)
+    sim.log.require("deltasq-remainder", len(active) <= allowed,
+                    uncolored=len(active), allowed=allowed)
     _central_phase(sim, graph, palettes, coloring, active,
                    "deltasq:remainder")
-    log.note("detsq-info", budget=budget, uncolored_after_seed=len(active),
-             seed_rounds=rounds)
+    sim.log.note("detsq-info", budget=budget,
+                 uncolored_after_seed=len(active), seed_rounds=rounds)
 
 
 # ===================================================================== #
@@ -563,9 +564,8 @@ class PhaseState:
 
 
 def classify_and_bin(sim: Simulator, graph: Graph, free: FreeSets,
-                     layout: BinLayout, cfg: Config, log: RunLog,
-                     edges: np.ndarray, instance_id: int = 0
-                     ) -> PhaseState | None:
+                     layout: BinLayout, edges: np.ndarray,
+                     instance_id: int = 0) -> PhaseState | None:
     """Phase step 1: pick candidate color sets S(u) for the vertices of
     `free`.
 
@@ -618,7 +618,7 @@ def classify_and_bin(sim: Simulator, graph: Graph, free: FreeSets,
     np.add.at(mu_mat, iv, wmat[iu])
     nzb = wmat > 0
     est_terms = int(nzb.sum()) + 2 * int((nzb[iu] & nzb[iv]).sum())
-    if est_terms > cfg.term_budget:
+    if est_terms > sim.config.term_budget:
         return None
 
     gamma = max(1, (graph.n - 1).bit_length())
@@ -671,10 +671,10 @@ def classify_and_bin(sim: Simulator, graph: Graph, free: FreeSets,
                            sizes[np.arange(len(a1)), chosen], 0)
     happy = (chosen >= 0) & (size_chosen > 0) & (r <= 11 * size_chosen)
     n_happy = int(happy.sum())
-    log.require("bin-happy-dominance", n_happy >= happy_bound,
-                happy=n_happy, bound=happy_bound)
-    log.record("bin-happy-half", 2 * n_happy >= len(a1),
-               happy=n_happy, a1=len(a1))
+    sim.log.require("bin-happy-dominance", n_happy >= happy_bound,
+                    happy=n_happy, bound=happy_bound)
+    sim.log.record("bin-happy-half", 2 * n_happy >= len(a1),
+                   happy=n_happy, a1=len(a1))
     # S(u) of a happy vertex: its free colors in the chosen bin
     pick = np.full(len(active), -1)
     pick[~in_a0] = np.where(happy, chosen, -1)
@@ -684,7 +684,7 @@ def classify_and_bin(sim: Simulator, graph: Graph, free: FreeSets,
 
 
 def det_list_color_n34(sim: Simulator, graph: Graph, palettes: Palettes,
-                       cfg: Config, log: RunLog, coloring: np.ndarray,
+                       coloring: np.ndarray,
                        vertices: np.ndarray | None = None,
                        instance_id: int = 0) -> int:
     """Bin-based deterministic list coloring for Delta <= (c_fit n)^(3/4),
@@ -696,9 +696,9 @@ def det_list_color_n34(sim: Simulator, graph: Graph, palettes: Palettes,
     top-up keeps every seeded phase at a quarter of its vertices.
     Returns the number of phases.
     """
-    n = graph.n
-    scope, dmax = _list_scope(sim, graph, palettes, vertices, cfg.fits_n34,
-                              "n^(3/4)")
+    n, log = graph.n, sim.log
+    scope, dmax = _list_scope(sim, graph, palettes, vertices,
+                              sim.config.fits_n34, "n^(3/4)")
     if len(scope) == 0:
         return 0
     layout = bin_layout(dmax, *palettes.span(scope))
@@ -712,7 +712,7 @@ def det_list_color_n34(sim: Simulator, graph: Graph, palettes: Palettes,
         # bin statistics exchange: n_bins words per neighbor
         _charge_edge_words(sim, "n34:stats", edges,
                            np.full(n, layout.n_bins))
-        state = classify_and_bin(sim, graph, free, layout, cfg, log, edges,
+        state = classify_and_bin(sim, graph, free, layout, edges,
                                  instance_id=instance_id)
         if state is None:
             return "host-budget", "n34"
@@ -736,14 +736,15 @@ def det_list_color_n34(sim: Simulator, graph: Graph, palettes: Palettes,
         s_sizes = np.zeros(n, dtype=np.int64)
         s_sizes[sel] = sfree.sizes
         _charge_edge_words(sim, "n34:ssets", rel_edges, s_sizes)
-        if _estimate_terms(s_sizes, rel_edges, len(sel)) > cfg.term_budget:
+        if _estimate_terms(s_sizes, rel_edges, len(sel)) > \
+                sim.config.term_budget:
             return "host-budget", "n34-step2"
         return derand_color_round(sim, graph, coloring, sfree, rel_edges,
-                                  log, part_bits=5, instance_id=instance_id,
+                                  part_bits=5, instance_id=instance_id,
                                   stage="n34:seed").colored
 
-    return _list_color_phases(sim, graph, palettes, cfg, log, coloring,
-                              scope, "n34", "n34-scale", phase)
+    return _list_color_phases(sim, graph, palettes, coloring, scope, "n34",
+                              "n34-scale", phase)
 
 
 # ===================================================================== #
@@ -814,8 +815,7 @@ def _capacity_split(graph: Graph, ell: int, cap_sizes: np.ndarray,
     return part
 
 
-def det_partition_general(sim: Simulator, graph: Graph, cfg: Config,
-                          log: RunLog):
+def det_partition_general(sim: Simulator, graph: Graph):
     """Partition a high-degree graph into ell parts plus a left-over, all
     within per-part degree caps, consuming at most Delta+1 colors total.
 
@@ -828,7 +828,7 @@ def det_partition_general(sim: Simulator, graph: Graph, cfg: Config,
     """
     n = graph.n
     delta = graph.max_degree
-    if cfg.fits_n34(delta, n):
+    if sim.config.fits_n34(delta, n):
         raise ParameterViolation("partition reserved for Delta > (c n)^3/4")
     plan = GeneralPartitionPlan.from_delta(delta)
     if plan.p_i <= 0 or plan.q >= 0.5:
@@ -868,18 +868,17 @@ def det_partition_general(sim: Simulator, graph: Graph, cfg: Config,
                 sim.charge_route_counts(np.ones(n, dtype=np.int64),
                                         np.ones(n, dtype=np.int64))
             if ok:
-                log.note("partition-seeded", trial=trial)
+                sim.log.note("partition-seeded", trial=trial)
                 sizes = [d + 1 for d in degs]
-                log.require("partition-budget", sum(sizes) <= delta + 1,
-                            total=sum(sizes), parent=delta + 1)
+                sim.log.require("partition-budget", sum(sizes) <= delta + 1,
+                                total=sum(sizes), parent=delta + 1)
                 return part, plan, sizes
         raise NoZeroViolationSeed("no violation-free seed in scan budget")
     raise NoZeroViolationSeed(
         f"expected violations {expected_bad:.1f} >= 1 at this scale")
 
 
-def det_coloring(sim: Simulator, graph: Graph, cfg: Config, log: RunLog,
-                 coloring: np.ndarray) -> None:
+def det_coloring(sim: Simulator, graph: Graph, coloring: np.ndarray) -> None:
     """Deterministic (Delta+1) coloring in place in `coloring`: dispatch by
     degree regime, then log a `det-info` note.
 
@@ -889,33 +888,29 @@ def det_coloring(sim: Simulator, graph: Graph, cfg: Config, log: RunLog,
     n = graph.n
     delta = graph.max_degree
     palettes = Palettes.uniform_range(n, 1, delta + 1)
-    if cfg.fits_sqrt(delta, n):
+    if sim.config.fits_sqrt(delta, n):
         regime = "sqrt"
         with sim.stage("det:sqrt"):
-            phases = det_list_color_sqrt(sim, graph, palettes, cfg, log,
-                                         coloring)
-    elif cfg.fits_n34(delta, n):
+            phases = det_list_color_sqrt(sim, graph, palettes, coloring)
+    elif sim.config.fits_n34(delta, n):
         regime = "n34"
         with sim.stage("det:n34"):
-            phases = det_list_color_n34(sim, graph, palettes, cfg, log,
-                                        coloring)
+            phases = det_list_color_n34(sim, graph, palettes, coloring)
     else:
         regime = "partition"
-        phases = _partition_coloring(sim, graph, cfg, log, coloring,
-                                     palettes)
-    log.note("det-info", budget=delta + 1, phases=phases, regime=regime)
+        phases = _partition_coloring(sim, graph, coloring, palettes)
+    sim.log.note("det-info", budget=delta + 1, phases=phases, regime=regime)
 
 
-def _partition_coloring(sim: Simulator, graph: Graph, cfg: Config,
-                        log: RunLog, coloring: np.ndarray,
+def _partition_coloring(sim: Simulator, graph: Graph, coloring: np.ndarray,
                         palettes: Palettes) -> int:
     """Color a graph above the n^(3/4) regime by a degree-capped partition
     whose parts run the n^(3/4) colorer simultaneously, then the left-over
     part; returns the most phases any of them took."""
-    n = graph.n
+    n, log = graph.n, sim.log
     delta = graph.max_degree
     try:
-        part, plan, sizes = det_partition_general(sim, graph, cfg, log)
+        part, plan, sizes = det_partition_general(sim, graph)
     except NoZeroViolationSeed as exc:
         log.fallback("plan-rejected", n, cause=str(exc))
         plan = GeneralPartitionPlan.from_delta(delta)
@@ -937,12 +932,9 @@ def _partition_coloring(sim: Simulator, graph: Graph, cfg: Config,
         pal_i = Palettes.uniform_range(n, lo, hi).restrict(members)
         branches.append((members, pal_i))
 
-    branch_cfg = cfg.split_budgets(len(branches))
-    jobs = []
-    for idx, (members, pal_i) in enumerate(branches):
-        jobs.append(lambda m=members, p=pal_i, j=idx: det_list_color_n34(
-            sim, graph, p, branch_cfg, log, coloring, vertices=m,
-            instance_id=j))
+    jobs = [lambda m=members, p=pal_i, j=idx: det_list_color_n34(
+                sim, graph, p, coloring, vertices=m, instance_id=j)
+            for idx, (members, pal_i) in enumerate(branches)]
     max_phases = max(sim.run_parallel(jobs), default=0)
     # left-over part (empty under the capacity split)
     star = np.nonzero(part == plan.ell)[0]
@@ -954,5 +946,5 @@ def _partition_coloring(sim: Simulator, graph: Graph, cfg: Config,
                                                star))
         with sim.stage("det:star"):
             max_phases = max(max_phases, det_list_color_n34(
-                sim, graph, star_pals, cfg, log, coloring, vertices=star))
+                sim, graph, star_pals, coloring, vertices=star))
     return max_phases

@@ -21,7 +21,6 @@ from .errors import DegreeTooLarge, InputError, ParameterViolation
 from .graphs import Graph
 from .randcolor import (_recurse_whole, clp_list_coloring, fast_coloring,
                         many_colors_coloring)
-from .runlog import RunLog
 from .sim import Simulator
 
 SCHEMA_VERSION = 1
@@ -49,7 +48,6 @@ def run_algorithm(algo: str, graph: Graph, cfg: Config,
     if algo == "manycolors" and not 0.0 < eps < 1.0:
         raise ParameterViolation("eps must lie in (0,1)")
     sim = Simulator(graph.n, cfg)
-    log = RunLog()
     rng = np.random.default_rng(cfg.rng_seed)
     n, delta = graph.n, graph.max_degree
     coloring = np.zeros(n, dtype=np.int64)
@@ -57,23 +55,23 @@ def run_algorithm(algo: str, graph: Graph, cfg: Config,
     if delta == 0:
         coloring[:] = 1
     elif algo == "fast":
-        fast_coloring(sim, graph, cfg, rng, log, coloring)
+        fast_coloring(sim, graph, rng, coloring)
     elif algo == "recursive":
-        _recurse_whole(sim, graph, cfg, rng, log, coloring, "recursive")
+        _recurse_whole(sim, graph, rng, coloring, "recursive")
     elif algo == "manycolors":
-        many_colors_coloring(sim, graph, cfg, rng, log, coloring, eps)
+        many_colors_coloring(sim, graph, rng, coloring, eps)
     elif algo == "clp":
         pal = Palettes.uniform_range(n, 1, delta + 1)
         try:
             with sim.stage("clp"):
-                clp_list_coloring(sim, graph, pal, cfg, rng, log, coloring)
+                clp_list_coloring(sim, graph, pal, rng, coloring)
         except DegreeTooLarge as exc:
-            log.fallback("sqrt-bound", n, cause=str(exc))
-            det_coloring(sim, graph, cfg, log, coloring)
+            sim.log.fallback("sqrt-bound", n, cause=str(exc))
+            det_coloring(sim, graph, coloring)
     elif algo == "det":
-        det_coloring(sim, graph, cfg, log, coloring)
+        det_coloring(sim, graph, coloring)
     else:  # detsq
-        det_delta_sq(sim, graph, log, coloring)
+        det_delta_sq(sim, graph, coloring)
     wall = time.monotonic() - t0
 
     budget = color_budget(algo, delta, eps)
@@ -92,7 +90,7 @@ def run_algorithm(algo: str, graph: Graph, cfg: Config,
         "color_budget": budget,
         "max_color": int(coloring.max(initial=0)),
         "within_budget": int(coloring.max(initial=0)) <= budget,
-        "assertion_log": log.entries,
+        "assertion_log": sim.log.entries,
         "wall_time": wall,
     }
     report.update(sim.ledger.snapshot())

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import Config
 from .coloring import (Palettes, UNCOLORED, assert_no_conflict,
                        concentration_bound, free_sets, log2n, palette_ranges)
 from .detcolor import (det_list_color_n34, det_list_color_sqrt,
@@ -25,7 +24,6 @@ from .detcolor import (det_list_color_n34, det_list_color_sqrt,
 from .errors import (AllocationOverflow, DegreeTooLarge, ParameterViolation,
                      PlanRejected)
 from .graphs import Graph
-from .runlog import RunLog
 from .sim import Simulator
 
 # The O(1)s the method leaves unspecified, fixed at their desk-scale values.
@@ -167,8 +165,7 @@ def friend_threshold(delta: int, q: float, eps: float) -> float:
     return (1.0 - eps) * (delta - q)
 
 
-def compute_hierarchy(sim: Simulator, graph: Graph, cfg: Config,
-                      uncolored: np.ndarray,
+def compute_hierarchy(sim: Simulator, graph: Graph, uncolored: np.ndarray,
                       delta: int | None = None) -> EpsHierarchy:
     """Classify uncolored vertices by density: each vertex's first dense
     level, its clique at every level, and its block's stratum and large
@@ -183,7 +180,7 @@ def compute_hierarchy(sim: Simulator, graph: Graph, cfg: Config,
     """
     n = graph.n
     delta = graph.max_degree if delta is None else delta
-    if not cfg.fits_sqrt(delta, sim.n):
+    if not sim.config.fits_sqrt(delta, sim.n):
         raise DegreeTooLarge(f"Delta={delta}: 2-neighborhoods too large")
     q = max(1, delta) ** 0.6
     eps_seq = eps_ladder(delta, BIG_K)
@@ -254,15 +251,17 @@ def compute_hierarchy(sim: Simulator, graph: Graph, cfg: Config,
 
 def dense_coloring_step(sim: Simulator, graph: Graph, palettes: Palettes,
                         coloring: np.ndarray, super_blocks: list[np.ndarray],
-                        rng: np.random.Generator, log: RunLog) -> int:
+                        rng: np.random.Generator) -> int | None:
     """One leader-simulated permutation coloring pass over super-blocks.
 
     Per block, members are ordered by increasing external degree (ties by
     id); each takes a uniform free color excluding lower-rank picks inside
     the block; a vertex keeps its color only if no vertex outside its
     block tentatively picked the same color on a shared edge.  A block
-    whose leader gather would exceed n words makes the step color nothing
-    (a `dense-gather` fallback); bidding and the cleanup color the units.
+    whose leader gather would exceed n words makes the step draw, charge
+    and color nothing and return None (a `dense-gather` fallback); bidding
+    and the cleanup color the units.  Otherwise returns how many vertices
+    it colored.
     """
     blocks = [np.asarray(b, dtype=np.int64) for b in super_blocks if len(b)]
     if not blocks:
@@ -272,9 +271,9 @@ def dense_coloring_step(sim: Simulator, graph: Graph, palettes: Palettes,
     for b in blocks:
         words = int((palettes.sizes(b) + graph.degrees[b] + 2).sum())
         if words > sim.n:
-            log.fallback("dense-gather", sum(len(u) for u in blocks),
-                         words=words, n=sim.n)
-            return 0
+            sim.log.fallback("dense-gather", sum(len(u) for u in blocks),
+                             words=words, n=sim.n)
+            return None
     with sim.stage("dense:gather"):
         sim.ledger.advance(2 * sim.config.lenzen_cost + 1)
     members = np.concatenate(blocks)
@@ -321,7 +320,6 @@ def dense_coloring_step(sim: Simulator, graph: Graph, palettes: Palettes,
 def color_bidding(sim: Simulator, graph: Graph, palettes: Palettes,
                   coloring: np.ndarray, vertices: np.ndarray,
                   rank: np.ndarray, rng: np.random.Generator,
-                  C: float | None = None,
                   iterations: int = BIDDING_ITERS) -> int:
     """Bid-for-colors rounds on an acyclically oriented uncolored set.
 
@@ -329,7 +327,9 @@ def color_bidding(sim: Simulator, graph: Graph, palettes: Palettes,
     its end with the smaller (rank, id).  Each vertex samples each free
     color with probability C/(2 p_v), p_v = max(1, |free| - outdeg), and
     takes its smallest sampled color no out-neighbor sampled; properness
-    follows from the orientation.
+    follows from the orientation.  C is chosen per iteration as the
+    largest value in (0, 1] with sum 1/p_u over every vertex's
+    out-neighbors u at most 1/C.
     """
     scope = np.asarray(vertices, dtype=np.int64)
     pos = np.zeros(graph.n, dtype=np.int64)
@@ -353,16 +353,8 @@ def color_bidding(sim: Simulator, graph: Graph, palettes: Palettes,
                                                    minlength=len(active)))
         load = np.bincount(v_out, weights=1.0 / p[u_out],
                            minlength=len(active))
-        if C is None:
-            worst = float(load.max())
-            c_val = 1.0 if worst == 0 else min(1.0, 1.0 / worst)
-        else:
-            c_val = C
-            over = np.flatnonzero(load > 1.0 / c_val + 1e-12)
-            if len(over):
-                raise ParameterViolation(
-                    f"bid constant: sum 1/p over out-nbrs of "
-                    f"{int(active[over[0]])} > 1/C")
+        worst = float(load.max())
+        c_val = 1.0 if worst == 0 else min(1.0, 1.0 / worst)
         prob = np.minimum(1.0, c_val / (2.0 * p))
         samples = free.select(rng.random(len(free.colors)) < prob[free.owner])
         # every vertex ships its sample set to in-neighbors
@@ -391,27 +383,23 @@ def color_bidding(sim: Simulator, graph: Graph, palettes: Palettes,
 
 def _fallback_list_color(sim: Simulator, graph: Graph, palettes: Palettes,
                          coloring: np.ndarray, vertices: np.ndarray,
-                         dmax: int, cfg: Config, log: RunLog,
-                         reason: str, **detail) -> None:
+                         dmax: int, reason: str, **detail) -> None:
     """Deterministic relief valve for the uncolored, non-empty `vertices`
     of maximum degree `dmax` among themselves, logged as one `fallback`
     note: derandomized list coloring when that regime allows it, charged
     central greedy otherwise.  Every palette must hold deg+1 colors; the
     list colorers check that."""
-    log.fallback(reason, len(vertices), **detail)
-    if cfg.fits_sqrt(dmax, sim.n):
-        det_list_color_sqrt(sim, graph, palettes, cfg, log, coloring,
-                            vertices=vertices)
-    elif cfg.fits_n34(dmax, sim.n):
-        det_list_color_n34(sim, graph, palettes, cfg, log, coloring,
-                           vertices=vertices)
+    sim.log.fallback(reason, len(vertices), **detail)
+    if sim.config.fits_sqrt(dmax, sim.n):
+        det_list_color_sqrt(sim, graph, palettes, coloring, vertices=vertices)
+    elif sim.config.fits_n34(dmax, sim.n):
+        det_list_color_n34(sim, graph, palettes, coloring, vertices=vertices)
     else:
         _central_phase(sim, graph, palettes, coloring, vertices, "fallback")
 
 
 def clp_list_coloring(sim: Simulator, graph: Graph, palettes: Palettes,
-                      cfg: Config, rng: np.random.Generator, log: RunLog,
-                      coloring: np.ndarray,
+                      rng: np.random.Generator, coloring: np.ndarray,
                       vertices: np.ndarray | None = None) -> None:
     """List coloring for Delta <= sqrt(c_fit n) with palettes allowed to
     range over [Delta - Delta^(3/5), Delta + 1], in place in `coloring`.
@@ -444,13 +432,14 @@ def clp_list_coloring(sim: Simulator, graph: Graph, palettes: Palettes,
             f"palette size {int(sizes.max())} above Delta+1={delta + 1}")
     window_lo = delta - max(1, delta) ** 0.6
     narrow = (sizes < window_lo).any()
-    if narrow or delta < cfg.delta_min:
+    if narrow or delta < sim.config.delta_min:
         reason = "palette-window" if narrow else "delta-min"
         _fallback_list_color(sim, graph, palettes, coloring, scope, delta,
-                             cfg, log, reason, delta=delta)
+                             reason, delta=delta)
         return
-    if not cfg.fits_sqrt(delta, sim.n):
-        raise DegreeTooLarge(f"Delta={delta} above sqrt({cfg.c_fit}*n)")
+    if not sim.config.fits_sqrt(delta, sim.n):
+        raise DegreeTooLarge(
+            f"Delta={delta} above sqrt({sim.config.c_fit}*n)")
 
     with sim.stage("clp:oneshot"):
         one_shot_coloring(sim, graph, palettes, coloring, 0.125,
@@ -459,18 +448,18 @@ def clp_list_coloring(sim: Simulator, graph: Graph, palettes: Palettes,
     if len(unc) == 0:
         return
     with sim.stage("clp:hierarchy"):
-        hier = compute_hierarchy(sim, graph, cfg, unc, delta=delta)
+        hier = compute_hierarchy(sim, graph, unc, delta=delta)
 
     def dense_passes(units):
         """Up to DENSE_ITERS dense steps on the uncolored part of `units`,
-        stopping once every unit is colored."""
+        stopping once every unit is colored or a step's gather does not
+        fit (the same units would not fit again)."""
         for _ in range(DENSE_ITERS):
             units = [m[coloring[m] == UNCOLORED] for m in units]
             units = [m for m in units if len(m)]
-            if not units:
+            if not units or dense_coloring_step(
+                    sim, graph, palettes, coloring, units, rng) is None:
                 return
-            dense_coloring_step(sim, graph, palettes, coloring, units, rng,
-                                log)
 
     # small blocks, stratum by stratum from the top; the working units are
     # super-blocks (stratum members grouped by their top-layer clique)
@@ -494,7 +483,7 @@ def clp_list_coloring(sim: Simulator, graph: Graph, palettes: Palettes,
     rest = scope[coloring[scope] == UNCOLORED]
     if len(rest):
         _central_phase(sim, graph, palettes, coloring, rest, "clp:cleanup")
-    if cfg.debug_checks:
+    if sim.config.debug_checks:
         assert_no_conflict(graph, coloring, "after clp")
 
 
@@ -537,8 +526,7 @@ def _split_labels(rng: np.random.Generator, size: int, p: float,
 
 
 def _measured_split(sim: Simulator, graph: Graph, scope: np.ndarray,
-                    labels, n_parts: int, lo: int, hi: int, name: str,
-                    log: RunLog):
+                    labels, n_parts: int, lo: int, hi: int, name: str):
     """Sample, measure, retry: split `scope` until the parts fit [lo, hi].
 
     Each attempt broadcasts a fresh seed (charged to `name:sample`),
@@ -560,31 +548,28 @@ def _measured_split(sim: Simulator, graph: Graph, scope: np.ndarray,
         need = sum(sizes)
         if need <= available:
             return parts, palette_ranges(lo, sizes)
-        log.record(f"{name}-allocation", False, attempt=attempt, need=need,
-                   available=available)
+        sim.log.record(f"{name}-allocation", False, attempt=attempt,
+                       need=need, available=available)
     raise AllocationOverflow(
         f"sum of child palettes {need} exceeds {available}")
 
 
 def _color_parts(sim: Simulator, graph: Graph, parts: list[np.ndarray],
-                 ranges: list[tuple[int, int]], cfg: Config,
-                 rng: np.random.Generator, log: RunLog,
+                 ranges: list[tuple[int, int]], rng: np.random.Generator,
                  coloring: np.ndarray) -> None:
     """Color vertex-disjoint parts as simultaneous recursive instances:
-    part j from ranges[j], with its own seed from `rng` and an equal share
-    of the budgets."""
+    part j from ranges[j], with its own seed from `rng` (run_parallel
+    gives each non-empty part its share of the term budget)."""
     seeds = rng.integers(0, 2 ** 63 - 1, size=len(parts))
-    child_cfg = cfg.split_budgets(sum(1 for m in parts if len(m)))
     sim.run_parallel([
         lambda m=m, lo=lo, hi=hi, s=int(s): recursive_coloring(
-            sim, graph, m, lo, hi, child_cfg, np.random.default_rng(s), log,
-            coloring)
+            sim, graph, m, lo, hi, np.random.default_rng(s), coloring)
         for m, (lo, hi), s in zip(parts, ranges, seeds) if len(m)])
 
 
 def partition_step(sim: Simulator, graph: Graph, scope: np.ndarray,
                    delta_i: int, palette_lo: int, palette_hi: int, x: int,
-                   rng: np.random.Generator, log: RunLog):
+                   rng: np.random.Generator):
     """Randomly split `scope`, whose maximum degree is delta_i, into q
     parts plus a left-over set and allocate disjoint palette subranges
     sized by measured part degrees.
@@ -604,20 +589,19 @@ def partition_step(sim: Simulator, graph: Graph, scope: np.ndarray,
         return part
 
     parts, ranges = _measured_split(sim, graph, scope, labels, plan.q,
-                                    palette_lo, palette_hi, "partition", log)
+                                    palette_lo, palette_hi, "partition")
     last = ranges[-1][1]
     need = last - palette_lo + 1
-    log.record("partition-lemma-budget", need <= delta_i, total=need,
-               delta_i=delta_i)
-    log.require("partition-ranges-disjoint", last <= palette_hi,
-                last=last, hi=palette_hi)
+    sim.log.record("partition-lemma-budget", need <= delta_i, total=need,
+                   delta_i=delta_i)
+    sim.log.require("partition-ranges-disjoint", last <= palette_hi,
+                    last=last, hi=palette_hi)
     return plan, parts, ranges
 
 
 def recursive_coloring(sim: Simulator, graph: Graph, scope: np.ndarray,
-                       palette_lo: int, palette_hi: int, cfg: Config,
-                       rng: np.random.Generator, log: RunLog,
-                       coloring: np.ndarray) -> None:
+                       palette_lo: int, palette_hi: int,
+                       rng: np.random.Generator, coloring: np.ndarray) -> None:
     """Recursive degree reduction, in place in `coloring`: partition,
     recurse on the parts simultaneously, then list-color the left-over set
     from leftover palettes.  Falls back to the deterministic colorers when
@@ -632,9 +616,8 @@ def recursive_coloring(sim: Simulator, graph: Graph, scope: np.ndarray,
         raise ParameterViolation("palette smaller than Delta+1")
     pal = Palettes.uniform_range(n, palette_lo,
                                  palette_lo + delta).restrict(scope)
-    if delta < cfg.delta_min or cfg.fits_sqrt(delta, sim.n):
-        clp_list_coloring(sim, graph, pal, cfg, rng, log, coloring,
-                          vertices=scope)
+    if delta < sim.config.delta_min or sim.config.fits_sqrt(delta, sim.n):
+        clp_list_coloring(sim, graph, pal, rng, coloring, vertices=scope)
         return
     # choose the recursion exponent: smallest y with Delta <= N^(1-1/2^(y+1))
     bigN = n / (5.0 * log2n(n))
@@ -647,14 +630,14 @@ def recursive_coloring(sim: Simulator, graph: Graph, scope: np.ndarray,
     x = max(2, x)
     try:
         plan, parts, ranges = partition_step(
-            sim, graph, scope, delta, palette_lo, palette_hi, x, rng, log)
+            sim, graph, scope, delta, palette_lo, palette_hi, x, rng)
     except (PlanRejected, AllocationOverflow) as exc:
         reason = "plan-rejected" if isinstance(exc, PlanRejected) else \
             "split-overflow"
-        _fallback_list_color(sim, graph, pal, coloring, scope, delta, cfg,
-                             log, reason, cause=str(exc))
+        _fallback_list_color(sim, graph, pal, coloring, scope, delta, reason,
+                             cause=str(exc))
         return
-    _color_parts(sim, graph, parts[:-1], ranges, cfg, rng, log, coloring)
+    _color_parts(sim, graph, parts[:-1], ranges, rng, coloring)
     # left-over set: free colors within the parent palette
     star = parts[-1]
     star = star[coloring[star] == UNCOLORED]
@@ -665,45 +648,42 @@ def recursive_coloring(sim: Simulator, graph: Graph, scope: np.ndarray,
     sdeg = graph.degrees_within(smask, rows=star)
     dstar = int(sdeg[star].max(initial=0))
     bound = concentration_bound(delta * plan.p_star, n)
-    log.record("star-degree-concentration", dstar <= bound.high,
-               dstar=dstar, high=bound.high)
-    if not cfg.fits_sqrt(dstar, sim.n):
+    sim.log.record("star-degree-concentration", dstar <= bound.high,
+                   dstar=dstar, high=bound.high)
+    if not sim.config.fits_sqrt(dstar, sim.n):
         # too dense for the window machinery at this scale: hand off before
         # the free lists are built, which on dense cells would hold on the
         # order of |star| * Delta* entries
         _fallback_list_color(sim, graph, parent.restrict(star), coloring,
-                             star, dstar, cfg, log, "sqrt-bound",
-                             delta=dstar)
+                             star, dstar, "sqrt-bound", delta=dstar)
         return
     free = free_sets(graph, parent, coloring, star)
     for v, f, need in zip(star.tolist(), free.sizes.tolist(),
                           (sdeg[star] + 1).tolist()):
-        log.require("star-free-floor", f >= need, vertex=v, free=f,
-                    need=need)
+        sim.log.require("star-free-floor", f >= need, vertex=v, free=f,
+                        need=need)
     # truncate each list to the window's upper end; clp checks its lower end
     spal = Palettes(n, sets=free.select(
         np.arange(len(free.colors)) - free.ptr[free.owner] <= dstar))
-    clp_list_coloring(sim, graph, spal, cfg, rng, log, coloring,
-                      vertices=star)
+    clp_list_coloring(sim, graph, spal, rng, coloring, vertices=star)
 
 
 # ===================================================================== #
 # top-level drivers
 # ===================================================================== #
 
-def _recurse_whole(sim: Simulator, graph: Graph, cfg: Config,
-                   rng: np.random.Generator, log: RunLog,
+def _recurse_whole(sim: Simulator, graph: Graph, rng: np.random.Generator,
                    coloring: np.ndarray, stage: str) -> None:
     """One recursive instance on the whole graph with colors 1..Delta+1."""
     with sim.stage(stage):
         recursive_coloring(sim, graph, np.arange(graph.n), 1,
-                           graph.max_degree + 1, cfg, rng, log, coloring)
+                           graph.max_degree + 1, rng, coloring)
 
 
-def _split_and_recurse(sim: Simulator, graph: Graph, cfg: Config,
-                       rng: np.random.Generator, log: RunLog,
-                       coloring: np.ndarray, name: str, labels,
-                       n_parts: int, budget: int) -> np.ndarray | None:
+def _split_and_recurse(sim: Simulator, graph: Graph,
+                       rng: np.random.Generator, coloring: np.ndarray,
+                       name: str, labels, n_parts: int,
+                       budget: int) -> np.ndarray | None:
     """Split the whole graph by `labels` into n_parts parts plus a
     left-over set, then color the parts recursively from disjoint ranges
     of [1, budget].
@@ -716,21 +696,17 @@ def _split_and_recurse(sim: Simulator, graph: Graph, cfg: Config,
     """
     try:
         parts, ranges = _measured_split(
-            sim, graph, np.arange(graph.n), labels, n_parts, 1, budget,
-            name, log)
+            sim, graph, np.arange(graph.n), labels, n_parts, 1, budget, name)
     except AllocationOverflow:
-        log.fallback("split-overflow", graph.n)
-        _recurse_whole(sim, graph, cfg, rng, log, coloring,
-                       f"{name}:recursive")
+        sim.log.fallback("split-overflow", graph.n)
+        _recurse_whole(sim, graph, rng, coloring, f"{name}:recursive")
         return None
     with sim.stage(f"{name}:parts"):
-        _color_parts(sim, graph, parts[:-1], ranges, cfg, rng, log,
-                     coloring)
+        _color_parts(sim, graph, parts[:-1], ranges, rng, coloring)
     return parts[-1]
 
 
-def fast_coloring(sim: Simulator, graph: Graph, cfg: Config,
-                  rng: np.random.Generator, log: RunLog,
+def fast_coloring(sim: Simulator, graph: Graph, rng: np.random.Generator,
                   coloring: np.ndarray) -> None:
     """General (Delta+1) entry point: recursion below n/(10 log n), else a
     log-n-way split with recursion per part and a one-shot + central
@@ -742,12 +718,12 @@ def fast_coloring(sim: Simulator, graph: Graph, cfg: Config,
     p_star = 1.0 - ell * p
     split = delta > n / (10.0 * log2n(n))
     if split and (p <= 0.0 or not (0.0 < p_star < 1.0)):
-        log.fallback("plan-rejected", n, p=p, ell=ell)
+        sim.log.fallback("plan-rejected", n, p=p, ell=ell)
         split = False
     if not split:
-        _recurse_whole(sim, graph, cfg, rng, log, coloring, "fast:recursive")
+        _recurse_whole(sim, graph, rng, coloring, "fast:recursive")
         return
-    star = _split_and_recurse(sim, graph, cfg, rng, log, coloring, "fast",
+    star = _split_and_recurse(sim, graph, rng, coloring, "fast",
                               lambda: _split_labels(rng, n, p, ell), ell,
                               delta + 1)
     if star is None:
@@ -765,9 +741,9 @@ def fast_coloring(sim: Simulator, graph: Graph, cfg: Config,
                            "fast:star-central")
 
 
-def many_colors_coloring(sim: Simulator, graph: Graph, cfg: Config,
-                         rng: np.random.Generator, log: RunLog,
-                         coloring: np.ndarray, eps: float) -> None:
+def many_colors_coloring(sim: Simulator, graph: Graph,
+                         rng: np.random.Generator, coloring: np.ndarray,
+                         eps: float) -> None:
     """Coloring with budget Delta + Delta^(1/2+eps), eps in (0, 1): uniform
     split into floor(Delta^eps) parts, then the recursive colorer per
     part."""
@@ -776,12 +752,12 @@ def many_colors_coloring(sim: Simulator, graph: Graph, cfg: Config,
     budget = delta + int(math.floor(delta ** (0.5 + eps)))
     k = max(1, int(math.floor(delta ** eps)))
     if k == 1:
-        _recurse_whole(sim, graph, cfg, rng, log, coloring, "many:recursive")
+        _recurse_whole(sim, graph, rng, coloring, "many:recursive")
         return
-    if _split_and_recurse(sim, graph, cfg, rng, log, coloring, "many",
+    if _split_and_recurse(sim, graph, rng, coloring, "many",
                           lambda: rng.integers(0, k, size=n), k,
                           budget) is None:
         return
     used = int(coloring.max())
-    log.require("many-colors-budget", used <= budget, used=used,
-                budget=budget)
+    sim.log.require("many-colors-budget", used <= budget, used=used,
+                    budget=budget)

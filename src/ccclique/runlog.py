@@ -3,8 +3,9 @@
 Hard invariants raise immediately; expected-to-mostly-hold events (the
 "with high probability" claims) are recorded and trigger fallbacks without
 aborting the run.  Every hand-off of a scope from one colorer to another
-is one `fallback` note naming a reason from FALLBACK_REASONS.  Harness
-reports embed the log.
+is one `fallback` note naming a reason from FALLBACK_REASONS.  Each
+Simulator owns one RunLog (`sim.log`), which every colorer given that
+`sim` writes to; harness reports embed it as `assertion_log`.
 """
 
 from __future__ import annotations

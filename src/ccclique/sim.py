@@ -9,9 +9,14 @@ bits any ordered pair carried in a single round; exceeding the word size
 or reusing a pair within a round raises immediately.
 
 Algorithm steps describe a round by per-message (src, dst) index arrays or
-by per-node word counts; no payloads are materialized.  Simulation state
-is owned by a single driver, and the ledger must not be mutated
-concurrently.
+by per-node word counts; no payloads are materialized.
+
+A Simulator is the one run object: besides the ledger it carries the run's
+Config (`sim.config`) and its RunLog (`sim.log`), and every colorer reads
+both from the `sim` it is given.  `run_parallel` hands each simultaneous
+branch its share of `term_budget` by swapping `sim.config` for the
+branch's split config while the branch runs.  Simulation state is owned by
+a single driver, and the ledger must not be mutated concurrently.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import numpy as np
 
 from .config import Config
 from .errors import BandwidthViolation, CliqueError
+from .runlog import RunLog
 
 
 @dataclass
@@ -56,7 +62,8 @@ class RoundLedger:
 
 
 class Simulator:
-    """Congested-clique engine for a fixed node count n."""
+    """Congested-clique engine for a fixed node count n, carrying the
+    run's config and assertion log."""
 
     def __init__(self, n: int, config: Config | None = None):
         if n < 1:
@@ -65,6 +72,7 @@ class Simulator:
         self.config = config or Config()
         self.word_size = self.config.word_bits(n)
         self.ledger = RoundLedger()
+        self.log = RunLog()
 
     # ------------------------------------------------------------------ #
     # core round delivery
@@ -188,15 +196,23 @@ class Simulator:
         and afterwards `rounds_total` and every stage, including one that
         only some branches opened, stand at the most any one branch
         reached.  Message totals still sum.
+
+        While a branch runs, `self.config` is the parent's config split
+        over the branches (`Config.split_budgets`), so nested calls
+        compound the split; the parent config is back afterwards.
         """
-        led = self.ledger
+        led, parent = self.ledger, self.config
         total0, stages0 = led.rounds_total, led.stage_rounds
         results, total, stages = [], total0, dict(stages0)
-        for fn in branches:
-            led.rounds_total, led.stage_rounds = total0, dict(stages0)
-            results.append(fn())
-            total = max(total, led.rounds_total)
-            for name, rounds in led.stage_rounds.items():
-                stages[name] = max(stages.get(name, 0), rounds)
+        self.config = parent.split_budgets(len(branches))
+        try:
+            for fn in branches:
+                led.rounds_total, led.stage_rounds = total0, dict(stages0)
+                results.append(fn())
+                total = max(total, led.rounds_total)
+                for name, rounds in led.stage_rounds.items():
+                    stages[name] = max(stages.get(name, 0), rounds)
+        finally:
+            self.config = parent
         led.rounds_total, led.stage_rounds = total, stages
         return results

@@ -16,7 +16,7 @@ from ccclique.errors import AllocationOverflow, PlanRejected
 from ccclique.graphs import gen_random_graph
 from ccclique.harness import ALGORITHMS, report_key, run_algorithm
 from ccclique.randcolor import partition_step
-from ccclique.runlog import FALLBACK_REASONS, RunLog
+from ccclique.runlog import FALLBACK_REASONS
 from ccclique.selftest import (check_cond_exp_dominance,
                                check_distributed_agreement,
                                check_hash_independence, make_corpus)
@@ -114,12 +114,11 @@ def test_criterion_2_derandomization_dominance(suite_reports):
         g = gen_random_graph(400, 0.02, seed)
         assert g.max_degree ** 2 <= g.n
         sim = Simulator(g.n, Config())
-        log = RunLog()
         pal = Palettes.uniform_range(g.n, 1, g.max_degree + 1)
         coloring = np.zeros(g.n, dtype=np.int64)
-        det_list_color_sqrt(sim, g, pal, Config(), log, coloring)
+        det_list_color_sqrt(sim, g, pal, coloring)
         assert is_proper(g, coloring, pal) is True
-        entries = [e for e in log.entries
+        entries = [e for e in sim.log.entries
                    if e.get("check") == "sqrt-quarter-progress"]
         assert entries and all(e["ok"] for e in entries)
         seen.add("sqrt-quarter-progress")
@@ -179,11 +178,10 @@ def test_criterion_6_partition_concentration():
     logged_failures = 0
     for seed in range(200):
         sim = Simulator(n, Config())
-        log = RunLog()
         rng = np.random.default_rng(10_000 + seed)
         try:
             plan, parts, _ = partition_step(sim, graph, scope, delta, 1,
-                                            delta + 1, 2, rng, log)
+                                            delta + 1, 2, rng)
         except (PlanRejected, AllocationOverflow):
             logged_failures += 1
             continue

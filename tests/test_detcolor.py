@@ -32,8 +32,8 @@ from ccclique.sim import Simulator
 
 
 def setup_ctx(n, **kw):
-    cfg = Config(**kw)
-    return Simulator(n, cfg), cfg, RunLog()
+    sim = Simulator(n, Config(**kw))
+    return sim, sim.config, sim.log
 
 
 # --------------------- simple one-round colorer ----------------------- #
@@ -125,19 +125,19 @@ def test_delta_sq_k2():
     assert rep["max_color"] <= 4
 
 
-def _delta_sq(sim, g, log):
+def _delta_sq(sim, g):
     """det_delta_sq on a fresh coloring; returns it with the run's
     detsq-info note, the last entry of the log."""
     coloring = np.zeros(g.n, dtype=np.int64)
-    det_delta_sq(sim, g, log, coloring)
-    assert log.entries[-1]["note"] == "detsq-info"
-    return coloring, log.entries[-1]
+    det_delta_sq(sim, g, coloring)
+    assert sim.log.entries[-1]["note"] == "detsq-info"
+    return coloring, sim.log.entries[-1]
 
 
 def test_delta_sq_identity_regime():
     g = gen_random_graph(128, 0.5, 1)  # Delta^2 >= n
     sim, cfg, log = setup_ctx(g.n)
-    coloring, info = _delta_sq(sim, g, log)
+    coloring, info = _delta_sq(sim, g)
     assert info["uncolored_after_seed"] == 0
     assert sim.ledger.rounds_total == 0
     assert is_proper(g, coloring,
@@ -150,7 +150,7 @@ def test_delta_sq_seeded_regime_remainder_bound():
     delta = g.max_degree
     assert delta >= 5 and delta * delta < g.n
     sim, cfg, log = setup_ctx(g.n)
-    coloring, info = _delta_sq(sim, g, log)
+    coloring, info = _delta_sq(sim, g)
     assert info["uncolored_after_seed"] <= g.n // delta
     assert sim.ledger.rounds_total > 0
     assert is_proper(g, coloring,
@@ -164,7 +164,7 @@ def test_delta_sq_deterministic():
     runs = []
     for _ in range(2):
         sim, cfg, log = setup_ctx(g.n)
-        coloring, _ = _delta_sq(sim, g, log)
+        coloring, _ = _delta_sq(sim, g)
         runs.append((coloring.copy(), sim.ledger.snapshot()))
     assert np.array_equal(runs[0][0], runs[1][0])
     assert runs[0][1] == runs[1][1]
@@ -178,7 +178,7 @@ def test_sqrt_three_path_colored_within_bound():
     pal = Palettes.from_lists(3, {0: [1, 2], 1: [1, 2, 3], 2: [1, 2]})
     sim, cfg, log = setup_ctx(16)
     coloring = np.zeros(3, dtype=np.int64)
-    phases = det_list_color_sqrt(sim, g, pal, cfg, log, coloring)
+    phases = det_list_color_sqrt(sim, g, pal, coloring)
     assert is_proper(g, coloring, pal) is True
     assert phases <= phase_bound(3) == 4
 
@@ -188,7 +188,7 @@ def test_sqrt_zero_phases_when_complete():
     pal = Palettes.uniform_range(3, 1, 2)
     sim, cfg, log = setup_ctx(3)
     coloring = np.array([1, 2, 1], dtype=np.int64)
-    assert det_list_color_sqrt(sim, g, pal, cfg, log, coloring) == 0
+    assert det_list_color_sqrt(sim, g, pal, coloring) == 0
 
 
 def test_sqrt_quarter_progress_every_phase():
@@ -198,7 +198,7 @@ def test_sqrt_quarter_progress_every_phase():
     sim, cfg, log = setup_ctx(g.n)
     pal = Palettes.uniform_range(g.n, 1, delta + 1)
     coloring = np.zeros(g.n, dtype=np.int64)
-    phases = det_list_color_sqrt(sim, g, pal, cfg, log, coloring)
+    phases = det_list_color_sqrt(sim, g, pal, coloring)
     assert is_proper(g, coloring, pal) is True
     progress = [e for e in log.entries
                 if e.get("check") == "sqrt-quarter-progress"]
@@ -211,8 +211,7 @@ def test_sqrt_degree_precondition():
     sim, cfg, log = setup_ctx(g.n)
     pal = Palettes.uniform_range(g.n, 1, g.max_degree + 1)
     with pytest.raises(DegreeTooLarge):
-        det_list_color_sqrt(sim, g, pal, cfg, log,
-                            np.zeros(g.n, dtype=np.int64))
+        det_list_color_sqrt(sim, g, pal, np.zeros(g.n, dtype=np.int64))
 
 
 @pytest.mark.parametrize("colorer", [det_list_color_sqrt, det_list_color_n34])
@@ -225,9 +224,9 @@ def test_palette_guard_names_first_short_vertex(colorer):
     scope = np.array([30, 12, 7, 2], dtype=np.int64)
     coloring = np.zeros(g.n, dtype=np.int64)
     with pytest.raises(ParameterViolation, match="^palette of 7 below"):
-        colorer(sim, g, Palettes(g.n, lo, hi), cfg, log, coloring)
+        colorer(sim, g, Palettes(g.n, lo, hi), coloring)
     with pytest.raises(ParameterViolation, match="^palette of 30 below"):
-        colorer(sim, g, Palettes(g.n, lo, hi), cfg, log, coloring,
+        colorer(sim, g, Palettes(g.n, lo, hi), coloring,
                 vertices=scope)
 
 
@@ -264,7 +263,7 @@ def test_all_small_bins_goes_a0():
     active = np.arange(n)
     coloring = np.zeros(n, dtype=np.int64)
     free = free_sets(g, pal, coloring, active)
-    state = classify_and_bin(sim, g, free, layout, cfg, log, g.edge_array())
+    state = classify_and_bin(sim, g, free, layout, g.edge_array())
     assert state.branch == "A0"
     assert set(state.a0.tolist()) == set(range(n))
     # every bin is small, so S(u) is the whole free list
@@ -281,7 +280,7 @@ def test_n34_moderate_instance_properness_and_logs():
     sim, cfg, log = setup_ctx(n)
     pal = Palettes.uniform_range(n, 1, delta + 1)
     coloring = np.zeros(n, dtype=np.int64)
-    phases = det_list_color_n34(sim, g, pal, cfg, log, coloring)
+    phases = det_list_color_n34(sim, g, pal, coloring)
     assert is_proper(g, coloring, pal) is True
     assert phases <= phase_bound(n)
     for e in log.entries:
@@ -327,7 +326,7 @@ def test_guard_fires_after_phase_bound_full_phases(monkeypatch, colorer,
     sim, cfg, log = setup_ctx(n)
     pal = Palettes.uniform_range(n, 1, g.max_degree + 1)
     coloring = np.zeros(n, dtype=np.int64)
-    phases = colorer(sim, g, pal, cfg, log, coloring)
+    phases = colorer(sim, g, pal, coloring)
     assert phases == 1 and is_proper(g, coloring, pal) is True
     stages = sim.ledger.snapshot()["rounds_by_stage"]
     assert stages[f"{prefix}:seed"] > 0 and stages[f"{prefix}:guard"] > 0
@@ -351,7 +350,7 @@ def test_n34_single_vertex():
     sim, cfg, log = setup_ctx(16)
     pal = Palettes.uniform_range(1, 1, 1)
     coloring = np.zeros(1, dtype=np.int64)
-    phases = det_list_color_n34(sim, g, pal, cfg, log, coloring)
+    phases = det_list_color_n34(sim, g, pal, coloring)
     assert coloring[0] == 1 and phases == 1
 
 
@@ -370,7 +369,7 @@ def test_partition_guard_on_small_degree():
     g = gen_random_graph(256, 0.1, 1)  # Delta <= n^(3/4)
     sim, cfg, log = setup_ctx(g.n)
     with pytest.raises(ParameterViolation):
-        det_partition_general(sim, g, cfg, log)
+        det_partition_general(sim, g)
 
 
 def test_partition_desk_scale_raises_no_zero_seed():
@@ -378,7 +377,7 @@ def test_partition_desk_scale_raises_no_zero_seed():
     assert g.max_degree ** 4 > g.n ** 3
     sim, cfg, log = setup_ctx(g.n)
     with pytest.raises(NoZeroViolationSeed):
-        det_partition_general(sim, g, cfg, log)
+        det_partition_general(sim, g)
 
 
 def test_capacity_split_respects_caps_and_budget():

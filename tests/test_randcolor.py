@@ -20,13 +20,12 @@ from ccclique.randcolor import (RETRY_BUDGET, PartitionPlan,
                                 eps_ladder, friend_threshold,
                                 one_shot_coloring, partition_step,
                                 recursive_coloring, strata_of)
-from ccclique.runlog import RunLog
 from ccclique.sim import Simulator
 
 
 def setup_ctx(n, **kw):
-    cfg = Config(**kw)
-    return Simulator(n, cfg), cfg, RunLog()
+    sim = Simulator(n, Config(**kw))
+    return sim, sim.config, sim.log
 
 
 class StubRng:
@@ -134,7 +133,7 @@ def test_hierarchy_complete_graph_single_clique():
     # embed K in a larger clique-model simulator via its own graph
     sim = Simulator(2048, cfg)  # Delta^2 = 1024 <= 2048
     g2, _ = Graph.complete(delta + 1).induced(np.arange(delta + 1))
-    hier = compute_hierarchy(sim, g2, cfg, np.arange(g2.n))
+    hier = compute_hierarchy(sim, g2, np.arange(g2.n))
     assert (hier.level == 1).all()  # everyone dense at level 1
     assert (hier.labels[0] == 0).all()  # one clique, labelled by vertex 0
 
@@ -142,7 +141,7 @@ def test_hierarchy_complete_graph_single_clique():
 def test_hierarchy_empty_graph_all_sparse():
     g = Graph.from_edges(6, [])
     sim, cfg, log = setup_ctx(64)
-    hier = compute_hierarchy(sim, g, cfg, np.arange(6))
+    hier = compute_hierarchy(sim, g, np.arange(6))
     assert (hier.level == len(hier.labels) + 1).all()  # all sparse
     assert (hier.labels == -1).all() and (hier.stratum == 0).all()
 
@@ -208,7 +207,7 @@ def test_hierarchy_multi_level_blocks(monkeypatch, ladder, graph, seed,
     monkeypatch.setattr(randcolor, "eps_ladder", lambda d, k: list(ladder))
     g = planted_near_cliques(600, 0.01, NEAR_CLIQUES[graph], seed)
     sim, cfg, log = setup_ctx(g.n, c_fit=64)
-    hier = compute_hierarchy(sim, g, cfg, np.arange(g.n))
+    hier = compute_hierarchy(sim, g, np.arange(g.n))
     assert hier.strata == strata
     assert block_table(hier) == blocks
     assert [[len(sb) for sb in hier.superblocks(k)]
@@ -262,8 +261,7 @@ def test_hierarchy_block_flags_match_loop_reference(monkeypatch, case):
                        rng.uniform(0.5, 1.0, k).tolist()))
     g = planted_near_cliques(400, 0.01, cliques, case)
     sim, cfg, log = setup_ctx(g.n, c_fit=64)
-    hier = compute_hierarchy(sim, g, cfg,
-                             np.flatnonzero(rng.random(g.n) < 0.8))
+    hier = compute_hierarchy(sim, g, np.flatnonzero(rng.random(g.n) < 0.8))
     stratum, large = reference_block_flags(hier, g.max_degree, ladder)
     assert np.array_equal(hier.stratum, stratum)
     assert np.array_equal(hier.large, large)
@@ -293,7 +291,7 @@ def test_dense_step_triangle_all_colored():
     pal = Palettes.uniform_range(3, 1, 4)
     coloring = np.zeros(3, dtype=np.int64)
     got = dense_coloring_step(sim, g, pal, coloring, [np.arange(3)],
-                              np.random.default_rng(0), log)
+                              np.random.default_rng(0))
     assert got == 3
     assert is_proper(g, coloring, pal) is True
 
@@ -304,7 +302,7 @@ def test_dense_step_single_vertex():
     pal = Palettes.uniform_range(1, 1, 1)
     coloring = np.zeros(1, dtype=np.int64)
     assert dense_coloring_step(sim, g, pal, coloring, [np.array([0])],
-                               np.random.default_rng(0), log) == 1
+                               np.random.default_rng(0)) == 1
     assert coloring[0] == 1
 
 
@@ -320,7 +318,7 @@ def test_dense_step_cross_block_conflict_probability():
             coloring = np.zeros(2, dtype=np.int64)
             stub = StubRng(int_vals=[c0, c1])
             dense_coloring_step(sim, g, pal, coloring,
-                                [np.array([0]), np.array([1])], stub, log)
+                                [np.array([0]), np.array([1])], stub)
             outcomes.append(tuple(coloring))
     conflicts = sum(1 for o in outcomes if o == (0, 0))
     assert conflicts == 2  # c0 == c1 cases; brute-force probability 1/2
@@ -396,7 +394,7 @@ def test_bidding_path4_matches_bruteforce():
         sim, cfg, log = setup_ctx(16)
         coloring = np.zeros(4, dtype=np.int64)
         color_bidding(sim, g, pal, coloring, np.arange(4), rank, rng,
-                      C=1.0, iterations=1)
+                      iterations=1)
         hits += coloring != 0
     for v in range(4):
         assert abs(hits[v] / trials - float(exact[v])) < 0.03
@@ -426,7 +424,7 @@ def test_partition_step_allocates_disjoint_ranges():
     scope = np.arange(g.n)
     plan, parts, ranges = partition_step(sim, g, scope, g.max_degree, 1,
                                          g.max_degree + 1, 2,
-                                         np.random.default_rng(3), log)
+                                         np.random.default_rng(3))
     assert len(parts) == plan.q + 1
     assert sum(len(p) for p in parts) == g.n
     last_hi = 0
@@ -446,7 +444,7 @@ def test_overflowing_split_draws_logged():
     sim, cfg, log = setup_ctx(g.n)
     with pytest.raises(AllocationOverflow):
         _measured_split(sim, g, np.arange(6), lambda: np.zeros(6, int), 1,
-                        1, 4, "fast", log)
+                        1, 4, "fast")
     assert log.entries == [
         {"check": "fast-allocation", "ok": False, "attempt": a, "need": 6,
          "available": 4} for a in range(RETRY_BUDGET + 1)]
@@ -461,9 +459,8 @@ def test_split_overflow_hands_off_to_recursion():
     g = Graph.complete(6)
     sim, cfg, log = setup_ctx(g.n)
     coloring = np.zeros(g.n, dtype=np.int64)
-    star = _split_and_recurse(sim, g, cfg, np.random.default_rng(1), log,
-                              coloring, "fast", lambda: np.zeros(6, int), 1,
-                              4)
+    star = _split_and_recurse(sim, g, np.random.default_rng(1), coloring,
+                              "fast", lambda: np.zeros(6, int), 1, 4)
     assert star is None
     assert is_proper(g, coloring, Palettes.uniform_range(6, 1, 6)) is True
     names = [e.get("check") or e.get("note") for e in log.entries]
@@ -482,8 +479,8 @@ def test_recursive_base_case_no_partition_rounds():
     assert g.max_degree ** 2 <= g.n
     sim, cfg, log = setup_ctx(g.n)
     coloring = np.zeros(g.n, dtype=np.int64)
-    recursive_coloring(sim, g, np.arange(g.n), 1, g.max_degree + 1, cfg,
-                       np.random.default_rng(1), log, coloring)
+    recursive_coloring(sim, g, np.arange(g.n), 1, g.max_degree + 1,
+                       np.random.default_rng(1), coloring)
     assert is_proper(g, coloring,
                      Palettes.uniform_range(g.n, 1, g.max_degree + 1)) is True
     assert not any(k.startswith("partition") for k in
@@ -507,8 +504,8 @@ def test_recursive_left_over_runs_on_list_palettes(monkeypatch):
     sim, cfg, log = setup_ctx(g.n, c_fit=16)
     assert g.max_degree ** 2 > cfg.c_fit * g.n
     coloring = np.zeros(g.n, dtype=np.int64)
-    recursive_coloring(sim, g, np.arange(g.n), 1, g.max_degree + 1, cfg,
-                       np.random.default_rng(1), log, coloring)
+    recursive_coloring(sim, g, np.arange(g.n), 1, g.max_degree + 1,
+                       np.random.default_rng(1), coloring)
     assert is_proper(g, coloring, Palettes.uniform_range(
         g.n, 1, g.max_degree + 1)) is True
     assert any(lists)
@@ -533,8 +530,8 @@ def test_parallel_instance_isolation():
         coloring = np.zeros(g.n, dtype=np.int64)
         jobs = [
             (lambda b=b: recursive_coloring(
-                sim, g, blocks[b], 1, delta + 1, cfg,
-                np.random.default_rng(100 + b), log, coloring))
+                sim, g, blocks[b], 1, delta + 1,
+                np.random.default_rng(100 + b), coloring))
             for b in range(2)]
         if parallel:
             sim.run_parallel(jobs)
@@ -562,10 +559,8 @@ def test_fast_branch_predicate():
     assert g.max_degree <= 4096 / (10 * math.log2(4096))
     sim = Simulator(g.n, Config(rng_seed=9))
     from ccclique.randcolor import fast_coloring
-    log = RunLog()
     coloring = np.zeros(g.n, dtype=np.int64)
-    fast_coloring(sim, g, Config(rng_seed=9), np.random.default_rng(9), log,
-                  coloring)
+    fast_coloring(sim, g, np.random.default_rng(9), coloring)
     assert "fast:recursive" in sim.ledger.stage_rounds
     assert "fast:parts" not in sim.ledger.stage_rounds
     assert is_proper(g, coloring,
@@ -596,7 +591,7 @@ def test_clp_window_preconditions():
     bad = Palettes.from_lists(
         g.n, {v: np.arange(1, 3) for v in range(g.n)})  # r_v = 2 too few
     with pytest.raises(ParameterViolation):
-        clp_list_coloring(sim, g, bad, cfg, np.random.default_rng(0), log,
+        clp_list_coloring(sim, g, bad, np.random.default_rng(0),
                           np.zeros(g.n, dtype=np.int64))
 
 
@@ -612,8 +607,7 @@ def test_clp_palette_window_hands_off():
     assert g.max_degree == 246
     assert (pal.sizes(np.arange(g.n)) < 246 - 246 ** 0.6).sum() == 884
     coloring = np.zeros(g.n, dtype=np.int64)
-    clp_list_coloring(sim, g, pal, cfg, np.random.default_rng(0), log,
-                      coloring)
+    clp_list_coloring(sim, g, pal, np.random.default_rng(0), coloring)
     assert is_proper(g, coloring, pal) is True
     # the list colorer it hands to may in turn hand phases to a central
     # solve, logged as host-budget fallbacks

@@ -14,19 +14,19 @@ from ccclique.detcolor import (det_list_color_n34, det_list_color_sqrt,
                                simple_rand_color_round)
 from ccclique.graphs import gen_random_graph
 from ccclique.randcolor import clp_list_coloring, one_shot_coloring
-from ccclique.runlog import RunLog
 from ccclique.sim import Simulator
 
 
 def run_both(n, call, cfg=None):
-    """call(sim, log, coloring, scope) on the sorted and on the reversed
-    scope; returns the two (coloring, ledger, log) outcomes."""
+    """call(sim, coloring, scope) on the sorted and on the reversed scope;
+    returns the two (coloring, ledger, log) outcomes."""
     out = []
     for scope in (np.arange(n), np.arange(n)[::-1].copy()):
-        sim, log = Simulator(n, cfg or Config()), RunLog()
+        sim = Simulator(n, cfg or Config())
         coloring = np.zeros(n, dtype=np.int64)
-        call(sim, log, coloring, scope)
-        out.append((coloring.tolist(), sim.ledger.snapshot(), log.entries))
+        call(sim, coloring, scope)
+        out.append((coloring.tolist(), sim.ledger.snapshot(),
+                    sim.log.entries))
     return out
 
 
@@ -35,7 +35,7 @@ def test_one_shot_reversed_scope(seed):
     g = gen_random_graph(40, 0.5, seed)
     pal = Palettes.uniform_range(g.n, 1, 3)
 
-    def call(sim, log, coloring, scope):
+    def call(sim, coloring, scope):
         one_shot_coloring(sim, g, pal, coloring, 0.125, 8,
                           np.random.default_rng(seed), vertices=scope)
         assert find_conflict(g, coloring) is None
@@ -49,9 +49,8 @@ def test_det_sqrt_reversed_scope(seed):
     g = gen_random_graph(256, 0.015, seed)
     pal = Palettes.uniform_range(g.n, 1, g.max_degree + 1)
 
-    def call(sim, log, coloring, scope):
-        det_list_color_sqrt(sim, g, pal, sim.config, log, coloring,
-                            vertices=scope)
+    def call(sim, coloring, scope):
+        det_list_color_sqrt(sim, g, pal, coloring, vertices=scope)
 
     a, b = run_both(g.n, call)
     assert a == b
@@ -62,9 +61,8 @@ def test_det_n34_reversed_scope(seed):
     g = gen_random_graph(96, 0.12, seed)
     pal = Palettes.uniform_range(g.n, 1, g.max_degree + 1)
 
-    def call(sim, log, coloring, scope):
-        det_list_color_n34(sim, g, pal, sim.config, log, coloring,
-                           vertices=scope)
+    def call(sim, coloring, scope):
+        det_list_color_n34(sim, g, pal, coloring, vertices=scope)
 
     a, b = run_both(g.n, call)
     assert a == b
@@ -76,7 +74,7 @@ def test_simple_round_reversed_scope(hashed):
     pal = Palettes.uniform_range(g.n, 1, g.max_degree + 1)
     family = HashFamily(7, 8, 2)
 
-    def call(sim, log, coloring, scope):
+    def call(sim, coloring, scope):
         source = (family, 0x2D5A3) if hashed else np.random.default_rng(5)
         for _ in range(3):
             simple_rand_color_round(g, pal, coloring, source, vertices=scope)
@@ -91,9 +89,9 @@ def test_clp_reversed_scope():
     cfg = Config(rng_seed=1, delta_min=16, c_fit=64)
     pal = Palettes.uniform_range(g.n, 1, g.max_degree + 1)
 
-    def call(sim, log, coloring, scope):
-        clp_list_coloring(sim, g, pal, sim.config, np.random.default_rng(1),
-                          log, coloring, vertices=scope)
+    def call(sim, coloring, scope):
+        clp_list_coloring(sim, g, pal, np.random.default_rng(1), coloring,
+                          vertices=scope)
 
     a, b = run_both(g.n, call, cfg)
     assert a == b

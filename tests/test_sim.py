@@ -172,6 +172,52 @@ def test_parallel_branches_charge_max():
                                        "short": 7}
 
 
+def test_parallel_branches_get_budget_share():
+    # each of k branches sees the parent's term budget split k ways, down
+    # to a floor of 2000; nested calls compound the split, and the parent
+    # config is back after the call
+    sim = make(8, term_budget=120_000)
+    parent = sim.config
+    seen = []
+
+    def record():
+        seen.append(sim.config.term_budget)
+
+    def nested():
+        sim.run_parallel([record, record, record, record, record])
+        return sim.config.term_budget
+
+    assert sim.run_parallel([record, record, record]) == [None] * 3
+    assert seen == [40_000] * 3
+    assert sim.config is parent
+    seen.clear()
+    assert sim.run_parallel([nested, nested]) == [60_000, 60_000]
+    assert seen == [12_000] * 10
+    assert sim.config is parent
+    seen.clear()
+    sim.run_parallel([lambda: sim.run_parallel([record] * 40)] * 2)
+    assert seen == [max(2000, 60_000 // 40)] * 80 == [2000] * 80
+    # a single branch lifts a budget below the floor to the floor
+    low = make(8, term_budget=500)
+    assert low.run_parallel([lambda: low.config.term_budget]) == [2000]
+    assert low.config.term_budget == 500
+    # the split leaves every other field alone
+    assert sim.run_parallel([lambda: sim.config] * 2) == \
+        [parent.with_overrides(term_budget=60_000)] * 2
+
+
+def test_parallel_branch_failure_restores_config():
+    sim = make(8, term_budget=9000)
+    parent = sim.config
+
+    def boom():
+        raise CliqueError("branch failed")
+
+    with pytest.raises(CliqueError):
+        sim.run_parallel([boom, boom])
+    assert sim.config is parent
+
+
 def test_component_labels_charged():
     sim = make(8)
     labels = sim.component_labels([(0, 1), (1, 2), (4, 5)],

@@ -1,5 +1,6 @@
-"""Static checks over src/ccclique: every parameter is read, and every
-Config field is read by some code other than its own range check."""
+"""Static checks over src/ccclique: every parameter is read, every Config
+field is read by some code other than its own range check, and the run's
+config and log reach a colorer only through its `sim`."""
 
 import ast
 from dataclasses import fields
@@ -52,3 +53,25 @@ def test_every_config_field_is_read():
                  and isinstance(n.ctx, ast.Load) and id(n) not in skip}
     unread = [f.name for f in fields(Config) if f.name not in read]
     assert not unread, unread
+
+
+def test_no_second_channel_beside_sim():
+    """A def that takes `sim` reads the run's config and log from it: no
+    such def also takes a parameter named `cfg` or `log`, or one annotated
+    `Config` or `RunLog`."""
+    doubled = []
+    for name, tree in _trees().items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs
+            if "sim" not in {p.arg for p in params}:
+                continue
+            for p in params:
+                hint = {n.id for n in ast.walk(p.annotation or ast.Pass())
+                        if isinstance(n, ast.Name)}
+                if p.arg in ("cfg", "log") or hint & {"Config", "RunLog"}:
+                    doubled.append(f"{name}:{node.lineno} "
+                                   f"{node.name}({p.arg})")
+    assert not doubled, doubled

@@ -45,3 +45,15 @@ def test_split_path_costs_pinned(algo, n, p, seed, rounds, messages, colors,
             rep["colors_used"]) == (rounds, messages, colors)
     for stage in stages:
         assert rep["rounds_by_stage"][stage] > 0, stage
+
+
+def test_failed_dense_gather_is_not_retried():
+    # the dense step whose gather does not fit draws and charges nothing,
+    # so clp's dense passes stop after it: one note, not one per pass
+    graph = gen_random_graph(8192, 0.8, 2)
+    _, rep = run_algorithm("recursive", graph, Config(rng_seed=2))
+    gathers = [e for e in rep["assertion_log"]
+               if e.get("reason") == "dense-gather"]
+    assert gathers == [{"note": "fallback", "reason": "dense-gather",
+                        "size": 48, "words": 317_823, "n": 8192}]
+    assert rep["rounds_total"] == 38_499
