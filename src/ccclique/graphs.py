@@ -308,20 +308,22 @@ def write_edge_list(graph: Graph, fh) -> None:
 
 
 def read_edge_list(fh) -> Graph:
-    """Parse edge-list text; n is max id + 1 unless a '# n=' header says
-    otherwise."""
-    edges = []
-    n_hint = 0
+    """Parse edge-list text.  A comment whose first token is `n=<int>`
+    pins the vertex count, and every id must then lie below it; without
+    one, n is max id + 1."""
+    edges, lines = [], []
+    n_pin = None
     for lineno, line in enumerate(fh, 1):
         line = line.strip()
         if not line:
             continue
         if line.startswith("#"):
-            if "n=" in line:
-                try:
-                    n_hint = int(line.split("n=")[1].split()[0])
-                except (ValueError, IndexError):
-                    pass
+            head = (line[1:].split() or [""])[0]
+            if head.startswith("n="):
+                if not head[2:].isdecimal():
+                    raise InputError(f"line {lineno}: bad vertex count "
+                                     f"{head!r}")
+                n_pin = int(head[2:])
             continue
         parts = line.split()
         if len(parts) != 2:
@@ -331,8 +333,15 @@ def read_edge_list(fh) -> Graph:
         except ValueError as exc:
             raise InputError(f"line {lineno}: non-integer vertex") from exc
         edges.append((u, v))
-    n = max(n_hint, 1 + max((max(u, v) for u, v in edges), default=-1), 1)
-    return Graph.from_edges(n, edges)
+        lines.append(lineno)
+    if n_pin is None:
+        return Graph.from_edges(
+            max(1 + max((max(e) for e in edges), default=-1), 1), edges)
+    for e, lineno in zip(edges, lines):
+        if max(e) >= n_pin:
+            raise InputError(f"line {lineno}: vertex {max(e)} at or above "
+                             f"the pinned n={n_pin}")
+    return Graph.from_edges(max(n_pin, 1), edges)
 
 
 def load_graph(path: str) -> Graph:

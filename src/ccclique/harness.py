@@ -120,7 +120,11 @@ def write_coloring(coloring: np.ndarray, path: str) -> None:
 
 
 def read_coloring(path: str, n: int) -> np.ndarray:
+    """Parse `vertex color` lines; a vertex not listed is uncolored (0).
+    A vertex out of range or listed twice, or a negative color, is an
+    InputError naming the line."""
     out = np.zeros(n, dtype=np.int64)
+    seen = np.zeros(n, dtype=bool)
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -132,5 +136,10 @@ def read_coloring(path: str, n: int) -> np.ndarray:
             v, c = int(parts[0]), int(parts[1])
             if not 0 <= v < n:
                 raise InputError(f"line {lineno}: vertex {v} out of range")
+            if c < 0:
+                raise InputError(f"line {lineno}: negative color {c}")
+            if seen[v]:
+                raise InputError(f"line {lineno}: vertex {v} listed twice")
+            seen[v] = True
             out[v] = c
     return out

@@ -1,7 +1,7 @@
 """Randomized coloring pipelines: one-shot coloring, the density
-hierarchy with leader-simulated dense steps, color bidding, list coloring
-for degrees up to sqrt(c_fit*n), recursive degree reduction, and the
-top-level drivers.
+hierarchy at its one level (eps = Delta^(-1/10)) with leader-simulated
+dense steps, color bidding, list coloring for degrees up to
+sqrt(c_fit*n), recursive degree reduction, and the top-level drivers.
 
 The partition formulas hold asymptotically; at desk scale every plan is
 validated (probabilities in range, allocation fits the parent palette) and
@@ -27,7 +27,7 @@ from .graphs import Graph
 from .sim import Simulator
 
 # The O(1)s the method leaves unspecified, fixed at their desk-scale values.
-BIG_K = 100          # sparsity constant K: the eps ladder is capped at 1/K
+BIG_K = 100          # sparsity constant K: one density level while eps >= 1/K
 ONE_SHOT_ITERS = 3   # the "O(1) iterations" of one-shot coloring in clp
 DENSE_ITERS = 6      # dense-step applications per set of working units
 BIDDING_ITERS = 6    # color-bidding iterations before the central cleanup
@@ -84,81 +84,26 @@ def one_shot_coloring(sim: Simulator, graph: Graph, palettes: Palettes,
 
 @dataclass
 class EpsHierarchy:
-    """The density hierarchy as arrays over the sorted uncolored set
-    `vertices` (entry i describes vertices[i]).
+    """The density hierarchy at its one level, eps = Delta^(-1/10), as
+    arrays over the sorted uncolored set `vertices` (entry i describes
+    vertices[i]).
 
-    level: first dense level (1..ell), ell + 1 if sparse at every level.
-    labels[l - 1]: clique at level l (its smallest member id), -1 where
-    not dense.  A block is the vertices sharing a first level l and a
-    level-l clique, ordered by (l, clique), members by id.  stratum: the
-    block's stratum (0 if sparse).  large: the block has at least
-    Delta / log2(1/xi_k)^2 members and no large ancestor.
+    label: the vertex's clique (its smallest member id), -1 where the
+    vertex is sparse.  A block is the vertices sharing a clique.  large:
+    the block has at least Delta / log2(1/eps)^2 members.
     """
-    strata: list[list[int]]           # stratum -> layer indices (1-based)
     vertices: np.ndarray
-    level: np.ndarray
-    labels: np.ndarray
-    stratum: np.ndarray
+    label: np.ndarray
     large: np.ndarray
 
-    def superblocks(self, stratum: int) -> list[np.ndarray]:
-        """Stratum members grouped by their top-layer clique."""
-        lab = self.labels[max(self.strata[stratum - 1]) - 1]
-        sel = (self.stratum == stratum) & (lab >= 0)
-        return _runs(self.vertices[sel], lab[sel])
-
-    def large_blocks(self, stratum: int) -> list[np.ndarray]:
-        """Members of the stratum's large blocks, in block order."""
-        i = np.flatnonzero(self.large & (self.stratum == stratum))
-        lev = self.level[i]
-        return _runs(self.vertices[i], self.labels[lev - 1, i], lev)
-
-
-def _runs(vertices: np.ndarray, *keys: np.ndarray) -> list[np.ndarray]:
-    """Split `vertices` into groups of equal keys, ordered by the keys
-    (the last one primary) and within a group by id."""
-    order = np.lexsort((vertices,) + keys)
-    k = np.stack(keys)[:, order]
-    cut = np.flatnonzero((k[:, 1:] != k[:, :-1]).any(axis=0)) + 1
-    return [g for g in np.split(vertices[order], cut) if len(g)]
-
-
-def eps_ladder(delta: int, big_k: int) -> list[float]:
-    """Sparsity thresholds: Delta^(-1/10), then repeated square roots,
-    capped at 1/K.  At desk scale the first value usually already exceeds
-    1/K and the ladder has a single level."""
-    e1 = max(1, delta) ** (-0.1)
-    cap = 1.0 / big_k
-    seq = [e1]
-    while seq[-1] < cap:
-        nxt = math.sqrt(seq[-1])
-        if nxt >= cap:
-            seq.append(cap)
-            break
-        seq.append(nxt)
-    return seq
-
-
-def strata_of(eps_seq: list[float]) -> list[list[int]]:
-    """Group layer indices (1-based) by thresholds xi_1 = eps_1,
-    xi_k = 1/log2(1/xi_{k-1}): stratum k holds layers with eps in
-    (xi_{k-1}, xi_k].  Degenerate ladders collapse to few strata."""
-    if not eps_seq:
-        return []
-    strata: list[list[int]] = [[1]]
-    xi = eps_seq[0]
-    i = 2
-    while i <= len(eps_seq):
-        xi = 1.0 / math.log2(1.0 / xi) if 0 < xi < 0.5 else 1.0
-        group: list[int] = []
-        while i <= len(eps_seq) and (eps_seq[i - 1] <= xi or xi >= 1.0):
-            group.append(i)
-            i += 1
-        if not group:  # threshold failed to advance; force progress
-            group.append(i)
-            i += 1
-        strata.append(group)
-    return strata
+    def blocks(self, large: bool) -> list[np.ndarray]:
+        """Members of the small (or large) blocks, ordered by clique
+        label, members by id."""
+        sel = (self.label >= 0) & (self.large == large)
+        lab = self.label[sel]
+        order = np.argsort(lab, kind="stable")  # vertices are sorted
+        cut = np.flatnonzero(np.diff(lab[order])) + 1
+        return np.split(self.vertices[sel][order], cut) if len(lab) else []
 
 
 def friend_threshold(delta: int, q: float, eps: float) -> float:
@@ -167,24 +112,26 @@ def friend_threshold(delta: int, q: float, eps: float) -> float:
 
 def compute_hierarchy(sim: Simulator, graph: Graph, uncolored: np.ndarray,
                       delta: int | None = None) -> EpsHierarchy:
-    """Classify uncolored vertices by density: each vertex's first dense
-    level, its clique at every level, and its block's stratum and large
-    flag (a block's parent, which decides the flag, is the block at the
-    lowest higher level of its smallest member's clique).
+    """Classify uncolored vertices by density at eps = Delta^(-1/10): each
+    vertex's clique (or -1 if sparse) and its block's large flag.
 
-    Friendship between adjacent uncolored u, v at level i means
-    |N(u) & N(v)| >= (1-eps_i)(Delta-q) in the full graph; density at
-    level i needs (1-eps_i)(Delta-q) incident friend edges; cliques are
-    connected components of the level's dense/friend subgraph (charged
-    connectivity primitive per level).
+    Friendship between adjacent uncolored u, v means |N(u) & N(v)| >=
+    (1-eps)(Delta-q) in the full graph; density needs (1-eps)(Delta-q)
+    incident friend edges; cliques are connected components of the dense
+    vertices under friend edges (a charged connectivity primitive).  The
+    method's next level, sqrt(eps), exists only where eps < 1/K, that is
+    Delta >= 10^20; there ParameterViolation is raised.
     """
     n = graph.n
     delta = graph.max_degree if delta is None else delta
     if not sim.config.fits_sqrt(delta, sim.n):
         raise DegreeTooLarge(f"Delta={delta}: 2-neighborhoods too large")
+    eps = max(1, delta) ** (-0.1)
+    if eps < 1.0 / BIG_K:
+        raise ParameterViolation(
+            f"Delta={delta}: eps={eps:.4g} is below 1/K, so the "
+            "hierarchy would need a second level")
     q = max(1, delta) ** 0.6
-    eps_seq = eps_ladder(delta, BIG_K)
-    ell = len(eps_seq)
     unc = np.sort(np.asarray(uncolored, dtype=np.int64))
     edges = graph.edges_within(unc)
     with sim.stage("hierarchy:collect"):
@@ -195,54 +142,21 @@ def compute_hierarchy(sim: Simulator, graph: Graph, uncolored: np.ndarray,
         sim.charge_route_counts(deg, np.minimum(deg * delta, n))
     common = graph.common_neighbors(edges[:, 0], edges[:, 1])
     e = np.searchsorted(unc, edges)
-    level = np.full(len(unc), ell + 1, dtype=np.int64)
-    labels = np.full((ell, len(unc)), -1, dtype=np.int64)
-    for li, eps in enumerate(eps_seq, start=1):
-        # degenerate degrees make the threshold vacuous; one real friend
-        # is the least a dense vertex can have
-        thr = max(1.0, friend_threshold(delta, q, eps))
-        fe = e[common >= thr]
-        dense = np.bincount(fe.ravel(), minlength=len(unc)) >= thr
-        level[dense & (level > ell)] = li
-        # cliques: components of dense vertices under friend edges
-        fe = fe[dense[fe[:, 0]] & dense[fe[:, 1]]]
-        with sim.stage("hierarchy:components"):
-            labels[li - 1, dense] = sim.component_labels(unc[fe], unc[dense])
-    strata = strata_of(eps_seq)
-    stratum_of = np.zeros(ell + 2, dtype=np.int64)
-    for k, ls in enumerate(strata, start=1):
-        stratum_of[ls] = k
-    # blocks: one per (first level, clique) pair, in that order; `first`
-    # is each block's smallest member
-    d = np.flatnonzero(level <= ell)
-    keys, first, block = np.unique(level[d] * n + labels[level[d] - 1, d],
-                                   return_index=True, return_inverse=True)
-    b_level, rep = keys // n, d[first]
-    size = np.bincount(block, minlength=len(keys))
-    # parent: the block, at the lowest higher level, of the smallest
-    # member's clique
-    parent = np.full(len(keys), -1, dtype=np.int64)
-    for lj in range(ell, 1, -1):
-        lower = np.flatnonzero(b_level < lj)
-        lab = labels[lj - 1, rep[lower]]
-        j = np.minimum(np.searchsorted(keys, lj * n + lab), len(keys) - 1)
-        hit = (lab >= 0) & (keys[j] == lj * n + lab)
-        parent[lower[hit]] = j[hit]
-    # large flags, highest level first: a large ancestor suppresses them
-    large = np.zeros(len(keys), dtype=bool)
-    covered = np.zeros(len(keys), dtype=bool)  # large, or under a large one
-    for lj in range(ell, 0, -1):
-        x = eps_seq[strata[stratum_of[lj] - 1][-1] - 1]
-        thr = delta / math.log2(1.0 / x) ** 2 if 0 < x < 1 else math.inf
-        b = np.flatnonzero(b_level == lj)
-        anc = (parent[b] >= 0) & covered[parent[b]]
-        large[b] = (size[b] >= thr) & ~anc
-        covered[b] = large[b] | anc
-    v_large = np.zeros(len(unc), dtype=bool)
-    v_large[d] = large[block]
-    # stratum_of[ell + 1] = 0 marks the sparse vertices
-    return EpsHierarchy(strata, unc, level, labels,
-                        stratum_of[level], v_large)
+    # degenerate degrees make the threshold vacuous; one real friend is
+    # the least a dense vertex can have
+    thr = max(1.0, friend_threshold(delta, q, eps))
+    fe = e[common >= thr]
+    dense = np.bincount(fe.ravel(), minlength=len(unc)) >= thr
+    fe = fe[dense[fe[:, 0]] & dense[fe[:, 1]]]
+    label = np.full(len(unc), -1, dtype=np.int64)
+    with sim.stage("hierarchy:components"):
+        label[dense] = sim.component_labels(unc[fe], unc[dense])
+    _, block, size = np.unique(label[dense], return_inverse=True,
+                               return_counts=True)
+    large = np.zeros(len(unc), dtype=bool)
+    if eps < 1.0:
+        large[dense] = size[block] >= delta / math.log2(1.0 / eps) ** 2
+    return EpsHierarchy(unc, label, large)
 
 
 # ===================================================================== #
@@ -250,9 +164,9 @@ def compute_hierarchy(sim: Simulator, graph: Graph, uncolored: np.ndarray,
 # ===================================================================== #
 
 def dense_coloring_step(sim: Simulator, graph: Graph, palettes: Palettes,
-                        coloring: np.ndarray, super_blocks: list[np.ndarray],
+                        coloring: np.ndarray, units: list[np.ndarray],
                         rng: np.random.Generator) -> int | None:
-    """One leader-simulated permutation coloring pass over super-blocks.
+    """One leader-simulated permutation coloring pass over blocks.
 
     Per block, members are ordered by increasing external degree (ties by
     id); each takes a uniform free color excluding lower-rank picks inside
@@ -263,7 +177,7 @@ def dense_coloring_step(sim: Simulator, graph: Graph, palettes: Palettes,
     and the cleanup color the units.  Otherwise returns how many vertices
     it colored.
     """
-    blocks = [np.asarray(b, dtype=np.int64) for b in super_blocks if len(b)]
+    blocks = [np.asarray(b, dtype=np.int64) for b in units if len(b)]
     if not blocks:
         return 0
     blocks = [b[coloring[b] == UNCOLORED] for b in blocks]
@@ -404,9 +318,9 @@ def clp_list_coloring(sim: Simulator, graph: Graph, palettes: Palettes,
     """List coloring for Delta <= sqrt(c_fit n) with palettes allowed to
     range over [Delta - Delta^(3/5), Delta + 1], in place in `coloring`.
 
-    Pipeline: one-shot rounds, density hierarchy, small blocks stratum by
-    stratum, large blocks (upper strata then stratum 1), bidding on the
-    leftovers and sparse set, then a charged central cleanup.
+    Pipeline: one-shot rounds, the density hierarchy, dense steps on the
+    small blocks and then on the large blocks, bidding on the leftovers
+    and sparse set, then a charged central cleanup.
 
     This is the one gate for the pipeline's scale preconditions: a palette
     below the window, or Delta below delta_min, hands the scope to the
@@ -461,22 +375,15 @@ def clp_list_coloring(sim: Simulator, graph: Graph, palettes: Palettes,
                     sim, graph, palettes, coloring, units, rng) is None:
                 return
 
-    # small blocks, stratum by stratum from the top; the working units are
-    # super-blocks (stratum members grouped by their top-layer clique)
-    small = np.zeros(n, dtype=bool)
-    small[hier.vertices[~hier.large]] = True
     with sim.stage("clp:dense-small"):
-        for k in range(len(hier.strata), 0, -1):
-            dense_passes([sb[small[sb]] for sb in hier.superblocks(k)])
-    # large blocks, upper strata first and stratum 1 last
+        dense_passes(hier.blocks(large=False))
     with sim.stage("clp:dense-large"):
-        for k in range(len(hier.strata), 0, -1):
-            dense_passes(hier.large_blocks(k))
-    # leftovers and sparse vertices: bidding oriented by density level
+        dense_passes(hier.blocks(large=True))
+    # leftovers and sparse vertices: bidding ranks dense before sparse
     rest = scope[coloring[scope] == UNCOLORED]
     if len(rest):
         rank = np.zeros(n, dtype=np.int64)
-        rank[hier.vertices] = hier.level
+        rank[hier.vertices] = hier.label < 0
         with sim.stage("clp:bidding"):
             color_bidding(sim, graph, palettes, coloring, rest, rank, rng)
     # cleanup: constant-degree part plus remaining components, centrally

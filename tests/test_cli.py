@@ -72,6 +72,37 @@ def test_verify_rejects_improper(tmp_path, runner):
     assert "violation" in res.output.lower()
 
 
+@pytest.mark.parametrize("text,message", [
+    ("0 -5\n1 2\n2 -5\n", "line 1: negative color -5"),
+    ("0 1\n1 2\n0 3\n2 1\n", "line 3: vertex 0 listed twice"),
+    ("# colors\n0 1\n1 0\n1 2\n2 1\n", "line 4: vertex 1 listed twice"),
+])
+def test_verify_rejects_malformed_coloring(tmp_path, runner, text, message):
+    # the path 0-1-2; each file would read as proper if parsed leniently
+    gpath = tmp_path / "g.el"
+    gpath.write_text("# n=3\n0 1\n1 2\n")
+    cpath = tmp_path / "c.txt"
+    cpath.write_text(text)
+    res = runner.invoke(main, ["verify", "--graph", str(gpath),
+                               "--coloring", str(cpath)])
+    assert res.exit_code == 2
+    assert f"input error: {message}" in res.output
+
+
+def test_graph_file_header_errors_exit_2(tmp_path, runner):
+    gpath = tmp_path / "g.el"
+    gpath.write_text("# n=2\n0 5\n")
+    res = runner.invoke(main, ["run", "--algo", "det", "--graph", str(gpath)])
+    assert res.exit_code == 2
+    assert "vertex 5 at or above the pinned n=2" in res.output
+    gpath.write_text("# run=300 of the sweep\n0 1\n")
+    out = tmp_path / "r.json"
+    res = runner.invoke(main, ["run", "--algo", "det", "--graph", str(gpath),
+                               "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    assert json.loads(out.read_text())["n"] == 2
+
+
 def test_sweep_grid_counts(tmp_path, runner):
     res = runner.invoke(main, [
         "sweep", "--algos", "det,detsq", "--n", "16,32,64",

@@ -99,6 +99,26 @@ def test_edge_list_comments_and_errors():
         Graph.from_edges(3, [(1, 1)])
 
 
+def test_edge_list_header_pins_n_only_as_first_token():
+    # a comment that merely contains n= leaves n at max id + 1
+    assert graph_from_text("# run=300 of the sweep\n0 1\n").n == 2
+    assert graph_from_text("# the n=300 run\n0 1\n").n == 2
+    assert graph_from_text("# n=300\n0 1\n").n == 300
+    assert graph_from_text("#n=7 from a sweep\n0 1\n").n == 7
+
+
+@pytest.mark.parametrize("text,message", [
+    ("# n=-3\n0 1\n", "line 1: bad vertex count 'n=-3'"),
+    ("0 1\n# n=abc\n", "line 2: bad vertex count 'n=abc'"),
+    ("# n=\n", "line 1: bad vertex count 'n='"),
+    ("# n=2\n0 1\n0 5\n", "line 3: vertex 5 at or above the pinned n=2"),
+    ("# n=2\n\n1 2\n", "line 3: vertex 2 at or above the pinned n=2"),
+])
+def test_edge_list_bad_header_or_id_above_pin(text, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        graph_from_text(text)
+
+
 def test_is_proper_triangle_cases():
     k3 = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
     pal = Palettes.uniform_range(3, 1, 3)

@@ -17,9 +17,8 @@ from ccclique.randcolor import (RETRY_BUDGET, PartitionPlan,
                                 _measured_split, _split_and_recurse,
                                 color_bidding,
                                 compute_hierarchy, dense_coloring_step,
-                                eps_ladder, friend_threshold,
-                                one_shot_coloring, partition_step,
-                                recursive_coloring, strata_of)
+                                friend_threshold, one_shot_coloring,
+                                partition_step, recursive_coloring)
 from ccclique.sim import Simulator
 
 
@@ -103,47 +102,34 @@ def test_friend_threshold_formula():
     assert friend_threshold(1024, 64, 1.0 / 16) == (15 / 16) * 960 == 900.0
 
 
-def test_eps_ladder_shapes():
-    # desk scale: first value already above 1/K -> single level
-    seq = eps_ladder(128, 100)
-    assert len(seq) == 1 and abs(seq[0] - 128 ** -0.1) < 1e-12
-    # synthetic deep ladder rises by square roots and caps at 1/K
-    seq2 = eps_ladder(2 ** 40, 10)
-    assert seq2[0] == pytest.approx(2 ** -4)
-    assert all(b > a for a, b in zip(seq2, seq2[1:]))
-    assert seq2[-1] == pytest.approx(0.1)
-
-
-def test_strata_grouping():
-    # thresholds: xi_1 = eps_1, xi_2 = 1/log2(1/xi_1)
-    assert strata_of([0.0625, 0.1]) == [[1], [2]]
-    assert strata_of([0.5]) == [[1]]
-    deep = eps_ladder(2 ** 40, 10)
-    strata = strata_of(deep)
-    flat = [i for grp in strata for i in grp]
-    assert flat == list(range(1, len(deep) + 1))
-
-
 def test_hierarchy_complete_graph_single_clique():
     # K_{Delta+1}: every adjacent pair shares Delta-1 common neighbors
     delta = 32
+    sim = Simulator(2048, Config())  # Delta^2 = 1024 <= 2048
     g = Graph.complete(delta + 1)
-    n = g.n
-    sim, cfg, log = setup_ctx(max(n, delta * delta + 1))
-    # embed K in a larger clique-model simulator via its own graph
-    sim = Simulator(2048, cfg)  # Delta^2 = 1024 <= 2048
-    g2, _ = Graph.complete(delta + 1).induced(np.arange(delta + 1))
-    hier = compute_hierarchy(sim, g2, np.arange(g2.n))
-    assert (hier.level == 1).all()  # everyone dense at level 1
-    assert (hier.labels[0] == 0).all()  # one clique, labelled by vertex 0
+    hier = compute_hierarchy(sim, g, np.arange(g.n))
+    assert (hier.label == 0).all()  # one clique, labelled by vertex 0
+    # 33 members, below Delta / log2(Delta^0.1)^2 = 128
+    assert not hier.large.any()
+    assert [len(b) for b in hier.blocks(large=False)] == [33]
 
 
 def test_hierarchy_empty_graph_all_sparse():
     g = Graph.from_edges(6, [])
     sim, cfg, log = setup_ctx(64)
     hier = compute_hierarchy(sim, g, np.arange(6))
-    assert (hier.level == len(hier.labels) + 1).all()  # all sparse
-    assert (hier.labels == -1).all() and (hier.stratum == 0).all()
+    assert (hier.label == -1).all() and not hier.large.any()
+    assert hier.blocks(large=False) == hier.blocks(large=True) == []
+
+
+def test_hierarchy_rejects_a_second_level():
+    # eps = Delta^(-1/10) falls below 1/K = 1/100 first at Delta = 10^20
+    g = Graph.from_edges(6, [(0, 1)])
+    sim = Simulator(64, Config(c_fit=1e40))
+    with pytest.raises(ParameterViolation):
+        compute_hierarchy(sim, g, np.arange(6), delta=10 ** 20)
+    hier = compute_hierarchy(sim, g, np.arange(6), delta=128)
+    assert (hier.label == -1).all()
 
 
 def planted_near_cliques(n, p_bg, cliques, seed):
@@ -161,110 +147,68 @@ def planted_near_cliques(n, p_bg, cliques, seed):
     return Graph.from_edges(n, edges)
 
 
-def block_table(hier):
-    """(level, stratum, size, large) per block, in block order: a block is
-    the vertices with one first dense level and one clique there."""
-    d = np.flatnonzero(hier.level <= len(hier.labels))
-    own = hier.labels[hier.level[d] - 1, d]
-    keys, first, size = np.unique(hier.level[d] * (1 << 32) + own,
-                                  return_index=True, return_counts=True)
-    i = d[first]
-    return list(zip(hier.level[i].tolist(), hier.stratum[i].tolist(),
-                    size.tolist(), hier.large[i].tolist()))
-
-
-NEAR_CLIQUES = {
-    "a": ((45, 0.95), (40, 0.9), (35, 0.8), (30, 0.7), (25, 0.6)),
-    "b": ((50, 0.95), (40, 0.9), (30, 0.8), (30, 0.7), (30, 0.6)),
-}
-
-
-@pytest.mark.parametrize("ladder, graph, seed, strata, blocks, supers", [
-    # the level-1 block of 15 is big enough to be large (threshold
-    # Delta / log2(10)^2 = 4.7) but its level-2 parent is large already
-    ([0.1, 0.3], "a", 1, [[1], [2]],
-     [(1, 1, 15, False), (2, 2, 30, True), (2, 2, 25, True)],
-     [[15], [30, 25]]),
-    ([0.1, 0.3], "a", 0, [[1], [2]],
-     [(1, 1, 18, False), (2, 2, 27, True), (2, 2, 11, False)],
-     [[18], [27, 11]]),
-    # a large level-1 block under a small level-2 parent
-    ([0.1, 0.3], "b", 0, [[1], [2]],
-     [(1, 1, 35, True), (2, 2, 15, False)], [[35], [15]]),
-    ([0.05, 0.1, 0.3], "a", 0, [[1], [2], [3]],
-     [(2, 2, 18, False), (3, 3, 27, True), (3, 3, 11, False)],
-     [[], [18], [27, 11]]),
-    # stratum 2 holds layers 2 and 3: its super-block joins the level-2
-    # and level-3 blocks under their common level-3 clique
-    ([0.05, 0.1, 0.2, 0.4], "a", 1, [[1], [2, 3], [4]],
-     [(2, 2, 15, False), (3, 2, 28, True), (4, 3, 2, False),
-      (4, 3, 39, True)],
-     [[], [43], [2, 39]]),
-])
-def test_hierarchy_multi_level_blocks(monkeypatch, ladder, graph, seed,
-                                      strata, blocks, supers):
-    from ccclique import randcolor
-    monkeypatch.setattr(randcolor, "eps_ladder", lambda d, k: list(ladder))
-    g = planted_near_cliques(600, 0.01, NEAR_CLIQUES[graph], seed)
-    sim, cfg, log = setup_ctx(g.n, c_fit=64)
-    hier = compute_hierarchy(sim, g, np.arange(g.n))
-    assert hier.strata == strata
-    assert block_table(hier) == blocks
-    assert [[len(sb) for sb in hier.superblocks(k)]
-            for k in range(1, len(strata) + 1)] == supers
-    # components are charged once per level, after the collection
-    assert sim.ledger.stage_rounds["hierarchy:components"] == len(ladder)
-
-
-def reference_block_flags(hier, delta, ladder):
-    """Per-vertex stratum and large flag by dict loops over the blocks:
-    a block's parent is the block, at the lowest higher level, of its
-    smallest member's clique; flags are set from the top level down, and
-    a large ancestor suppresses them."""
-    ell = len(ladder)
-    blocks = {}  # (level, clique) -> member indices, ascending
-    for i, lev in enumerate(hier.level.tolist()):
-        if lev <= ell:
-            blocks.setdefault((lev, int(hier.labels[lev - 1, i])),
-                              []).append(i)
-    parent = {}
-    for (lev, c), mem in blocks.items():
-        for lj in range(lev + 1, ell + 1):
-            if (lj, int(hier.labels[lj - 1, mem[0]])) in blocks:
-                parent[(lev, c)] = (lj, int(hier.labels[lj - 1, mem[0]]))
-                break
-    stratum_of = {li: k for k, ls in enumerate(hier.strata, 1) for li in ls}
-    stratum = np.zeros(len(hier.vertices), dtype=np.int64)
-    large = np.zeros(len(hier.vertices), dtype=bool)
-    flag = {}
-    for key in sorted(blocks, key=lambda b: -b[0]):
-        k = stratum_of[key[0]]
-        x = ladder[hier.strata[k - 1][-1] - 1]
-        thr = delta / math.log2(1.0 / x) ** 2 if 0 < x < 1 else math.inf
-        anc = parent.get(key)
-        while anc is not None and not flag[anc]:
-            anc = parent.get(anc)
-        flag[key] = len(blocks[key]) >= thr and anc is None
-        stratum[blocks[key]] = k
-        large[blocks[key]] = flag[key]
-    return stratum, large
+def reference_hierarchy(graph, uncolored, delta):
+    """Per-vertex clique label and large flag by dict and set loops:
+    friends share (1-eps)(Delta-q) neighbours, dense vertices have that
+    many friends, cliques are friend components of dense vertices labelled
+    by their smallest member, and a clique is large from
+    Delta / log2(1/eps)^2 members."""
+    eps, q = delta ** -0.1, delta ** 0.6
+    thr = max(1.0, (1 - eps) * (delta - q))
+    unc = sorted(int(v) for v in uncolored)
+    nbrs = {v: set(graph.neighbors(v).tolist()) for v in range(graph.n)}
+    live = set(unc)
+    friends = {v: [u for u in nbrs[v] & live
+                   if len(nbrs[u] & nbrs[v]) >= thr] for v in unc}
+    dense = {v for v in unc if len(friends[v]) >= thr}
+    label = {}
+    for v in unc:
+        if v in dense and v not in label:
+            comp, todo = {v}, [v]
+            while todo:
+                for u in friends[todo.pop()]:
+                    if u in dense and u not in comp:
+                        comp.add(u)
+                        todo.append(u)
+            label.update(dict.fromkeys(comp, min(comp)))
+    size = {}
+    for c in label.values():
+        size[c] = size.get(c, 0) + 1
+    big = delta / math.log2(1 / eps) ** 2
+    return ([label.get(v, -1) for v in unc],
+            [v in label and size[label[v]] >= big for v in unc])
 
 
 @pytest.mark.parametrize("case", range(12))
-def test_hierarchy_block_flags_match_loop_reference(monkeypatch, case):
-    from ccclique import randcolor
+def test_hierarchy_block_flags_match_loop_reference(case):
     rng = np.random.default_rng(case)
-    ladder = np.sort(rng.uniform(0.02, 0.6, 1 + case % 4)).tolist()
-    monkeypatch.setattr(randcolor, "eps_ladder", lambda d, k: ladder)
     k = int(rng.integers(2, 7))
     cliques = list(zip(rng.integers(8, 45, k).tolist(),
                        rng.uniform(0.5, 1.0, k).tolist()))
     g = planted_near_cliques(400, 0.01, cliques, case)
     sim, cfg, log = setup_ctx(g.n, c_fit=64)
-    hier = compute_hierarchy(sim, g, np.flatnonzero(rng.random(g.n) < 0.8))
-    stratum, large = reference_block_flags(hier, g.max_degree, ladder)
-    assert np.array_equal(hier.stratum, stratum)
-    assert np.array_equal(hier.large, large)
+    unc = np.flatnonzero(rng.random(g.n) < 0.8)
+    hier = compute_hierarchy(sim, g, unc)
+    label, large = reference_hierarchy(g, unc, g.max_degree)
+    assert hier.vertices.tolist() == unc.tolist()
+    assert hier.label.tolist() == label
+    assert hier.large.tolist() == large
+    # one charged components call, after the collection
+    assert sim.ledger.stage_rounds["hierarchy:components"] == 1
+
+
+def test_hierarchy_large_block():
+    # near-cliques of 1,100 and 200 vertices in G(2048, 0.005): Delta is
+    # 1,092, so the big one is a large block (from 1,092 / log2(1092^0.1)^2
+    # = 1,072.02 members); the 200 have too few friends to be dense
+    g = planted_near_cliques(2048, 0.005, ((1100, 0.97), (200, 0.9)), 0)
+    assert g.max_degree == 1092
+    sim, cfg, log = setup_ctx(g.n, c_fit=1000)
+    hier = compute_hierarchy(sim, g, np.arange(g.n))
+    assert (hier.label[:1100] == 0).all() and (hier.label[1100:] == -1).all()
+    assert np.array_equal(np.flatnonzero(hier.large), np.arange(1100))
+    assert [b.tolist() for b in hier.blocks(large=True)] == [list(range(1100))]
+    assert hier.blocks(large=False) == []
 
 
 def test_friend_pairs_imply_two_eps_friends():
@@ -657,7 +601,7 @@ def test_free_color_floor_invariant_during_pipeline():
 
 def test_clp_runs_hierarchy_and_bidding_in_regime():
     # delta_min=16 and c_fit=64 put Delta (246) inside the clp window
-    # at n=1024, so the run reaches the hierarchy's super-blocks and the
+    # at n=1024, so the run reaches the hierarchy's blocks and the
     # bidding step instead of falling back
     g = gen_random_graph(1024, 0.2, 0)
     _, rep = run_algorithm("clp", g, Config(rng_seed=0, delta_min=16,
@@ -689,3 +633,27 @@ def test_clp_dense_step_colors_disjoint_cliques(monkeypatch):
         "clp:dense-small": 5, "clp:hierarchy": 3, "clp:oneshot": 3,
         "dense:gather": 5, "hierarchy:collect": 2,
         "hierarchy:components": 1}
+
+
+def test_clp_dense_large_colors_chained_blocks(monkeypatch):
+    # two circulant rings C(160, +-1..10) and C(110, +-1..10) at n = 8192:
+    # Delta = 20 puts eps at 20^(-0.1) = 0.74, so the friend components
+    # chain around a ring past Delta + 1 members, and a block is large from
+    # 20 / log2(20^0.1)^2 = 107.1 members.  After one-shot the 110-ring's
+    # block (78) is small and the 160-ring's (121) large; both gathers fit
+    # in n words.  The leader colors at most Delta + 1 members of a block
+    # per pass.
+    edges = [(s + i, s + (i + d) % m) for s, m in ((0, 160), (160, 110))
+             for i in range(m) for d in range(1, 11)]
+    g = Graph.from_edges(8192, edges)
+    from ccclique import randcolor
+    dense = randcolor.dense_coloring_step
+    colored = []
+    monkeypatch.setattr(randcolor, "dense_coloring_step",
+                        lambda *a, **k: colored.append(dense(*a, **k))
+                        or colored[-1])
+    _, rep = run_algorithm("clp", g, Config(delta_min=8, rng_seed=1))
+    assert rep["proper"] and rep["within_budget"]
+    assert colored == [21, 21, 21, 15] + [21, 21, 21, 21, 21, 16]
+    assert rep["rounds_by_stage"]["clp:dense-small"] == 20
+    assert rep["rounds_by_stage"]["clp:dense-large"] == 30
