@@ -27,6 +27,11 @@ from .graphs import Graph
 
 UNCOLORED = 0
 
+# _BIT[i] has bit i alone set: a vertex's bit in its packed word.  Its
+# entries are 0-d arrays, which numpy ANDs into an array faster than a
+# uint64 scalar
+_BIT = tuple(np.array(1 << i, dtype=np.uint64) for i in range(64))
+
 
 def log2n(n: int) -> float:
     return math.log2(max(2, n))
@@ -323,13 +328,17 @@ def greedy_list_color(graph: Graph, palettes: Palettes,
     vertex's colored-or-pending neighbors (the deg+1 slack invariant).
 
     Both palette forms run on the packed rows.  Bit v of ft[v >> 6, c]
-    says "v has a neighbour colored base + c".  No vertex picks past its
-    (deg+1)-th palette color, which caps the table's width.  A range
-    vertex takes its first clear column in [lo, hi]; columns at or above
-    `used` are clear everywhere, so only [lo, max(used, lo)) is read.  A
-    list vertex reads the columns of its first deg+1 colors.
+    says "v has a neighbour colored base + c"; a vertex ANDs the cells it
+    reads with its bit mask _BIT[v & 63], and the first zero cell (argmin)
+    is its color.  No vertex picks past its (deg+1)-th palette color,
+    which caps the table's width.  A range vertex takes its first clear
+    column in [lo, hi]; columns at or above `used` are clear everywhere,
+    so only [lo, max(used, lo)) is read.  A list vertex reads the columns
+    of its first deg+1 colors.
 
-    Returns the number of vertices colored.  Mutates `coloring`.
+    The picks are written to `coloring` once, after the loop; a stuck
+    vertex first writes the picks made before it, then raises.  Returns
+    the number of vertices colored.  Mutates `coloring`.
     """
     pending = np.unique(np.asarray(vertices, dtype=np.int64))
     pending = pending[coloring[pending] == UNCOLORED]
@@ -363,27 +372,35 @@ def greedy_list_color(graph: Graph, palettes: Palettes,
         ft[:, c[starts]] |= np.bitwise_or.reduceat(
             rows[src[s:s + step]], starts, axis=0).T
     used = int(col[src].max()) + 1 if len(src) else 0
-    one = np.uint64(1)
-    for v, l, h in zip(pending.tolist(), lo_p.tolist(), hi_p.tolist()):
-        if is_range:
-            c = u = min(h + 1, max(used, l))
-            if u > l:
-                taken = (ft[v >> 6, l:u] >> np.uint64(v & 63)) & one
+    picks = []
+    try:
+        for v, l, h in zip(pending.tolist(), lo_p.tolist(), hi_p.tolist()):
+            w, b = v >> 6, _BIT[v & 63]
+            if is_range:
+                c = u = min(h + 1, used if used > l else l)
+                if u > l:
+                    taken = ft[w, l:u] & b
+                    i = int(taken.argmin())
+                    if not taken.item(i):
+                        c = l + i
+                if c > h:
+                    raise _stuck(v)
+            else:
+                if h < l:
+                    raise _stuck(v)
+                cols = colors[l:h + 1] - base
+                taken = ft[w, cols] & b
                 i = int(taken.argmin())
-                if not taken[i]:
-                    c = l + i
-            if c > h:
-                raise _stuck(v)
-        else:
-            cols = colors[l:h + 1] - base
-            clear = np.flatnonzero(
-                ((ft[v >> 6, cols] >> np.uint64(v & 63)) & one) == 0)
-            if len(clear) == 0:
-                raise _stuck(v)
-            c = int(cols[clear[0]])
-        coloring[v] = base + c
-        ft[:, c] |= rows[v]
-        used = max(used, c + 1)
+                if taken.item(i):
+                    raise _stuck(v)
+                c = cols.item(i)
+            picks.append(c)
+            ft[:, c] |= rows[v]
+            if c >= used:
+                used = c + 1
+    finally:
+        coloring[pending[:len(picks)]] = \
+            base + np.array(picks, dtype=np.int64)
     return len(pending)
 
 

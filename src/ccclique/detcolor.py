@@ -128,16 +128,20 @@ def _add_term_groups(obj: AffineObjective, *groups) -> None:
 
 def _central_phase(sim: Simulator, graph: Graph, palettes: Palettes,
                    coloring: np.ndarray, vertices: np.ndarray,
-                   stage: str) -> int:
+                   stage: str, deg_sub: np.ndarray | None = None) -> int:
     """Charged central greedy list-coloring of `vertices`.
 
     Cost model: the subgraph's edges plus one palette of deg_sub+1 words
     per vertex are gathered to a leader, solved, and scattered back.
+    `deg_sub`, when the caller has it, is the degree of each of
+    `vertices` within `vertices` (indexed by vertex id); otherwise it is
+    counted here.
     """
     if len(vertices) == 0:
         return 0
-    deg_sub = graph.degrees_within(graph.pack_vertex_mask(vertices),
-                                   rows=vertices)
+    if deg_sub is None:
+        deg_sub = graph.degrees_within(graph.pack_vertex_mask(vertices),
+                                       rows=vertices)
     m_sub = int(deg_sub[vertices].sum()) // 2
     payload = int(deg_sub[vertices].sum()) + len(vertices)
     with sim.stage(stage):
@@ -196,8 +200,9 @@ def _seed_round(sim: Simulator, family: HashFamily, ids: np.ndarray,
 
 def _list_scope(sim: Simulator, graph: Graph, palettes: Palettes,
                 vertices: np.ndarray | None, fits, regime: str):
-    """Check a list colorer's input and return (sorted scope, max degree
-    within the scope).
+    """Check a list colorer's input and return (sorted scope, degree of
+    each scope vertex within the scope, indexed by vertex id and zero
+    outside the scope).
 
     The scope's degree must satisfy `fits(Delta, n)` (DegreeTooLarge
     otherwise), and every palette needs deg+1 colors: the first short
@@ -212,14 +217,17 @@ def _list_scope(sim: Simulator, graph: Graph, palettes: Palettes,
     short = scope[palettes.sizes(scope) < sub_deg[scope] + 1]
     if len(short):
         raise ParameterViolation(f"palette of {int(short[0])} below deg+1")
-    return np.unique(scope), dmax
+    return np.unique(scope), sub_deg
 
 
 def _list_color_phases(sim: Simulator, graph: Graph, palettes: Palettes,
-                       coloring: np.ndarray, scope: np.ndarray, prefix: str,
-                       scale_where: str, phase) -> int:
+                       coloring: np.ndarray, scope: np.ndarray,
+                       scope_deg: np.ndarray, prefix: str, scale_where: str,
+                       phase) -> int:
     """Color the uncolored vertices of `scope` phase by phase; returns the
-    number of full phases.
+    number of full phases.  `scope_deg` is `_list_scope`'s degree array:
+    while no scope vertex is colored, the active set is the scope and its
+    degrees are not counted again.
 
     `phase(edges, free)` runs the seeded round of a phase on the active
     vertices (`free.vertices`), the edges among them and their free
@@ -246,8 +254,8 @@ def _list_color_phases(sim: Simulator, graph: Graph, palettes: Palettes,
                            f"{prefix}:guard")
             break
         phases += 1
-        deg_act = graph.degrees_within(graph.pack_vertex_mask(active),
-                                       rows=active)
+        deg_act = scope_deg if len(active) == len(scope) else \
+            graph.degrees_within(graph.pack_vertex_mask(active), rows=active)
         # the degree sum is 2m
         if int(deg_act[active].sum()) + 2 * len(active) > \
                 sim.config.term_budget:
@@ -257,7 +265,7 @@ def _list_color_phases(sim: Simulator, graph: Graph, palettes: Palettes,
                             free_sets(graph, palettes, coloring, active))
         if isinstance(colored, tuple):
             _central_phase(sim, graph, palettes, coloring, active,
-                           f"{prefix}:central")
+                           f"{prefix}:central", deg_act)
             reason, where = colored
             log.fallback(reason, len(active), where=where, phase=phases)
             continue
@@ -375,8 +383,8 @@ def det_list_color_sqrt(sim: Simulator, graph: Graph, palettes: Palettes,
     central top-up covers any shortfall against the quarter bound.
     Returns the number of phases.
     """
-    scope, _ = _list_scope(sim, graph, palettes, vertices,
-                           sim.config.fits_sqrt, "sqrt")
+    scope, scope_deg = _list_scope(sim, graph, palettes, vertices,
+                                   sim.config.fits_sqrt, "sqrt")
     if len(scope) == 0:
         return 0
 
@@ -396,8 +404,8 @@ def det_list_color_sqrt(sim: Simulator, graph: Graph, palettes: Palettes,
                                   part_bits=1, instance_id=instance_id,
                                   stage="sqrt:seed").colored
 
-    return _list_color_phases(sim, graph, palettes, coloring, scope, "sqrt",
-                              "sqrt", phase)
+    return _list_color_phases(sim, graph, palettes, coloring, scope,
+                              scope_deg, "sqrt", "sqrt", phase)
 
 
 def simple_rand_color_round(graph: Graph, palettes: Palettes,
@@ -697,10 +705,11 @@ def det_list_color_n34(sim: Simulator, graph: Graph, palettes: Palettes,
     Returns the number of phases.
     """
     n, log = graph.n, sim.log
-    scope, dmax = _list_scope(sim, graph, palettes, vertices,
-                              sim.config.fits_n34, "n^(3/4)")
+    scope, scope_deg = _list_scope(sim, graph, palettes, vertices,
+                                   sim.config.fits_n34, "n^(3/4)")
     if len(scope) == 0:
         return 0
+    dmax = int(scope_deg.max())
     layout = bin_layout(dmax, *palettes.span(scope))
     need_c = required_independence(dmax / max(1, layout.n_bins),
                                    max(layout.small_cap, 1.0), n)
@@ -743,8 +752,8 @@ def det_list_color_n34(sim: Simulator, graph: Graph, palettes: Palettes,
                                   part_bits=5, instance_id=instance_id,
                                   stage="n34:seed").colored
 
-    return _list_color_phases(sim, graph, palettes, coloring, scope, "n34",
-                              "n34-scale", phase)
+    return _list_color_phases(sim, graph, palettes, coloring, scope,
+                              scope_deg, "n34", "n34-scale", phase)
 
 
 # ===================================================================== #

@@ -144,12 +144,15 @@ class EchelonTemplate:
     masks[s] is system s's row list; zero masks are allowed (a zero row
     with rhs 0 constrains nothing, so narrower systems pad with zero
     columns and share one template).  The elimination runs by pivot
-    column: for each bit p set in any mask, high to low, the first row of
-    each system (in insertion order) that still has bit p becomes pivot p
-    and is XORed into every other row that has it.  A row only ever XORs
-    pivots of earlier rows, and pivot p is the first row whose reduction
-    lands on p, so each system's echelon rows, pivots and satisfiability
-    equal `solve_parity_rows` on its row list, bit for bit.
+    column, on live bits only: while some row is nonzero, take the
+    highest bit p set in any remaining row; the first row of each system
+    (in insertion order) that still has bit p becomes pivot p and is XORed
+    into every other row that has it.  Each step clears bit p from every
+    row and leaves no higher bit, so the steps visit the live bits high
+    to low and stop once every row is zero.  A row only ever XORs pivots
+    of earlier rows, and pivot p is the first row whose reduction lands
+    on p, so each system's echelon rows, pivots and satisfiability equal
+    `solve_parity_rows` on its row list, bit for bit.
 
     The reduction depends only on the masks.  Every output row records
     which input rows XOR into it (a combo bitmask), so a term's rhs,
@@ -168,27 +171,31 @@ class EchelonTemplate:
         n_sys, n_in = masks.shape
         if n_in > 64:
             raise ValueError("template supports at most 64 input rows")
-        union = int(np.bitwise_or.reduce(masks, axis=None))
-        bits = np.array([p for p in range(63, -1, -1) if union >> p & 1],
-                        dtype=np.uint64)
         m = masks.copy()
         c = np.tile(np.uint64(1) << np.arange(n_in, dtype=np.uint64),
                     (n_sys, 1))
         row0 = np.arange(n_sys) * n_in
-        out_m = np.empty((n_sys, len(bits)), dtype=np.uint64)
-        out_c = np.empty_like(out_m)
+        bits, piv_m, piv_c = [], [], []
         one = np.uint64(1)
-        for j, p in enumerate(bits):
+        union = int(np.bitwise_or.reduce(m, axis=None))
+        while union:
             # the first row with bit p is pivot p; XOR it into every row
             # with bit p, itself included, so it drops out with a zero mask
             # and combo.  A system with no such row records a row without
             # bit p and XORs nothing
+            p = np.uint64(union.bit_length() - 1)
             has = (m >> p) & one
             first = row0 + has.argmax(axis=1)
-            out_m[:, j] = pm = m.take(first)
-            out_c[:, j] = pc = c.take(first)
+            pm, pc = m.take(first), c.take(first)
             m ^= has * pm[:, None]
             c ^= has * pc[:, None]
+            bits.append(p)
+            piv_m.append(pm)
+            piv_c.append(pc)
+            union = int(np.bitwise_or.reduce(m, axis=None))
+        out_m = np.array(piv_m, dtype=np.uint64).reshape(len(bits), n_sys).T
+        out_c = np.array(piv_c, dtype=np.uint64).reshape(len(bits), n_sys).T
+        bits = np.array(bits, dtype=np.uint64)
         s_idx, col = np.nonzero((out_m >> bits) & one)
         self.rank = np.bincount(s_idx, minlength=n_sys).astype(np.int64)
         self.row_start = np.concatenate(([0], np.cumsum(self.rank)))
