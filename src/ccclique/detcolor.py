@@ -140,8 +140,7 @@ def _central_phase(sim: Simulator, graph: Graph, palettes: Palettes,
     if len(vertices) == 0:
         return 0
     if deg_sub is None:
-        deg_sub = graph.degrees_within(graph.pack_vertex_mask(vertices),
-                                       rows=vertices)
+        deg_sub = graph.degrees_among(vertices)
     m_sub = int(deg_sub[vertices].sum()) // 2
     payload = int(deg_sub[vertices].sum()) + len(vertices)
     with sim.stage(stage):
@@ -198,26 +197,23 @@ def _seed_round(sim: Simulator, family: HashFamily, ids: np.ndarray,
 # the list-coloring phase loop (shared by sqrt and n^(3/4))
 # ===================================================================== #
 
-def _list_scope(sim: Simulator, graph: Graph, palettes: Palettes,
-                vertices: np.ndarray | None, fits, regime: str):
-    """Check a list colorer's input and return (sorted scope, degree of
-    each scope vertex within the scope, indexed by vertex id and zero
-    outside the scope).
-
-    The scope's degree must satisfy `fits(Delta, n)` (DegreeTooLarge
-    otherwise), and every palette needs deg+1 colors: the first short
-    vertex in the caller's order is named in the ParameterViolation."""
+def _list_scope(graph: Graph, palettes: Palettes, vertices: np.ndarray | None,
+                deg: np.ndarray | None = None):
+    """The one gate into list coloring (clp's and both derandomized
+    colorers): returns (sorted scope, each scope vertex's degree within
+    the scope indexed by vertex id, the scope's maximum degree).  The
+    degrees are `deg` when the caller measured them, `graph.degrees` for
+    the whole graph (`vertices` None), else counted here.  Every palette
+    needs deg+1 colors: the first short vertex in the caller's order is
+    named in the ParameterViolation.  Regime checks are the colorer's."""
     scope = np.arange(graph.n) if vertices is None else \
         np.asarray(vertices, dtype=np.int64)
-    sub_deg = graph.degrees_within(graph.pack_vertex_mask(scope),
-                                   rows=scope)
-    dmax = int(sub_deg[scope].max(initial=0))
-    if not fits(dmax, sim.n):
-        raise DegreeTooLarge(f"Delta={dmax} too large for {regime} regime")
-    short = scope[palettes.sizes(scope) < sub_deg[scope] + 1]
+    if deg is None:
+        deg = graph.degrees if vertices is None else graph.degrees_among(scope)
+    short = scope[palettes.sizes(scope) < deg[scope] + 1]
     if len(short):
         raise ParameterViolation(f"palette of {int(short[0])} below deg+1")
-    return np.unique(scope), sub_deg
+    return np.unique(scope), deg, int(deg[scope].max(initial=0))
 
 
 def _list_color_phases(sim: Simulator, graph: Graph, palettes: Palettes,
@@ -255,7 +251,7 @@ def _list_color_phases(sim: Simulator, graph: Graph, palettes: Palettes,
             break
         phases += 1
         deg_act = scope_deg if len(active) == len(scope) else \
-            graph.degrees_within(graph.pack_vertex_mask(active), rows=active)
+            graph.degrees_among(active)
         # the degree sum is 2m
         if int(deg_act[active].sum()) + 2 * len(active) > \
                 sim.config.term_budget:
@@ -374,17 +370,18 @@ def derand_color_round(sim: Simulator, graph: Graph, coloring: np.ndarray,
 def det_list_color_sqrt(sim: Simulator, graph: Graph, palettes: Palettes,
                         coloring: np.ndarray,
                         vertices: np.ndarray | None = None,
-                        instance_id: int = 0) -> int:
+                        deg: np.ndarray | None = None) -> int:
     """Derandomized list coloring for Delta <= sqrt(c_fit * n), in place
-    in `coloring`.
+    in `coloring`; `deg` as in _list_scope.
 
     Every phase colors at least ceil(uncolored / 4) vertices: the seed
     round guarantees its exact estimator expectation, and a charged
     central top-up covers any shortfall against the quarter bound.
     Returns the number of phases.
     """
-    scope, scope_deg = _list_scope(sim, graph, palettes, vertices,
-                                   sim.config.fits_sqrt, "sqrt")
+    scope, scope_deg, dmax = _list_scope(graph, palettes, vertices, deg)
+    if not sim.config.fits_sqrt(dmax, sim.n):
+        raise DegreeTooLarge(f"Delta={dmax} too large for sqrt regime")
     if len(scope) == 0:
         return 0
 
@@ -401,8 +398,7 @@ def det_list_color_sqrt(sim: Simulator, graph: Graph, palettes: Palettes,
         sizes[active] = free.sizes
         _charge_edge_words(sim, "sqrt:palettes", edges, sizes)
         return derand_color_round(sim, graph, coloring, free, edges,
-                                  part_bits=1, instance_id=instance_id,
-                                  stage="sqrt:seed").colored
+                                  part_bits=1, stage="sqrt:seed").colored
 
     return _list_color_phases(sim, graph, palettes, coloring, scope,
                               scope_deg, "sqrt", "sqrt", phase)
@@ -694,9 +690,10 @@ def classify_and_bin(sim: Simulator, graph: Graph, free: FreeSets,
 def det_list_color_n34(sim: Simulator, graph: Graph, palettes: Palettes,
                        coloring: np.ndarray,
                        vertices: np.ndarray | None = None,
-                       instance_id: int = 0) -> int:
+                       instance_id: int = 0,
+                       deg: np.ndarray | None = None) -> int:
     """Bin-based deterministic list coloring for Delta <= (c_fit n)^(3/4),
-    in place in `coloring`.
+    in place in `coloring`; `deg` as in _list_scope.
 
     Each phase narrows palettes to candidate sets S(u) (classify_and_bin)
     and derandomizes one low-participation pick round on them; phases that
@@ -705,11 +702,11 @@ def det_list_color_n34(sim: Simulator, graph: Graph, palettes: Palettes,
     Returns the number of phases.
     """
     n, log = graph.n, sim.log
-    scope, scope_deg = _list_scope(sim, graph, palettes, vertices,
-                                   sim.config.fits_n34, "n^(3/4)")
+    scope, scope_deg, dmax = _list_scope(graph, palettes, vertices, deg)
+    if not sim.config.fits_n34(dmax, sim.n):
+        raise DegreeTooLarge(f"Delta={dmax} too large for n^(3/4) regime")
     if len(scope) == 0:
         return 0
-    dmax = int(scope_deg.max())
     layout = bin_layout(dmax, *palettes.span(scope))
     need_c = required_independence(dmax / max(1, layout.n_bins),
                                    max(layout.small_cap, 1.0), n)
@@ -727,8 +724,7 @@ def det_list_color_n34(sim: Simulator, graph: Graph, palettes: Palettes,
             return "host-budget", "n34"
         s_len = state.s_sets.sizes
         if state.branch == "A0":
-            g_a0 = graph.degrees_within(graph.pack_vertex_mask(state.a0),
-                                        rows=state.aprime)[state.aprime]
+            g_a0 = graph.degrees_among(state.a0)[state.aprime]
             for v, s, g in zip(state.aprime.tolist(), s_len.tolist(),
                                g_a0.tolist()):
                 log.require("a0-small-bin-mass", 10 * s >= g,
@@ -867,12 +863,12 @@ def det_partition_general(sim: Simulator, graph: Graph):
                                    side="right") - 1
             part = np.minimum(part, plan.ell)  # tail cells -> G*
             part[part < 0] = plan.ell
-            degs = [graph.max_degree_within(np.nonzero(part == i)[0])
+            degs = [int(graph.degrees_among(np.nonzero(part == i)[0]).max())
                     for i in range(plan.ell)]
             ok = max(degs) <= plan.cap_parts
             star = np.nonzero(part == plan.ell)[0]
             if ok and len(star):
-                ok = graph.max_degree_within(star) <= plan.cap_star
+                ok = graph.degrees_among(star).max() <= plan.cap_star
             with sim.stage("partition:probe"):
                 sim.charge_route_counts(np.ones(n, dtype=np.int64),
                                         np.ones(n, dtype=np.int64))
@@ -934,26 +930,28 @@ def _partition_coloring(sim: Simulator, graph: Graph, coloring: np.ndarray,
         members = np.nonzero(part == i)[0]
         if len(members) == 0:
             continue
-        dmax = graph.max_degree_within(members)
+        deg = graph.degrees_among(members)
+        dmax = int(deg.max())
         log.require("partition-cap", dmax ** 4 <= delta ** 3,
                     part=i, deg=dmax)
         log.require("partition-palette", hi - lo + 1 >= dmax + 1, part=i)
         pal_i = Palettes.uniform_range(n, lo, hi).restrict(members)
-        branches.append((members, pal_i))
+        branches.append((members, deg, pal_i))
 
-    jobs = [lambda m=members, p=pal_i, j=idx: det_list_color_n34(
-                sim, graph, p, coloring, vertices=m, instance_id=j)
-            for idx, (members, pal_i) in enumerate(branches)]
+    jobs = [lambda m=members, d=deg, p=pal_i, j=idx: det_list_color_n34(
+                sim, graph, p, coloring, vertices=m, instance_id=j, deg=d)
+            for idx, (members, deg, pal_i) in enumerate(branches)]
     max_phases = max(sim.run_parallel(jobs), default=0)
     # left-over part (empty under the capacity split)
     star = np.nonzero(part == plan.ell)[0]
     if len(star):
-        dstar = graph.max_degree_within(star)
+        deg = graph.degrees_among(star)
+        dstar = int(deg.max())
         log.record("partition-star-cap", dstar <= plan.cap_star + 1,
                    deg=dstar, cap=plan.cap_star)
         star_pals = Palettes(n, sets=free_sets(graph, palettes, coloring,
                                                star))
         with sim.stage("det:star"):
             max_phases = max(max_phases, det_list_color_n34(
-                sim, graph, star_pals, coloring, vertices=star))
+                sim, graph, star_pals, coloring, vertices=star, deg=deg))
     return max_phases

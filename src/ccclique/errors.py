@@ -40,7 +40,11 @@ class PlanRejected(CliqueError):
 
 
 class AllocationOverflow(CliqueError):
-    """Measured subgraph degrees do not fit into the parent palette."""
+    """Measured part degrees `need` more colors than are `available`."""
+
+    def __init__(self, need: int, available: int):
+        self.need, self.available = need, available
+        super().__init__(f"sum of child palettes {need} exceeds {available}")
 
 
 class NoZeroViolationSeed(CliqueError):

@@ -169,14 +169,14 @@ class Graph:
         out[rows] = self._popcounts(packed_mask, rows)
         return out
 
-    def max_degree_within(self, vertices: np.ndarray) -> int:
-        """Maximum degree of the subgraph induced by `vertices` (0 if
-        empty)."""
+    def degrees_among(self, vertices: np.ndarray) -> np.ndarray:
+        """Degree of each of `vertices` in the subgraph they induce,
+        indexed by vertex id (zeros elsewhere)."""
         vertices = np.asarray(vertices, dtype=np.int64)
         if len(vertices) == 0:
-            return 0
-        return int(self.degrees_within(self.pack_vertex_mask(vertices),
-                                       rows=vertices)[vertices].max())
+            return np.zeros(self.n, dtype=np.int64)
+        return self.degrees_within(self.pack_vertex_mask(vertices),
+                                   rows=vertices)
 
     def edges_into(self, vertices: np.ndarray, packed_mask: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray]:
@@ -310,7 +310,7 @@ def write_edge_list(graph: Graph, fh) -> None:
 def read_edge_list(fh) -> Graph:
     """Parse edge-list text.  A comment whose first token is `n=<int>`
     pins the vertex count, and every id must then lie below it; without
-    one, n is max id + 1."""
+    one, n is max id + 1.  A list that names no vertex is an InputError."""
     edges, lines = [], []
     n_pin = None
     for lineno, line in enumerate(fh, 1):
@@ -335,13 +335,14 @@ def read_edge_list(fh) -> Graph:
         edges.append((u, v))
         lines.append(lineno)
     if n_pin is None:
-        return Graph.from_edges(
-            max(1 + max((max(e) for e in edges), default=-1), 1), edges)
+        n_pin = max((max(e) + 1 for e in edges), default=0)
     for e, lineno in zip(edges, lines):
         if max(e) >= n_pin:
             raise InputError(f"line {lineno}: vertex {max(e)} at or above "
                              f"the pinned n={n_pin}")
-    return Graph.from_edges(max(n_pin, 1), edges)
+    if n_pin == 0 and not edges:
+        raise InputError("the edge list names no vertex")
+    return Graph.from_edges(n_pin, edges)
 
 
 def load_graph(path: str) -> Graph:

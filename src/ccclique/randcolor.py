@@ -20,7 +20,7 @@ import numpy as np
 from .coloring import (Palettes, UNCOLORED, assert_no_conflict,
                        concentration_bound, free_sets, log2n, palette_ranges)
 from .detcolor import (det_list_color_n34, det_list_color_sqrt,
-                       _central_phase)
+                       _central_phase, _list_scope)
 from .errors import (AllocationOverflow, DegreeTooLarge, ParameterViolation,
                      PlanRejected)
 from .graphs import Graph
@@ -297,50 +297,44 @@ def color_bidding(sim: Simulator, graph: Graph, palettes: Palettes,
 
 def _fallback_list_color(sim: Simulator, graph: Graph, palettes: Palettes,
                          coloring: np.ndarray, vertices: np.ndarray,
-                         dmax: int, reason: str, **detail) -> None:
-    """Deterministic relief valve for the uncolored, non-empty `vertices`
-    of maximum degree `dmax` among themselves, logged as one `fallback`
-    note: derandomized list coloring when that regime allows it, charged
-    central greedy otherwise.  Every palette must hold deg+1 colors; the
-    list colorers check that."""
+                         deg: np.ndarray, reason: str, **detail) -> None:
+    """Deterministic relief valve for the non-empty `vertices`, with their
+    degrees `deg` among themselves, logged as one `fallback` note:
+    derandomized list coloring when that regime allows it, charged central
+    greedy otherwise.  The list colorers check every palette's deg+1."""
     sim.log.fallback(reason, len(vertices), **detail)
+    dmax = int(deg[vertices].max())
+    args = (sim, graph, palettes, coloring, vertices)
     if sim.config.fits_sqrt(dmax, sim.n):
-        det_list_color_sqrt(sim, graph, palettes, coloring, vertices=vertices)
+        det_list_color_sqrt(*args, deg=deg)
     elif sim.config.fits_n34(dmax, sim.n):
-        det_list_color_n34(sim, graph, palettes, coloring, vertices=vertices)
+        det_list_color_n34(*args, deg=deg)
     else:
-        _central_phase(sim, graph, palettes, coloring, vertices, "fallback")
+        _central_phase(*args, "fallback", deg)
 
 
 def clp_list_coloring(sim: Simulator, graph: Graph, palettes: Palettes,
                       rng: np.random.Generator, coloring: np.ndarray,
-                      vertices: np.ndarray | None = None) -> None:
+                      vertices: np.ndarray | None = None,
+                      deg: np.ndarray | None = None) -> None:
     """List coloring for Delta <= sqrt(c_fit n) with palettes allowed to
-    range over [Delta - Delta^(3/5), Delta + 1], in place in `coloring`.
+    range over [Delta - Delta^(3/5), Delta + 1], in place in `coloring`:
+    the scope is measured as given (`deg` as in detcolor._list_scope), and
+    its uncolored vertices are colored.
 
     Pipeline: one-shot rounds, the density hierarchy, dense steps on the
     small blocks and then on the large blocks, bidding on the leftovers
     and sparse set, then a charged central cleanup.
 
-    This is the one gate for the pipeline's scale preconditions: a palette
-    below the window, or Delta below delta_min, hands the scope to the
-    fallback colorers.  A palette below deg+1 or above Delta+1 raises
+    A palette below the window, or Delta below delta_min, hands the scope
+    to the fallback colorers.  A palette above Delta+1 raises
     ParameterViolation, and Delta above the sqrt bound DegreeTooLarge.
     """
     n = graph.n
-    scope = np.arange(n) if vertices is None else \
-        np.unique(np.asarray(vertices, dtype=np.int64))
-    scope = scope[coloring[scope] == UNCOLORED]
-    if len(scope) == 0:
+    scope, sub_deg, delta = _list_scope(graph, palettes, vertices, deg)
+    if not (coloring[scope] == UNCOLORED).any():
         return
-    sub_deg = graph.degrees_within(graph.pack_vertex_mask(scope),
-                                   rows=scope)[scope]
-    delta = int(sub_deg.max(initial=0))
     sizes = palettes.sizes(scope)
-    short = np.flatnonzero(sizes < sub_deg + 1)
-    if len(short):
-        raise ParameterViolation(
-            f"palette of {int(scope[short[0]])} below deg+1")
     if sizes.max() > delta + 1:
         raise ParameterViolation(
             f"palette size {int(sizes.max())} above Delta+1={delta + 1}")
@@ -348,7 +342,7 @@ def clp_list_coloring(sim: Simulator, graph: Graph, palettes: Palettes,
     narrow = (sizes < window_lo).any()
     if narrow or delta < sim.config.delta_min:
         reason = "palette-window" if narrow else "delta-min"
-        _fallback_list_color(sim, graph, palettes, coloring, scope, delta,
+        _fallback_list_color(sim, graph, palettes, coloring, scope, sub_deg,
                              reason, delta=delta)
         return
     if not sim.config.fits_sqrt(delta, sim.n):
@@ -438,40 +432,43 @@ def _measured_split(sim: Simulator, graph: Graph, scope: np.ndarray,
 
     Each attempt broadcasts a fresh seed (charged to `name:sample`),
     labels `scope` with `labels()` (label n_parts marks the left-over set)
-    and measures each part's maximum degree; part j needs that degree + 1
-    colors.  Returns (parts with the left-over last, contiguous ranges
-    packed from lo) for the first draw that fits.  Each draw that does not
-    fit is logged as `name-allocation` with its attempt, need and the
-    available colors; after RETRY_BUDGET + 1 of them AllocationOverflow is
-    raised.
+    and measures each part's degrees in one routing call (`name:measure`);
+    part j needs its maximum degree + 1 colors.  Returns (parts with the
+    left-over last, contiguous ranges packed from lo, the parts' degree
+    arrays) for the first draw that fits.  Each draw that does not fit is
+    logged as `name-allocation` with its attempt, need and the available
+    colors; the last of RETRY_BUDGET + 1 raises AllocationOverflow.
     """
     available = hi - lo + 1
+    ones = np.ones(graph.n, dtype=np.int64)
     for attempt in range(RETRY_BUDGET + 1):
         with sim.stage(f"{name}:sample"):
             sim.broadcast_seed(sim.word_size)
         part = labels()
+        with sim.stage(f"{name}:measure"):
+            sim.charge_route_counts(ones, ones)
         parts = [scope[part == j] for j in range(n_parts + 1)]
-        sizes = [graph.max_degree_within(m) + 1 for m in parts[:-1]]
+        degs = [graph.degrees_among(m) for m in parts[:-1]]
+        sizes = [int(d.max()) + 1 for d in degs]
         need = sum(sizes)
         if need <= available:
-            return parts, palette_ranges(lo, sizes)
+            return parts, palette_ranges(lo, sizes), degs
         sim.log.record(f"{name}-allocation", False, attempt=attempt,
                        need=need, available=available)
-    raise AllocationOverflow(
-        f"sum of child palettes {need} exceeds {available}")
+    raise AllocationOverflow(need, available)
 
 
 def _color_parts(sim: Simulator, graph: Graph, parts: list[np.ndarray],
-                 ranges: list[tuple[int, int]], rng: np.random.Generator,
-                 coloring: np.ndarray) -> None:
+                 ranges: list[tuple[int, int]], degs: list[np.ndarray],
+                 rng: np.random.Generator, coloring: np.ndarray) -> None:
     """Color vertex-disjoint parts as simultaneous recursive instances:
-    part j from ranges[j], with its own seed from `rng` (run_parallel
-    gives each non-empty part its share of the term budget)."""
+    part j from ranges[j] with degrees degs[j] and its own seed from `rng`
+    (run_parallel gives each non-empty part its share of the budget)."""
     seeds = rng.integers(0, 2 ** 63 - 1, size=len(parts))
     sim.run_parallel([
-        lambda m=m, lo=lo, hi=hi, s=int(s): recursive_coloring(
-            sim, graph, m, lo, hi, np.random.default_rng(s), coloring)
-        for m, (lo, hi), s in zip(parts, ranges, seeds) if len(m)])
+        lambda m=m, lo=lo, hi=hi, d=d, s=int(s): recursive_coloring(
+            sim, graph, m, lo, hi, np.random.default_rng(s), coloring, d)
+        for m, (lo, hi), d, s in zip(parts, ranges, degs, seeds) if len(m)])
 
 
 def partition_step(sim: Simulator, graph: Graph, scope: np.ndarray,
@@ -479,52 +476,50 @@ def partition_step(sim: Simulator, graph: Graph, scope: np.ndarray,
                    rng: np.random.Generator):
     """Randomly split `scope`, whose maximum degree is delta_i, into q
     parts plus a left-over set and allocate disjoint palette subranges
-    sized by measured part degrees.
+    sized by measured part degrees (_measured_split, named `partition`).
 
     Returns (plan, parts list with the left-over last, list of (lo, hi)
-    child ranges aligned with the q parts).  Raises PlanRejected or
-    AllocationOverflow (after RETRY_BUDGET fresh draws).
+    child ranges and the degree arrays of the q parts).  Raises
+    PlanRejected or AllocationOverflow (after RETRY_BUDGET fresh draws).
     """
     plan = PartitionPlan.make(delta_i, x, graph.n)
-    ones = np.ones(graph.n, dtype=np.int64)
-
-    def labels():
-        # measuring the parts' degrees costs one routing call per draw
-        part = _split_labels(rng, len(scope), plan.p_j, plan.q)
-        with sim.stage("partition:measure"):
-            sim.charge_route_counts(ones, ones)
-        return part
-
-    parts, ranges = _measured_split(sim, graph, scope, labels, plan.q,
-                                    palette_lo, palette_hi, "partition")
+    parts, ranges, degs = _measured_split(
+        sim, graph, scope,
+        lambda: _split_labels(rng, len(scope), plan.p_j, plan.q), plan.q,
+        palette_lo, palette_hi, "partition")
     last = ranges[-1][1]
     need = last - palette_lo + 1
     sim.log.record("partition-lemma-budget", need <= delta_i, total=need,
                    delta_i=delta_i)
     sim.log.require("partition-ranges-disjoint", last <= palette_hi,
                     last=last, hi=palette_hi)
-    return plan, parts, ranges
+    return plan, parts, ranges, degs
 
 
 def recursive_coloring(sim: Simulator, graph: Graph, scope: np.ndarray,
                        palette_lo: int, palette_hi: int,
-                       rng: np.random.Generator, coloring: np.ndarray) -> None:
+                       rng: np.random.Generator, coloring: np.ndarray,
+                       deg: np.ndarray | None = None) -> None:
     """Recursive degree reduction, in place in `coloring`: partition,
     recurse on the parts simultaneously, then list-color the left-over set
     from leftover palettes.  Falls back to the deterministic colorers when
-    a plan is rejected or every split overflows at this scale."""
+    a plan is rejected or every split overflows at this scale.  `deg` is
+    the scope's degree array when the caller measured it, handed on."""
     n = graph.n
     scope = np.asarray(scope, dtype=np.int64)
-    scope = scope[coloring[scope] == UNCOLORED]
-    if len(scope) == 0:
+    unc = scope[coloring[scope] == UNCOLORED]
+    if len(unc) == 0:
         return
-    delta = graph.max_degree_within(scope)
+    if deg is None or len(unc) < len(scope):
+        deg = graph.degrees_among(unc)
+    scope = unc
+    delta = int(deg[scope].max())
     if palette_hi - palette_lo + 1 < delta + 1:
         raise ParameterViolation("palette smaller than Delta+1")
     pal = Palettes.uniform_range(n, palette_lo,
                                  palette_lo + delta).restrict(scope)
     if delta < sim.config.delta_min or sim.config.fits_sqrt(delta, sim.n):
-        clp_list_coloring(sim, graph, pal, rng, coloring, vertices=scope)
+        clp_list_coloring(sim, graph, pal, rng, coloring, scope, deg)
         return
     # choose the recursion exponent: smallest y with Delta <= N^(1-1/2^(y+1))
     bigN = n / (5.0 * log2n(n))
@@ -536,24 +531,25 @@ def recursive_coloring(sim: Simulator, graph: Graph, scope: np.ndarray,
             x = 2 ** max(1, y)
     x = max(2, x)
     try:
-        plan, parts, ranges = partition_step(
+        plan, parts, ranges, degs = partition_step(
             sim, graph, scope, delta, palette_lo, palette_hi, x, rng)
-    except (PlanRejected, AllocationOverflow) as exc:
-        reason = "plan-rejected" if isinstance(exc, PlanRejected) else \
-            "split-overflow"
-        _fallback_list_color(sim, graph, pal, coloring, scope, delta, reason,
-                             cause=str(exc))
+    except PlanRejected as exc:
+        _fallback_list_color(sim, graph, pal, coloring, scope, deg,
+                             "plan-rejected", cause=str(exc))
         return
-    _color_parts(sim, graph, parts[:-1], ranges, rng, coloring)
+    except AllocationOverflow as exc:
+        _fallback_list_color(sim, graph, pal, coloring, scope, deg,
+                             "split-overflow", need=exc.need,
+                             available=exc.available)
+        return
+    _color_parts(sim, graph, parts[:-1], ranges, degs, rng, coloring)
     # left-over set: free colors within the parent palette
-    star = parts[-1]
-    star = star[coloring[star] == UNCOLORED]
+    star = parts[-1]  # uncolored: the parts colored only their own vertices
     if len(star) == 0:
         return
     parent = Palettes.uniform_range(n, palette_lo, palette_hi)
-    smask = graph.pack_vertex_mask(star)
-    sdeg = graph.degrees_within(smask, rows=star)
-    dstar = int(sdeg[star].max(initial=0))
+    sdeg = graph.degrees_among(star)
+    dstar = int(sdeg.max())
     bound = concentration_bound(delta * plan.p_star, n)
     sim.log.record("star-degree-concentration", dstar <= bound.high,
                    dstar=dstar, high=bound.high)
@@ -562,7 +558,7 @@ def recursive_coloring(sim: Simulator, graph: Graph, scope: np.ndarray,
         # the free lists are built, which on dense cells would hold on the
         # order of |star| * Delta* entries
         _fallback_list_color(sim, graph, parent.restrict(star), coloring,
-                             star, dstar, "sqrt-bound", delta=dstar)
+                             star, sdeg, "sqrt-bound", delta=dstar)
         return
     free = free_sets(graph, parent, coloring, star)
     for v, f, need in zip(star.tolist(), free.sizes.tolist(),
@@ -572,7 +568,7 @@ def recursive_coloring(sim: Simulator, graph: Graph, scope: np.ndarray,
     # truncate each list to the window's upper end; clp checks its lower end
     spal = Palettes(n, sets=free.select(
         np.arange(len(free.colors)) - free.ptr[free.owner] <= dstar))
-    clp_list_coloring(sim, graph, spal, rng, coloring, vertices=star)
+    clp_list_coloring(sim, graph, spal, rng, coloring, star, sdeg)
 
 
 # ===================================================================== #
@@ -584,7 +580,7 @@ def _recurse_whole(sim: Simulator, graph: Graph, rng: np.random.Generator,
     """One recursive instance on the whole graph with colors 1..Delta+1."""
     with sim.stage(stage):
         recursive_coloring(sim, graph, np.arange(graph.n), 1,
-                           graph.max_degree + 1, rng, coloring)
+                           graph.max_degree + 1, rng, coloring, graph.degrees)
 
 
 def _split_and_recurse(sim: Simulator, graph: Graph,
@@ -595,21 +591,22 @@ def _split_and_recurse(sim: Simulator, graph: Graph,
     left-over set, then color the parts recursively from disjoint ranges
     of [1, budget].
 
-    Seeds are charged to stage `name:sample`, overflowing draws are logged
-    as `name-allocation` and the parts run under `name:parts`.  Returns
-    the left-over set, or None when every draw overflowed: then a
-    `split-overflow` fallback precedes one recursive instance on the whole
-    graph under `name:recursive`.
+    Draws are charged to `name:sample` and `name:measure`, overflowing
+    ones logged as `name-allocation`, and the parts run under `name:parts`.
+    Returns the left-over set, or None when every draw overflowed: then a
+    `split-overflow` fallback (need, available) precedes one recursive
+    instance on the whole graph under `name:recursive`.
     """
     try:
-        parts, ranges = _measured_split(
+        parts, ranges, degs = _measured_split(
             sim, graph, np.arange(graph.n), labels, n_parts, 1, budget, name)
-    except AllocationOverflow:
-        sim.log.fallback("split-overflow", graph.n)
+    except AllocationOverflow as exc:
+        sim.log.fallback("split-overflow", graph.n, need=exc.need,
+                         available=exc.available)
         _recurse_whole(sim, graph, rng, coloring, f"{name}:recursive")
         return None
     with sim.stage(f"{name}:parts"):
-        _color_parts(sim, graph, parts[:-1], ranges, rng, coloring)
+        _color_parts(sim, graph, parts[:-1], ranges, degs, rng, coloring)
     return parts[-1]
 
 

@@ -180,8 +180,8 @@ def test_criterion_6_partition_concentration():
         sim = Simulator(n, Config())
         rng = np.random.default_rng(10_000 + seed)
         try:
-            plan, parts, _ = partition_step(sim, graph, scope, delta, 1,
-                                            delta + 1, 2, rng)
+            plan, parts, _, _ = partition_step(sim, graph, scope, delta,
+                                               1, delta + 1, 2, rng)
         except (PlanRejected, AllocationOverflow):
             logged_failures += 1
             continue

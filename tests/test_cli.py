@@ -103,6 +103,22 @@ def test_graph_file_header_errors_exit_2(tmp_path, runner):
     assert json.loads(out.read_text())["n"] == 2
 
 
+@pytest.mark.parametrize("text", ["# n=0\n", "# no pin, no edge\n", ""])
+def test_graph_file_without_vertices_exits_2(tmp_path, runner, text):
+    # a graph file that names no vertex is rejected by run and by verify,
+    # as --gen 0,p is, instead of reading as one isolated vertex
+    gpath = tmp_path / "g.el"
+    gpath.write_text(text)
+    cpath = tmp_path / "c.txt"
+    cpath.write_text("")
+    res = runner.invoke(main, ["run", "--algo", "det", "--graph", str(gpath)])
+    assert res.exit_code == 2
+    assert "input error: the edge list names no vertex" in res.output
+    res = runner.invoke(main, ["verify", "--graph", str(gpath),
+                               "--coloring", str(cpath)])
+    assert res.exit_code == 2
+
+
 def test_sweep_grid_counts(tmp_path, runner):
     res = runner.invoke(main, [
         "sweep", "--algos", "det,detsq", "--n", "16,32,64",

@@ -74,8 +74,10 @@ def test_degrees_within_rows_variant():
     full = g.degrees_within(mask)
     part = g.degrees_within(mask, rows=members)
     assert np.array_equal(full[members], part[members])
-    assert g.max_degree_within(members) == g.induced(members)[0].max_degree
-    assert g.max_degree_within(np.zeros(0, dtype=np.int64)) == 0
+    among = g.degrees_among(members)
+    assert np.array_equal(among, part)
+    assert among.max() == g.induced(members)[0].max_degree
+    assert not g.degrees_among(np.zeros(0, dtype=np.int64)).any()
 
 
 def test_edge_list_roundtrip():
@@ -113,11 +115,14 @@ def test_edge_list_header_pins_n_only_as_first_token():
     ("# n=\n", "line 1: bad vertex count 'n='"),
     ("# n=2\n0 1\n0 5\n", "line 3: vertex 5 at or above the pinned n=2"),
     ("# n=2\n\n1 2\n", "line 3: vertex 2 at or above the pinned n=2"),
+    # a list that names no vertex
+    ("# n=0\n", "the edge list names no vertex"),
+    ("# comment only\n", "the edge list names no vertex"),
+    ("", "the edge list names no vertex"),
 ])
 def test_edge_list_bad_header_or_id_above_pin(text, message):
     with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         graph_from_text(text)
-
 
 def test_is_proper_triangle_cases():
     k3 = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
@@ -268,7 +273,7 @@ def test_range_greedy_matches_reference(n, p, seed, parts, slack, frac):
     g = gen_random_graph(n, p, seed)
     rng = np.random.default_rng(seed)
     label = rng.integers(0, parts, n)
-    sizes = [g.max_degree_within(np.flatnonzero(label == j)) + 1 +
+    sizes = [int(g.degrees_among(np.flatnonzero(label == j)).max()) + 1 +
              max(0, slack) for j in range(parts)]
     lo, hi = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
     for j, (a, b) in enumerate(palette_ranges(1 + int(rng.integers(0, 4)),

@@ -37,10 +37,9 @@ def test_coloring_digest_pinned(algo, n, p):
     assert digest == COLORING_DIGESTS[(algo, n, p)]
 
 
-def test_det_dense_degree_passes(monkeypatch):
-    """det on G(1024, 0.8) counts subgraph degrees 18 times: each list
-    colorer's first phase and its central hand-offs reuse the degrees
-    already counted for the same vertex set."""
+def count_degree_passes(monkeypatch, algo):
+    """Graph.degrees_within calls of one run of `algo` on G(1024, 0.8),
+    seed 1."""
     calls = []
     counted = Graph.degrees_within
 
@@ -50,5 +49,20 @@ def test_det_dense_degree_passes(monkeypatch):
 
     graph = gen_random_graph(1024, 0.8, 1)
     monkeypatch.setattr(Graph, "degrees_within", counting)
-    run_algorithm("det", graph, Config(rng_seed=1))
-    assert len(calls) == 18
+    run_algorithm(algo, graph, Config(rng_seed=1))
+    return len(calls)
+
+
+def test_det_dense_degree_passes(monkeypatch):
+    """det on G(1024, 0.8) counts subgraph degrees 12 times: the
+    partition's parts hand their measured degrees to the n^(3/4) colorer,
+    and each list colorer's first phase and its central hand-offs reuse
+    them."""
+    assert count_degree_passes(monkeypatch, "det") == 12
+
+
+def test_manycolors_dense_degree_passes(monkeypatch):
+    """manycolors on G(1024, 0.8) counts subgraph degrees 5 times, once
+    per part of its one split draw: each part's recursion, its fallback
+    and the colorer that takes the part reuse that count."""
+    assert count_degree_passes(monkeypatch, "manycolors") == 5

@@ -366,10 +366,14 @@ def test_partition_step_allocates_disjoint_ranges():
     g = gen_random_graph(16384, 0.5, 21)
     sim, cfg, log = setup_ctx(g.n)
     scope = np.arange(g.n)
-    plan, parts, ranges = partition_step(sim, g, scope, g.max_degree, 1,
-                                         g.max_degree + 1, 2,
-                                         np.random.default_rng(3))
+    plan, parts, ranges, degs = partition_step(
+        sim, g, scope, g.max_degree, 1, g.max_degree + 1, 2,
+        np.random.default_rng(3))
     assert len(parts) == plan.q + 1
+    # each part's range holds its measured degree + 1 colors, and the
+    # measured degrees are the part's own
+    for m, (lo, hi), d in zip(parts, ranges, degs):
+        assert hi - lo == int(d.max()) == g.induced(m)[0].max_degree
     assert sum(len(p) for p in parts) == g.n
     last_hi = 0
     for lo, hi in ranges:
@@ -386,14 +390,17 @@ def test_overflowing_split_draws_logged():
     g = Graph.from_edges(6, [(u, v) for u in range(6)
                              for v in range(u + 1, 6)])
     sim, cfg, log = setup_ctx(g.n)
-    with pytest.raises(AllocationOverflow):
+    with pytest.raises(AllocationOverflow) as exc:
         _measured_split(sim, g, np.arange(6), lambda: np.zeros(6, int), 1,
                         1, 4, "fast")
+    assert (exc.value.need, exc.value.available) == (6, 4)
     assert log.entries == [
         {"check": "fast-allocation", "ok": False, "attempt": a, "need": 6,
          "available": 4} for a in range(RETRY_BUDGET + 1)]
+    # every draw charges its seed and the routing call that measures it
     assert sim.ledger.stage_rounds == {
-        "fast:sample": (RETRY_BUDGET + 1) * cfg.seed_broadcast_cost}
+        "fast:sample": (RETRY_BUDGET + 1) * cfg.seed_broadcast_cost,
+        "fast:measure": (RETRY_BUDGET + 1) * cfg.lenzen_cost}
 
 
 def test_split_overflow_hands_off_to_recursion():
@@ -411,10 +418,40 @@ def test_split_overflow_hands_off_to_recursion():
     assert names[: RETRY_BUDGET + 2] == \
         ["fast-allocation"] * (RETRY_BUDGET + 1) + ["fallback"]
     assert log.entries[RETRY_BUDGET + 1] == {
-        "note": "fallback", "reason": "split-overflow", "size": 6}
+        "note": "fallback", "reason": "split-overflow", "size": 6,
+        "need": 6, "available": 4}
     assert [e.get("reason") for e in log.entries].count(
         "split-overflow") == 1
     assert sim.ledger.stage_rounds["fast:recursive"] > 0
+
+
+def test_recursive_split_overflow_hands_off_to_fallback(monkeypatch):
+    # a recursion level whose every draw puts each of two disjoint K6s in
+    # its own part: the parts need 12 colors of the 6 available, so after
+    # the four logged draws one split-overflow fallback, with that need
+    # and the available colors, hands the scope to the fallback colorers
+    from ccclique import randcolor
+    monkeypatch.setattr(PartitionPlan, "make", staticmethod(
+        lambda delta_i, x, n: PartitionPlan(2, 1.0, 0.4, 0.2)))
+    monkeypatch.setattr(randcolor, "_split_labels",
+                        lambda rng, size, p, q: np.arange(size) // 6)
+    g = Graph.from_edges(12, [(u + off, v + off) for off in (0, 6)
+                              for u in range(6) for v in range(u + 1, 6)])
+    # Delta = 5 is above delta_min and outside both list-coloring regimes
+    sim, cfg, log = setup_ctx(g.n, delta_min=1, c_fit=0.5)
+    coloring = np.zeros(g.n, dtype=np.int64)
+    recursive_coloring(sim, g, np.arange(g.n), 1, 6,
+                       np.random.default_rng(1), coloring)
+    assert is_proper(g, coloring, Palettes.uniform_range(12, 1, 6)) is True
+    names = [e.get("check") or e.get("note") for e in log.entries]
+    assert names[: RETRY_BUDGET + 2] == \
+        ["partition-allocation"] * (RETRY_BUDGET + 1) + ["fallback"]
+    assert log.entries[RETRY_BUDGET + 1] == {
+        "note": "fallback", "reason": "split-overflow", "size": 12,
+        "need": 12, "available": 6}
+    assert sim.ledger.stage_rounds["partition:measure"] == \
+        (RETRY_BUDGET + 1) * cfg.lenzen_cost
+    assert sim.ledger.stage_rounds["fallback"] > 0
 
 
 def test_recursive_base_case_no_partition_rounds():

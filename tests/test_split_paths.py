@@ -19,8 +19,8 @@ from ccclique.harness import run_algorithm
     [
         # k = floor(Delta^eps) = 3 parts, each colored recursively, whose
         # seed chunks take the model's width
-        ("manycolors", 512, 0.3, 2, 331, 2_275_159, 92,
-         ("many:sample", "many:parts")),
+        ("manycolors", 512, 0.3, 2, 333, 2_275_671, 92,
+         ("many:sample", "many:measure", "many:parts")),
         # an accepted partition plan: recursive_coloring recurses on parts
         ("recursive", 8192, 0.8, 1, 38_727, 79_421_952, 1521,
          ("partition:sample", "partition:measure")),
@@ -57,3 +57,16 @@ def test_failed_dense_gather_is_not_retried():
     assert gathers == [{"note": "fallback", "reason": "dense-gather",
                         "size": 48, "words": 317_823, "n": 8192}]
     assert rep["rounds_total"] == 38_499
+
+
+def test_manycolors_measures_each_draw():
+    # every draw of the split charges one seed broadcast and one routing
+    # call that measures its parts, whether or not the draw fits
+    graph = gen_random_graph(512, 0.3, 2)
+    cfg = Config(rng_seed=2)
+    _, rep = run_algorithm("manycolors", graph, cfg)
+    draws = 1 + sum(e.get("check") == "many-allocation"
+                    for e in rep["assertion_log"])
+    assert rep["rounds_by_stage"]["many:sample"] == \
+        draws * cfg.seed_broadcast_cost
+    assert rep["rounds_by_stage"]["many:measure"] == draws * cfg.lenzen_cost
