@@ -1,8 +1,9 @@
 """Command-line interface: run one instance, verify a coloring file, sweep
 a parameter grid, or run the tiny-scale selftests.
 
-Exit codes: 0 success, 1 verification failure, 2 input error, 3 internal
-invariant violation or any other crash of an algorithm run.
+Exit codes: 0 success, 1 verification failure, 2 input error (an output
+path that cannot be written included), 3 internal invariant violation or
+any other crash of an algorithm run.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import csv
 import json
 import os
 import sys
+from typing import NoReturn
 
 import click
 import numpy as np
@@ -22,6 +24,12 @@ from .graphs import check_random_graph_params, gen_random_graph, load_graph
 from .harness import (ALGORITHMS, read_coloring, run_algorithm,
                       write_coloring)
 from .selftest import run_selftests
+
+
+def _input_error(exc: Exception) -> NoReturn:
+    click.echo(f"input error: {exc}", err=True)
+    sys.exit(2)
+
 
 def _parse_gen(spec: str):
     try:
@@ -107,8 +115,7 @@ def run_cmd(algo, graph_path, gen, seed, config_path, overrides, eps, out,
         graph = _load_instance(graph_path, gen, seed)
         cfg = _build_config(config_path, overrides, seed)
     except (InputError, OSError, ValueError) as exc:
-        click.echo(f"input error: {exc}", err=True)
-        sys.exit(2)
+        _input_error(exc)
     try:
         coloring, report = run_algorithm(algo, graph, cfg, eps=eps)
     except (AssertionError, CliqueError) as exc:
@@ -117,9 +124,12 @@ def run_cmd(algo, graph_path, gen, seed, config_path, overrides, eps, out,
     except Exception as exc:  # any other crash: exit 3, not a traceback
         click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
         sys.exit(3)
-    if coloring_out:
-        write_coloring(coloring, coloring_out)
-    _emit(report, out, fmt)
+    try:  # an output path that cannot be written is an input error
+        if coloring_out:
+            write_coloring(coloring, coloring_out)
+        _emit(report, out, fmt)
+    except OSError as exc:
+        _input_error(exc)
     if not (report["proper"] and report["within_budget"]
             and report["bandwidth_ok"]):
         sys.exit(1)
@@ -136,8 +146,7 @@ def verify_cmd(graph_path, coloring_path):
         graph = load_graph(graph_path)
         coloring = read_coloring(coloring_path, graph.n)
     except (InputError, OSError, ValueError) as exc:
-        click.echo(f"input error: {exc}", err=True)
-        sys.exit(2)
+        _input_error(exc)
     verdict = is_proper(graph, coloring, None)
     if verdict is True:
         click.echo("proper")
@@ -162,10 +171,10 @@ def sweep_cmd(algos, ns, densities, seeds, config_path, overrides, eps,
     """Run an (algorithm x n x density x seed) grid: a CSV summary on
     stdout and, with --out, one JSON report per cell plus summary.csv.
 
-    Every size, density, config and eps is checked before the first cell
-    runs.  A cell whose run crashes is reported and skipped, and the sweep
-    then exits 3; otherwise an improper or over-budget cell makes it exit
-    1."""
+    Every size, density, config and eps is checked, and the --out
+    directory made, before the first cell runs.  A cell whose run crashes
+    is reported and skipped, and the sweep then exits 3; otherwise an
+    improper or over-budget cell makes it exit 1."""
     try:
         _check_eps(eps)
         algo_list = [a.strip() for a in algos.split(",") if a.strip()]
@@ -180,11 +189,10 @@ def sweep_cmd(algos, ns, densities, seeds, config_path, overrides, eps,
                 check_random_graph_params(n, p)
         cfgs = {s: _build_config(config_path, overrides, s)
                 for s in seed_list}
+        if out:  # last, so a rejected grid writes nothing
+            os.makedirs(out, exist_ok=True)
     except (InputError, OSError, ValueError) as exc:
-        click.echo(f"input error: {exc}", err=True)
-        sys.exit(2)
-    if out:
-        os.makedirs(out, exist_ok=True)
+        _input_error(exc)
     rows = []
     failed = crashed = False
     for n in n_list:

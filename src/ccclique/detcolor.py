@@ -42,7 +42,6 @@ from .derand import (AffineObjective, HashFamily, chunk_bits,
 from .errors import DegreeTooLarge, NoZeroViolationSeed, ParameterViolation
 from .gf2 import EchelonTemplate, column_masks_vec
 from .graphs import Graph
-from .runlog import RunLog
 from .sim import Simulator
 
 D_INDEPENDENCE = 4  # hash independence order at the "O(1)-wise" sites
@@ -202,10 +201,11 @@ def _list_scope(graph: Graph, palettes: Palettes, vertices: np.ndarray | None,
     """The one gate into list coloring (clp's and both derandomized
     colorers): returns (sorted scope, each scope vertex's degree within
     the scope indexed by vertex id, the scope's maximum degree).  The
-    degrees are `deg` when the caller measured them, `graph.degrees` for
-    the whole graph (`vertices` None), else counted here.  Every palette
-    needs deg+1 colors: the first short vertex in the caller's order is
-    named in the ParameterViolation.  Regime checks are the colorer's."""
+    degrees are `deg` when the caller measured them (read only at the
+    scope's vertices), `graph.degrees` for the whole graph (`vertices`
+    None), else counted here.  Every palette needs deg+1 colors: the
+    first short vertex in the caller's order is named in the
+    ParameterViolation.  Regime checks are the colorer's."""
     scope = np.arange(graph.n) if vertices is None else \
         np.asarray(vertices, dtype=np.int64)
     if deg is None:
@@ -761,31 +761,29 @@ class GeneralPartitionPlan:
     ell: int
     q: float
     p_i: float
-    cap_parts: int        # per-part degree cap (Delta^{3/4}, exact check)
+    cap_parts: int        # per-part degree cap floor(Delta^{3/4}), exact
     cap_star: float       # left-over degree target Delta^{11/16}
 
     @staticmethod
     def from_delta(delta: int) -> "GeneralPartitionPlan":
         ell = max(2, math.ceil(delta ** 0.25))
         q = 2.0 * delta ** (-5.0 / 16.0)
-        p_i = (1.0 - q) / ell
-        cap = int(delta ** 0.75)
-        while (cap + 1) ** 4 <= delta ** 3:
-            cap += 1
-        while cap ** 4 > delta ** 3:
-            cap -= 1
-        return GeneralPartitionPlan(ell, q, p_i, cap,
+        return GeneralPartitionPlan(ell, q, (1.0 - q) / ell,
+                                    math.isqrt(math.isqrt(delta ** 3)),
                                     delta ** (11.0 / 16.0))
 
 
-def _capacity_split(graph: Graph, ell: int, cap_sizes: np.ndarray,
-                    log: RunLog) -> np.ndarray:
+def _capacity_split(sim: Simulator, graph: Graph, ell: int,
+                    cap_sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic partition with per-part degree caps.
 
     cap_sizes[i] colors are reserved for part i with sum(cap_sizes) =
     Delta+1, so part i must satisfy deg_i(v) <= cap_sizes[i]-1.  Local
     moves that strictly decrease sum_v deg_part(v)/cap_sizes[part] always
-    exist while violations remain, so the repair loop terminates.
+    exist while violations remain, so the repair loop terminates.  Charges
+    one routing call of deg(v) words per vertex under `partition:split`
+    and logs a `capacity-split` note.  Returns (part, d): row d[i] is
+    every vertex's degree into part i, which the repair loop keeps exact.
     """
     n = graph.n
     caps = cap_sizes - 1
@@ -816,26 +814,31 @@ def _capacity_split(graph: Graph, ell: int, cap_sizes: np.ndarray,
         moves += 1
         if moves > 50 * graph.n_edges + 10 * n + 100:
             raise AssertionError("capacity split did not converge")
-    log.note("capacity-split", moves=moves)
-    return part
+    sim.log.note("capacity-split", moves=moves)
+    with sim.stage("partition:split"):
+        sim.charge_route_counts(graph.degrees, graph.degrees)
+    return part, d
 
 
-def det_partition_general(sim: Simulator, graph: Graph):
-    """Partition a high-degree graph into ell parts plus a left-over, all
-    within per-part degree caps, consuming at most Delta+1 colors total.
+def det_partition_general(sim: Simulator, graph: Graph,
+                          plan: GeneralPartitionPlan):
+    """Partition a high-degree graph by `plan` into ell parts plus a
+    left-over, all within per-part degree caps, consuming at most Delta+1
+    colors total.
 
     The seeded route requires the expected number of cap violations under
     the hash family to be below one (then some seed is violation-free and
     a bounded deterministic scan finds it).  At desk scale that premise
     fails, raising NoZeroViolationSeed; the caller falls back to the
-    capacity split.  Returns (part array with ell = G*, plan, palette size
-    per part index).
+    capacity split.  Each trial charges one `partition:probe` block (the
+    seed broadcast and one routing call).  Returns (part array with ell =
+    G*, palette size per part index, degs): degs[i] is part i's degree
+    array and degs[ell] the left-over's, each indexed by vertex id.
     """
     n = graph.n
     delta = graph.max_degree
     if sim.config.fits_n34(delta, n):
         raise ParameterViolation("partition reserved for Delta > (c n)^3/4")
-    plan = GeneralPartitionPlan.from_delta(delta)
     if plan.p_i <= 0 or plan.q >= 0.5:
         raise NoZeroViolationSeed(
             f"degenerate plan (q={plan.q:.3f}) at Delta={delta}")
@@ -854,8 +857,6 @@ def det_partition_general(sim: Simulator, graph: Graph):
                          dtype=np.int64)
         cum = np.concatenate([[0], np.cumsum(widths)])
         for trial in range(64):
-            with sim.stage("partition:probe"):
-                sim.broadcast_seed(family.seed_len)
             seed_bits = (trial * 0x9E3779B97F4A7C15) & \
                 ((1 << family.seed_len) - 1)
             ys = family.eval_vec(seed_bits, np.arange(n, dtype=np.uint64))
@@ -863,21 +864,24 @@ def det_partition_general(sim: Simulator, graph: Graph):
                                    side="right") - 1
             part = np.minimum(part, plan.ell)  # tail cells -> G*
             part[part < 0] = plan.ell
-            degs = [int(graph.degrees_among(np.nonzero(part == i)[0]).max())
+            degs = [graph.degrees_among(np.nonzero(part == i)[0])
                     for i in range(plan.ell)]
-            ok = max(degs) <= plan.cap_parts
-            star = np.nonzero(part == plan.ell)[0]
-            if ok and len(star):
-                ok = graph.degrees_among(star).max() <= plan.cap_star
+            dmax = [int(d.max()) for d in degs]
+            ok = max(dmax) <= plan.cap_parts
+            if ok:  # the left-over is measured only when the parts pass
+                degs.append(graph.degrees_among(
+                    np.nonzero(part == plan.ell)[0]))
+                ok = degs[-1].max() <= plan.cap_star
             with sim.stage("partition:probe"):
+                sim.broadcast_seed(family.seed_len)
                 sim.charge_route_counts(np.ones(n, dtype=np.int64),
                                         np.ones(n, dtype=np.int64))
             if ok:
                 sim.log.note("partition-seeded", trial=trial)
-                sizes = [d + 1 for d in degs]
+                sizes = [d + 1 for d in dmax]
                 sim.log.require("partition-budget", sum(sizes) <= delta + 1,
                                 total=sum(sizes), parent=delta + 1)
-                return part, plan, sizes
+                return part, sizes, degs
         raise NoZeroViolationSeed("no violation-free seed in scan budget")
     raise NoZeroViolationSeed(
         f"expected violations {expected_bad:.1f} >= 1 at this scale")
@@ -911,47 +915,42 @@ def _partition_coloring(sim: Simulator, graph: Graph, coloring: np.ndarray,
                         palettes: Palettes) -> int:
     """Color a graph above the n^(3/4) regime by a degree-capped partition
     whose parts run the n^(3/4) colorer simultaneously, then the left-over
-    part; returns the most phases any of them took."""
+    part, each with the degree array the partition measured; returns the
+    most phases any of them took."""
     n, log = graph.n, sim.log
     delta = graph.max_degree
+    plan = GeneralPartitionPlan.from_delta(delta)
     try:
-        part, plan, sizes = det_partition_general(sim, graph)
+        part, sizes, degs = det_partition_general(sim, graph, plan)
     except NoZeroViolationSeed as exc:
         log.fallback("plan-rejected", n, cause=str(exc))
-        plan = GeneralPartitionPlan.from_delta(delta)
         sizes = np.full(plan.ell, (delta + 1) // plan.ell, dtype=np.int64)
         sizes[: (delta + 1) % plan.ell] += 1
-        with sim.stage("partition:split"):
-            part = _capacity_split(graph, plan.ell, sizes, log)
-            sim.charge_route_counts(graph.degrees, graph.degrees)
+        part, degs = _capacity_split(sim, graph, plan.ell, sizes)
     # verify caps and color parts simultaneously
-    branches = []
+    jobs = []
     for i, (lo, hi) in enumerate(palette_ranges(1, sizes)):
         members = np.nonzero(part == i)[0]
         if len(members) == 0:
             continue
-        deg = graph.degrees_among(members)
-        dmax = int(deg.max())
+        dmax = int(degs[i][members].max())
         log.require("partition-cap", dmax ** 4 <= delta ** 3,
                     part=i, deg=dmax)
         log.require("partition-palette", hi - lo + 1 >= dmax + 1, part=i)
         pal_i = Palettes.uniform_range(n, lo, hi).restrict(members)
-        branches.append((members, deg, pal_i))
-
-    jobs = [lambda m=members, d=deg, p=pal_i, j=idx: det_list_color_n34(
-                sim, graph, p, coloring, vertices=m, instance_id=j, deg=d)
-            for idx, (members, deg, pal_i) in enumerate(branches)]
+        jobs.append(lambda m=members, d=degs[i], p=pal_i, j=len(jobs):
+                    det_list_color_n34(sim, graph, p, coloring, vertices=m,
+                                       instance_id=j, deg=d))
     max_phases = max(sim.run_parallel(jobs), default=0)
     # left-over part (empty under the capacity split)
     star = np.nonzero(part == plan.ell)[0]
     if len(star):
-        deg = graph.degrees_among(star)
-        dstar = int(deg.max())
+        dstar = int(degs[-1][star].max())
         log.record("partition-star-cap", dstar <= plan.cap_star + 1,
                    deg=dstar, cap=plan.cap_star)
         star_pals = Palettes(n, sets=free_sets(graph, palettes, coloring,
                                                star))
         with sim.stage("det:star"):
             max_phases = max(max_phases, det_list_color_n34(
-                sim, graph, star_pals, coloring, vertices=star, deg=deg))
+                sim, graph, star_pals, coloring, vertices=star, deg=degs[-1]))
     return max_phases

@@ -214,6 +214,23 @@ def test_sweep_bad_input_exits_2(runner, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["run", "--algo", "det", "--gen", "16,0.5",
+     "--out", "{tmp}/missing/r.json"],
+    # a directory cannot be opened for writing, whoever runs the test
+    ["run", "--algo", "det", "--gen", "16,0.5", "--coloring-out", "{tmp}"],
+    ["sweep", "--algos", "det", "--n", "16", "--density", "0.5",
+     "--out", "{tmp}/file"],
+], ids=["run-out-in-missing-dir", "run-coloring-out-onto-dir",
+        "sweep-out-naming-a-file"])
+def test_unwritable_output_path_exits_2(runner, tmp_path, args):
+    (tmp_path / "file").write_text("kept\n")
+    res = runner.invoke(main, [a.format(tmp=tmp_path) for a in args])
+    assert res.exit_code == 2, res.output
+    assert "input error" in res.output and "Traceback" not in res.output
+    assert (tmp_path / "file").read_text() == "kept\n"
+
+
 @pytest.mark.parametrize("eps", ["-1", "0", "1", "2", "1e308", "nan"])
 def test_eps_outside_unit_interval_exits_2(runner, tmp_path, eps):
     # these used to reach many_colors_coloring and exit 3 as a crash

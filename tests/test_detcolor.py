@@ -27,7 +27,6 @@ from ccclique.errors import (DegreeTooLarge, NoZeroViolationSeed,
 from ccclique.gf2 import EchelonTemplate
 from ccclique.graphs import Graph, gen_random_graph
 from ccclique.harness import run_algorithm
-from ccclique.runlog import RunLog
 from ccclique.sim import Simulator
 
 
@@ -362,14 +361,19 @@ def test_general_partition_plan_formula():
     assert plan.q == pytest.approx(2 * 2 ** -5)
     assert plan.p_i == pytest.approx(0.9375 / 16)
     assert plan.ell * plan.p_i + plan.q == pytest.approx(1.0)
-    assert plan.cap_parts ** 4 <= (2 ** 16) ** 3
+    # cap_parts is floor(Delta^(3/4)) exactly, also where a float power
+    # would round
+    for delta in [*range(1, 20001), 10 ** 9 - 1, 10 ** 9, 2 ** 60 + 1]:
+        cap = GeneralPartitionPlan.from_delta(delta).cap_parts
+        assert cap ** 4 <= delta ** 3 < (cap + 1) ** 4, delta
 
 
 def test_partition_guard_on_small_degree():
     g = gen_random_graph(256, 0.1, 1)  # Delta <= n^(3/4)
     sim, cfg, log = setup_ctx(g.n)
     with pytest.raises(ParameterViolation):
-        det_partition_general(sim, g)
+        det_partition_general(
+            sim, g, GeneralPartitionPlan.from_delta(g.max_degree))
 
 
 def test_partition_desk_scale_raises_no_zero_seed():
@@ -377,7 +381,26 @@ def test_partition_desk_scale_raises_no_zero_seed():
     assert g.max_degree ** 4 > g.n ** 3
     sim, cfg, log = setup_ctx(g.n)
     with pytest.raises(NoZeroViolationSeed):
-        det_partition_general(sim, g)
+        det_partition_general(
+            sim, g, GeneralPartitionPlan.from_delta(g.max_degree))
+
+
+def test_seeded_partition_hands_down_measured_degrees():
+    """On K_{1,100} the seeded route accepts a probe; it returns every
+    part's degree array and the left-over's, as measured, and charges one
+    partition:probe block per trial."""
+    g = Graph.from_edges(101, [(0, i) for i in range(1, 101)])
+    sim, cfg, log = setup_ctx(g.n)
+    plan = GeneralPartitionPlan.from_delta(100)
+    part, sizes, degs = det_partition_general(sim, g, plan)
+    assert len(degs) == plan.ell + 1
+    for i, deg in enumerate(degs):
+        assert np.array_equal(deg, g.degrees_among(np.nonzero(part == i)[0]))
+    assert sizes == [int(d.max()) + 1 for d in degs[:-1]]
+    # per trial: a 64-bit seed in 7-bit words (10 rounds) and one
+    # routing call (2 rounds)
+    trials = log.entries[0]["trial"] + 1
+    assert sim.ledger.stage_rounds == {"partition:probe": 12 * trials}
 
 
 def test_capacity_split_respects_caps_and_budget():
@@ -387,15 +410,15 @@ def test_capacity_split_respects_caps_and_budget():
     sizes = np.full(ell, (delta + 1) // ell, dtype=np.int64)
     sizes[: (delta + 1) % ell] += 1
     assert sizes.sum() == delta + 1
-    part = _capacity_split(g, ell, sizes, RunLog())
+    sim, cfg, log = setup_ctx(g.n)
+    part, d = _capacity_split(sim, g, ell, sizes)
     for i in range(ell):
         members = np.nonzero(part == i)[0]
-        if len(members) == 0:
-            continue
-        mask = g.pack_vertex_mask(members)
-        dmax = int(g.degrees_within(mask, rows=members)[members]
-                   .max(initial=0))
-        assert dmax <= sizes[i] - 1
+        # row i is every vertex's degree into part i
+        assert np.array_equal(d[i], g.degrees_within(
+            g.pack_vertex_mask(members)))
+        assert d[i][members].max(initial=0) <= sizes[i] - 1
+    assert sim.ledger.stage_rounds == {"partition:split": 2}
 
 
 def reference_capacity_split(graph, ell, cap_sizes):
@@ -431,12 +454,13 @@ def test_capacity_split_matches_reference(n, p, seed, ell):
     delta = g.max_degree
     sizes = np.full(ell, (delta + 1) // ell, dtype=np.int64)
     sizes[: (delta + 1) % ell] += 1
-    log = RunLog()
-    part = _capacity_split(g, ell, sizes, log)
+    sim, cfg, log = setup_ctx(g.n)
+    part, _ = _capacity_split(sim, g, ell, sizes)
     want, moves = reference_capacity_split(g, ell, sizes)
     assert moves > 0
     assert np.array_equal(part, want)
-    assert log.entries == [{"note": "capacity-split", "moves": moves}]
+    assert sim.log.entries == [{"note": "capacity-split", "moves": moves}]
+    assert sim.ledger.stage_rounds == {"partition:split": 2}
 
 
 # ------------------------------ dispatch ------------------------------ #

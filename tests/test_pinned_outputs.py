@@ -37,9 +37,9 @@ def test_coloring_digest_pinned(algo, n, p):
     assert digest == COLORING_DIGESTS[(algo, n, p)]
 
 
-def count_degree_passes(monkeypatch, algo):
-    """Graph.degrees_within calls of one run of `algo` on G(1024, 0.8),
-    seed 1."""
+def count_degree_passes(monkeypatch, algo, graph):
+    """Graph.degrees_within calls of one run of `algo` on `graph` at
+    rng_seed 1."""
     calls = []
     counted = Graph.degrees_within
 
@@ -47,22 +47,39 @@ def count_degree_passes(monkeypatch, algo):
         calls.append(1)
         return counted(self, *args, **kwargs)
 
-    graph = gen_random_graph(1024, 0.8, 1)
     monkeypatch.setattr(Graph, "degrees_within", counting)
     run_algorithm(algo, graph, Config(rng_seed=1))
     return len(calls)
 
 
 def test_det_dense_degree_passes(monkeypatch):
-    """det on G(1024, 0.8) counts subgraph degrees 12 times: the
-    partition's parts hand their measured degrees to the n^(3/4) colorer,
-    and each list colorer's first phase and its central hand-offs reuse
-    them."""
-    assert count_degree_passes(monkeypatch, "det") == 12
+    """det on G(1024, 0.8) counts subgraph degrees 6 times: the capacity
+    split counts each part's row once and hands it to that part's n^(3/4)
+    run, and each list colorer's first phase and its central hand-offs
+    reuse it."""
+    assert count_degree_passes(monkeypatch, "det",
+                               gen_random_graph(1024, 0.8, 1)) == 6
+
+
+def test_clp_partition_degree_passes(monkeypatch):
+    """clp on G(1024, 0.3) hands its graph to det's capacity split and
+    counts subgraph degrees 5 times, once per part."""
+    assert count_degree_passes(monkeypatch, "clp",
+                               gen_random_graph(1024, 0.3, 1)) == 5
+
+
+def test_det_star_degree_passes(monkeypatch):
+    """det on K_{1,100} takes the seeded partition, whose probes count
+    each part, and the left-over once the parts pass; the n^(3/4) runs
+    start from the accepted probe's counts, so the run counts subgraph
+    degrees 11 times."""
+    star = Graph.from_edges(101, [(0, i) for i in range(1, 101)])
+    assert count_degree_passes(monkeypatch, "det", star) == 11
 
 
 def test_manycolors_dense_degree_passes(monkeypatch):
     """manycolors on G(1024, 0.8) counts subgraph degrees 5 times, once
     per part of its one split draw: each part's recursion, its fallback
     and the colorer that takes the part reuse that count."""
-    assert count_degree_passes(monkeypatch, "manycolors") == 5
+    assert count_degree_passes(monkeypatch, "manycolors",
+                               gen_random_graph(1024, 0.8, 1)) == 5

@@ -1,6 +1,6 @@
 """Static checks over src/ccclique: every parameter is read, every Config
 field is read by some code other than its own range check, and the run's
-config and log reach a colorer only through its `sim`."""
+config and log reach code only through its `sim`."""
 
 import ast
 from dataclasses import fields
@@ -56,22 +56,24 @@ def test_every_config_field_is_read():
 
 
 def test_no_second_channel_beside_sim():
-    """A def that takes `sim` reads the run's config and log from it: no
-    such def also takes a parameter named `cfg` or `log`, or one annotated
-    `Config` or `RunLog`."""
+    """The run's config and log reach code only through `sim`: no def
+    takes a parameter named `cfg`, `log` or `config`, or one annotated
+    `Config` or `RunLog`, whether or not it also takes `sim`.  Only the
+    two defs that make the run object are exempt: harness.run_algorithm,
+    which is handed the Config, and Simulator.__init__."""
+    exempt = {("harness.py", "run_algorithm"), ("sim.py", "__init__")}
     doubled = []
     for name, tree in _trees().items():
         for node in ast.walk(tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    or (name, node.name) in exempt:
                 continue
             a = node.args
-            params = a.posonlyargs + a.args + a.kwonlyargs
-            if "sim" not in {p.arg for p in params}:
-                continue
-            for p in params:
+            for p in a.posonlyargs + a.args + a.kwonlyargs:
                 hint = {n.id for n in ast.walk(p.annotation or ast.Pass())
                         if isinstance(n, ast.Name)}
-                if p.arg in ("cfg", "log") or hint & {"Config", "RunLog"}:
+                if p.arg in ("cfg", "log", "config") \
+                        or hint & {"Config", "RunLog"}:
                     doubled.append(f"{name}:{node.lineno} "
                                    f"{node.name}({p.arg})")
     assert not doubled, doubled
