@@ -9,6 +9,7 @@ any other crash of an algorithm run.
 from __future__ import annotations
 
 import csv
+import errno
 import json
 import os
 import sys
@@ -29,6 +30,21 @@ from .selftest import run_selftests
 def _input_error(exc: Exception) -> NoReturn:
     click.echo(f"input error: {exc}", err=True)
     sys.exit(2)
+
+
+def _check_writable(path: str) -> None:
+    """Raise the OSError that writing `path` would raise, without writing
+    it: a directory, a missing parent directory or a path not writable."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOENT
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
 
 
 def _parse_gen(spec: str):
@@ -112,6 +128,9 @@ def run_cmd(algo, graph_path, gen, seed, config_path, overrides, eps, out,
     """Run one algorithm on one instance and emit a report."""
     try:
         _check_eps(eps)
+        for path in (out, coloring_out):
+            if path:
+                _check_writable(path)
         graph = _load_instance(graph_path, gen, seed)
         cfg = _build_config(config_path, overrides, seed)
     except (InputError, OSError, ValueError) as exc:
@@ -124,7 +143,7 @@ def run_cmd(algo, graph_path, gen, seed, config_path, overrides, eps, out,
     except Exception as exc:  # any other crash: exit 3, not a traceback
         click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
         sys.exit(3)
-    try:  # an output path that cannot be written is an input error
+    try:  # a path that became unwritable during the run
         if coloring_out:
             write_coloring(coloring, coloring_out)
         _emit(report, out, fmt)

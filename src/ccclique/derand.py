@@ -403,9 +403,10 @@ class AffineObjective:
         self._last = None
 
     def expectation_num(self) -> int:
-        """Current conditional expectation numerator (denom 2^denom_log2)."""
-        vals, _ = self._eval(0)
-        return int(vals[0])
+        """Current conditional expectation numerator (denom 2^denom_log2):
+        every alive term at its weight given the committed prefix."""
+        return ((self.const_total << self.denom_log2)
+                + int(self._weights(self._no_rows).sum()))
 
 
 class _Stage(NamedTuple):

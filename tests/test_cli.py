@@ -231,6 +231,25 @@ def test_unwritable_output_path_exits_2(runner, tmp_path, args):
     assert (tmp_path / "file").read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("args", [
+    ["--out", "{tmp}/missing/r.json"],
+    ["--coloring-out", "{tmp}"],
+    ["--out", "{tmp}/r.json", "--coloring-out", "{tmp}/missing/c.txt"],
+], ids=["out-in-missing-dir", "coloring-out-onto-dir",
+        "coloring-out-in-missing-dir"])
+def test_run_checks_output_paths_before_running(runner, tmp_path,
+                                                monkeypatch, args):
+    def never(*_args, **_kwargs):
+        raise AssertionError("run_algorithm called")
+    monkeypatch.setattr("ccclique.cli.run_algorithm", never)
+    res = runner.invoke(main, ["run", "--algo", "det", "--gen", "4096,0.8"]
+                        + [a.format(tmp=tmp_path) for a in args])
+    assert res.exit_code == 2, res.output
+    assert res.output.count("input error:") == 1
+    assert len(res.output.splitlines()) == 1
+    assert not (tmp_path / "r.json").exists()
+
+
 @pytest.mark.parametrize("eps", ["-1", "0", "1", "2", "1e308", "nan"])
 def test_eps_outside_unit_interval_exits_2(runner, tmp_path, eps):
     # these used to reach many_colors_coloring and exit 3 as a crash

@@ -579,6 +579,43 @@ def test_block_size_does_not_change_results(monkeypatch):
                           g.common_neighbors(edges[:, 0], edges[:, 1]))
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 200),
+       st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+       st.integers(0, 2 ** 32 - 1), st.sampled_from([None, 256, 4096]))
+def test_gen_random_graph_is_the_stream_definition(n, p, seed, block_bytes):
+    """Every cell against the whole uint32 matrix drawn at once: the strict
+    upper triangle thresholded, then mirrored.  Small blocks start rows
+    on odd stream positions, where a block's first draw is the high half
+    of the previous block's last word."""
+    draws = np.random.default_rng(seed).integers(0, 2 ** 32, size=(n, n),
+                                                 dtype=np.uint32)
+    thresh = min(2 ** 32 - 1, round(p * 2 ** 32))
+    want = np.triu(draws < thresh if p < 1 else np.ones((n, n), bool), 1)
+    want |= want.T
+    with pytest.MonkeyPatch.context() as mp:
+        if block_bytes is not None:
+            mp.setattr(graphs, "BLOCK_BYTES", block_bytes)
+        g = gen_random_graph(n, p, seed)
+    bits = np.unpackbits(g.rows.view(np.uint8), axis=1, bitorder="little")
+    assert np.array_equal(bits[:, :n], want)
+    assert not bits[:, n:].any()
+
+
+@pytest.mark.parametrize("n,u,v,message", [
+    (128, 3, 70, "adjacency not symmetric"),    # inside a full 64x64 block
+    (130, 5, 129, "adjacency not symmetric"),   # the last, partial block
+    (130, 129, 5, "adjacency not symmetric"),
+    (130, 7, 7, "self-loop at 7"),
+])
+def test_validate_rejects_bad_adjacency(n, u, v, message):
+    rows = gen_random_graph(n, 0.3, 2).rows.copy()
+    Graph(n, rows.copy()).validate()
+    rows[u, v >> 6] ^= np.uint64(1) << np.uint64(v & 63)
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        Graph(n, rows).validate()
+
+
 def test_common_neighbors_multi_block_bruteforce():
     g = gen_random_graph(1000, 0.04, 3)
     edges = g.edge_array()
