@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ChunkTooWide, SeedLengthMismatch
+from .errors import ChunkTooWide
 from .gf2 import EchelonTemplate, column_masks_vec, gf_mul, gf_mul_vec
 
 
@@ -45,7 +45,6 @@ class Seed:
     """A shared random seed: `bits` packed LSB-first into an int."""
 
     bits: int
-    length: int
 
 
 class HashFamily:
@@ -122,14 +121,6 @@ def _mask_table(gamma: int, beta: int, d: int) -> np.ndarray:
             power = gf_mul_vec(power, xs, k)
     out.flags.writeable = False
     return out
-
-
-def hash_eval(family: HashFamily, seed: Seed, x: int) -> int:
-    """Spec-level wrapper: evaluate with a full-length seed."""
-    if seed.length != family.seed_len:
-        raise SeedLengthMismatch(
-            f"need {family.seed_len} seed bits, got {seed.length}")
-    return family.eval(seed.bits, x)
 
 
 # --------------------------------------------------------------------- #
@@ -504,7 +495,7 @@ def cond_exp_search(objective, seed_len: int, z: int,
         objective.commit(b, width)
         bits |= b << k
         k += width
-    return Seed(bits, seed_len)
+    return Seed(bits)
 
 
 def distributed_seed_agreement(sim, objective, seed_len: int, z: int,
@@ -548,4 +539,4 @@ def distributed_seed_agreement(sim, objective, seed_len: int, z: int,
             objective.commit(b, width)
             bits |= b << k
             k += width
-    return Seed(bits, seed_len)
+    return Seed(bits)

@@ -10,9 +10,14 @@ estimator, agrees the seed through the leader protocol and evaluates the
 hash; realized progress is asserted against the estimator's initial
 expectation (the dominance the method guarantees).
 
-Both list colorers (the sqrt regime and the n^(3/4) bin regime) run the
-same phase loop, `_list_color_phases`; each supplies only its phase body.
-Three desk-scale escape hatches, all charged honestly in the ledger:
+Every deterministic list-coloring scope (`det`'s graph, its partition's
+parts and left-over, every scope the randomized pipelines hand on) goes
+through `det_list_color`, which picks the sqrt colorer, the n^(3/4) bin
+colorer or, above both regimes, one charged central gather.
+
+Both list colorers run the same phase loop, `_list_color_phases`; each
+supplies only its phase body.  Three desk-scale escape hatches, all
+charged honestly in the ledger:
 
 * When the estimator would exceed the configured term budget, the phase is
   completed by a central greedy list-coloring instead (gather charged via
@@ -31,6 +36,7 @@ Three desk-scale escape hatches, all charged honestly in the ledger:
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -205,7 +211,7 @@ def _list_scope(graph: Graph, palettes: Palettes, vertices: np.ndarray | None,
     scope's vertices), `graph.degrees` for the whole graph (`vertices`
     None), else counted here.  Every palette needs deg+1 colors: the
     first short vertex in the caller's order is named in the
-    ParameterViolation.  Regime checks are the colorer's."""
+    ParameterViolation.  The regime is det_list_color's to pick."""
     scope = np.arange(graph.n) if vertices is None else \
         np.asarray(vertices, dtype=np.int64)
     if deg is None:
@@ -370,9 +376,10 @@ def derand_color_round(sim: Simulator, graph: Graph, coloring: np.ndarray,
 def det_list_color_sqrt(sim: Simulator, graph: Graph, palettes: Palettes,
                         coloring: np.ndarray,
                         vertices: np.ndarray | None = None,
+                        instance_id: int = 0,
                         deg: np.ndarray | None = None) -> int:
     """Derandomized list coloring for Delta <= sqrt(c_fit * n), in place
-    in `coloring`; `deg` as in _list_scope.
+    in `coloring`; `deg` as in _list_scope, `instance_id` its seed instance.
 
     Every phase colors at least ceil(uncolored / 4) vertices: the seed
     round guarantees its exact estimator expectation, and a charged
@@ -398,7 +405,8 @@ def det_list_color_sqrt(sim: Simulator, graph: Graph, palettes: Palettes,
         sizes[active] = free.sizes
         _charge_edge_words(sim, "sqrt:palettes", edges, sizes)
         return derand_color_round(sim, graph, coloring, free, edges,
-                                  part_bits=1, stage="sqrt:seed").colored
+                                  part_bits=1, instance_id=instance_id,
+                                  stage="sqrt:seed").colored
 
     return _list_color_phases(sim, graph, palettes, coloring, scope,
                               scope_deg, "sqrt", "sqrt", phase)
@@ -753,7 +761,7 @@ def det_list_color_n34(sim: Simulator, graph: Graph, palettes: Palettes,
 
 
 # ===================================================================== #
-# general-case partition
+# general-case partition and the regime dispatch
 # ===================================================================== #
 
 @dataclass
@@ -887,9 +895,34 @@ def det_partition_general(sim: Simulator, graph: Graph,
         f"expected violations {expected_bad:.1f} >= 1 at this scale")
 
 
+def det_list_color(sim: Simulator, graph: Graph, palettes: Palettes,
+                   coloring: np.ndarray, vertices: np.ndarray | None = None,
+                   deg: np.ndarray | None = None, instance_id: int = 0,
+                   stage: str | None = None) -> tuple[str, int]:
+    """List-color a scope in place by its degree regime: measured once
+    (`deg` as in _list_scope), its degrees go to the sqrt colorer, the
+    n^(3/4) colorer or one charged central gather under `fallback`, and
+    with `stage` the colorer runs under `{stage}:{regime}`.  Logs nothing;
+    a caller handing a scope on logs its `fallback` note.  Returns (regime,
+    phases): sqrt, n34 or central (0 phases)."""
+    scope, deg, dmax = _list_scope(graph, palettes, vertices, deg)
+    if sim.config.fits_sqrt(dmax, sim.n):
+        regime, colorer = "sqrt", det_list_color_sqrt
+    elif sim.config.fits_n34(dmax, sim.n):
+        regime, colorer = "n34", det_list_color_n34
+    else:
+        _central_phase(sim, graph, palettes, coloring, scope, "fallback",
+                       deg)
+        return "central", 0
+    with sim.stage(f"{stage}:{regime}") if stage else nullcontext():
+        return regime, colorer(sim, graph, palettes, coloring, vertices,
+                               instance_id=instance_id, deg=deg)
+
+
 def det_coloring(sim: Simulator, graph: Graph, coloring: np.ndarray) -> None:
-    """Deterministic (Delta+1) coloring in place in `coloring`: dispatch by
-    degree regime, then log a `det-info` note.
+    """Deterministic (Delta+1) coloring in place, then a `det-info` note:
+    a graph within the n^(3/4) regime goes whole to det_list_color, one
+    above it to the partition, which hands each part to det_list_color.
 
     Consumes no randomness; identical inputs give identical colorings and
     ledgers.
@@ -897,14 +930,9 @@ def det_coloring(sim: Simulator, graph: Graph, coloring: np.ndarray) -> None:
     n = graph.n
     delta = graph.max_degree
     palettes = Palettes.uniform_range(n, 1, delta + 1)
-    if sim.config.fits_sqrt(delta, n):
-        regime = "sqrt"
-        with sim.stage("det:sqrt"):
-            phases = det_list_color_sqrt(sim, graph, palettes, coloring)
-    elif sim.config.fits_n34(delta, n):
-        regime = "n34"
-        with sim.stage("det:n34"):
-            phases = det_list_color_n34(sim, graph, palettes, coloring)
+    if sim.config.fits_n34(delta, n):
+        regime, phases = det_list_color(sim, graph, palettes, coloring,
+                                        stage="det")
     else:
         regime = "partition"
         phases = _partition_coloring(sim, graph, coloring, palettes)
@@ -914,9 +942,10 @@ def det_coloring(sim: Simulator, graph: Graph, coloring: np.ndarray) -> None:
 def _partition_coloring(sim: Simulator, graph: Graph, coloring: np.ndarray,
                         palettes: Palettes) -> int:
     """Color a graph above the n^(3/4) regime by a degree-capped partition
-    whose parts run the n^(3/4) colorer simultaneously, then the left-over
-    part, each with the degree array the partition measured; returns the
-    most phases any of them took."""
+    whose parts, simultaneous instances, and then the left-over part go
+    through det_list_color with the degree arrays the partition measured;
+    one above the n^(3/4) regime (c_fit < 1) is an `n34-bound` fallback.
+    Returns the most phases any of them took."""
     n, log = graph.n, sim.log
     delta = graph.max_degree
     plan = GeneralPartitionPlan.from_delta(delta)
@@ -937,10 +966,11 @@ def _partition_coloring(sim: Simulator, graph: Graph, coloring: np.ndarray,
         log.require("partition-cap", dmax ** 4 <= delta ** 3,
                     part=i, deg=dmax)
         log.require("partition-palette", hi - lo + 1 >= dmax + 1, part=i)
+        if not sim.config.fits_n34(dmax, n):
+            log.fallback("n34-bound", len(members), part=i, deg=dmax)
         pal_i = Palettes.uniform_range(n, lo, hi).restrict(members)
         jobs.append(lambda m=members, d=degs[i], p=pal_i, j=len(jobs):
-                    det_list_color_n34(sim, graph, p, coloring, vertices=m,
-                                       instance_id=j, deg=d))
+                    det_list_color(sim, graph, p, coloring, m, d, j)[1])
     max_phases = max(sim.run_parallel(jobs), default=0)
     # left-over part (empty under the capacity split)
     star = np.nonzero(part == plan.ell)[0]
@@ -948,9 +978,11 @@ def _partition_coloring(sim: Simulator, graph: Graph, coloring: np.ndarray,
         dstar = int(degs[-1][star].max())
         log.record("partition-star-cap", dstar <= plan.cap_star + 1,
                    deg=dstar, cap=plan.cap_star)
+        if not sim.config.fits_n34(dstar, n):
+            log.fallback("n34-bound", len(star), part="star", deg=dstar)
         star_pals = Palettes(n, sets=free_sets(graph, palettes, coloring,
                                                star))
         with sim.stage("det:star"):
-            max_phases = max(max_phases, det_list_color_n34(
-                sim, graph, star_pals, coloring, vertices=star, deg=degs[-1]))
+            max_phases = max(max_phases, det_list_color(
+                sim, graph, star_pals, coloring, star, degs[-1])[1])
     return max_phases

@@ -19,10 +19,6 @@ class BandwidthViolation(CliqueError):
         super().__init__(f"pair ({src}->{dst}) sent {bits} bits in one round")
 
 
-class SeedLengthMismatch(CliqueError):
-    """Seed bit-string does not match the hash family's required length."""
-
-
 class ChunkTooWide(CliqueError):
     """A seed-search chunk needs more leader nodes than the clique has."""
 

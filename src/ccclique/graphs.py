@@ -200,9 +200,6 @@ class Graph:
     def neighbors(self, v: int) -> np.ndarray:
         return np.nonzero(self.row_bool(v))[0].astype(np.int64)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool((self.rows[u, v >> 6] >> np.uint64(v & 63)) & np.uint64(1))
-
     def common_neighbors(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """Count |N(u) & N(v)| for parallel index arrays (vectorized)."""
         out = np.empty(len(us), dtype=np.int64)

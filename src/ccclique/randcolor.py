@@ -5,7 +5,7 @@ sqrt(c_fit*n), recursive degree reduction, and the top-level drivers.
 
 The partition formulas hold asymptotically; at desk scale every plan is
 validated (probabilities in range, allocation fits the parent palette) and
-invalid plans fall back to the deterministic list colorers rather than
+invalid plans hand their scope to detcolor.det_list_color rather than
 divide by vanishing quantities.  Every failure path still ends in a proper
 coloring.
 """
@@ -19,8 +19,7 @@ import numpy as np
 
 from .coloring import (Palettes, UNCOLORED, assert_no_conflict,
                        concentration_bound, free_sets, log2n, palette_ranges)
-from .detcolor import (det_list_color_n34, det_list_color_sqrt,
-                       _central_phase, _list_scope)
+from .detcolor import _central_phase, _list_scope, det_list_color
 from .errors import (AllocationOverflow, DegreeTooLarge, ParameterViolation,
                      PlanRejected)
 from .graphs import Graph
@@ -295,24 +294,6 @@ def color_bidding(sim: Simulator, graph: Graph, palettes: Palettes,
 # list coloring for Delta = O(sqrt(n)) with palette windows
 # ===================================================================== #
 
-def _fallback_list_color(sim: Simulator, graph: Graph, palettes: Palettes,
-                         coloring: np.ndarray, vertices: np.ndarray,
-                         deg: np.ndarray, reason: str, **detail) -> None:
-    """Deterministic relief valve for the non-empty `vertices`, with their
-    degrees `deg` among themselves, logged as one `fallback` note:
-    derandomized list coloring when that regime allows it, charged central
-    greedy otherwise.  The list colorers check every palette's deg+1."""
-    sim.log.fallback(reason, len(vertices), **detail)
-    dmax = int(deg[vertices].max())
-    args = (sim, graph, palettes, coloring, vertices)
-    if sim.config.fits_sqrt(dmax, sim.n):
-        det_list_color_sqrt(*args, deg=deg)
-    elif sim.config.fits_n34(dmax, sim.n):
-        det_list_color_n34(*args, deg=deg)
-    else:
-        _central_phase(*args, "fallback", deg)
-
-
 def clp_list_coloring(sim: Simulator, graph: Graph, palettes: Palettes,
                       rng: np.random.Generator, coloring: np.ndarray,
                       vertices: np.ndarray | None = None,
@@ -327,7 +308,7 @@ def clp_list_coloring(sim: Simulator, graph: Graph, palettes: Palettes,
     and sparse set, then a charged central cleanup.
 
     A palette below the window, or Delta below delta_min, hands the scope
-    to the fallback colorers.  A palette above Delta+1 raises
+    to detcolor.det_list_color.  A palette above Delta+1 raises
     ParameterViolation, and Delta above the sqrt bound DegreeTooLarge.
     """
     n = graph.n
@@ -341,9 +322,9 @@ def clp_list_coloring(sim: Simulator, graph: Graph, palettes: Palettes,
     window_lo = delta - max(1, delta) ** 0.6
     narrow = (sizes < window_lo).any()
     if narrow or delta < sim.config.delta_min:
-        reason = "palette-window" if narrow else "delta-min"
-        _fallback_list_color(sim, graph, palettes, coloring, scope, sub_deg,
-                             reason, delta=delta)
+        sim.log.fallback("palette-window" if narrow else "delta-min",
+                         len(scope), delta=delta)
+        det_list_color(sim, graph, palettes, coloring, scope, sub_deg)
         return
     if not sim.config.fits_sqrt(delta, sim.n):
         raise DegreeTooLarge(
@@ -502,9 +483,9 @@ def recursive_coloring(sim: Simulator, graph: Graph, scope: np.ndarray,
                        deg: np.ndarray | None = None) -> None:
     """Recursive degree reduction, in place in `coloring`: partition,
     recurse on the parts simultaneously, then list-color the left-over set
-    from leftover palettes.  Falls back to the deterministic colorers when
-    a plan is rejected or every split overflows at this scale.  `deg` is
-    the scope's degree array when the caller measured it, handed on."""
+    from leftover palettes.  A rejected plan, or a split whose every draw
+    overflows, hands the scope to detcolor.det_list_color.  `deg` is the
+    scope's degree array when the caller measured it, handed on."""
     n = graph.n
     scope = np.asarray(scope, dtype=np.int64)
     unc = scope[coloring[scope] == UNCOLORED]
@@ -534,13 +515,13 @@ def recursive_coloring(sim: Simulator, graph: Graph, scope: np.ndarray,
         plan, parts, ranges, degs = partition_step(
             sim, graph, scope, delta, palette_lo, palette_hi, x, rng)
     except PlanRejected as exc:
-        _fallback_list_color(sim, graph, pal, coloring, scope, deg,
-                             "plan-rejected", cause=str(exc))
+        sim.log.fallback("plan-rejected", len(scope), cause=str(exc))
+        det_list_color(sim, graph, pal, coloring, scope, deg)
         return
     except AllocationOverflow as exc:
-        _fallback_list_color(sim, graph, pal, coloring, scope, deg,
-                             "split-overflow", need=exc.need,
-                             available=exc.available)
+        sim.log.fallback("split-overflow", len(scope), need=exc.need,
+                         available=exc.available)
+        det_list_color(sim, graph, pal, coloring, scope, deg)
         return
     _color_parts(sim, graph, parts[:-1], ranges, degs, rng, coloring)
     # left-over set: free colors within the parent palette
@@ -557,8 +538,9 @@ def recursive_coloring(sim: Simulator, graph: Graph, scope: np.ndarray,
         # too dense for the window machinery at this scale: hand off before
         # the free lists are built, which on dense cells would hold on the
         # order of |star| * Delta* entries
-        _fallback_list_color(sim, graph, parent.restrict(star), coloring,
-                             star, sdeg, "sqrt-bound", delta=dstar)
+        sim.log.fallback("sqrt-bound", len(star), delta=dstar)
+        det_list_color(sim, graph, parent.restrict(star), coloring, star,
+                       sdeg)
         return
     free = free_sets(graph, parent, coloring, star)
     for v, f, need in zip(star.tolist(), free.sizes.tolist(),

@@ -11,7 +11,7 @@ Simulator owns one RunLog (`sim.log`), which every colorer given that
 from __future__ import annotations
 
 FALLBACK_REASONS = frozenset({
-    "plan-rejected", "delta-min", "palette-window", "sqrt-bound",
+    "plan-rejected", "delta-min", "palette-window", "sqrt-bound", "n34-bound",
     "host-budget", "split-overflow", "dense-gather", "no-candidates"})
 
 

@@ -7,7 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from ccclique.cli import main
-from ccclique.graphs import gen_random_graph, save_graph
+from ccclique.graphs import Graph, gen_random_graph, save_graph
 from ccclique.harness import run_algorithm, write_coloring
 
 
@@ -292,6 +292,32 @@ def test_config_overrides_take_effect(tmp_path, runner):
     assert res.exit_code == 0
     rep = json.loads(out.read_text())
     assert rep["config"]["lenzen_cost"] == 5
+
+
+@pytest.mark.parametrize("algo,instance,c_fit", [
+    ("det", ["--gen", "300,0.9"], "0.5"),
+    ("clp", ["--gen", "300,0.9"], "0.5"),
+    ("det", None, "0.9")], ids=["det-G300", "clp-G300", "det-K1,16"])
+def test_run_partition_part_above_n34_gate_exits_0(tmp_path, runner, algo,
+                                                    instance, c_fit):
+    """det and clp at c_fit < 1 on a graph whose partition parts miss the
+    n^(3/4) gate (G(300, 0.9), or K_{1,16} as an edge list) color those
+    parts centrally and exit 0 instead of 3."""
+    if instance is None:
+        path = tmp_path / "star.el"
+        save_graph(Graph.from_edges(17, [(0, i) for i in range(1, 17)]),
+                   str(path))
+        instance = ["--graph", str(path)]
+    out = tmp_path / "r.json"
+    res = runner.invoke(main, ["run", "--algo", algo, *instance, "--seed",
+                               "1", "--set", f"c_fit={c_fit}",
+                               "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    rep = json.loads(out.read_text())
+    assert rep["proper"] is True and rep["within_budget"] is True
+    assert rep["bandwidth_ok"] is True
+    assert any(e.get("note") == "fallback" and e["reason"] == "n34-bound"
+               for e in rep["assertion_log"])
 
 
 def test_run_csv_format(runner):

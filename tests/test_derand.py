@@ -9,11 +9,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from ccclique import derand
 from ccclique.config import Config
-from ccclique.derand import (AffineObjective, HashFamily, Seed,
-                             TableObjective, _mask_table, chunk_bits,
-                             cond_exp_search, distributed_seed_agreement,
-                             hash_eval)
-from ccclique.errors import ChunkTooWide, SeedLengthMismatch
+from ccclique.derand import (AffineObjective, HashFamily, TableObjective,
+                             _mask_table, chunk_bits, cond_exp_search,
+                             distributed_seed_agreement)
+from ccclique.errors import ChunkTooWide
 from ccclique.gf2 import (EchelonTemplate, column_masks_vec, gf_mul,
                           gf_mul_vec, irreducible_poly, solve_parity_rows)
 from ccclique.selftest import make_corpus
@@ -78,13 +77,6 @@ def test_hash_d1_is_constant():
     seed = 0b101
     vals = {fam.eval(seed, x) for x in range(8)}
     assert vals == {seed & 0b11}
-
-
-def test_hash_eval_wrapper_checks_length():
-    fam = HashFamily(3, 3, 2)
-    with pytest.raises(SeedLengthMismatch):
-        hash_eval(fam, Seed(0, 5), 1)
-    assert hash_eval(fam, Seed(0, fam.seed_len), 3) == 0
 
 
 def test_pairwise_exact_uniformity():

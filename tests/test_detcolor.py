@@ -17,9 +17,10 @@ from ccclique.config import Config
 from ccclique.coloring import Palettes, free_sets, is_proper
 from ccclique.detcolor import (GeneralPartitionPlan, _add_term_groups,
                                _capacity_split, bin_layout, classify_and_bin,
-                               det_coloring, det_delta_sq, det_list_color_n34,
-                               det_list_color_sqrt, det_partition_general,
-                               phase_bound, required_independence,
+                               det_coloring, det_delta_sq, det_list_color,
+                               det_list_color_n34, det_list_color_sqrt,
+                               det_partition_general, phase_bound,
+                               required_independence,
                                simple_rand_color_round)
 from ccclique.derand import AffineObjective, HashFamily
 from ccclique.errors import (DegreeTooLarge, NoZeroViolationSeed,
@@ -499,8 +500,9 @@ def test_det_coloring_partition_regime_logs():
 def test_det_star_takes_seeded_partition():
     # K_{1,100}: Delta^4 > n^3, and the leaves' low degrees make the
     # expected cap violations fall below 1, so a probed hash seed splits
-    # the graph; the parts and the left-over set are colored by the
-    # n^(3/4) colorer
+    # the graph; det_list_color colors the part holding the center with
+    # the n^(3/4) colorer, and the other three parts (each its own seed
+    # instance) and the left-over set with the sqrt colorer
     g = Graph.from_edges(101, [(0, i) for i in range(1, 101)])
     _, rep = run_algorithm("det", g, Config())
     assert rep["proper"] and rep["within_budget"] and rep["bandwidth_ok"]
@@ -508,9 +510,56 @@ def test_det_star_takes_seeded_partition():
     assert notes[0] == {"note": "partition-seeded", "trial": 1}
     assert not any(e["note"] == "fallback" for e in notes)
     stages = rep["rounds_by_stage"]
-    assert rep["rounds_total"] == 191
+    assert rep["rounds_total"] == 171
     assert (stages["partition:probe"], stages["det:star"],
-            stages["n34:seed"]) == (24, 33, 56)
+            stages["n34:seed"], stages["sqrt:seed"]) == (24, 13, 44, 32)
+
+
+@pytest.mark.parametrize("algo,graph,c_fit", [
+    ("det", lambda: gen_random_graph(300, 0.9, 1), 0.5),
+    ("clp", lambda: gen_random_graph(300, 0.9, 1), 0.5),
+    ("det", lambda: Graph.from_edges(17, [(0, i) for i in range(1, 17)]),
+     0.9)], ids=["det-G300", "clp-G300", "det-K1,16"])
+def test_partition_part_above_n34_gate_is_colored(algo, graph, c_fit):
+    """At c_fit < 1 a partition part at its cap floor(Delta^(3/4)) can
+    miss the n^(3/4) gate.  Such a part is logged once as an `n34-bound`
+    fallback and det_list_color colors it centrally within its palette,
+    where it used to raise DegreeTooLarge."""
+    g = graph()
+    cfg = Config(rng_seed=1, c_fit=c_fit)
+    _, rep = run_algorithm(algo, g, cfg)
+    assert rep["proper"] and rep["within_budget"] and rep["bandwidth_ok"]
+    notes = [e for e in rep["assertion_log"] if e.get("note") == "fallback"
+             and e["reason"] == "n34-bound"]
+    assert notes and len({e["part"] for e in notes}) == len(notes)
+    assert not any(cfg.fits_n34(e["deg"], g.n) for e in notes)
+    assert rep["rounds_by_stage"]["fallback"] > 0
+
+
+def test_det_list_color_picks_regime_by_scope_degree():
+    """One dispatch for every deterministic list-coloring scope: the same
+    scope goes to the sqrt colorer, the n^(3/4) colorer or one central
+    gather as c_fit moves its maximum degree across the two gates."""
+    g = gen_random_graph(96, 0.12, 1)
+    scope = np.arange(0, 96, 2)
+    deg = g.degrees_among(scope)
+    dmax = int(deg[scope].max())
+    pal = Palettes.uniform_range(g.n, 1, dmax + 1).restrict(scope)
+    for c_fit, regime in ((1.01 * dmax ** 2 / g.n, "sqrt"),
+                          (1.01 * dmax ** (4 / 3) / g.n, "n34"),
+                          (0.5 * dmax ** (4 / 3) / g.n, "central")):
+        sim, cfg, log = setup_ctx(g.n, c_fit=c_fit)
+        coloring = np.zeros(g.n, dtype=np.int64)
+        got, phases = det_list_color(sim, g, pal, coloring, scope)
+        assert got == regime and (phases == 0) == (regime == "central")
+        assert ((coloring[scope] >= 1) & (coloring[scope] <= dmax + 1)).all()
+        assert (np.delete(coloring, scope) == 0).all()
+        u, v = g.edges_within(scope).T
+        assert (coloring[u] != coloring[v]).all()
+        assert ("fallback" in sim.ledger.stage_rounds) == \
+            (regime == "central")
+        if regime == "central":  # the dispatch itself logs nothing
+            assert log.entries == []
 
 
 def test_det_phase_cap_criterion():

@@ -52,8 +52,8 @@ def test_induced_matches_bruteforce():
         assert np.array_equal(ids, verts)
         for i in range(len(verts)):
             for j in range(len(verts)):
-                assert sub.has_edge(i, j) == g.has_edge(int(verts[i]),
-                                                        int(verts[j]))
+                assert sub.row_bool(i)[j] == g.row_bool(int(verts[i]))[
+                    int(verts[j])]
 
 
 def test_common_neighbors_bruteforce():
@@ -353,7 +353,7 @@ def test_edges_within_matches_bruteforce(n, p, seed, size):
     g = gen_random_graph(n, p, seed)
     vertices = np.random.default_rng(seed).integers(0, n, size)
     ids = sorted(set(vertices.tolist()))
-    want = [(u, v) for u in ids for v in ids if u < v and g.has_edge(u, v)]
+    want = [(u, v) for u in ids for v in ids if u < v and g.row_bool(u)[v]]
     got = g.edges_within(vertices)
     assert got.shape == (len(want), 2) and got.dtype == np.int64
     assert [tuple(e) for e in got.tolist()] == want

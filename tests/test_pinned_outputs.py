@@ -70,11 +70,13 @@ def test_clp_partition_degree_passes(monkeypatch):
 
 def test_det_star_degree_passes(monkeypatch):
     """det on K_{1,100} takes the seeded partition, whose probes count
-    each part, and the left-over once the parts pass; the n^(3/4) runs
-    start from the accepted probe's counts, so the run counts subgraph
-    degrees 11 times."""
+    each non-empty part, and the left-over once the parts pass (6
+    counts).  The list colorers start from the accepted probe's counts:
+    three parts and the left-over fit the sqrt regime and finish in one
+    phase, and the one n^(3/4) part counts its top-up and its second
+    phase, so the run counts subgraph degrees 8 times."""
     star = Graph.from_edges(101, [(0, i) for i in range(1, 101)])
-    assert count_degree_passes(monkeypatch, "det", star) == 11
+    assert count_degree_passes(monkeypatch, "det", star) == 8
 
 
 def test_manycolors_dense_degree_passes(monkeypatch):

@@ -476,7 +476,7 @@ def test_recursive_left_over_runs_on_list_palettes(monkeypatch):
     monkeypatch.setattr(PartitionPlan, "make", staticmethod(
         lambda delta_i, x, n: PartitionPlan(4, 1.6, 0.15, 0.4)))
     lists = []
-    for name in ("clp_list_coloring", "_fallback_list_color"):
+    for name in ("clp_list_coloring", "det_list_color"):
         def spy(sim, graph, palettes, *a, _f=getattr(randcolor, name), **k):
             lists.append(not palettes.is_range)
             return _f(sim, graph, palettes, *a, **k)
