@@ -1,5 +1,6 @@
-"""Command-line interface: run one instance, verify a coloring file, sweep
-a parameter grid, or run the tiny-scale selftests.
+"""Command-line interface: run one instance, verify a coloring file, or
+sweep a parameter grid.  The exhaustive tiny-scale oracles of the
+derandomization run under pytest (tests/oracles.py), not here.
 
 Exit codes: 0 success, 1 verification failure, 2 input error (an output
 path that cannot be written included), 3 internal invariant violation or
@@ -24,7 +25,6 @@ from .errors import CliqueError, InputError
 from .graphs import check_random_graph_params, gen_random_graph, load_graph
 from .harness import (ALGORITHMS, read_coloring, run_algorithm,
                       write_coloring)
-from .selftest import run_selftests
 
 
 def _input_error(exc: Exception) -> NoReturn:
@@ -250,20 +250,6 @@ def sweep_cmd(algos, ns, densities, seeds, config_path, overrides, eps,
             for rep in rows:
                 w.writerow([rep.get(c) for c in summary_cols])
     sys.exit(3 if crashed else 1 if failed else 0)
-
-
-@main.command("selftest")
-def selftest_cmd():
-    """Run the exhaustive tiny-scale oracles."""
-    results = run_selftests()
-    bad = 0
-    for r in results:
-        status = "PASS" if r["ok"] else "FAIL"
-        click.echo(f"[{status}] {r['name']}")
-        bad += 0 if r["ok"] else 1
-    click.echo(f"{len(results) - bad}/{len(results)} selftests passed")
-    if bad:
-        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -7,25 +7,23 @@ at the gamma-bit input and truncated to the low beta output bits.  For any
 d distinct inputs the outputs are exactly jointly uniform over a uniform
 seed.
 
-Seed searches fix the seed in chunks of z bits, greedily choosing each
-chunk assignment to maximize (or minimize) the objective's exact
+The seed search fixes the seed in chunks of z bits, greedily choosing
+each chunk assignment to maximize (or minimize) the objective's exact
 conditional expectation; ties break toward the smallest assignment value.
-Two objective shapes are provided:
+Its objective is an AffineObjective: a weighted sum of conjunctions of
+parity constraints over seed bits.  Because a fixed input makes every hash
+output bit a parity of seed bits, the success estimators used by the
+deterministic coloring steps take this form, and conditioning on a bit
+prefix reduces to echelon bookkeeping: rows whose pivot is below the
+prefix are consistency checks, rows above it each halve the probability.
 
-* TableObjective - an explicit value table over all seeds (tiny scales,
-  oracle tests).
-* AffineObjective - a weighted sum of conjunctions of parity constraints
-  over seed bits.  Because a fixed input makes every hash output bit a
-  parity of seed bits, the success estimators used by the deterministic
-  coloring steps take this form, and conditioning on a bit prefix reduces
-  to echelon bookkeeping: rows whose pivot is below the prefix are
-  consistency checks, rows above it each halve the probability.
-
-The distributed variant runs the same search through the simulator: per
+The search runs through the simulator (`distributed_seed_agreement`): per
 stage every node ships its conditional value to one leader per chunk
 assignment (one routing call), leaders aggregate, and the winning
-assignment is broadcast.  It returns bit-identical seeds to the offline
-search because both use the same integer arithmetic.
+assignment is broadcast.  The test suite holds the offline reference
+search and an explicit value-table objective (tests/oracles.py); the
+protocol returns bit-identical seeds to that search because both use the
+same integer arithmetic.
 """
 
 from __future__ import annotations
@@ -127,55 +125,6 @@ def _mask_table(gamma: int, beta: int, d: int) -> np.ndarray:
 # objectives
 # --------------------------------------------------------------------- #
 
-class TableObjective:
-    """Exact objective given by a value table over all 2^L seeds.
-
-    Per-node decomposition is a list of tables that sum to the total;
-    values are integers so all conditional sums are exact.
-    """
-
-    def __init__(self, node_tables: dict[int, np.ndarray], seed_len: int):
-        self.seed_len = seed_len
-        size = 1 << seed_len
-        self.node_tables = {int(v): np.asarray(t, dtype=np.int64)
-                            for v, t in node_tables.items()}
-        for t in self.node_tables.values():
-            if len(t) != size:
-                raise ValueError("table size must be 2^seed_len")
-        self.total = np.zeros(size, dtype=np.int64)
-        for t in self.node_tables.values():
-            self.total += t
-        self.committed = 0
-        self.k = 0
-
-    def reset(self):
-        self.committed, self.k = 0, 0
-
-    def _sums(self, table: np.ndarray, width: int) -> np.ndarray:
-        k1 = self.k + width
-        folded = table.reshape(-1, 1 << k1).sum(axis=0)
-        idx = self.committed + (np.arange(1 << width) << self.k)
-        return folded[idx]
-
-    def eval_block(self, width: int) -> np.ndarray:
-        """Conditional sums (exact, common denominator) per assignment."""
-        return self._sums(self.total, width)
-
-    def contributing_nodes(self) -> np.ndarray:
-        """Sorted ids of the nodes that own a table."""
-        return np.array(sorted(self.node_tables), dtype=np.int64)
-
-    def commit(self, assignment: int, width: int) -> None:
-        self.committed |= assignment << self.k
-        self.k += width
-
-    def exhaustive_mean_num_denom(self):
-        return int(self.total.sum()), 1 << self.seed_len
-
-    def value_of(self, seed_bits: int) -> int:
-        return int(self.total[seed_bits])
-
-
 class AffineObjective:
     """Sum of coef * [conjunction of seed-bit parities] terms.
 
@@ -251,12 +200,6 @@ class AffineObjective:
                                np.zeros(0, dtype=np.uint8))
         self._blocks = None
         self._consts = None
-        self._last = None
-
-    def reset(self):
-        self.committed, self.k = 0, 0
-        self.alive[:] = True
-        self._below[:] = 0
         self._last = None
 
     # -- evaluation -------------------------------------------------- #
@@ -476,26 +419,14 @@ def chunk_bits(n: int, seed_len: int, instance_id: int = 0) -> int:
     return max(1, min(cap, seed_len, 20))
 
 
+def owns_leaders(n: int, instance_id: int) -> bool:
+    """Whether seed instance `instance_id` owns its own leaders at the
+    widest chunk chunk_bits gives it: (instance_id + 1) * 2^width <= n."""
+    return (instance_id + 1) << chunk_bits(n, 64, instance_id) <= n
+
+
 def _pick(vals: np.ndarray, minimize: bool) -> int:
     return int(np.argmin(vals)) if minimize else int(np.argmax(vals))
-
-
-def cond_exp_search(objective, seed_len: int, z: int,
-                    minimize: bool = False) -> Seed:
-    """Greedy chunked seed fixing; the result's objective value meets or
-    beats the average over all seeds (exact conditional expectations)."""
-    if z < 1:
-        raise ValueError("chunk size must be >= 1")
-    k = 0
-    bits = 0
-    while k < seed_len:
-        width = min(z, seed_len - k)
-        vals = objective.eval_block(width)
-        b = _pick(vals, minimize)
-        objective.commit(b, width)
-        bits |= b << k
-        k += width
-    return Seed(bits)
 
 
 def distributed_seed_agreement(sim, objective, seed_len: int, z: int,
@@ -507,7 +438,8 @@ def distributed_seed_agreement(sim, objective, seed_len: int, z: int,
     leader of each chunk assignment (one routing call), each leader sums
     its column, leaders forward sums to the arbiter (1 round), and the
     winning assignment is broadcast (1 round).  Chooses the same seed as
-    cond_exp_search for the same objective and chunk size.
+    the offline reference search in tests/oracles.py (cond_exp_search) for
+    the same objective and chunk size.
     """
     if z < 1:
         raise ValueError("chunk size must be >= 1")

@@ -44,7 +44,7 @@ import numpy as np
 from .coloring import (FreeSets, Palettes, UNCOLORED, free_sets,
                        greedy_list_color, palette_ranges)
 from .derand import (AffineObjective, HashFamily, chunk_bits,
-                     distributed_seed_agreement)
+                     distributed_seed_agreement, owns_leaders)
 from .errors import DegreeTooLarge, NoZeroViolationSeed, ParameterViolation
 from .gf2 import EchelonTemplate, column_masks_vec
 from .graphs import Graph
@@ -410,41 +410,6 @@ def det_list_color_sqrt(sim: Simulator, graph: Graph, palettes: Palettes,
 
     return _list_color_phases(sim, graph, palettes, coloring, scope,
                               scope_deg, "sqrt", "sqrt", phase)
-
-
-def simple_rand_color_round(graph: Graph, palettes: Palettes,
-                            coloring: np.ndarray, source,
-                            vertices: np.ndarray | None = None) -> int:
-    """One abstain-or-pick round of the basic list colorer (no charges).
-
-    `source` is either a numpy Generator (ideal randomness: abstain with
-    probability 1/2, else a uniform free color) or a (family, seed_bits)
-    pair deriving choices from hash outputs through the dyadic index map
-    used by the derandomized rounds.  A vertex keeps its pick unless an
-    uncolored neighbor picked the same color (mutual drop).  Returns the
-    number of vertices colored; mutates `coloring`.
-    """
-    scope = np.arange(graph.n) if vertices is None else \
-        np.unique(np.asarray(vertices, dtype=np.int64))
-    active = scope[coloring[scope] == UNCOLORED]
-    if len(active) == 0:
-        return 0
-    free = free_sets(graph, palettes, coloring, active)
-    fs = free.sizes
-    if (fs == 0).any():
-        raise ParameterViolation("active vertex with empty free palette")
-    if isinstance(source, tuple):
-        family, bits = source
-        valid, idx = _hash_choices(
-            family.eval_vec(bits, active.astype(np.uint64)), fs, 1)
-    else:
-        valid = source.random(len(active)) < 0.5
-        idx = np.zeros(len(active), dtype=np.int64)
-        for i in np.flatnonzero(valid):
-            idx[i] = source.integers(0, int(fs[i]))
-    edges = graph.edges_within(active)
-    return _commit_picks(coloring, free, valid, idx,
-                         *np.searchsorted(active, edges).T)
 
 
 # ===================================================================== #
@@ -945,6 +910,8 @@ def _partition_coloring(sim: Simulator, graph: Graph, coloring: np.ndarray,
     whose parts, simultaneous instances, and then the left-over part go
     through det_list_color with the degree arrays the partition measured;
     one above the n^(3/4) regime (c_fit < 1) is an `n34-bound` fallback.
+    A part whose instance cannot own its leaders (derand.owns_leaders,
+    n <= 3) runs after the simultaneous ones, in sequence, as instance 0.
     Returns the most phases any of them took."""
     n, log = graph.n, sim.log
     delta = graph.max_degree
@@ -956,7 +923,7 @@ def _partition_coloring(sim: Simulator, graph: Graph, coloring: np.ndarray,
         sizes = np.full(plan.ell, (delta + 1) // plan.ell, dtype=np.int64)
         sizes[: (delta + 1) % plan.ell] += 1
         part, degs = _capacity_split(sim, graph, plan.ell, sizes)
-    # verify caps and color parts simultaneously
+    # verify caps; parts that own their leaders color simultaneously
     jobs = []
     for i, (lo, hi) in enumerate(palette_ranges(1, sizes)):
         members = np.nonzero(part == i)[0]
@@ -968,10 +935,16 @@ def _partition_coloring(sim: Simulator, graph: Graph, coloring: np.ndarray,
         log.require("partition-palette", hi - lo + 1 >= dmax + 1, part=i)
         if not sim.config.fits_n34(dmax, n):
             log.fallback("n34-bound", len(members), part=i, deg=dmax)
-        pal_i = Palettes.uniform_range(n, lo, hi).restrict(members)
-        jobs.append(lambda m=members, d=degs[i], p=pal_i, j=len(jobs):
-                    det_list_color(sim, graph, p, coloring, m, d, j)[1])
-    max_phases = max(sim.run_parallel(jobs), default=0)
+        jobs.append((members, degs[i],
+                     Palettes.uniform_range(n, lo, hi).restrict(members)))
+    fit = sum(owns_leaders(n, j) for j in range(len(jobs)))
+    max_phases = max(sim.run_parallel([
+        lambda m=m, d=d, p=p, j=j: det_list_color(sim, graph, p, coloring,
+                                                  m, d, j)[1]
+        for j, (m, d, p) in enumerate(jobs[:fit])]), default=0)
+    for m, d, p in jobs[fit:]:
+        max_phases = max(max_phases, det_list_color(sim, graph, p, coloring,
+                                                    m, d)[1])
     # left-over part (empty under the capacity split)
     star = np.nonzero(part == plan.ell)[0]
     if len(star):

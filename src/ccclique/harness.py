@@ -121,8 +121,8 @@ def write_coloring(coloring: np.ndarray, path: str) -> None:
 
 def read_coloring(path: str, n: int) -> np.ndarray:
     """Parse `vertex color` lines; a vertex not listed is uncolored (0).
-    A vertex out of range or listed twice, or a negative color, is an
-    InputError naming the line."""
+    A non-integer token, a vertex out of range or listed twice, or a
+    negative color, is an InputError naming the line."""
     out = np.zeros(n, dtype=np.int64)
     seen = np.zeros(n, dtype=bool)
     with open(path) as fh:
@@ -133,7 +133,11 @@ def read_coloring(path: str, n: int) -> np.ndarray:
             parts = line.split()
             if len(parts) != 2:
                 raise InputError(f"line {lineno}: expected 'vertex color'")
-            v, c = int(parts[0]), int(parts[1])
+            try:
+                v, c = int(parts[0]), int(parts[1])
+            except ValueError as exc:
+                raise InputError(f"line {lineno}: non-integer vertex or "
+                                 f"color") from exc
             if not 0 <= v < n:
                 raise InputError(f"line {lineno}: vertex {v} out of range")
             if c < 0:

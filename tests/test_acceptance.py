@@ -11,16 +11,16 @@ import pytest
 
 from ccclique.config import Config
 from ccclique.coloring import Palettes, concentration_bound, is_proper
+from ccclique.derand import distributed_seed_agreement
 from ccclique.detcolor import det_list_color_sqrt, phase_bound
 from ccclique.errors import AllocationOverflow, PlanRejected
 from ccclique.graphs import gen_random_graph
 from ccclique.harness import ALGORITHMS, report_key, run_algorithm
 from ccclique.randcolor import partition_step
 from ccclique.runlog import FALLBACK_REASONS
-from ccclique.selftest import (check_cond_exp_dominance,
-                               check_distributed_agreement,
-                               check_hash_independence, make_corpus)
 from ccclique.sim import Simulator
+from oracles import (TableObjective, cond_exp_search, hash_jointly_uniform,
+                     make_corpus)
 
 GRID_NS = (256, 1024, 4096, 16384)
 GRID_DENSITIES = (0.05, 0.3, 0.8)
@@ -129,14 +129,18 @@ def test_criterion_2_derandomization_dominance(suite_reports):
 
 
 def test_criterion_3_exhaustive_tiny_oracles():
-    hash_res = check_hash_independence(gammas=(2, 3), ds=(2, 3))
-    corpus = make_corpus(50)
-    dom = check_cond_exp_dominance(corpus)
-    agree = check_distributed_agreement(corpus)
-    assert len(dom) == 50 and len(agree) == 50
-    all_ok = all(r["ok"] for r in hash_res + dom + agree)
-    _verdict(3, "tiny-scale exhaustive oracles", all_ok,
-             f"{len(hash_res)} uniformity + {len(dom)} dominance + "
+    uniform = [hash_jointly_uniform(gb, d) for gb in (2, 3) for d in (2, 3)]
+    dom, agree = [], []
+    for tables, length, z in make_corpus(50):
+        off = TableObjective(tables, length)
+        seed = cond_exp_search(off, length, z)
+        dom.append(off.value_of(seed.bits) >= off.exhaustive_mean())
+        dist = distributed_seed_agreement(
+            Simulator(max(16, 1 << z), Config()),
+            TableObjective(tables, length), length, z)
+        agree.append(dist.bits == seed.bits)
+    _verdict(3, "tiny-scale exhaustive oracles", all(uniform + dom + agree),
+             f"{len(uniform)} uniformity + {len(dom)} dominance + "
              f"{len(agree)} agreement cases, all exact")
 
 

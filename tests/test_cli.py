@@ -1,4 +1,4 @@
-"""CLI surface: run, verify, sweep, selftest; exit codes and formats."""
+"""CLI surface: run, verify, sweep; exit codes and formats."""
 
 import json
 
@@ -76,6 +76,8 @@ def test_verify_rejects_improper(tmp_path, runner):
     ("0 -5\n1 2\n2 -5\n", "line 1: negative color -5"),
     ("0 1\n1 2\n0 3\n2 1\n", "line 3: vertex 0 listed twice"),
     ("# colors\n0 1\n1 0\n1 2\n2 1\n", "line 4: vertex 1 listed twice"),
+    ("0 x\n", "line 1: non-integer vertex or color"),
+    ("0 1\n1.5 2\n", "line 2: non-integer vertex or color"),
 ])
 def test_verify_rejects_malformed_coloring(tmp_path, runner, text, message):
     # the path 0-1-2; each file would read as proper if parsed leniently
@@ -320,6 +322,24 @@ def test_run_partition_part_above_n34_gate_exits_0(tmp_path, runner, algo,
                for e in rep["assertion_log"])
 
 
+@pytest.mark.parametrize("algo,n,settings", [
+    ("det", 2, ["c_fit=0.25"]), ("det", 3, ["c_fit=0.5"]),
+    ("clp", 3, ["delta_min=1", "c_fit=0.5"])])
+def test_run_partition_of_two_or_three_vertices_exits_0(tmp_path, runner,
+                                                        algo, n, settings):
+    """K_2 and K_3 below c_fit 1 miss the n^(3/4) gate, so det (and clp,
+    which hands them to det) partitions them into two parts.  The second
+    part cannot own leaders apart from the first's, so it seeds after it
+    as instance 0, and the run exits 0 within Delta+1 colors."""
+    out = tmp_path / "r.json"
+    sets = [arg for kv in settings for arg in ("--set", kv)]
+    res = runner.invoke(main, ["run", "--algo", algo, "--gen", f"{n},1",
+                               *sets, "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    rep = json.loads(out.read_text())
+    assert rep["proper"] is True and rep["colors_used"] == n
+
+
 def test_run_csv_format(runner):
     res = runner.invoke(main, ["run", "--algo", "detsq", "--gen", "32,0.4",
                                "--format", "csv"])
@@ -343,8 +363,8 @@ def test_debug_checks_mode(runner):
     assert res.exit_code == 0, res.output
 
 
-def test_selftest_command(runner):
+def test_selftest_is_no_command(runner):
+    # the exhaustive oracles run under pytest (tests/oracles.py)
     res = runner.invoke(main, ["selftest"])
-    assert res.exit_code == 0, res.output
-    assert "FAIL" not in res.output
-    assert "selftests passed" in res.output
+    assert res.exit_code == 2
+    assert "No such command" in res.output

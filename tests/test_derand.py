@@ -1,5 +1,6 @@
 """Hash family and conditional-expectation search: exhaustive oracles."""
 
+import copy
 import tracemalloc
 from fractions import Fraction
 
@@ -9,14 +10,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from ccclique import derand
 from ccclique.config import Config
-from ccclique.derand import (AffineObjective, HashFamily, TableObjective,
-                             _mask_table, chunk_bits, cond_exp_search,
-                             distributed_seed_agreement)
+from ccclique.derand import (AffineObjective, HashFamily, _mask_table,
+                             chunk_bits, distributed_seed_agreement,
+                             owns_leaders)
 from ccclique.errors import ChunkTooWide
 from ccclique.gf2 import (EchelonTemplate, column_masks_vec, gf_mul,
                           gf_mul_vec, irreducible_poly, solve_parity_rows)
-from ccclique.selftest import make_corpus
 from ccclique.sim import Simulator
+from oracles import TableObjective, cond_exp_search, make_corpus
 
 
 def value_rows(bit_masks: np.ndarray, bits: list[int], value: int):
@@ -25,6 +26,16 @@ def value_rows(bit_masks: np.ndarray, bits: list[int], value: int):
     corresponds to bits[t]."""
     return [(int(bit_masks[t]), (value >> i) & 1)
             for i, t in enumerate(bits)]
+
+
+def conditioned(obj: AffineObjective, prefix: int, k: int):
+    """A copy of the frozen `obj` with its low k seed bits fixed to
+    `prefix`; `obj` itself stays unconditioned."""
+    out = copy.deepcopy(obj)
+    if k:
+        out.eval_block(k)
+        out.commit(prefix, k)
+    return out
 
 
 def add_term(obj: AffineObjective, node: int, coef: int, rows) -> None:
@@ -180,9 +191,7 @@ def test_cond_exp_dominance_random_tables():
         table = rng.integers(0, 100, size=1 << length).astype(np.int64)
         obj = TableObjective({0: table}, length)
         seed = cond_exp_search(obj, length, z)
-        got = obj.value_of(seed.bits)
-        num, den = obj.exhaustive_mean_num_denom()
-        assert Fraction(got) >= Fraction(num, den)
+        assert obj.value_of(seed.bits) >= obj.exhaustive_mean()
 
 
 def test_distributed_equals_offline_on_corpus():
@@ -220,6 +229,24 @@ def test_instance_leader_disjointness():
     with pytest.raises(ChunkTooWide):
         distributed_seed_agreement(sim, TableObjective(tables, 4), 4, 2,
                                    instance_id=4)  # leader 16 out of range
+
+
+def test_owns_leaders_matches_agreement():
+    # an instance owns its leaders exactly when the agreement at the
+    # widest chunk chunk_bits gives it raises no ChunkTooWide; instance 1
+    # does not at n <= 3
+    tables = {0: np.zeros(2 ** 8, dtype=np.int64)}
+    for n in range(2, 41):
+        for i in range(6):
+            try:
+                distributed_seed_agreement(
+                    Simulator(n, Config()), TableObjective(tables, 8), 8,
+                    chunk_bits(n, 8, i), instance_id=i)
+                ok = True
+            except ChunkTooWide:
+                ok = False
+            assert owns_leaders(n, i) == ok, (n, i)
+    assert not owns_leaders(3, 1) and owns_leaders(4, 1)
 
 
 def test_chunk_bits_bounds():
@@ -270,11 +297,8 @@ class TestAffineObjective:
                 k = int(rng.integers(0, fam.seed_len + 1))
                 prefix = int(rng.integers(0, 1 << max(1, k))) & \
                     ((1 << k) - 1)
-                obj.reset()
-                if k:
-                    obj.eval_block(k)
-                    obj.commit(prefix, k)
-                got = Fraction(obj.expectation_num(), 1 << obj.denom_log2)
+                c = conditioned(obj, prefix, k)
+                got = Fraction(c.expectation_num(), 1 << c.denom_log2)
                 want = self._brute_conditional(fam, events, prefix, k)
                 assert got == want
 
@@ -300,15 +324,10 @@ class TestAffineObjective:
         obj_b.freeze()
         for k in range(fam.seed_len + 1):
             for prefix in (0, (1 << k) - 1):
-                for o in (obj_a, obj_b):
-                    o.reset()
-                    if k:
-                        o.eval_block(k)
-                        o.commit(prefix & ((1 << k) - 1), k)
-                va = Fraction(obj_a.expectation_num(),
-                              1 << obj_a.denom_log2)
-                vb = Fraction(obj_b.expectation_num(),
-                              1 << obj_b.denom_log2)
+                a, b = (conditioned(o, prefix & ((1 << k) - 1), k)
+                        for o in (obj_a, obj_b))
+                va = Fraction(a.expectation_num(), 1 << a.denom_log2)
+                vb = Fraction(b.expectation_num(), 1 << b.denom_log2)
                 assert va == vb
 
     def test_search_dominance_exact(self):
@@ -384,12 +403,6 @@ class TestPackedEvaluation:
         sums = f.reshape(-1, 1 << k1).sum(axis=0)
         return [int(x) << obj.denom_log2 for x in sums]
 
-    def _conditioned(self, obj, prefix, k):
-        obj.reset()
-        if k:
-            obj.eval_block(k)
-            obj.commit(prefix, k)
-
     def test_eval_block_and_commit_match_enumeration(self):
         L = self.fam.seed_len
         rng = np.random.default_rng(3)
@@ -402,19 +415,19 @@ class TestPackedEvaluation:
                 k1 = k + width
                 want = self._scaled(obj, f, k1)
                 scale = 1 << (L - k1)
-                self._conditioned(obj, prefix, k)
-                vals = obj.eval_block(width)
+                c = conditioned(obj, prefix, k)
+                vals = c.eval_block(width)
                 assert [int(x) * scale for x in vals] == \
                     [want[prefix | (b << k)] for b in range(1 << width)]
-                nodes, per_node = obj.node_eval_block(width)
+                nodes, per_node = c.node_eval_block(width)
                 assert np.array_equal(per_node.sum(axis=0), vals)
                 for i, v in enumerate(nodes):
                     mine = self._scaled(obj, self._values(terms, v), k1)
                     assert [int(x) * scale for x in per_node[i]] == \
                         [mine[prefix | (b << k)] for b in range(1 << width)]
                 b = int(rng.integers(0, 1 << width))
-                obj.commit(b, width)
-                assert obj.expectation_num() * scale == \
+                c.commit(b, width)
+                assert c.expectation_num() * scale == \
                     want[prefix | (b << k)]
 
     def test_blocked_eval_matches_enumeration(self, monkeypatch):
@@ -446,22 +459,22 @@ class TestPackedEvaluation:
         f = self._values(terms)
         want = self._scaled(obj, f, k + width)
         for prefix in (0, 5, 15):
-            self._conditioned(obj, prefix, k)
-            stage = obj._stage(width)
-            _, sizes = np.unique(obj._weights(stage)[stage.terms],
+            c = conditioned(obj, prefix, k)
+            stage = c._stage(width)
+            _, sizes = np.unique(c._weights(stage)[stage.terms],
                                  return_counts=True)
             assert (sizes > 3).sum() >= 3
-            vals = obj.eval_block(width)
+            vals = c.eval_block(width)
             assert [int(x) for x in vals] == \
                 [want[prefix | (b << k)] for b in range(1 << width)]
-            nodes, per_node = obj.node_eval_block(width)
+            nodes, per_node = c.node_eval_block(width)
             for i, v in enumerate(nodes):
                 mine = self._scaled(obj, self._values(terms, v), k + width)
                 assert [int(x) for x in per_node[i]] == \
                     [mine[prefix | (b << k)] for b in range(1 << width)]
             b = int(rng.integers(0, 1 << width))
-            obj.commit(b, width)
-            assert obj.expectation_num() == want[prefix | (b << k)]
+            c.commit(b, width)
+            assert c.expectation_num() == want[prefix | (b << k)]
 
     def test_wide_eval_memory_grows_with_rows_not_cells(self, monkeypatch):
         """One eval_block at width 12 with 8x the stage terms: the traced

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +21,7 @@ from ccclique.detcolor import (GeneralPartitionPlan, _add_term_groups,
                                det_coloring, det_delta_sq, det_list_color,
                                det_list_color_n34, det_list_color_sqrt,
                                det_partition_general, phase_bound,
-                               required_independence,
-                               simple_rand_color_round)
+                               required_independence)
 from ccclique.derand import AffineObjective, HashFamily
 from ccclique.errors import (DegreeTooLarge, NoZeroViolationSeed,
                              ParameterViolation)
@@ -29,6 +29,7 @@ from ccclique.gf2 import EchelonTemplate
 from ccclique.graphs import Graph, gen_random_graph
 from ccclique.harness import run_algorithm
 from ccclique.sim import Simulator
+from oracles import exhaustive_round_probability, simple_rand_color_round
 
 
 def setup_ctx(n, **kw):
@@ -61,8 +62,6 @@ def test_simple_round_isolated_half_over_seeds():
 
 def test_simple_round_k2_exact_probability():
     # ideal product space: both colored with probability exactly 1/8
-    from ccclique.selftest import exhaustive_round_probability
-    from fractions import Fraction
     g = Graph.from_edges(2, [(0, 1)])
     pal = Palettes.uniform_range(2, 1, 2)
     p_both = exhaustive_round_probability(

@@ -10,11 +10,11 @@ import pytest
 from ccclique.coloring import Palettes, find_conflict
 from ccclique.config import Config
 from ccclique.derand import HashFamily
-from ccclique.detcolor import (det_list_color_n34, det_list_color_sqrt,
-                               simple_rand_color_round)
+from ccclique.detcolor import det_list_color_n34, det_list_color_sqrt
 from ccclique.graphs import gen_random_graph
 from ccclique.randcolor import clp_list_coloring, one_shot_coloring
 from ccclique.sim import Simulator
+from oracles import simple_rand_color_round
 
 
 def run_both(n, call, cfg=None):
