@@ -256,8 +256,10 @@ def find_conflict(graph: Graph, coloring: np.ndarray):
     Each color's vertices form one packed set; a colored row ANDed with
     its own color's set holds exactly its monochromatic neighbours.  The
     first row with a hit is u, and all its hits lie above it (a lower
-    partner's row would have hit first), so v is its lowest hit.  Row
-    chunks keep the gathers at O(chunk * n_words) words.
+    partner's row would have hit first), so v is its lowest hit.  Rows go
+    in blocks of 2^15 words: each block's color sets are taken into one
+    reused buffer and its rows ANDed in place, so the working set stays
+    in cache and no block maps fresh pages.
     """
     coloring = np.asarray(coloring)
     colored = np.flatnonzero(coloring != UNCOLORED)
@@ -267,15 +269,17 @@ def find_conflict(graph: Graph, coloring: np.ndarray):
     cls = np.zeros((int(cid.max()) + 1, graph.n_words), dtype=np.uint64)
     np.bitwise_or.at(cls, (cid, colored >> 6),
                      np.uint64(1) << (colored & 63).astype(np.uint64))
-    step = max(1, (1 << 18) // graph.n_words)
+    step = max(1, (1 << 15) // graph.n_words)
+    buf = np.empty((min(step, len(colored)), graph.n_words), dtype=np.uint64)
     for s in range(0, len(colored), step):
-        hit = graph.rows[colored[s:s + step]] & cls[cid[s:s + step]]
-        rows = np.flatnonzero(hit.any(axis=1))
-        if len(rows):
-            k = int(rows[0])
+        idx = colored[s:s + step]
+        hit = np.take(cls, cid[s:s + step], axis=0, out=buf[:len(idx)])
+        hit &= graph.rows[idx]
+        if hit.any():
+            k = int(np.flatnonzero(hit.any(axis=1))[0])
             w = int(np.flatnonzero(hit[k])[0])
             x = int(hit[k, w])
-            return int(colored[s + k]), 64 * w + (x & -x).bit_length() - 1
+            return int(idx[k]), 64 * w + (x & -x).bit_length() - 1
     return None
 
 
@@ -373,13 +377,18 @@ def greedy_list_color(graph: Graph, palettes: Palettes,
             rows[src[s:s + step]], starts, axis=0).T
     used = int(col[src].max()) + 1 if len(src) else 0
     picks = []
+    buf = np.empty(width, dtype=np.uint64)
+    w = -1
     try:
         for v, l, h in zip(pending.tolist(), lo_p.tolist(), hi_p.tolist()):
-            w, b = v >> 6, _BIT[v & 63]
+            if v >> 6 != w:
+                w = v >> 6
+                ftw = ft[w]
+            b = _BIT[v & 63]
             if is_range:
                 c = u = min(h + 1, used if used > l else l)
                 if u > l:
-                    taken = ft[w, l:u] & b
+                    taken = np.bitwise_and(ftw[l:u], b, out=buf[:u - l])
                     i = int(taken.argmin())
                     if not taken.item(i):
                         c = l + i
@@ -389,13 +398,14 @@ def greedy_list_color(graph: Graph, palettes: Palettes,
                 if h < l:
                     raise _stuck(v)
                 cols = colors[l:h + 1] - base
-                taken = ft[w, cols] & b
+                taken = ftw[cols] & b
                 i = int(taken.argmin())
                 if taken.item(i):
                     raise _stuck(v)
                 c = cols.item(i)
             picks.append(c)
-            ft[:, c] |= rows[v]
+            col = ft[:, c]
+            np.bitwise_or(col, rows[v], out=col)
             if c >= used:
                 used = c + 1
     finally:

@@ -755,42 +755,58 @@ def _capacity_split(sim: Simulator, graph: Graph, ell: int,
     moves that strictly decrease sum_v deg_part(v)/cap_sizes[part] always
     exist while violations remain, so the repair loop terminates.  Charges
     one routing call of deg(v) words per vertex under `partition:split`
-    and logs a `capacity-split` note.  Returns (part, d): row d[i] is
-    every vertex's degree into part i, which the repair loop keeps exact.
+    and logs a `capacity-split` note.  Returns (part, d) as int64: row
+    d[i] is every vertex's degree into part i, which the repair loop keeps
+    exact.
+
+    The loop moves the first vertex with negative slack (its cap minus
+    its degree into its own part) to the part of least degree/cap_size,
+    the first on a tie.  Each move costs a few numpy calls on narrow
+    arrays: d and slack are int32, and member[k] is part k's membership
+    as int8 0/1, so moving v from i to j adds (member[i] - member[j]) *
+    row(v) to slack.
     """
     n = graph.n
     caps = cap_sizes - 1
     part = np.arange(n, dtype=np.int64) % ell
-    d = np.zeros((ell, n), dtype=np.int64)
+    d = np.zeros((ell, n), dtype=np.int32)
     for i in range(ell):
         d[i] = graph.degrees_within(
             graph.pack_vertex_mask(np.nonzero(part == i)[0]))
-    slack = caps[part] - d[part, np.arange(n)]
-    weights = 1.0 / cap_sizes.astype(np.float64)
+    slack = (caps[part] - d[part, np.arange(n)]).astype(np.int32)
+    member = (part == np.arange(ell)[:, None]).astype(np.int8)
+    weights = (1.0 / cap_sizes.astype(np.float64)).tolist()
+    caps = caps.tolist()
+    limit = 50 * graph.n_edges + 10 * n + 100
+    neg = np.empty(n, dtype=bool)
+    shift = np.empty(n, dtype=np.int8)
     moves = 0
     while True:
-        v = int(np.argmax(slack < 0))
-        if slack[v] >= 0:
+        np.less(slack, 0, out=neg)
+        v = int(neg.argmax())
+        if not neg[v]:
             break
-        scores = d[:, v] * weights
-        j = int(np.argmin(scores))
+        scores = [x * w for x, w in zip(d[:, v].tolist(), weights)]
+        j = scores.index(min(scores))
         i = int(part[v])
-        if scores[j] >= d[i, v] * weights[i]:
+        if scores[j] >= scores[i]:
             raise AssertionError("capacity split: no improving move")
-        row = graph.row_bool(v)
+        row = graph.row_bool(v).view(np.int8)
         d[i] -= row
         d[j] += row
-        slack += row & (part == i)
-        slack -= row & (part == j)
+        np.subtract(member[i], member[j], out=shift)
+        shift *= row
+        slack += shift
+        member[i, v], member[j, v] = 0, 1
         part[v] = j
         slack[v] = caps[j] - d[j, v]
         moves += 1
-        if moves > 50 * graph.n_edges + 10 * n + 100:
+        if moves > limit:
             raise AssertionError("capacity split did not converge")
     sim.log.note("capacity-split", moves=moves)
     with sim.stage("partition:split"):
         sim.charge_route_counts(graph.degrees, graph.degrees)
-    return part, d
+    return part, d.astype(np.int64)
 
 
 def det_partition_general(sim: Simulator, graph: Graph,

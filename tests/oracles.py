@@ -14,6 +14,9 @@ enumerated:
   abstain-or-pick round through the production choice map and commit rule
   (`detcolor._hash_choices`, `detcolor._commit_picks`), and the exact
   probability of an event after one ideal round.
+* `find_conflict_scan`: the first monochromatic edge by a row-chunked
+  scan of every colored row against its color's packed set, the
+  reference for `coloring.find_conflict`.
 """
 
 from __future__ import annotations
@@ -180,3 +183,31 @@ def exhaustive_round_probability(graph: Graph, palettes: Palettes,
         if target(keep):
             total += prob
     return total
+
+
+def find_conflict_scan(graph: Graph, coloring: np.ndarray):
+    """First monochromatic edge (u, v) with u < v among colored vertices,
+    or None, by scanning every colored row.
+
+    Each color's vertices form one packed set; a colored row ANDed with
+    its own color's set holds exactly its monochromatic neighbours.  The
+    first row with a hit is u, and v is its lowest hit.
+    """
+    coloring = np.asarray(coloring)
+    colored = np.flatnonzero(coloring != UNCOLORED)
+    if len(colored) == 0:
+        return None
+    _, cid = np.unique(coloring[colored], return_inverse=True)
+    cls = np.zeros((int(cid.max()) + 1, graph.n_words), dtype=np.uint64)
+    np.bitwise_or.at(cls, (cid, colored >> 6),
+                     np.uint64(1) << (colored & 63).astype(np.uint64))
+    step = max(1, (1 << 18) // graph.n_words)
+    for s in range(0, len(colored), step):
+        hit = graph.rows[colored[s:s + step]] & cls[cid[s:s + step]]
+        rows = np.flatnonzero(hit.any(axis=1))
+        if len(rows):
+            k = int(rows[0])
+            w = int(np.flatnonzero(hit[k])[0])
+            x = int(hit[k, w])
+            return int(colored[s + k]), 64 * w + (x & -x).bit_length() - 1
+    return None

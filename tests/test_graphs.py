@@ -18,6 +18,7 @@ from ccclique import graphs
 from ccclique.errors import InputError
 from ccclique.graphs import (Graph, gen_random_graph, graph_from_text,
                              read_edge_list, write_edge_list)
+from oracles import find_conflict_scan
 
 
 def test_gen_empty_and_complete():
@@ -317,6 +318,29 @@ def test_find_conflict_matches_reference(n, p, seed, colors, frac):
                       proper, np.arange(n))
     assert find_conflict(g, proper) is None
     assert reference_find_conflict(g, proper) is None
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 200), st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1),
+       st.floats(0.0, 0.5), st.sampled_from([0, 1, 2, 7]))
+def test_find_conflict_matches_scan(n, p, seed, frac, planted):
+    """A proper coloring with uncolored vertices and 0, 1 or several
+    planted monochromatic edges, at n that need not fill its last word:
+    the same first edge as the reference scan."""
+    g = gen_random_graph(n, p, seed)
+    rng = np.random.default_rng(seed)
+    coloring = np.zeros(n, dtype=np.int64)
+    greedy_list_color(g, Palettes.uniform_range(n, 1, g.max_degree + 1),
+                      coloring, np.arange(n))
+    coloring[rng.random(n) < frac] = UNCOLORED
+    edges = g.edge_array()
+    if len(edges) == 0:
+        planted = 0
+    for u, v in edges[rng.integers(0, max(1, len(edges)), planted)]:
+        coloring[u] = coloring[v] = max(coloring[u], coloring[v], 1)
+    got = find_conflict(g, coloring)
+    assert got == find_conflict_scan(g, coloring)
+    assert (got is None) == (planted == 0)
 
 
 def test_find_conflict_lower_ids_only():

@@ -27,6 +27,12 @@ COLORING_DIGESTS = {
         "791bd6dbc56da29a5d4e647716f89466498394a123196b2f446bd2262c3bd72f",
 }
 
+# det on the benchmark's gather-dense graph: the capacity split's moves
+# and the coloring they lead to
+DET_DENSE_DIGEST = \
+    "b2be595a93de2c2d10a954f44fd272023272c0dfdbe9986ad57dd1e24834b332"
+DET_DENSE_SPLIT_MOVES = 498
+
 
 @pytest.mark.parametrize("algo,n,p", sorted(COLORING_DIGESTS))
 def test_coloring_digest_pinned(algo, n, p):
@@ -35,6 +41,19 @@ def test_coloring_digest_pinned(algo, n, p):
     assert rep["proper"]
     digest = hashlib.sha256(coloring.astype("<i8").tobytes()).hexdigest()
     assert digest == COLORING_DIGESTS[(algo, n, p)]
+
+
+def test_det_dense_benchmark_cell_pinned():
+    """det on G(4096, 0.8) at seed 1 repairs the partition in 498 moves
+    and gives the pinned coloring."""
+    coloring, rep = run_algorithm("det", gen_random_graph(4096, 0.8, 1),
+                                  Config(rng_seed=1))
+    assert rep["proper"]
+    digest = hashlib.sha256(coloring.astype("<i8").tobytes()).hexdigest()
+    assert digest == DET_DENSE_DIGEST
+    assert [e for e in rep["assertion_log"]
+            if e.get("note") == "capacity-split"] == \
+        [{"note": "capacity-split", "moves": DET_DENSE_SPLIT_MOVES}]
 
 
 def count_degree_passes(monkeypatch, algo, graph):
