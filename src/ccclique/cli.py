@@ -14,6 +14,7 @@ import errno
 import json
 import os
 import sys
+from itertools import product
 from typing import NoReturn
 
 import click
@@ -190,10 +191,11 @@ def sweep_cmd(algos, ns, densities, seeds, config_path, overrides, eps,
     """Run an (algorithm x n x density x seed) grid: a CSV summary on
     stdout and, with --out, one JSON report per cell plus summary.csv.
 
-    Every size, density, config and eps is checked, and the --out
-    directory made, before the first cell runs.  A cell whose run crashes
-    is reported and skipped, and the sweep then exits 3; otherwise an
-    improper or over-budget cell makes it exit 1."""
+    Every size, density, config and eps is checked, the --out directory
+    made and every report path in it checked, before the first cell runs;
+    a report that cannot be written is an input error (exit 2).  A cell
+    whose run crashes is reported and skipped, and the sweep then exits
+    3; otherwise an improper or over-budget cell makes it exit 1."""
     try:
         _check_eps(eps)
         algo_list = [a.strip() for a in algos.split(",") if a.strip()]
@@ -210,6 +212,10 @@ def sweep_cmd(algos, ns, densities, seeds, config_path, overrides, eps,
                 for s in seed_list}
         if out:  # last, so a rejected grid writes nothing
             os.makedirs(out, exist_ok=True)
+            _check_writable(os.path.join(out, "summary.csv"))
+            for n, p, s, algo in product(n_list, d_list, seed_list,
+                                         algo_list):
+                _check_writable(_cell_report(out, algo, n, p, s))
     except (InputError, OSError, ValueError) as exc:
         _input_error(exc)
     rows = []
@@ -231,25 +237,40 @@ def sweep_cmd(algos, ns, densities, seeds, config_path, overrides, eps,
                     if not (rep["proper"] and rep["within_budget"]):
                         failed = True
                     if out:
-                        name = f"{algo}_n{n}_p{p}_s{s}.json"
-                        with open(os.path.join(out, name), "w") as fh:
-                            json.dump(rep, fh, indent=2, default=str,
-                                      sort_keys=True)
-    summary_cols = ["algorithm", "n", "delta", "rng_seed", "proper",
-                    "within_budget", "colors_used", "color_budget",
-                    "rounds_total", "messages_total",
-                    "max_bits_per_pair_round"]
-    writer = csv.writer(sys.stdout)
-    writer.writerow(summary_cols)
-    for rep in rows:
-        writer.writerow([rep.get(c) for c in summary_cols])
+                        try:
+                            with open(_cell_report(out, algo, n, p, s),
+                                      "w") as fh:
+                                json.dump(rep, fh, indent=2, default=str,
+                                          sort_keys=True)
+                        except OSError as exc:
+                            _input_error(exc)
+    _write_summary(sys.stdout, rows)
     if out:
-        with open(os.path.join(out, "summary.csv"), "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(summary_cols)
-            for rep in rows:
-                w.writerow([rep.get(c) for c in summary_cols])
+        try:
+            with open(os.path.join(out, "summary.csv"), "w",
+                      newline="") as fh:
+                _write_summary(fh, rows)
+        except OSError as exc:
+            _input_error(exc)
     sys.exit(3 if crashed else 1 if failed else 0)
+
+
+def _cell_report(out: str, algo: str, n: int, p: float, s: int) -> str:
+    """The path of one sweep cell's JSON report under `out`."""
+    return os.path.join(out, f"{algo}_n{n}_p{p}_s{s}.json")
+
+
+_SUMMARY_COLS = ["algorithm", "n", "delta", "rng_seed", "proper",
+                 "within_budget", "colors_used", "color_budget",
+                 "rounds_total", "messages_total", "max_bits_per_pair_round"]
+
+
+def _write_summary(fh, rows: list) -> None:
+    """The sweep's CSV summary, one line per report in `rows`."""
+    writer = csv.writer(fh)
+    writer.writerow(_SUMMARY_COLS)
+    for rep in rows:
+        writer.writerow([rep.get(c) for c in _SUMMARY_COLS])
 
 
 if __name__ == "__main__":

@@ -83,19 +83,41 @@ def parse_override(key: str, value: str):
     raise KeyError(key)
 
 
+def _typed(key: str, value):
+    """A config file's `value` as `key`'s type: a string is parsed as a
+    --set value; otherwise an int key takes an integer (not a bool), a
+    float key a number, a bool key true or false.  ValueError on any
+    other value."""
+    if isinstance(value, str):
+        return parse_override(key, value)
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if key in _BOOL_KEYS:
+        ok, kind = isinstance(value, bool), "true or false"
+    elif key in _FLOAT_KEYS:
+        ok, kind = number, "a number"
+    else:
+        ok, kind = number and isinstance(value, int), "an integer"
+    if not ok:
+        raise ValueError(f"config key {key!r} must be {kind}, got {value!r}")
+    return float(value) if key in _FLOAT_KEYS else value
+
+
 def load_config(path: str | None = None, overrides: dict | None = None) -> Config:
-    """Build a Config from an optional JSON file plus key=value overrides."""
+    """Build a Config from an optional JSON file, which must hold one
+    object, plus key=value overrides; an unknown key is a KeyError and a
+    value of the wrong type a ValueError."""
     data = {}
     if path:
         with open(path) as fh:
-            data.update(json.load(fh))
+            loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise ValueError(f"{path}: config must be a JSON object, got "
+                             f"{type(loaded).__name__}")
+        data.update(loaded)
     if overrides:
         data.update(overrides)
     known = {f.name for f in fields(Config)}
     unknown = set(data) - known
     if unknown:
         raise KeyError(f"unknown config keys: {sorted(unknown)}")
-    typed = {}
-    for k, v in data.items():
-        typed[k] = parse_override(k, str(v)) if isinstance(v, str) else v
-    return Config(**typed)
+    return Config(**{k: _typed(k, v) for k, v in data.items()})

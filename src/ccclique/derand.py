@@ -130,10 +130,15 @@ class AffineObjective:
 
     Terms arrive in bulk (`add_terms`): each names a node, a coefficient,
     one mask system of an EchelonTemplate and the rhs bits of that
-    system's rows.  The template's batched echelonization gives every term
-    its echelon rows (distinct highest-bit pivots), exactly the rows
-    `solve_parity_rows` would return; contradictory terms have probability
-    zero and are dropped, and rank-0 terms are constants.  `freeze`
+    system's rows.  The terms of one call that name the same system and
+    the same rhs are one *event*, one conjunction, weighed once at the sum
+    of their coefficients; each term stays an *owner* of its event (node,
+    own coefficient, event), so `contributing_nodes`, `n_terms` and
+    `node_eval_block`'s per-node split count terms as added.  The
+    template's batched echelonization gives every event its echelon rows
+    (distinct highest-bit pivots), exactly the rows `solve_parity_rows`
+    would return; contradictory events have probability zero and are
+    dropped with their owners, and rank-0 terms are constants.  `freeze`
     concatenates the blocks into flat row arrays sorted by pivot.
 
     Conditional expectations are exact dyadic rationals returned as int64
@@ -144,47 +149,65 @@ class AffineObjective:
         if seed_len > 64:
             raise ValueError("affine objectives support seed_len <= 64")
         self.seed_len = seed_len
-        self._blocks = []   # (nodes, coefs, nrows, masks, pivots, rhs)
+        # (owner nodes, owner coefs, owner events, event coefs, nrows,
+        #  masks, pivots, rhs)
+        self._blocks = []
         self._consts = []   # (nodes, coefs) of rank-0 terms
+        self._n_events = 0
 
     def add_terms(self, template: EchelonTemplate, systems, nodes, coefs,
                   rhs_bits) -> None:
         """Add coefs[b] * [system systems[b] holds with rhs rhs_bits[b]]
         for every b; rhs_bits packs the input-row rhs values (bit i = row
-        i of the system)."""
+        i of the system).  Terms with equal (system, rhs) share one event,
+        whose rhs is reduced once and whose coefficient is their sum."""
         systems = np.asarray(systems, dtype=np.int64)
         nodes = np.asarray(nodes, dtype=np.int64)
         coefs = np.asarray(coefs, dtype=np.int64)
-        ok, row_of, out_rhs = template.reduce_rhs(systems, rhs_bits)
-        nrows = template.rank[systems]
-        const = ok & (nrows == 0)
+        rhs_bits = np.asarray(rhs_bits, dtype=np.uint64)
+        order = np.lexsort((rhs_bits, systems))
+        sys_o, rhs_o = systems[order], rhs_bits[order]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = (sys_o[1:] != sys_o[:-1]) | (rhs_o[1:] != rhs_o[:-1])
+        starts = first.nonzero()[0]
+        event = np.empty(len(order), dtype=np.int64)
+        event[order] = np.cumsum(first) - 1
+        ok, row_of, out_rhs = template.reduce_rhs(sys_o[starts],
+                                                  rhs_o[starts])
+        nrows = template.rank[sys_o[starts]]
+        const = (ok & (nrows == 0))[event]
         self._consts.append((nodes[const], coefs[const]))
         live = ok & (nrows > 0)
+        owned = live[event]
+        renumber = np.cumsum(live) - 1 + self._n_events
+        self._n_events += int(live.sum())
         rows = np.repeat(live, nrows)
         row_of = row_of[rows]
-        self._blocks.append((nodes[live], coefs[live], nrows[live],
-                             template.out_masks[row_of],
+        self._blocks.append((nodes[owned], coefs[owned],
+                             renumber[event[owned]],
+                             np.add.reduceat(coefs[order], starts)[live],
+                             nrows[live], template.out_masks[row_of],
                              template.out_pivots[row_of], out_rhs[rows]))
 
     def freeze(self) -> None:
-        empty = (np.zeros(0, dtype=np.int64),) * 3 + (
-            np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.int64),
-            np.zeros(0, dtype=np.uint8))
-        nodes, coefs, nrows, masks, pivots, rhs = (
+        i64, u64 = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.uint64)
+        empty = (i64,) * 5 + (u64, i64, np.zeros(0, dtype=np.uint8))
+        nodes, coefs, events, event_coef, nrows, masks, pivots, rhs = (
             np.concatenate(col) for col in zip(empty, *self._blocks))
-        T = len(nodes)
+        T, E = len(nodes), len(event_coef)
         self.n_terms = T
-        self.term_node, self.term_coef = nodes, coefs
-        self.n_rows_per_term = nrows
+        self.term_node, self.term_coef, self.term_event = nodes, coefs, events
+        self.event_coef = event_coef
+        self.n_rows_per_event = nrows
         order = np.argsort(pivots.astype(np.uint8), kind="stable")
         self.row_mask = masks[order]
         self.row_rhs = rhs[order]
-        self.row_term = np.repeat(np.arange(T, dtype=np.int64), nrows)[order]
+        self.row_event = np.repeat(np.arange(E, dtype=np.int64), nrows)[order]
         self.row_pivot = pivots[order]
         self.const_node, self.const_coef = (np.concatenate(col) for col in zip(
-            (np.zeros(0, dtype=np.int64),) * 2, *self._consts))
+            (i64,) * 2, *self._consts))
         self.const_total = int(self.const_coef.sum())
-        self.max_rank = int(nrows.max()) if T else 0
+        self.max_rank = int(nrows.max()) if E else 0
         coef_bits = int(np.abs(coefs).max()) if T else 1
         total_bits = (self.max_rank + max(1, coef_bits).bit_length()
                       + max(1, T).bit_length())
@@ -193,9 +216,8 @@ class AffineObjective:
         self.denom_log2 = self.max_rank
         self.committed = 0
         self.k = 0
-        self.alive = np.ones(T, dtype=bool)
-        self._below = np.zeros(T, dtype=np.int64)
-        i64, u64 = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.uint64)
+        self.alive = np.ones(E, dtype=bool)
+        self._below = np.zeros(E, dtype=np.int64)
         self._no_rows = _Stage(0, i64, i64, i64, i64, u64,
                                np.zeros(0, dtype=np.uint8))
         self._blocks = None
@@ -204,24 +226,24 @@ class AffineObjective:
 
     # -- evaluation -------------------------------------------------- #
     #
-    # Only a term with a row pivoting inside the chunk [k, k+width) can
-    # fail for some chunk assignment; every other alive term keeps its
+    # Only an event with a row pivoting inside the chunk [k, k+width) can
+    # fail for some chunk assignment; every other alive event keeps its
     # (rescaled) weight whatever the chunk is.  A stage therefore works on
-    # those rows alone, as O(rows) arrays grouped by term (`_Stage`): a
+    # those rows alone, as O(rows) arrays grouped by event (`_Stage`): a
     # row breaks under chunk assignment b when parity(chunk & b) ^ flip
     # is 1, where chunk is the row's mask inside the chunk and flip its
     # rhs plus the parity the committed prefix contributes.  `commit`
-    # reads the terms the chosen assignment breaks from these rows, and
-    # adds the stage's row counts to `_below`, each alive term's rows
+    # reads the events the chosen assignment breaks from these rows, and
+    # adds the stage's row counts to `_below`, each alive event's rows
     # pivoting below k.
     #
-    # `_eval` builds each term's failure set over the 2^width assignments
-    # a block of terms at a time, never more than _EVAL_BLOCK_CELLS
-    # (term, assignment) cells, and subtracts its weight from every
+    # `_eval` builds each event's failure set over the 2^width assignments
+    # a block of events at a time, never more than _EVAL_BLOCK_CELLS
+    # (event, assignment) cells, and subtracts its weight from every
     # assignment in it.  A failure set wider than one 64-bit word is
-    # weighed per weight class: the stage's terms are put in weight order
+    # weighed per weight class: the stage's events are put in weight order
     # and each run of one weight subtracts weight x (its int64 column sum
-    # of 0/1 bits), so no int64 (term, assignment) matrix is formed; a
+    # of 0/1 bits), so no int64 (event, assignment) matrix is formed; a
     # wide stage has a handful of distinct weights.  A set of one word
     # (width <= 6) is weighed as one weights @ bits product, the fewest
     # numpy calls for the many small stages; its int64 copy of the bits
@@ -231,43 +253,48 @@ class AffineObjective:
         """Sorted ids of the nodes that own a term or a constant."""
         return np.unique(np.concatenate([self.term_node, self.const_node]))
 
+    def _scales(self, stage: _Stage) -> np.ndarray:
+        """Each event's conditional value per unit of coefficient once the
+        stage's chunk is fixed and its rows below the chunk's end hold,
+        2^-(rows at or above k + width) scaled, and 0 for a dead event.
+        `_below` counts an alive event's rows below k; the stage adds its
+        own."""
+        r = self.n_rows_per_event - self._below
+        r[stage.events] -= stage.counts
+        return (np.int64(1) << (self.denom_log2 - r)) * self.alive
+
     def _weights(self, stage: _Stage) -> np.ndarray:
-        """Each alive term's conditional value once the stage's chunk is
-        fixed and its rows below the chunk's end hold, coef * 2^-(rows at
-        or above k + width) scaled, and 0 for a dead term.  `_below`
-        counts an alive term's rows below k; the stage adds its own."""
-        r = self.n_rows_per_term - self._below
-        r[stage.terms] -= stage.counts
-        return (self.term_coef << (self.denom_log2 - r)) * self.alive
+        """Each event's coefficient times its `_scales` entry."""
+        return self.event_coef * self._scales(stage)
 
     def _stage(self, width: int) -> _Stage:
-        """The alive terms' rows pivoting in [k, k+width), grouped by
-        term."""
+        """The alive events' rows pivoting in [k, k+width), grouped by
+        event."""
         lo, hi = np.searchsorted(self.row_pivot, (self.k, self.k + width))
-        live = lo + self.alive[self.row_term[lo:hi]].nonzero()[0]
+        live = lo + self.alive[self.row_event[lo:hi]].nonzero()[0]
         if not len(live):
             return self._no_rows._replace(width=width)
-        order = live[np.argsort(self.row_term[live], kind="stable")]
-        row_term = self.row_term[order]
+        order = live[np.argsort(self.row_event[live], kind="stable")]
+        row_event = self.row_event[order]
         masks = self.row_mask[order]
         flip = (np.bitwise_count(masks & np.uint64(self.committed))
                 & np.uint8(1)) ^ self.row_rhs[order]
         chunk = (masks >> np.uint64(self.k)) & np.uint64((1 << width) - 1)
         bounds = np.concatenate(
-            ([True], row_term[1:] != row_term[:-1], [True])).nonzero()[0]
+            ([True], row_event[1:] != row_event[:-1], [True])).nonzero()[0]
         starts = bounds[:-1]
-        return _Stage(width, row_term[starts], starts, bounds[1:] - starts,
-                      row_term, chunk, flip)
+        return _Stage(width, row_event[starts], starts, bounds[1:] - starts,
+                      row_event, chunk, flip)
 
     def _failure_blocks(self, stage: _Stage, cells: int):
-        """Yield (g, h, bits): the failure sets of the stage's terms g..h-1
-        as a (h - g, 2^width) uint8 0/1 matrix, in blocks of at most
-        `cells` cells and as many rows (a term with more rows than that
-        gets a block of its own)."""
+        """Yield (g, h, bits): the failure sets of the stage's events
+        g..h-1 as a (h - g, 2^width) uint8 0/1 matrix, in blocks of at
+        most `cells` cells and as many rows (an event with more rows than
+        that gets a block of its own)."""
         step = max(1, cells >> stage.width)
         ends = stage.starts + stage.counts
         g = 0
-        while g < len(stage.terms):
+        while g < len(stage.events):
             r0 = stage.starts[g]
             h = max(g + 1, int(np.searchsorted(ends, r0 + step, "right")))
             fail = _packed_failures(stage.chunk[r0:ends[h - 1]],
@@ -279,7 +306,7 @@ class AffineObjective:
 
     def _eval(self, width: int):
         """Conditional sums per chunk assignment, plus the stage kept for
-        commit: vals[b] = all alive weight - weight of terms b breaks."""
+        commit: vals[b] = all alive weight - weight of events b breaks."""
         stage = self._stage(width)
         w = self._weights(stage)
         vals = np.full(1 << width, (self.const_total << self.denom_log2)
@@ -287,9 +314,9 @@ class AffineObjective:
         if width <= 6:
             for g, h, bits in self._failure_blocks(
                     stage, _EVAL_BLOCK_CELLS >> 3):
-                vals -= w[stage.terms[g:h]] @ bits
+                vals -= w[stage.events[g:h]] @ bits
             return vals, stage
-        wt = w[stage.terms]
+        wt = w[stage.events]
         order = np.argsort(wt, kind="stable")
         wt = wt[order]
         for g, h, bits in self._failure_blocks(stage.regroup(order),
@@ -306,20 +333,26 @@ class AffineObjective:
 
     def node_eval_block(self, width: int):
         """Per-node split of eval_block(width): row i is the value
-        contributing_nodes()[i] sends to each of the 2^width leaders, and
-        the rows sum to eval_block(width).  The searches route only the
-        counts of these values and never build the matrix."""
+        contributing_nodes()[i] sends to each of the 2^width leaders, each
+        of its terms at its own coefficient times its event's conditional
+        value, and the rows sum to eval_block(width).  The searches route
+        only the counts of these values and never build the matrix."""
         _, stage = self._eval(width)
         self._last = stage
-        w = self._weights(stage)
+        w = self.term_coef * self._scales(stage)[self.term_event]
         nodes = self.contributing_nodes()
+        at = np.searchsorted(nodes, self.term_node)
         out = np.zeros((len(nodes), 1 << width), dtype=np.int64)
-        np.add.at(out, np.searchsorted(nodes, self.term_node), w[:, None])
-        at = np.searchsorted(nodes, self.term_node[stage.terms])
+        np.add.at(out, at, w[:, None])
+        # each term's event's position among the stage's, -1 outside it
+        pos = np.full(len(self.alive), -1, dtype=np.int64)
+        pos[stage.events] = np.arange(len(stage.events))
+        pos = pos[self.term_event]
         for g, h, bits in self._failure_blocks(stage,
                                                _EVAL_BLOCK_CELLS >> 3):
-            np.subtract.at(out, at[g:h],
-                           w[stage.terms[g:h]][:, None] * bits)
+            mine = ((pos >= g) & (pos < h)).nonzero()[0]
+            np.subtract.at(out, at[mine],
+                           w[mine][:, None] * bits[pos[mine] - g])
         np.add.at(out, np.searchsorted(nodes, self.const_node),
                   (self.const_coef << self.denom_log2)[:, None])
         return nodes, out
@@ -330,41 +363,41 @@ class AffineObjective:
             stage = self._stage(width)
         broken = (np.bitwise_count(stage.chunk & np.uint64(assignment))
                   & np.uint8(1)) ^ stage.flip
-        self.alive[stage.row_term[broken.view(bool)]] = False
-        self._below[stage.terms] += stage.counts
+        self.alive[stage.row_event[broken.view(bool)]] = False
+        self._below[stage.events] += stage.counts
         self.committed |= assignment << self.k
         self.k += width
         self._last = None
 
     def expectation_num(self) -> int:
         """Current conditional expectation numerator (denom 2^denom_log2):
-        every alive term at its weight given the committed prefix."""
+        every alive event at its weight given the committed prefix."""
         return ((self.const_total << self.denom_log2)
                 + int(self._weights(self._no_rows).sum()))
 
 
 class _Stage(NamedTuple):
-    """One chunk stage's alive rows, grouped by term: terms[i] owns rows
+    """One chunk stage's alive rows, grouped by event: events[i] owns rows
     starts[i] .. starts[i] + counts[i] - 1 of the per-row arrays
-    (row_term, chunk = uint64 mask bits inside the chunk, flip = uint8
+    (row_event, chunk = uint64 mask bits inside the chunk, flip = uint8
     rhs ^ the committed prefix's parity)."""
 
     width: int
-    terms: np.ndarray
+    events: np.ndarray
     starts: np.ndarray
     counts: np.ndarray
-    row_term: np.ndarray
+    row_event: np.ndarray
     chunk: np.ndarray
     flip: np.ndarray
 
     def regroup(self, order: np.ndarray) -> _Stage:
-        """The same stage with its terms in `order`."""
+        """The same stage with its events in `order`."""
         counts = self.counts[order]
         starts = np.cumsum(counts) - counts
         rows = np.repeat(self.starts[order] - starts, counts) \
-            + np.arange(len(self.row_term))
-        return _Stage(self.width, self.terms[order], starts, counts,
-                      self.row_term[rows], self.chunk[rows], self.flip[rows])
+            + np.arange(len(self.row_event))
+        return _Stage(self.width, self.events[order], starts, counts,
+                      self.row_event[rows], self.chunk[rows], self.flip[rows])
 
 
 def _packed_failures(chunk: np.ndarray, flip: np.ndarray,

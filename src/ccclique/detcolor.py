@@ -111,10 +111,12 @@ def _rows_block(masks: np.ndarray, li: np.ndarray, lo: np.ndarray,
 
 
 def _add_term_groups(obj: AffineObjective, *groups) -> None:
-    """Add every group's terms to `obj` through one EchelonTemplate, in
-    group order.  A group is (masks, systems, nodes, coefs, rhs_bits) with
-    its own system ids; narrower systems pad with zero columns, rows that
-    constrain nothing."""
+    """Add every group's terms to `obj` through one EchelonTemplate and
+    one `add_terms` call, in group order.  A group is (masks, systems,
+    nodes, coefs, rhs_bits) with its own system ids; narrower systems pad
+    with zero columns, rows that constrain nothing.  Terms of one group
+    with the same system and rhs (a pair term's two endpoints) become one
+    event of `obj`; groups never share a system."""
     masks, systems, nodes, coefs, rhs = zip(*groups)
     offsets = np.cumsum([0] + [len(m) for m in masks])
     rows = np.zeros((offsets[-1], max(m.shape[1] for m in masks)),

@@ -252,6 +252,86 @@ def test_run_checks_output_paths_before_running(runner, tmp_path,
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("blocked", ["det_n64_p0.3_s0.json", "summary.csv"])
+def test_sweep_checks_report_paths_before_running(runner, tmp_path,
+                                                  monkeypatch, blocked):
+    # a directory at a cell's report path or at summary.csv used to raise
+    # IsADirectoryError out of the sweep (exit 1) once that write came
+    def never(*_args, **_kwargs):
+        raise AssertionError("run_algorithm called")
+    monkeypatch.setattr("ccclique.cli.run_algorithm", never)
+    (tmp_path / blocked).mkdir()
+    res = runner.invoke(main, ["sweep", "--algos", "det", "--n", "64",
+                               "--density", "0.3", "--out", str(tmp_path)])
+    assert res.exit_code == 2, res.output
+    assert res.output.count("input error:") == 1
+    assert len(res.output.splitlines()) == 1
+    assert [p.name for p in tmp_path.iterdir()] == [blocked]
+
+
+@pytest.mark.parametrize("blocked", ["fast_n16_p0.5_s0.json", "summary.csv"])
+def test_sweep_report_unwritable_during_run_exits_2(runner, tmp_path,
+                                                    monkeypatch, blocked):
+    # a report path that becomes a directory while the grid runs
+    real = run_algorithm
+
+    def block_then_run(algo, *args, **kwargs):
+        if algo == "fast":
+            (tmp_path / blocked).mkdir()
+        return real(algo, *args, **kwargs)
+    monkeypatch.setattr("ccclique.cli.run_algorithm", block_then_run)
+    res = runner.invoke(main, ["sweep", "--algos", "det,fast", "--n", "16",
+                               "--density", "0.5", "--out", str(tmp_path)])
+    assert res.exit_code == 2, res.output
+    assert res.output.count("input error:") == 1
+    assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("text,message", [
+    ("[1, 2]", "config must be a JSON object, got list"),
+    ('"c_fit"', "config must be a JSON object, got str"),
+    ('{"c_fit": null}', "'c_fit' must be a number, got None"),
+    ('{"c_fit": true}', "'c_fit' must be a number, got True"),
+    ('{"term_budget": [5]}', "'term_budget' must be an integer, got [5]"),
+    ('{"rng_seed": 1.5}', "'rng_seed' must be an integer, got 1.5"),
+    ('{"delta_min": false}', "'delta_min' must be an integer, got False"),
+    ('{"debug_checks": 1}', "'debug_checks' must be true or false, got 1"),
+    ('{"c_word": "two"}', "invalid literal for int()"),
+])
+def test_config_file_of_wrong_type_exits_2(runner, tmp_path, text, message):
+    # the first two used to raise TypeError (exit 1), the list term_budget
+    # crashed the run (exit 3) and the float seed ran
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    for args in (["run", "--algo", "det", "--gen", "64,0.3"],
+                 ["sweep", "--algos", "det", "--n", "64", "--density",
+                  "0.3"]):
+        res = runner.invoke(main, args + ["--config", str(cfg)])
+        assert res.exit_code == 2, res.output
+        assert res.output.startswith("input error:") and message in \
+            res.output
+        assert len(res.output.splitlines()) == 1
+
+
+@pytest.mark.parametrize("text,key,value", [
+    ('{"c_fit": 1}', "c_fit", 1.0),
+    ('{"c_fit": "0.5"}', "c_fit", 0.5),
+    ('{"term_budget": "5000"}', "term_budget", 5000),
+    ('{"delta_min": 16}', "delta_min", 16),
+    ('{"debug_checks": true}', "debug_checks", True),
+])
+def test_config_file_values_take_their_key_type(runner, tmp_path, text, key,
+                                                value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    out = tmp_path / "r.json"
+    res = runner.invoke(main, ["run", "--algo", "det", "--gen", "64,0.3",
+                               "--config", str(cfg), "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    got = json.loads(out.read_text())["config"][key]
+    assert got == value and type(got) is type(value)
+
+
 @pytest.mark.parametrize("eps", ["-1", "0", "1", "2", "1e308", "nan"])
 def test_eps_outside_unit_interval_exits_2(runner, tmp_path, eps):
     # these used to reach many_colors_coloring and exit 3 as a crash

@@ -403,39 +403,97 @@ class TestPackedEvaluation:
         sums = f.reshape(-1, 1 << k1).sum(axis=0)
         return [int(x) << obj.denom_log2 for x in sums]
 
-    def test_eval_block_and_commit_match_enumeration(self):
+    def _check_widths(self, obj, terms, rng):
+        """eval_block, node_eval_block, commit and expectation_num of the
+        frozen `obj` at every width 1..10 after a random prefix, against
+        enumeration of `terms`."""
         L = self.fam.seed_len
+        f = self._values(terms)
+        for width in range(1, 11):
+            k = int(rng.integers(0, L - width + 1))
+            prefix = int(rng.integers(0, 1 << k)) if k else 0
+            k1 = k + width
+            want = self._scaled(obj, f, k1)
+            scale = 1 << (L - k1)
+            c = conditioned(obj, prefix, k)
+            vals = c.eval_block(width)
+            assert [int(x) * scale for x in vals] == \
+                [want[prefix | (b << k)] for b in range(1 << width)]
+            nodes, per_node = c.node_eval_block(width)
+            assert np.array_equal(per_node.sum(axis=0), vals)
+            for i, v in enumerate(nodes):
+                mine = self._scaled(obj, self._values(terms, v), k1)
+                assert [int(x) * scale for x in per_node[i]] == \
+                    [mine[prefix | (b << k)] for b in range(1 << width)]
+            b = int(rng.integers(0, 1 << width))
+            c.commit(b, width)
+            assert c.expectation_num() * scale == want[prefix | (b << k)]
+
+    def test_eval_block_and_commit_match_enumeration(self):
         rng = np.random.default_rng(3)
         for trial in range(4):
             obj, terms = self._objective(100 + trial)
-            f = self._values(terms)
-            for width in range(1, 11):
-                k = int(rng.integers(0, L - width + 1))
-                prefix = int(rng.integers(0, 1 << k)) if k else 0
-                k1 = k + width
-                want = self._scaled(obj, f, k1)
-                scale = 1 << (L - k1)
-                c = conditioned(obj, prefix, k)
-                vals = c.eval_block(width)
-                assert [int(x) * scale for x in vals] == \
-                    [want[prefix | (b << k)] for b in range(1 << width)]
-                nodes, per_node = c.node_eval_block(width)
-                assert np.array_equal(per_node.sum(axis=0), vals)
-                for i, v in enumerate(nodes):
-                    mine = self._scaled(obj, self._values(terms, v), k1)
-                    assert [int(x) * scale for x in per_node[i]] == \
-                        [mine[prefix | (b << k)] for b in range(1 << width)]
-                b = int(rng.integers(0, 1 << width))
-                c.commit(b, width)
-                assert c.expectation_num() * scale == \
-                    want[prefix | (b << k)]
+            self._check_widths(obj, terms, rng)
+
+    def test_shared_events_match_enumeration(self):
+        # one add_terms call whose terms share events: two nodes (and one
+        # node twice) on one event, an event whose coefficients cancel to
+        # 0, rank-0 events and contradictory ones, beside single terms
+        bm = self.fam.bit_masks_vec(np.arange(16))
+        systems = np.array([
+            [bm[3, 0], bm[3, 1], bm[9, 2]],
+            [bm[5, 0], bm[12, 3], 0],
+            [0, 0, 0],                   # rank 0
+            [bm[7, 1], bm[7, 1], 0],     # rows 0 and 1 must agree
+        ], dtype=np.uint64)
+        spec = [  # (system, node, coef, rhs bits)
+            (0, 1, -1, 5), (0, 2, -1, 5), (0, 1, 3, 5),
+            (0, 4, 2, 2), (0, 5, -2, 2),
+            (0, 6, 1, 7),
+            (1, 6, 2, 1), (1, 7, -1, 1), (1, 7, 1, 2), (1, 8, 4, 3),
+            (2, 9, 1, 0), (2, 10, 2, 0),
+            (2, 11, 5, 4), (3, 12, 3, 1), (3, 13, 1, 1),
+            (3, 14, 2, 3), (3, 2, -3, 3),
+        ]
+        template = EchelonTemplate(systems)
+        sys_ids, nodes, coefs, rhs = (np.array(col) for col in zip(*spec))
+        terms = [(v, c, [(int(m), (r >> i) & 1)
+                         for i, m in enumerate(systems[s])])
+                 for s, v, c, r in spec]
+        merged = AffineObjective(self.fam.seed_len)
+        merged.add_terms(template, sys_ids, nodes, coefs,
+                         rhs.astype(np.uint64))
+        merged.freeze()
+        one_each = AffineObjective(self.fam.seed_len)
+        for s, v, c, r in spec:
+            one_each.add_terms(template, [s], [v], [c],
+                               np.array([r], dtype=np.uint64))
+        one_each.freeze()
+        # 12 live terms on 7 events; 9 and 10 own constants, 11, 12 and
+        # 13 contradictions
+        assert merged.n_terms == one_each.n_terms == 12
+        assert len(one_each.event_coef) == 12
+        assert sorted(merged.event_coef.tolist()) == [-1, 0, 1, 1, 1, 1, 4]
+        assert np.array_equal(merged.contributing_nodes(),
+                              one_each.contributing_nodes())
+        assert merged.contributing_nodes().tolist() == \
+            [1, 2, 4, 5, 6, 7, 8, 9, 10, 14]
+        assert merged.const_total == 3
+        rng = np.random.default_rng(8)
+        for obj in (merged, one_each):
+            assert Fraction(obj.expectation_num(), 1 << obj.denom_log2) == \
+                Fraction(int(self._values(terms).sum()),
+                         1 << self.fam.seed_len)
+            for _ in range(3):
+                self._check_widths(obj, terms, rng)
 
     def test_blocked_eval_matches_enumeration(self, monkeypatch):
         # 64 cells per block, 8 for one-word failure sets: a chunk of 3
-        # or more bits weighs one term per block, so those widths span
-        # as many blocks as stage terms
+        # or more bits weighs one event per block, so those widths span
+        # as many blocks as stage events
         monkeypatch.setattr(derand, "_EVAL_BLOCK_CELLS", 64)
         self.test_eval_block_and_commit_match_enumeration()
+        self.test_shared_events_match_enumeration()
         self.test_distributed_equals_offline_affine()
 
     def test_weight_classes_spanning_blocks_match_enumeration(
@@ -461,7 +519,7 @@ class TestPackedEvaluation:
         for prefix in (0, 5, 15):
             c = conditioned(obj, prefix, k)
             stage = c._stage(width)
-            _, sizes = np.unique(c._weights(stage)[stage.terms],
+            _, sizes = np.unique(c._weights(stage)[stage.events],
                                  return_counts=True)
             assert (sizes > 3).sum() >= 3
             vals = c.eval_block(width)
@@ -502,7 +560,7 @@ class TestPackedEvaluation:
                 used = tracemalloc.get_traced_memory()[1] - base
             finally:
                 tracemalloc.stop()
-            return used, len(obj.row_term)
+            return used, len(obj.row_event)
 
         small, rows_small = peak(256)
         big, rows_big = peak(8 * 256)

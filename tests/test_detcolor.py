@@ -107,9 +107,9 @@ def test_add_term_groups_matches_pad_and_concatenate():
         np.concatenate(nodes), np.concatenate(coefs), np.concatenate(rhs))
     got.freeze()
     ref.freeze()
-    for name in ("term_node", "term_coef", "n_rows_per_term", "row_mask",
-                 "row_rhs", "row_term", "row_pivot", "const_node",
-                 "const_coef"):
+    for name in ("term_node", "term_coef", "term_event", "event_coef",
+                 "n_rows_per_event", "row_mask", "row_rhs", "row_event",
+                 "row_pivot", "const_node", "const_coef"):
         assert np.array_equal(getattr(got, name), getattr(ref, name)), name
     assert got.n_terms == ref.n_terms > 0
 

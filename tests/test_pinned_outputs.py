@@ -3,12 +3,13 @@ many rounds and colors a run took.  A host-side speed-up keeps these
 digests; a change that moves one says so and re-pins it."""
 
 import hashlib
+import json
 
 import pytest
 
 from ccclique.config import Config
 from ccclique.graphs import Graph, gen_random_graph
-from ccclique.harness import run_algorithm
+from ccclique.harness import report_key, run_algorithm
 
 # SHA-256 of the coloring as little-endian int64, run at rng_seed 1 on
 # gen_random_graph(n, p, 1)
@@ -27,6 +28,21 @@ COLORING_DIGESTS = {
         "791bd6dbc56da29a5d4e647716f89466498394a123196b2f446bd2262c3bd72f",
 }
 
+# SHA-256 of json.dumps(report_key(report), sort_keys=True, default=str),
+# run at rng_seed 1 on gen_random_graph(n, p, 1), or on the star K_{1,100}
+# for n = "star": every report byte but wall_time, the seed rounds'
+# `terms` counts in the assertion log included
+REPORT_DIGESTS = {
+    ("det", 96, 0.12):
+        "df03e971bf54f7a88bd7c3f844ae4afb968e1e51fd1a4cb16cbf343a0e519ed2",
+    ("det", 256, 0.015):
+        "f5c72a858c1ba3ccb7bf53853419903683445798b0666fe58c5e1a22b2d20380",
+    ("detsq", 1024, 0.0075):
+        "f3c86287cf3fc26dfdf63b0cc19e76f607978610d0013dc1f78a607e2ff71d62",
+    ("det", "star", None):
+        "660b507a13a8ef31db52846d69f097c121743804fe7a3a79b09427b873c95ab7",
+}
+
 # det on the benchmark's gather-dense graph: the capacity split's moves
 # and the coloring they lead to
 DET_DENSE_DIGEST = \
@@ -41,6 +57,18 @@ def test_coloring_digest_pinned(algo, n, p):
     assert rep["proper"]
     digest = hashlib.sha256(coloring.astype("<i8").tobytes()).hexdigest()
     assert digest == COLORING_DIGESTS[(algo, n, p)]
+
+
+@pytest.mark.parametrize("algo,n,p", REPORT_DIGESTS,
+                         ids=[f"{a}-{n}-{p}" for a, n, p in REPORT_DIGESTS])
+def test_report_digest_pinned(algo, n, p):
+    graph = (Graph.from_edges(101, [(0, i) for i in range(1, 101)])
+             if n == "star" else gen_random_graph(n, p, 1))
+    _, rep = run_algorithm(algo, graph, Config(rng_seed=1))
+    assert rep["proper"]
+    text = json.dumps(report_key(rep), sort_keys=True, default=str)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        REPORT_DIGESTS[(algo, n, p)]
 
 
 def test_det_dense_benchmark_cell_pinned():
